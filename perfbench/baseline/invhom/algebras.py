@@ -1,0 +1,415 @@
+"""Finite-dimensional unital algebras by structure constants, bimodules,
+Hochschild (co)homology, and a separability test by explicit linear solve."""
+
+from __future__ import annotations
+
+import itertools
+
+from .linalg import Matrix, SparseCols, mat_rank
+from .homology import DEFAULT_COLUMN_CAP
+
+
+class Algebra:
+    """Unital associative algebra: b_i b_j = sum_k sc[i][j][k] b_k."""
+
+    __slots__ = ("field", "dim", "sc", "unit", "_left_mats", "_right_mats")
+
+    def __init__(self, field, dim, sc, unit, validate=True):
+        if len(sc) != dim or any(len(row) != dim for row in sc):
+            raise ValueError("structure constants have wrong shape")
+        for row in sc:
+            for vec in row:
+                if len(vec) != dim:
+                    raise ValueError("structure constants have wrong shape")
+        if len(unit) != dim:
+            raise ValueError("unit vector has wrong length")
+        self.field = field
+        self.dim = dim
+        self.sc = sc
+        self.unit = unit
+        self._left_mats = None
+        self._right_mats = None
+        if validate:
+            self._validate()
+
+    def _validate(self):
+        F = self.field
+        for i in range(self.dim):
+            for j in range(self.dim):
+                for k in range(self.dim):
+                    lhs = self.mul(self.sc[i][j], self.basis_vec(k))
+                    rhs = self.mul(self.basis_vec(i), self.sc[j][k])
+                    if lhs != rhs:
+                        raise ValueError(f"not associative at ({i},{j},{k})")
+        for i in range(self.dim):
+            b = self.basis_vec(i)
+            if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
+                raise ValueError(f"unit is not a two-sided identity at basis {i}")
+
+    def basis_vec(self, i):
+        v = [self.field.zero] * self.dim
+        v[i] = self.field.one
+        return v
+
+    def mul(self, u, v):
+        F = self.field
+        out = [F.zero] * self.dim
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            row = self.sc[i]
+            for j, b in enumerate(v):
+                if not b:
+                    continue
+                c = F.mul(a, b)
+                for k, s in enumerate(row[j]):
+                    if s:
+                        out[k] = F.add(out[k], F.mul(c, s))
+        return out
+
+    def left_mult_matrix(self, v):
+        """Matrix of x -> v*x."""
+        cols = [self.mul(v, self.basis_vec(j)) for j in range(self.dim)]
+        return Matrix.from_cols(self.field, self.dim, cols)
+
+    def right_mult_matrix(self, v):
+        """Matrix of x -> x*v."""
+        cols = [self.mul(self.basis_vec(j), v) for j in range(self.dim)]
+        return Matrix.from_cols(self.field, self.dim, cols)
+
+    def basis_left_mats(self):
+        if self._left_mats is None:
+            self._left_mats = [self.left_mult_matrix(self.basis_vec(i))
+                               for i in range(self.dim)]
+        return self._left_mats
+
+    def basis_right_mats(self):
+        if self._right_mats is None:
+            self._right_mats = [self.right_mult_matrix(self.basis_vec(i))
+                                for i in range(self.dim)]
+        return self._right_mats
+
+    def is_commutative(self):
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                if self.sc[i][j] != self.sc[j][i]:
+                    return False
+        return True
+
+    def is_central_idempotent(self, v):
+        if self.mul(v, v) != v:
+            return False
+        for i in range(self.dim):
+            b = self.basis_vec(i)
+            if self.mul(v, b) != self.mul(b, v):
+                return False
+        return True
+
+    def __repr__(self):
+        return f"Algebra({self.field}, dim={self.dim})"
+
+
+def field_algebra(field):
+    """K itself as a 1-dimensional algebra."""
+    return Algebra(field, 1, [[[field.one]]], [field.one])
+
+
+def diagonal_algebra(field, n):
+    """K^n with pointwise multiplication."""
+    z, one = field.zero, field.one
+    sc = [[[one if i == j == k else z for k in range(n)]
+           for j in range(n)] for i in range(n)]
+    return Algebra(field, n, sc, [one] * n)
+
+
+def matrix_algebra(field, n):
+    """n x n matrices; basis e_{ij} flattened row-major, e_ij e_kl = [j=k] e_il."""
+    dim = n * n
+    z, one = field.zero, field.one
+    sc = []
+    for a in range(dim):
+        i, j = divmod(a, n)
+        row = []
+        for b in range(dim):
+            k, l = divmod(b, n)
+            vec = [z] * dim
+            if j == k:
+                vec[i * n + l] = one
+            row.append(vec)
+        sc.append(row)
+    unit = [z] * dim
+    for i in range(n):
+        unit[i * n + i] = one
+    return Algebra(field, dim, sc, unit)
+
+
+def dual_numbers(field):
+    """K[x]/(x^2), basis (1, x)."""
+    z, one = field.zero, field.one
+    sc = [[[one, z], [z, one]],
+          [[z, one], [z, z]]]
+    return Algebra(field, 2, sc, [one, z])
+
+
+def semigroup_algebra(field, monoid):
+    """KS for a finite monoid given by its Cayley table."""
+    n = monoid.size
+    z, one = field.zero, field.one
+    sc = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = [z] * n
+            vec[monoid.table[i][j]] = one
+            row.append(vec)
+        sc.append(row)
+    unit = [z] * n
+    unit[monoid.unit] = one
+    return Algebra(field, n, sc, unit)
+
+
+class Bimodule:
+    """A-bimodule by one left and one right action matrix per basis element."""
+
+    __slots__ = ("algebra", "dim", "left", "right")
+
+    def __init__(self, algebra, dim, left, right, validate=True):
+        if len(left) != algebra.dim or len(right) != algebra.dim:
+            raise ValueError("bimodule needs one action matrix per algebra basis")
+        for m in itertools.chain(left, right):
+            if m.rows != dim or m.cols != dim:
+                raise ValueError("bimodule action matrix has wrong shape")
+        self.algebra = algebra
+        self.dim = dim
+        self.left = left
+        self.right = right
+        if validate:
+            self._validate()
+
+    def _validate(self):
+        A = self.algebra
+        F = A.field
+        idm = Matrix.identity(F, self.dim)
+        if self.left_action(A.unit) != idm or self.right_action(A.unit) != idm:
+            raise ValueError("bimodule axioms fail: unit does not act as identity")
+        for i in range(A.dim):
+            for j in range(A.dim):
+                prod = A.sc[i][j]
+                if self.left[i] @ self.left[j] != self.left_action(prod):
+                    raise ValueError(
+                        f"bimodule axioms fail: left action at ({i},{j})"
+                    )
+                if self.right[j] @ self.right[i] != self.right_action(prod):
+                    raise ValueError(
+                        f"bimodule axioms fail: right action at ({i},{j})"
+                    )
+                if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
+                    raise ValueError(
+                        f"bimodule axioms fail: actions do not commute at ({i},{j})"
+                    )
+
+    def left_action(self, vec):
+        F = self.algebra.field
+        out = Matrix.zeros(F, self.dim, self.dim)
+        for i, c in enumerate(vec):
+            if c:
+                out = out + self.left[i].scale(c)
+        return out
+
+    def right_action(self, vec):
+        F = self.algebra.field
+        out = Matrix.zeros(F, self.dim, self.dim)
+        for i, c in enumerate(vec):
+            if c:
+                out = out + self.right[i].scale(c)
+        return out
+
+
+def regular_bimodule(algebra):
+    """The algebra as a bimodule over itself."""
+    return Bimodule(
+        algebra, algebra.dim,
+        algebra.basis_left_mats(),
+        algebra.basis_right_mats(),
+        validate=False,
+    )
+
+
+def _hochschild_chain_boundary(algebra, module, n):
+    """b_n : A^{(x)n} (x) M -> A^{(x)(n-1)} (x) M, column-sparse.
+
+    Faces of a_1 (x) ... (x) a_n (x) x: the first wraps a_1 onto the right
+    of x, the middle ones multiply a_i a_{i+1}, the last applies a_n to x
+    on the left (the classical bar-type boundary, written with the module
+    slot last).
+    """
+    F = algebra.field
+    dA, dM = algebra.dim, module.dim
+    rows = dA ** (n - 1) * dM
+    cols = dA ** n * dM
+    d = SparseCols(F, rows, cols)
+    right = module.right
+    left = module.left
+    for tup in itertools.product(range(dA), repeat=n):
+        base = 0
+        for a in tup:
+            base = base * dA + a
+        for j in range(dM):
+            col = base * dM + j
+            # d_0: wrap a_1 to the right of x.
+            tail = 0
+            for a in tup[1:]:
+                tail = tail * dA + a
+            m = right[tup[0]]
+            for i in range(dM):
+                v = m.data[i][j]
+                if v:
+                    d.add_at(tail * dM + i, col, v)
+            # middle faces: multiply adjacent algebra slots.
+            for i in range(n - 1):
+                prod = algebra.sc[tup[i]][tup[i + 1]]
+                sign = F.of((-1) ** (i + 1))
+                for k, c in enumerate(prod):
+                    if not c:
+                        continue
+                    merged = 0
+                    for a in tup[:i] + (k,) + tup[i + 2:]:
+                        merged = merged * dA + a
+                    d.add_at(merged * dM + j, col, F.mul(sign, c))
+            # d_n: a_n acts on the left of x.
+            head = 0
+            for a in tup[:-1]:
+                head = head * dA + a
+            sign = F.of((-1) ** n)
+            m = left[tup[-1]]
+            for i in range(dM):
+                v = m.data[i][j]
+                if v:
+                    d.add_at(head * dM + i, col, F.mul(sign, v))
+    return d
+
+
+def hochschild_homology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of the Hochschild complex of A with values in M."""
+    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
+        raise ValueError("bimodule is not over the given algebra")
+    dA, dM = algebra.dim, module.dim
+    if dA ** (max_deg + 1) * dM > cap:
+        raise ValueError("size cap exceeded")
+    ranks = [_hochschild_chain_boundary(algebra, module, n).rank()
+             for n in range(1, max_deg + 2)]
+    dims = [dA ** n * dM for n in range(max_deg + 2)]
+    betti = [dims[0] - ranks[0]]
+    for n in range(1, max_deg + 1):
+        betti.append(dims[n] - ranks[n - 1] - ranks[n])
+    return betti
+
+
+def _hochschild_cochain_boundary(algebra, module, n):
+    """delta^n : Hom(A^{(x)n}, M) -> Hom(A^{(x)(n+1)}, M), column-sparse.
+
+    (delta f)(a_1,...,a_{n+1}) = a_1 f(a_2,...) + sum (-1)^i f(..a_i a_{i+1}..)
+    + (-1)^{n+1} f(a_1,...,a_n) a_{n+1}.
+    """
+    F = algebra.field
+    dA, dM = algebra.dim, module.dim
+    rows = dA ** (n + 1) * dM
+    cols = dA ** n * dM
+    d = SparseCols(F, rows, cols)
+    for tup in itertools.product(range(dA), repeat=n + 1):
+        base = 0
+        for a in tup:
+            base = base * dA + a
+        # pull from f(a_2..a_{n+1}) via left action of a_1
+        tail = 0
+        for a in tup[1:]:
+            tail = tail * dA + a
+        m = module.left[tup[0]]
+        for j in range(dM):
+            for i in range(dM):
+                v = m.data[i][j]
+                if v:
+                    d.add_at(base * dM + i, tail * dM + j, v)
+        # merged arguments
+        for i in range(n):
+            prod = algebra.sc[tup[i]][tup[i + 1]]
+            sign = F.of((-1) ** (i + 1))
+            for k, c in enumerate(prod):
+                if not c:
+                    continue
+                merged = 0
+                for a in tup[:i] + (k,) + tup[i + 2:]:
+                    merged = merged * dA + a
+                for j in range(dM):
+                    d.add_at(base * dM + j, merged * dM + j, F.mul(sign, c))
+        # last: right action of a_{n+1} on f(a_1..a_n)
+        head = 0
+        for a in tup[:-1]:
+            head = head * dA + a
+        sign = F.of((-1) ** (n + 1))
+        m = module.right[tup[-1]]
+        for j in range(dM):
+            for i in range(dM):
+                v = m.data[i][j]
+                if v:
+                    d.add_at(base * dM + i, head * dM + j, F.mul(sign, v))
+    return d
+
+
+def hochschild_cohomology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of Hochschild cohomology of A with values in M."""
+    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
+        raise ValueError("bimodule is not over the given algebra")
+    dA, dM = algebra.dim, module.dim
+    if dA ** (max_deg + 1) * dM > cap:
+        raise ValueError("size cap exceeded")
+    ranks = [_hochschild_cochain_boundary(algebra, module, n).rank()
+             for n in range(max_deg + 1)]
+    dims = [dA ** n * dM for n in range(max_deg + 1)]
+    betti = [dims[0] - ranks[0]]
+    for n in range(1, max_deg + 1):
+        betti.append(dims[n] - ranks[n] - ranks[n - 1])
+    return betti
+
+
+def is_separable(algebra):
+    """Solvability of the linear system for a separability idempotent.
+
+    Unknowns x_{ij} for e = sum x_{ij} b_i (x) b_j in A (x) A^op, with
+    mu(e) = 1 and (a (x) 1) e = (1 (x) a) e for every basis a.
+    """
+    A = algebra
+    F = A.field
+    d = A.dim
+    nvar = d * d
+    rows = []
+    rhs = []
+    # mu(e) = 1
+    for k in range(d):
+        row = [F.zero] * nvar
+        for i in range(d):
+            for j in range(d):
+                c = A.sc[i][j][k]
+                if c:
+                    row[i * d + j] = F.add(row[i * d + j], c)
+        rows.append(row)
+        rhs.append(A.unit[k])
+    # (a_t (x) 1) e - (1 (x) a_t) e = 0 componentwise on basis b_p (x) b_q
+    for t in range(d):
+        for p in range(d):
+            for q in range(d):
+                row = [F.zero] * nvar
+                for i in range(d):
+                    for j in range(d):
+                        c1 = A.sc[t][i][p] if q == j else F.zero
+                        # (1 (x) a) (b_i (x) b_j) = b_i (x) b_j a
+                        c2 = A.sc[j][t][q] if p == i else F.zero
+                        c = F.sub(c1, c2)
+                        if c:
+                            row[i * d + j] = F.add(row[i * d + j], c)
+                if any(row):
+                    rows.append(row)
+                    rhs.append(F.zero)
+    m = Matrix(F, len(rows), nvar, rows)
+    aug = m.hstack(Matrix.from_cols(F, len(rows), [rhs]))
+    return mat_rank(m) == mat_rank(aug)

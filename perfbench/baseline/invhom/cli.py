@@ -1,0 +1,326 @@
+"""Batch command-line driver.
+
+One job per invocation; reports go to stdout (byte-identical across runs
+for identical inputs), timing goes to stderr.  Exit status: 0 on
+success/pass, 1 on verification failure, 2 on input error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+import time
+
+from .algebras import field_algebra, regular_bimodule
+from .crossed import (crossed_product, is_compatible, ks_as_crossed_product,
+                      natural_ke_action, phi_map, trivial_action,
+                      verify_separable_collapse_cohomology,
+                      verify_separable_collapse_homology)
+from .groupoids import (bisections_with_masks, psi_map, steinberg_algebra,
+                        verify_steinberg_cohomology,
+                        verify_steinberg_homology)
+from .homology import (build_resolution, cohomology, homology,
+                       regular_ks_module, trivial_module_ke,
+                       DEFAULT_COLUMN_CAP)
+from .linalg import vec_is_zero
+from .serialize import (action_from_dict, algebra_from_dict,
+                        bimodule_from_dict, parse_field, resolve_groupoid,
+                        resolve_monoid, _load_json)
+
+
+class InputError(ValueError):
+    pass
+
+
+def _resolve_ks_module(spec, monoid, field):
+    if spec == "trivial-ke":
+        return trivial_module_ke(monoid, field)
+    if spec == "regular-ks":
+        return regular_ks_module(monoid, field)
+    if spec.startswith("file:"):
+        from .serialize import ks_module_from_dict
+        doc = _load_json(spec[5:])
+        ref = doc.get("monoid_ref", "")
+        if ref and not ref.startswith("file:inline"):
+            monoid = resolve_monoid(ref)
+        return ks_module_from_dict(doc, monoid)
+    raise InputError(f"unknown module spec {spec!r}")
+
+
+def _resolve_action(spec, field):
+    if spec.startswith("trivial:"):
+        monoid = resolve_monoid(spec[8:])
+        return trivial_action(monoid, field_algebra(field))
+    if spec.startswith("ke:"):
+        monoid = resolve_monoid(spec[3:])
+        return natural_ke_action(monoid, field)
+    if spec.startswith("file:"):
+        doc = _load_json(spec[5:])
+        monoid = resolve_monoid(doc["monoid_ref"])
+        aref = doc["algebra_ref"]
+        if not aref.startswith("file:"):
+            raise InputError("algebra_ref must be a file: reference")
+        algebra = algebra_from_dict(_load_json(aref[5:]))
+        return action_from_dict(doc, monoid, algebra)
+    raise InputError(f"unknown action spec {spec!r}")
+
+
+def _resolve_bimodule(spec, algebra):
+    if spec == "regular":
+        return regular_bimodule(algebra)
+    if spec.startswith("file:"):
+        return bimodule_from_dict(_load_json(spec[5:]), algebra)
+    raise InputError(f"unknown bimodule spec {spec!r}")
+
+
+def _emit(doc, fmt):
+    if fmt == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    def walk(d, indent=""):
+        for key in d:
+            val = d[key]
+            if isinstance(val, dict):
+                print(f"{indent}{key}:")
+                walk(val, indent + "  ")
+            elif isinstance(val, list) and val and isinstance(val[0], dict):
+                print(f"{indent}{key}:")
+                for item in val:
+                    if "name" in item and "pass" in item:
+                        status = "ok" if item["pass"] else "FAIL"
+                        detail = f"  ({item['detail']})" if item.get("detail") else ""
+                        print(f"{indent}  [{status}] {item['name']}{detail}")
+                    else:
+                        print(f"{indent}  - {item}")
+            else:
+                print(f"{indent}{key} = {val}")
+    walk(doc)
+
+
+def _betti_cmd(args, kind):
+    field = parse_field(args.field)
+    monoid = resolve_monoid(args.monoid)
+    module = _resolve_ks_module(args.module, monoid, field)
+    fn = homology if kind == "homology" else cohomology
+    betti = fn(monoid, module, args.max_degree, cap=args.cap_columns)
+    doc = {
+        "command": kind,
+        "monoid": args.monoid,
+        "monoid_size": monoid.size,
+        "module": args.module,
+        "module_dim": module.dim,
+        "field": args.field,
+        "max_degree": args.max_degree,
+        "betti": betti,
+    }
+    _emit(doc, args.format)
+    return 0
+
+
+def _report_doc(rep):
+    return rep.as_dict()
+
+
+def _crossed_product_cmd(args):
+    field = parse_field(args.field)
+    action = _resolve_action(args.action, field)
+    cp = crossed_product(action)
+    doc = {
+        "command": "crossed-product",
+        "action": args.action,
+        "field": args.field,
+        "monoid_size": action.monoid.size,
+        "algebra_dim": action.algebra.dim,
+        "dim_L": cp.l_dim,
+        "dim_N": cp.n_space.subspace_basis.cols,
+        "dim_crossed_product": cp.algebra.dim,
+        "compatible": is_compatible(action),
+    }
+    # relation-subspace sigma-class sum smoke test on seeded random vectors
+    rng = random.Random(args.seed)
+    F = action.algebra.field
+    n_basis = cp.n_space.subspace_basis
+    sums_ok = True
+    for _ in range(8):
+        if n_basis.cols == 0:
+            break
+        vec = [F.zero] * cp.l_dim
+        for j in range(n_basis.cols):
+            c = F.of(rng.randint(-5, 5))
+            col = n_basis.col(j)
+            for i in range(cp.l_dim):
+                if col[i]:
+                    vec[i] = F.add(vec[i], F.mul(c, col[i]))
+        if any(not vec_is_zero(s) for s in cp.class_sums(vec)):
+            sums_ok = False
+    doc["sigma_class_sums_vanish"] = sums_ok
+    if doc["compatible"]:
+        _, rep = phi_map(action, crossed=cp)
+        doc["phi"] = _report_doc(rep)
+    _emit(doc, args.format)
+    if not sums_ok or (doc["compatible"] and not doc["phi"]["pass"]):
+        return 1
+    return 0
+
+
+def _steinberg_cmd(args):
+    field = parse_field(args.field)
+    g = resolve_groupoid(args.groupoid)
+    monoid, masks = bisections_with_masks(g)
+    ak = steinberg_algebra(g, field)
+    psi, rep = psi_map(g, field)
+    indicator_ok = True
+    for i, m1 in enumerate(masks):
+        for j, m2 in enumerate(masks):
+            prod = monoid.table[i][j]
+            u = _indicator(field, g.n_arrows, masks[i])
+            v = _indicator(field, g.n_arrows, masks[j])
+            if ak.mul(u, v) != _indicator(field, g.n_arrows, masks[prod]):
+                indicator_ok = False
+    doc = {
+        "command": "steinberg",
+        "groupoid": args.groupoid,
+        "field": args.field,
+        "objects": g.n_objects,
+        "arrows": g.n_arrows,
+        "bisections": monoid.size,
+        "steinberg_dim": ak.dim,
+        "indicator_convolution_identity": indicator_ok,
+        "psi": _report_doc(rep),
+    }
+    _emit(doc, args.format)
+    return 0 if (indicator_ok and rep.ok) else 1
+
+
+def _indicator(field, n, mask):
+    return [field.one if mask >> a & 1 else field.zero for a in range(n)]
+
+
+def _resolution_cmd(args):
+    field = parse_field(args.field)
+    monoid = resolve_monoid(args.monoid)
+    res = build_resolution(monoid, field, args.max_degree, cap=args.cap_columns)
+    composites = res.verify_composites()
+    homotopy = res.verify_homotopy()
+    doc = {
+        "command": "resolution-check",
+        "monoid": args.monoid,
+        "field": args.field,
+        "max_degree": args.max_degree,
+        "dims": res.dims(),
+        "boundary_composites_vanish": composites,
+        "homotopy_identity": homotopy,
+        "pass": composites and homotopy,
+    }
+    _emit(doc, args.format)
+    return 0 if doc["pass"] else 1
+
+
+def _verify_cmd(args):
+    field = parse_field(args.field)
+    target = args.target
+    if target in ("separable-homology", "separable-cohomology"):
+        action = _resolve_action(args.action, field)
+        cp = crossed_product(action)
+        module = _resolve_bimodule(args.module, cp.algebra)
+        fn = (verify_separable_collapse_homology
+              if target == "separable-homology"
+              else verify_separable_collapse_cohomology)
+        rep = fn(action, module, args.max_degree, crossed=cp)
+    elif target in ("steinberg-homology", "steinberg-cohomology"):
+        g = resolve_groupoid(args.groupoid)
+        ak = steinberg_algebra(g, field)
+        module = _resolve_bimodule(args.module, ak)
+        fn = (verify_steinberg_homology if target == "steinberg-homology"
+              else verify_steinberg_cohomology)
+        rep = fn(g, module, args.max_degree, field=field)
+    elif target == "ks-crossed-product":
+        monoid = resolve_monoid(args.monoid)
+        rep = ks_as_crossed_product(monoid, field)
+    else:
+        raise InputError(f"unknown verify target {target!r}")
+    doc = {"command": "verify", "target": target, "field": args.field,
+           "report": _report_doc(rep),
+           "verdict": "PASS" if rep.ok else "FAIL"}
+    _emit(doc, args.format)
+    return 0 if rep.ok else 1
+
+
+def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--field", default="q", help="q or fp:<p>")
+    common.add_argument("--max-degree", type=int, default=2)
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for randomized smoke tests")
+    common.add_argument("--cap-columns", type=int, default=DEFAULT_COLUMN_CAP)
+
+    p = argparse.ArgumentParser(
+        prog="invhom",
+        description="Exact (co)homology of finite inverse monoids, "
+                    "crossed products, and Steinberg algebras.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    for kind in ("homology", "cohomology"):
+        sp = sub.add_parser(kind, parents=[common],
+                            help=f"{kind} of an inverse monoid")
+        sp.add_argument("--monoid", required=True)
+        sp.add_argument("--module", default="trivial-ke",
+                        help="trivial-ke | regular-ks | file:PATH")
+
+    sp = sub.add_parser("crossed-product", parents=[common],
+                        help="build and check a crossed product")
+    sp.add_argument("--action", required=True,
+                    help="trivial:MONOID | ke:MONOID | file:PATH")
+
+    sp = sub.add_parser("steinberg", parents=[common],
+                        help="bisections, convolution algebra, psi")
+    sp.add_argument("--groupoid", required=True,
+                    help="pair:N | group:z:N | discrete:N | file:PATH")
+
+    sp = sub.add_parser("resolution-check", parents=[common],
+                        help="resolution exactness self-check")
+    sp.add_argument("--monoid", required=True)
+
+    sp = sub.add_parser("verify", parents=[common],
+                        help="run a named verifier")
+    sp.add_argument("target",
+                    choices=("separable-homology", "separable-cohomology",
+                             "steinberg-homology", "steinberg-cohomology",
+                             "ks-crossed-product"))
+    sp.add_argument("--action", help="for separable-* targets")
+    sp.add_argument("--groupoid", help="for steinberg-* targets")
+    sp.add_argument("--monoid", help="for ks-crossed-product")
+    sp.add_argument("--module", default="regular",
+                    help="regular | file:PATH")
+    return p
+
+
+def main(argv=None):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    t0 = time.monotonic()
+    try:
+        if args.command in ("homology", "cohomology"):
+            code = _betti_cmd(args, args.command)
+        elif args.command == "crossed-product":
+            code = _crossed_product_cmd(args)
+        elif args.command == "steinberg":
+            code = _steinberg_cmd(args)
+        elif args.command == "resolution-check":
+            code = _resolution_cmd(args)
+        elif args.command == "verify":
+            code = _verify_cmd(args)
+        else:
+            raise InputError(f"unknown command {args.command!r}")
+    except (InputError, ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"elapsed: {time.monotonic() - t0:.3f}s", file=sys.stderr)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,429 @@
+"""Finite discrete groupoids, their bisection inverse monoids, the function
+algebra on the unit space, the convolution algebra, and the isomorphism
+between the crossed product and the convolution algebra.
+
+Finite + discrete means every subset is compact open, so the bisection
+monoid here is the full inverse monoid of bisections and the convolution
+algebra is spanned by all point masses on arrows.
+"""
+
+from __future__ import annotations
+
+from .algebras import (Algebra, Bimodule, diagonal_algebra,
+                       hochschild_cohomology, hochschild_homology,
+                       is_separable)
+from .crossed import (UnitalAction, coinvariants, crossed_product,
+                      invariants_sub, validate_action)
+from .homology import cohomology, homology
+from .linalg import Matrix, mat_rank
+from .monoids import from_table
+from .reporting import Report
+
+BISECTION_ARROW_CAP = 16
+
+
+class FiniteGroupoid:
+    """Arrows 0..n_arrows-1 over objects 0..n_objects-1.
+
+    comp[a][b] is the composite (a after b) when src(a) = rng(b), else None.
+    """
+
+    __slots__ = ("n_objects", "n_arrows", "src", "rng", "comp", "inv",
+                 "unit_of")
+
+    def __init__(self, n_objects, src, rng, comp, inv, unit_of):
+        self.n_objects = n_objects
+        self.n_arrows = len(src)
+        self.src = src
+        self.rng = rng
+        self.comp = comp
+        self.inv = inv
+        self.unit_of = unit_of
+        self._validate()
+
+    def _validate(self):
+        n = self.n_arrows
+        for a in range(n):
+            for b in range(n):
+                defined = self.comp[a][b] is not None
+                if defined != (self.src[a] == self.rng[b]):
+                    raise ValueError(
+                        f"composition defined iff src=rng fails at ({a},{b})")
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    ab = self.comp[a][b]
+                    bc = self.comp[b][c]
+                    if ab is not None and bc is not None:
+                        if self.comp[ab][c] != self.comp[a][bc]:
+                            raise ValueError(
+                                f"composition not associative at ({a},{b},{c})")
+        for x in range(self.n_objects):
+            u = self.unit_of[x]
+            if self.src[u] != x or self.rng[u] != x:
+                raise ValueError(f"unit arrow of object {x} has wrong ends")
+        for a in range(n):
+            u_r = self.unit_of[self.rng[a]]
+            u_s = self.unit_of[self.src[a]]
+            if self.comp[u_r][a] != a or self.comp[a][u_s] != a:
+                raise ValueError(f"units not neutral at arrow {a}")
+            ai = self.inv[a]
+            if self.src[ai] != self.rng[a] or self.rng[ai] != self.src[a]:
+                raise ValueError(f"inverse of arrow {a} has wrong ends")
+            if self.comp[a][ai] != u_r or self.comp[ai][a] != u_s:
+                raise ValueError(f"inverse of arrow {a} is not two-sided")
+
+    def __repr__(self):
+        return f"FiniteGroupoid(objects={self.n_objects}, arrows={self.n_arrows})"
+
+
+def pair_groupoid(n):
+    """Objects 0..n-1; one arrow (i,j): j -> i; (i,j)(j,k) = (i,k)."""
+    if n < 1:
+        raise ValueError("pair_groupoid needs n >= 1")
+    src = []
+    rng = []
+    for i in range(n):
+        for j in range(n):
+            rng.append(i)
+            src.append(j)
+    m = n * n
+    comp = [[None] * m for _ in range(m)]
+    for a in range(m):
+        i, j = divmod(a, n)
+        for b in range(m):
+            k, l = divmod(b, n)
+            if j == k:
+                comp[a][b] = i * n + l
+    inv = [(a % n) * n + a // n for a in range(m)]
+    unit_of = [i * n + i for i in range(n)]
+    return FiniteGroupoid(n, src, rng, comp, inv, unit_of)
+
+
+def group_as_groupoid(group):
+    """A group Cayley table as a one-object groupoid."""
+    if not group.is_group():
+        raise ValueError("invalid group table: more than one idempotent")
+    n = group.size
+    comp = [[group.table[a][b] for b in range(n)] for a in range(n)]
+    return FiniteGroupoid(1, [0] * n, [0] * n, comp,
+                          list(group.inv), [group.unit])
+
+
+def disjoint_union(g1, g2):
+    """Disjoint union, g1's objects and arrows first."""
+    n_obj = g1.n_objects + g2.n_objects
+    off_a = g1.n_arrows
+    off_o = g1.n_objects
+    src = list(g1.src) + [s + off_o for s in g2.src]
+    rng = list(g1.rng) + [r + off_o for r in g2.rng]
+    n = len(src)
+    comp = [[None] * n for _ in range(n)]
+    for a in range(g1.n_arrows):
+        for b in range(g1.n_arrows):
+            comp[a][b] = g1.comp[a][b]
+    for a in range(g2.n_arrows):
+        for b in range(g2.n_arrows):
+            c = g2.comp[a][b]
+            comp[a + off_a][b + off_a] = None if c is None else c + off_a
+    inv = list(g1.inv) + [i + off_a for i in g2.inv]
+    unit_of = list(g1.unit_of) + [u + off_a for u in g2.unit_of]
+    return FiniteGroupoid(n_obj, src, rng, comp, inv, unit_of)
+
+
+def discrete_groupoid(n):
+    """n objects, unit arrows only."""
+    if n < 1:
+        raise ValueError("discrete_groupoid needs n >= 1")
+    g = pair_groupoid(1)
+    for _ in range(n - 1):
+        g = disjoint_union(g, pair_groupoid(1))
+    return g
+
+
+def _bisection_masks(g, cap=BISECTION_ARROW_CAP):
+    """Bitmasks of all bisections, in increasing mask order."""
+    if g.n_arrows > cap:
+        raise ValueError(
+            f"enumeration cap exceeded: {g.n_arrows} arrows > {cap}")
+    masks = []
+    for mask in range(1 << g.n_arrows):
+        arrows = [a for a in range(g.n_arrows) if mask >> a & 1]
+        srcs = {g.src[a] for a in arrows}
+        rngs = {g.rng[a] for a in arrows}
+        if len(srcs) == len(arrows) and len(rngs) == len(arrows):
+            masks.append(mask)
+    return masks
+
+
+def _mask_product(g, m1, m2):
+    out = 0
+    for a in range(g.n_arrows):
+        if not (m1 >> a & 1):
+            continue
+        for b in range(g.n_arrows):
+            if not (m2 >> b & 1):
+                continue
+            c = g.comp[a][b]
+            if c is not None:
+                out |= 1 << c
+    return out
+
+
+def bisections(g, cap=BISECTION_ARROW_CAP):
+    """The inverse monoid of all bisections under set-wise product."""
+    monoid, _ = bisections_with_masks(g, cap)
+    return monoid
+
+
+def bisections_with_masks(g, cap=BISECTION_ARROW_CAP):
+    masks = _bisection_masks(g, cap)
+    index = {m: i for i, m in enumerate(masks)}
+    size = len(masks)
+    table = [[index[_mask_product(g, masks[i], masks[j])] for j in range(size)]
+             for i in range(size)]
+    unit_mask = 0
+    for x in range(g.n_objects):
+        unit_mask |= 1 << g.unit_of[x]
+    names = ["{" + ",".join(str(a) for a in range(g.n_arrows)
+                            if m >> a & 1) + "}" for m in masks]
+    monoid = from_table(table, unit=index[unit_mask], names=names)
+    return monoid, masks
+
+
+def functions_algebra(g, field):
+    """L(X) = K^objects with pointwise multiplication."""
+    return diagonal_algebra(field, g.n_objects)
+
+
+def induced_action_hat(g, field, cap=BISECTION_ARROW_CAP):
+    """The action of the bisection monoid on K^objects.
+
+    1_U is the indicator of r(U) and T_U moves the coordinate at src of
+    each arrow of U to its range.
+    """
+    monoid, masks = bisections_with_masks(g, cap)
+    lx = functions_algebra(g, field)
+    F = field
+    one = []
+    theta = []
+    for m in masks:
+        arrows = [a for a in range(g.n_arrows) if m >> a & 1]
+        v = [F.zero] * g.n_objects
+        t = Matrix.zeros(F, g.n_objects, g.n_objects)
+        for a in arrows:
+            v[g.rng[a]] = F.one
+            t.data[g.rng[a]][g.src[a]] = F.one
+        one.append(v)
+        theta.append(t)
+    action = UnitalAction(monoid, lx, one, theta)
+    rep = validate_action(action)
+    if not rep.ok:
+        raise ValueError(
+            "induced action failed validation: "
+            + "; ".join(n for n, _ in rep.failures()))
+    return action
+
+
+def steinberg_algebra(g, field):
+    """K^arrows under convolution; unit = indicator of the unit arrows."""
+    n = g.n_arrows
+    z, one = field.zero, field.one
+    sc = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            vec = [z] * n
+            c = g.comp[a][b]
+            if c is not None:
+                vec[c] = one
+            row.append(vec)
+        sc.append(row)
+    unit = [z] * n
+    for x in range(g.n_objects):
+        unit[g.unit_of[x]] = one
+    return Algebra(field, n, sc, unit)
+
+
+def lx_embedding(g, field):
+    """Matrix of L(X) -> A_K(G), indicator of x -> point mass at unit arrow."""
+    m = Matrix.zeros(field, g.n_arrows, g.n_objects)
+    for x in range(g.n_objects):
+        m.data[g.unit_of[x]][x] = field.one
+    return m
+
+
+def psi_map(g, field, crossed=None, cap=BISECTION_ARROW_CAP):
+    """Psi: L(X) x S^a(G) -> A_K(G), class of phi d_U -> phi Delta_U.
+
+    Returns (matrix, report); the report checks bijectivity,
+    multiplicativity on the quotient basis, and the L(X)-bimodule property.
+    """
+    action = induced_action_hat(g, field, cap)
+    _, masks = bisections_with_masks(g, cap)
+    if crossed is None:
+        crossed = crossed_product(action, validate=False)
+    ak = steinberg_algebra(g, field)
+    F = field
+
+    cols = []
+    for s, j in crossed.labels:
+        phi = crossed.ideal_spans[s].basis.col(j)
+        vec = [F.zero] * g.n_arrows
+        m = masks[s]
+        for a in range(g.n_arrows):
+            if m >> a & 1:
+                vec[a] = phi[g.rng[a]]
+        cols.append(vec)
+    psi_l = Matrix.from_cols(F, g.n_arrows, cols)
+
+    rep = Report("psi: crossed product -> convolution algebra")
+    rep.data["dim_crossed"] = crossed.algebra.dim
+    rep.data["dim_steinberg"] = ak.dim
+    if crossed.algebra.dim != ak.dim:
+        raise ValueError(
+            f"dimension mismatch: crossed product {crossed.algebra.dim}, "
+            f"convolution algebra {ak.dim}")
+    rep.check("psi kills the relation subspace",
+              (psi_l @ crossed.n_space.subspace_basis).is_zero())
+    psi = psi_l @ crossed.n_space.section
+    rep.check("psi bijective", mat_rank(psi) == ak.dim)
+    rep.check("psi(1) = 1", psi.apply(crossed.algebra.unit) == list(ak.unit))
+    mult_ok = True
+    for i in range(crossed.algebra.dim):
+        for j in range(crossed.algebra.dim):
+            lhs = psi.apply(crossed.algebra.mul(
+                crossed.algebra.basis_vec(i), crossed.algebra.basis_vec(j)))
+            if lhs != ak.mul(psi.col(i), psi.col(j)):
+                mult_ok = False
+    rep.check("psi multiplicative", mult_ok)
+    emb = lx_embedding(g, field)
+    bimod_ok = True
+    for x in range(g.n_objects):
+        f_cross = crossed.embed_A.col(x)
+        f_ak = emb.col(x)
+        for i in range(crossed.algebra.dim):
+            b = crossed.algebra.basis_vec(i)
+            if psi.apply(crossed.algebra.mul(f_cross, b)) != \
+                    ak.mul(f_ak, psi.col(i)):
+                bimod_ok = False
+            if psi.apply(crossed.algebra.mul(b, f_cross)) != \
+                    ak.mul(psi.col(i), f_ak):
+                bimod_ok = False
+    rep.check("psi is an L(X)-bimodule map", bimod_ok)
+    return psi, rep
+
+
+class SteinbergData:
+    """Everything attached to one finite groupoid, bundled.
+
+    Holds the bisection monoid with its arrow masks, the function algebra
+    on the unit space, the validated action on it, the convolution
+    algebra, the crossed product, and the isomorphism between them.
+    """
+
+    __slots__ = ("groupoid", "bisection_monoid", "masks", "lx", "action_hat",
+                 "steinberg_algebra", "crossed", "psi", "psi_report")
+
+    def __init__(self, groupoid, bisection_monoid, masks, lx, action_hat,
+                 steinberg, crossed, psi, psi_report):
+        self.groupoid = groupoid
+        self.bisection_monoid = bisection_monoid
+        self.masks = masks
+        self.lx = lx
+        self.action_hat = action_hat
+        self.steinberg_algebra = steinberg
+        self.crossed = crossed
+        self.psi = psi
+        self.psi_report = psi_report
+
+
+def steinberg_data(g, field, cap=BISECTION_ARROW_CAP):
+    """Build the full bundle for a groupoid (validating everything)."""
+    monoid, masks = bisections_with_masks(g, cap)
+    action = induced_action_hat(g, field, cap)
+    crossed = crossed_product(action, validate=False)
+    psi, rep = psi_map(g, field, crossed=crossed, cap=cap)
+    if not rep.ok:
+        raise ValueError("psi failed verification: "
+                         + "; ".join(n for n, _ in rep.failures()))
+    return SteinbergData(g, monoid, masks, action.algebra, action,
+                         steinberg_algebra(g, field), crossed, psi, rep)
+
+
+def _check_steinberg_bimodule(module, ak):
+    if module.algebra.dim != ak.dim or module.algebra.sc != ak.sc:
+        raise ValueError("bimodule is not over the convolution algebra")
+
+
+def _transport_bimodule(module, crossed, psi):
+    """Pull an A_K(G)-bimodule back along psi to the crossed product."""
+    left = []
+    right = []
+    for k in range(crossed.algebra.dim):
+        img = psi.col(k)
+        left.append(module.left_action(img))
+        right.append(module.right_action(img))
+    return Bimodule(crossed.algebra, module.dim, left, right)
+
+
+def verify_steinberg_homology(g, module, max_deg, field=None,
+                              cap=BISECTION_ARROW_CAP):
+    """Hochschild homology of A_K(G) vs monoid homology of coinvariants."""
+    field = field or module.algebra.field
+    ak = steinberg_algebra(g, field)
+    _check_steinberg_bimodule(module, ak)
+    action = induced_action_hat(g, field, cap)
+    crossed = crossed_product(action, validate=False)
+    psi, psi_rep = psi_map(g, field, crossed=crossed, cap=cap)
+    rep = Report("Steinberg homology collapse")
+    rep.check("psi isomorphism", psi_rep.ok)
+    transported = _transport_bimodule(module, crossed, psi)
+    _, co = coinvariants(transported, crossed)
+    rep.data["coinvariants_dim"] = co.dim
+    lhs = homology(action.monoid, co, max_deg)
+    rhs = hochschild_homology(ak, module, max_deg)
+    rep.data["monoid_side"] = lhs
+    rep.data["hochschild_side"] = rhs
+    for n in range(max_deg + 1):
+        rep.check(f"H_{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    return rep
+
+
+def verify_steinberg_cohomology(g, module, max_deg, field=None,
+                                cap=BISECTION_ARROW_CAP):
+    """Cohomology mirror; also reports vanishing of H^q(L(X), M) for q >= 1.
+
+    The function algebra on a finite unit space is separable, which is what
+    lets the verifier compare the q = 0 row against the full cohomology.
+    """
+    field = field or module.algebra.field
+    ak = steinberg_algebra(g, field)
+    _check_steinberg_bimodule(module, ak)
+    action = induced_action_hat(g, field, cap)
+    crossed = crossed_product(action, validate=False)
+    psi, psi_rep = psi_map(g, field, crossed=crossed, cap=cap)
+    rep = Report("Steinberg cohomology collapse")
+    rep.check("psi isomorphism", psi_rep.ok)
+    rep.check("L(X) separable", is_separable(action.algebra))
+    # H^q(L(X), M) for the restriction of M to an L(X)-bimodule.
+    emb = lx_embedding(g, field)
+    lx = action.algebra
+    lx_mod = Bimodule(
+        lx, module.dim,
+        [module.left_action(emb.col(x)) for x in range(g.n_objects)],
+        [module.right_action(emb.col(x)) for x in range(g.n_objects)])
+    lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg)
+    rep.data["lx_cohomology"] = lx_cohom
+    for q in range(1, max_deg + 1):
+        rep.check(f"H^{q}(L(X), M) = 0", lx_cohom[q] == 0, str(lx_cohom[q]))
+    transported = _transport_bimodule(module, crossed, psi)
+    inv = invariants_sub(transported, crossed)
+    rep.data["invariants_dim"] = inv.dim
+    lhs = cohomology(action.monoid, inv, max_deg)
+    rhs = hochschild_cohomology(ak, module, max_deg)
+    rep.data["monoid_side"] = lhs
+    rep.data["hochschild_side"] = rhs
+    for n in range(max_deg + 1):
+        rep.check(f"H^{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    return rep

@@ -1,0 +1,423 @@
+"""Modules over the monoid algebra KS and the explicit (co)chain complexes.
+
+The degree-n chain space is a direct sum over n-tuples of monoid elements
+of the image of the idempotent projector attached to the tuple (d(...) of
+the tuple product for chains, r(...) for cochains).  Each summand basis is
+the deterministic pivot-column basis of that projector, and every boundary
+term is coordinate-extracted through the target summand basis, which is an
+exact membership assertion for the containments the formulas rely on.
+
+A finite free resolution of the span of idempotents, together with its
+contracting homotopy, is built separately as a self-check that the
+homology complexes compute what they should.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .linalg import ColumnSpan, Matrix, SparseCols, image_basis, vec_is_zero
+
+DEFAULT_COLUMN_CAP = 50_000
+
+
+class KSModule:
+    """Finite-dimensional module over KS: one action matrix per element."""
+
+    __slots__ = ("monoid", "field", "dim", "act", "side")
+
+    def __init__(self, monoid, field, dim, act, side="left"):
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if len(act) != monoid.size:
+            raise ValueError("module/monoid mismatch: need one matrix per element")
+        for s, m in enumerate(act):
+            if m.rows != dim or m.cols != dim or m.field != field:
+                raise ValueError(f"action matrix for element {s} has wrong shape")
+        if not act[monoid.unit].is_identity():
+            raise ValueError(f"not a {side} module: unit does not act as identity")
+        for s in range(monoid.size):
+            for t in range(monoid.size):
+                st = monoid.table[s][t]
+                lhs = act[s] @ act[t] if side == "left" else act[t] @ act[s]
+                if lhs != act[st]:
+                    raise ValueError(
+                        f"not a {side} module: action law fails at ({s},{t})"
+                    )
+        self.monoid = monoid
+        self.field = field
+        self.dim = dim
+        self.act = act
+        self.side = side
+
+
+def trivial_module_ke(monoid, field, side="left"):
+    """KE(S) with s.e = s e s^-1 (left) or e.s = s^-1 e s (right)."""
+    idems = monoid.idempotents()
+    pos = {e: i for i, e in enumerate(idems)}
+    dim = len(idems)
+    act = []
+    for s in range(monoid.size):
+        si = monoid.inv[s]
+        m = Matrix.zeros(field, dim, dim)
+        for j, e in enumerate(idems):
+            if side == "left":
+                img = monoid.table[monoid.table[s][e]][si]
+            else:
+                img = monoid.table[monoid.table[si][e]][s]
+            m.data[pos[img]][j] = field.one
+        act.append(m)
+    return KSModule(monoid, field, dim, act, side=side)
+
+
+def regular_ks_module(monoid, field):
+    """KS as a left module over itself: s acts by left multiplication."""
+    dim = monoid.size
+    act = []
+    for s in range(monoid.size):
+        m = Matrix.zeros(field, dim, dim)
+        for t in range(dim):
+            m.data[monoid.table[s][t]][t] = field.one
+        act.append(m)
+    return KSModule(monoid, field, dim, act, side="left")
+
+
+class _Block:
+    """One direct summand of a complex degree: a tuple with its basis."""
+
+    __slots__ = ("tup", "span", "offset")
+
+    def __init__(self, tup, span, offset):
+        self.tup = tup
+        self.span = span
+        self.offset = offset
+
+
+class ChainComplexData:
+    """A chain ('chain') or cochain ('cochain') complex of K-spaces.
+
+    For chains, boundaries[n] is delta'_n : C_n -> C_{n-1} (n >= 1).
+    For cochains, boundaries[n] is delta^n : C^n -> C^{n+1} (n >= 0).
+    Boundaries are stored column-sparse; ``boundary_matrix`` densifies.
+    """
+
+    __slots__ = ("direction", "max_degree", "space_dims", "boundaries",
+                 "block_index", "_blocks")
+
+    def __init__(self, direction, max_degree, space_dims, boundaries,
+                 block_index, blocks):
+        self.direction = direction
+        self.max_degree = max_degree
+        self.space_dims = space_dims
+        self.boundaries = boundaries
+        self.block_index = block_index
+        self._blocks = blocks
+
+    def boundary_matrix(self, n):
+        return self.boundaries[n].to_matrix()
+
+    def check_composites(self):
+        """Exact check that consecutive composites vanish."""
+        if self.direction == "chain":
+            for n in range(2, self.max_degree + 1):
+                if not self.boundaries[n - 1].compose(self.boundaries[n]).is_zero():
+                    return False
+        else:
+            for n in range(1, self.max_degree):
+                if not self.boundaries[n].compose(self.boundaries[n - 1]).is_zero():
+                    return False
+        return True
+
+
+def _check_module(monoid, module):
+    if module.monoid is not monoid and (
+            module.monoid.size != monoid.size
+            or module.monoid.table != monoid.table):
+        raise ValueError("module/monoid mismatch")
+    if module.side != "left":
+        raise ValueError("not a left module")
+
+
+def _degree_blocks(monoid, module, n, projector_of, cap):
+    """Blocks of degree n, tuples in lexicographic order by element index."""
+    field = module.field
+    blocks = []
+    index = {}
+    offset = 0
+    if n == 0:
+        span = ColumnSpan(Matrix.identity(field, module.dim))
+        blk = _Block((), span, 0)
+        return [blk], {(): blk}, module.dim
+    for tup in itertools.product(range(monoid.size), repeat=n):
+        proj = projector_of(tup)
+        basis = image_basis(proj)
+        span = ColumnSpan(basis)
+        blk = _Block(tup, span, offset)
+        blocks.append(blk)
+        index[tup] = blk
+        offset += span.dim
+        if offset > cap:
+            raise ValueError(
+                f"size cap exceeded: degree-{n} space needs more than {cap} columns"
+            )
+    return blocks, index, offset
+
+
+def _block_labels(blocks):
+    labels = []
+    for blk in blocks:
+        for j in range(blk.span.dim):
+            labels.append((blk.tup, j))
+    return labels
+
+
+def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """The chain complex C'_n(S, V) with the alternating-sum boundary.
+
+    A degree-n tuple is stored in the written order (s_n, ..., s_1); its
+    summand is the image of act(d(s_n ... s_1)).
+    """
+    _check_module(monoid, module)
+    field = module.field
+
+    def projector(tup):
+        p = monoid.product(tup)
+        return module.act[monoid.dom(p)]
+
+    degrees = []
+    for n in range(max_deg + 1):
+        degrees.append(_degree_blocks(monoid, module, n, projector, cap))
+
+    boundaries = [None]
+    for n in range(1, max_deg + 1):
+        blocks, _, dim_n = degrees[n]
+        _, lower_index, dim_lower = degrees[n - 1]
+        d = SparseCols(field, dim_lower, dim_n)
+        for blk in blocks:
+            tup = blk.tup
+            # faces of (s_n, ..., s_1) stored as u = (u_1, ..., u_n):
+            #   drop u_n acting by it (+1), merge u_j u_{j+1} ((-1)^(n-j)),
+            #   drop u_1 ((-1)^n).
+            faces = []
+            last = tup[-1]
+            faces.append((tup[:-1], module.act[last], 1))
+            for j in range(n - 1):
+                merged = tup[:j] + (monoid.table[tup[j]][tup[j + 1]],) + tup[j + 2:]
+                faces.append((merged, None, (-1) ** (n - 1 - j)))
+            faces.append((tup[1:], None, (-1) ** n))
+            for col_local in range(blk.span.dim):
+                v = blk.span.basis.col(col_local)
+                col = blk.offset + col_local
+                for target_tup, op, sign in faces:
+                    w = op.apply(v) if op is not None else v
+                    if vec_is_zero(w):
+                        continue
+                    target = lower_index[target_tup]
+                    coords = target.span.coords(w)
+                    sgn = field.of(sign)
+                    for i, c in enumerate(coords):
+                        if c:
+                            d.add_at(target.offset + i, col, field.mul(sgn, c))
+        boundaries.append(d)
+
+    return ChainComplexData(
+        "chain", max_deg,
+        [degrees[n][2] for n in range(max_deg + 1)],
+        boundaries,
+        [_block_labels(degrees[n][0]) for n in range(max_deg + 1)],
+        [degrees[n][0] for n in range(max_deg + 1)],
+    )
+
+
+def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """The cochain complex C^n(S, V); summands are images of act(r(...))."""
+    _check_module(monoid, module)
+    field = module.field
+
+    def projector(tup):
+        p = monoid.product(tup)
+        return module.act[monoid.rng(p)]
+
+    degrees = []
+    for n in range(max_deg + 2):
+        degrees.append(_degree_blocks(monoid, module, n, projector, cap))
+
+    boundaries = []
+    for n in range(max_deg + 1):
+        _, source_index, dim_n = degrees[n]
+        blocks_up, _, dim_up = degrees[n + 1]
+        d = SparseCols(field, dim_up, dim_n)
+        for blk in blocks_up:
+            w = blk.tup
+            prod = monoid.product(w)
+            r_proj = module.act[monoid.rng(prod)]
+            # (delta sigma)(s_1..s_{n+1}) = s_1 sigma(s_2..) + sum (-1)^i
+            # sigma(..s_i s_{i+1}..) + (-1)^(n+1) r(s_1..s_{n+1}) sigma(s_1..s_n)
+            pulls = [(w[1:], module.act[w[0]], 1)]
+            for i in range(1, n + 1):
+                merged = w[:i - 1] + (monoid.table[w[i - 1]][w[i]],) + w[i + 1:]
+                pulls.append((merged, None, (-1) ** i))
+            pulls.append((w[:-1], r_proj, (-1) ** (n + 1)))
+            for source_tup, op, sign in pulls:
+                source = source_index[source_tup]
+                sgn = field.of(sign)
+                for col_local in range(source.span.dim):
+                    v = source.span.basis.col(col_local)
+                    img = op.apply(v) if op is not None else v
+                    if vec_is_zero(img):
+                        continue
+                    coords = blk.span.coords(img)
+                    col = source.offset + col_local
+                    for i, c in enumerate(coords):
+                        if c:
+                            d.add_at(blk.offset + i, col, field.mul(sgn, c))
+        boundaries.append(d)
+
+    return ChainComplexData(
+        "cochain", max_deg + 1,
+        [degrees[n][2] for n in range(max_deg + 2)],
+        boundaries,
+        [_block_labels(degrees[n][0]) for n in range(max_deg + 2)],
+        [degrees[n][0] for n in range(max_deg + 2)],
+    )
+
+
+def homology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of H_0 .. H_max_deg of S with coefficients in module."""
+    cx = homology_complex(monoid, module, max_deg + 1, cap)
+    ranks = [None] + [cx.boundaries[n].rank() for n in range(1, max_deg + 2)]
+    betti = [cx.space_dims[0] - ranks[1]]
+    for n in range(1, max_deg + 1):
+        betti.append(cx.space_dims[n] - ranks[n] - ranks[n + 1])
+    return betti
+
+
+def cohomology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of H^0 .. H^max_deg."""
+    cx = cohomology_complex(monoid, module, max_deg, cap)
+    ranks = [cx.boundaries[n].rank() for n in range(max_deg + 1)]
+    betti = [cx.space_dims[0] - ranks[0]]
+    for n in range(1, max_deg + 1):
+        betti.append(cx.space_dims[n] - ranks[n] - ranks[n - 1])
+    return betti
+
+
+class ResolutionComplex:
+    """Free resolution of the span of idempotents, with homotopy maps.
+
+    P_0 has basis {t()}; P_n has basis {t(s_1,...,s_n)} restricted by
+    d(t) <= r(s_1...s_n).  bases[n] lists (t, tuple) pairs in order.
+    boundary[0] maps P_0 onto the idempotent span; homotopy[-1..] are the
+    sigma maps (homotopy[0] is sigma_{-1}).
+    """
+
+    __slots__ = ("monoid", "field", "max_degree", "bases", "boundary",
+                 "homotopy")
+
+    def __init__(self, monoid, field, max_degree, bases, boundary, homotopy):
+        self.monoid = monoid
+        self.field = field
+        self.max_degree = max_degree
+        self.bases = bases
+        self.boundary = boundary
+        self.homotopy = homotopy
+
+    def dims(self):
+        return [len(b) for b in self.bases]
+
+    def verify_composites(self):
+        for n in range(2, self.max_degree + 1):
+            if not (self.boundary[n - 1] @ self.boundary[n]).is_zero():
+                return False
+        return True
+
+    def verify_homotopy(self):
+        """d_0 sigma_{-1} = id and d_{n+1} sigma_n + sigma_{n-1} d_n = id."""
+        k = len(self.monoid.idempotents())
+        if self.boundary[0] @ self.homotopy[0] != Matrix.identity(self.field, k):
+            return False
+        for n in range(self.max_degree):
+            lhs = self.boundary[n + 1] @ self.homotopy[n + 1]
+            if n == 0:
+                lhs = lhs + self.homotopy[0] @ self.boundary[0]
+            else:
+                lhs = lhs + self.homotopy[n] @ self.boundary[n]
+            if lhs != Matrix.identity(self.field, len(self.bases[n])):
+                return False
+        return True
+
+
+def build_resolution(monoid, field, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Free bases, boundary matrices and contracting homotopy, exactly.
+
+    The identification t(s_1,...,s_n) = t*r(s_1...s_n)(s_1,...,s_n)
+    normalizes every symbol onto the restricted basis.
+    """
+    idems = monoid.idempotents()
+    epos = {e: i for i, e in enumerate(idems)}
+
+    bases = []
+    index = []
+    for n in range(max_deg + 1):
+        basis = []
+        if n == 0:
+            for t in range(monoid.size):
+                basis.append((t, ()))
+        else:
+            for tup in itertools.product(range(monoid.size), repeat=n):
+                r = monoid.rng(monoid.product(tup))
+                for t in range(monoid.size):
+                    if monoid.table[t][r] == t:
+                        basis.append((t, tup))
+        if len(basis) > cap:
+            raise ValueError(
+                f"size cap exceeded: resolution degree {n} needs {len(basis)} basis elements"
+            )
+        bases.append(basis)
+        index.append({b: i for i, b in enumerate(basis)})
+
+    def normalize(t, tup):
+        if not tup:
+            return (t, ())
+        r = monoid.rng(monoid.product(tup))
+        return (monoid.table[t][r], tup)
+
+    one = field.one
+
+    boundary = []
+    d0 = Matrix.zeros(field, len(idems), len(bases[0]))
+    for col, (t, _) in enumerate(bases[0]):
+        d0.data[epos[monoid.rng(t)]][col] = one
+    boundary.append(d0)
+    for n in range(1, max_deg + 1):
+        d = Matrix.zeros(field, len(bases[n - 1]), len(bases[n]))
+        for col, (t, tup) in enumerate(bases[n]):
+            terms = []
+            if n == 1:
+                terms.append((normalize(monoid.table[t][tup[0]], ()), 1))
+                terms.append(((t, ()), -1))
+            else:
+                terms.append((normalize(monoid.table[t][tup[0]], tup[1:]), 1))
+                for i in range(n - 1):
+                    merged = tup[:i] + (monoid.table[tup[i]][tup[i + 1]],) + tup[i + 2:]
+                    terms.append((normalize(t, merged), (-1) ** (i + 1)))
+                terms.append((normalize(t, tup[:-1]), (-1) ** n))
+            F = field
+            for target, sign in terms:
+                row = index[n - 1][target]
+                d.data[row][col] = F.add(d.data[row][col], F.of(sign))
+        boundary.append(d)
+
+    homotopy = []
+    s_minus1 = Matrix.zeros(field, len(bases[0]), len(idems))
+    for j, e in enumerate(idems):
+        s_minus1.data[index[0][(e, ())]][j] = one
+    homotopy.append(s_minus1)
+    for n in range(max_deg):
+        s = Matrix.zeros(field, len(bases[n + 1]), len(bases[n]))
+        for col, (t, tup) in enumerate(bases[n]):
+            target = normalize(monoid.rng(t), (t,) + tup)
+            s.data[index[n + 1][target]][col] = one
+        homotopy.append(s)
+
+    return ResolutionComplex(monoid, field, max_deg, bases, boundary, homotopy)

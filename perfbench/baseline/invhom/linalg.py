@@ -1,0 +1,588 @@
+"""Exact linear algebra over Q and prime fields F_p.
+
+Everything here is arbitrary-precision exact: rationals are
+``fractions.Fraction``, F_p scalars are ints in ``range(p)``.  No floats
+anywhere.  Pivoting is deterministic (leftmost nonzero column, topmost
+row), so every basis produced downstream is reproducible run to run.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class Field:
+    """The coefficient field: Q (char 0) or F_p (char a prime)."""
+
+    __slots__ = ("char",)
+
+    def __init__(self, char=0):
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        self.char = char
+
+    @staticmethod
+    def rationals():
+        return Field(0)
+
+    @staticmethod
+    def prime(p):
+        return Field(p)
+
+    @property
+    def zero(self):
+        return Fraction(0) if self.char == 0 else 0
+
+    @property
+    def one(self):
+        return Fraction(1) if self.char == 0 else 1
+
+    def of(self, v):
+        """Coerce an int / Fraction / 'p/q' string into the field."""
+        if self.char == 0:
+            if isinstance(v, str):
+                return Fraction(v)
+            return Fraction(v)
+        if isinstance(v, str):
+            v = Fraction(v)
+        if isinstance(v, Fraction):
+            if v.denominator % self.char == 0:
+                raise ValueError(f"{v} has no image in F_{self.char}")
+            return (v.numerator * pow(v.denominator, -1, self.char)) % self.char
+        return int(v) % self.char
+
+    def add(self, a, b):
+        c = a + b
+        return c if self.char == 0 else c % self.char
+
+    def sub(self, a, b):
+        c = a - b
+        return c if self.char == 0 else c % self.char
+
+    def mul(self, a, b):
+        c = a * b
+        return c if self.char == 0 else c % self.char
+
+    def neg(self, a):
+        return -a if self.char == 0 else (-a) % self.char
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        if self.char == 0:
+            return 1 / a
+        return pow(a, -1, self.char)
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def to_token(self, a):
+        """Serialize a scalar: exact 'p/q' string over Q, int over F_p."""
+        if self.char == 0:
+            return f"{a.numerator}/{a.denominator}"
+        return int(a)
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and self.char == other.char
+
+    def __hash__(self):
+        return hash(("Field", self.char))
+
+    def __repr__(self):
+        return "Q" if self.char == 0 else f"F{self.char}"
+
+
+QQ = Field(0)
+
+
+class Matrix:
+    """Dense matrix with rows stored as lists of field scalars."""
+
+    __slots__ = ("field", "rows", "cols", "data")
+
+    def __init__(self, field, rows, cols, data):
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError(
+                f"dimension mismatch: declared {rows}x{cols}, "
+                f"got {len(data)} rows"
+            )
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @staticmethod
+    def zeros(field, rows, cols):
+        z = field.zero
+        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+
+    @staticmethod
+    def identity(field, n):
+        m = Matrix.zeros(field, n, n)
+        one = field.one
+        for i in range(n):
+            m.data[i][i] = one
+        return m
+
+    @staticmethod
+    def from_rows(field, rows_data):
+        rows = len(rows_data)
+        cols = len(rows_data[0]) if rows else 0
+        data = [[field.of(v) for v in row] for row in rows_data]
+        return Matrix(field, rows, cols, data)
+
+    @staticmethod
+    def from_cols(field, ambient_dim, cols_data):
+        m = Matrix.zeros(field, ambient_dim, len(cols_data))
+        for j, col in enumerate(cols_data):
+            if len(col) != ambient_dim:
+                raise ValueError("dimension mismatch in column data")
+            for i, v in enumerate(col):
+                m.data[i][j] = field.of(v)
+        return m
+
+    def copy(self):
+        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
+
+    def col(self, j):
+        return [row[j] for row in self.data]
+
+    def is_zero(self):
+        return all(not v for row in self.data for v in row)
+
+    def is_identity(self):
+        if self.rows != self.cols:
+            return False
+        one = self.field.one
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if i == j:
+                    if v != one:
+                        return False
+                elif v:
+                    return False
+        return True
+
+    def transpose(self):
+        return Matrix(
+            self.field, self.cols, self.rows,
+            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
+        )
+
+    def hstack(self, other):
+        if other.rows != self.rows or other.field != self.field:
+            raise ValueError("dimension mismatch in hstack")
+        return Matrix(
+            self.field, self.rows, self.cols + other.cols,
+            [self.data[i] + other.data[i] for i in range(self.rows)],
+        )
+
+    def __matmul__(self, other):
+        if isinstance(other, list):
+            return self.apply(other)
+        if self.cols != other.rows or self.field != other.field:
+            raise ValueError(
+                f"dimension mismatch in product: {self.rows}x{self.cols} @ "
+                f"{other.rows}x{other.cols}"
+            )
+        F = self.field
+        out = Matrix.zeros(F, self.rows, other.cols)
+        # Accumulate over nonzero entries of `other` only; boundary matrices
+        # downstream are sparse and this keeps composites cheap.
+        for k, orow in enumerate(other.data):
+            for j, v in enumerate(orow):
+                if not v:
+                    continue
+                for i in range(self.rows):
+                    a = self.data[i][k]
+                    if a:
+                        out.data[i][j] = F.add(out.data[i][j], F.mul(a, v))
+        return out
+
+    def apply(self, vec):
+        """Matrix times column vector (a plain list)."""
+        if len(vec) != self.cols:
+            raise ValueError("dimension mismatch in apply")
+        F = self.field
+        out = [F.zero] * self.rows
+        for k, v in enumerate(vec):
+            if not v:
+                continue
+            for i in range(self.rows):
+                a = self.data[i][k]
+                if a:
+                    out[i] = F.add(out[i], F.mul(a, v))
+        return out
+
+    def __add__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in sum")
+        F = self.field
+        return Matrix(
+            F, self.rows, self.cols,
+            [[F.add(a, b) for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
+        )
+
+    def __sub__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in difference")
+        F = self.field
+        return Matrix(
+            F, self.rows, self.cols,
+            [[F.sub(a, b) for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
+        )
+
+    def scale(self, c):
+        F = self.field
+        return Matrix(F, self.rows, self.cols,
+                      [[F.mul(c, v) for v in row] for row in self.data])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and self.field == other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.data == other.data
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.field}, {self.rows}x{self.cols})"
+
+
+def vec_add(field, u, v):
+    return [field.add(a, b) for a, b in zip(u, v)]
+
+def vec_sub(field, u, v):
+    return [field.sub(a, b) for a, b in zip(u, v)]
+
+def vec_scale(field, c, u):
+    return [field.mul(c, a) for a in u]
+
+def vec_is_zero(u):
+    return all(not a for a in u)
+
+
+def _echelon(m, reduce_up=True):
+    """In-place row echelon form; returns pivot columns (leftmost-pivot).
+
+    Only rows with a nonzero entry in the pivot column are touched, which
+    makes elimination cheap on the sparse matrices produced by the complex
+    builders.
+    """
+    F = m.field
+    data = m.data
+    pivots = []
+    prow = 0
+    for pcol in range(m.cols):
+        found = -1
+        for i in range(prow, m.rows):
+            if data[i][pcol]:
+                found = i
+                break
+        if found < 0:
+            continue
+        if found != prow:
+            data[prow], data[found] = data[found], data[prow]
+        inv = F.inv(data[prow][pcol])
+        if inv != F.one:
+            row = data[prow]
+            for j in range(pcol, m.cols):
+                if row[j]:
+                    row[j] = F.mul(row[j], inv)
+        rng = range(m.rows) if reduce_up else range(prow + 1, m.rows)
+        prowdata = data[prow]
+        for i in rng:
+            if i == prow:
+                continue
+            c = data[i][pcol]
+            if not c:
+                continue
+            row = data[i]
+            for j in range(pcol, m.cols):
+                pv = prowdata[j]
+                if pv:
+                    row[j] = F.sub(row[j], F.mul(c, pv))
+        pivots.append(pcol)
+        prow += 1
+        if prow == m.rows:
+            break
+    return pivots
+
+
+def rref(m):
+    """Reduced row echelon form (copy) and its pivot columns."""
+    r = m.copy()
+    pivots = _echelon(r, reduce_up=True)
+    return r, pivots
+
+
+def mat_rank(m):
+    """Rank over the declared field, by exact Gaussian elimination."""
+    r = m.copy()
+    return len(_echelon(r, reduce_up=False))
+
+
+def kernel_basis(m):
+    """Basis of the right kernel, as matrix columns.
+
+    Columns are produced in increasing order of their free variable, with
+    the free variable's coordinate normalized to 1.
+    """
+    F = m.field
+    r, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivot_set]
+    cols = []
+    for f in free:
+        col = [F.zero] * m.cols
+        col[f] = F.one
+        for i, p in enumerate(pivots):
+            col[p] = F.neg(r.data[i][f])
+        cols.append(col)
+    return Matrix.from_cols(F, m.cols, cols)
+
+
+class ColumnSpan:
+    """A full-column-rank matrix with exact coordinate extraction.
+
+    ``coords(v)`` solves B x = v and raises if v is outside the span, so
+    every use doubles as an exact membership assertion.
+    """
+
+    __slots__ = ("basis", "pivot_rows", "solver", "is_identity")
+
+    def __init__(self, basis):
+        F = basis.field
+        self.basis = basis
+        self.is_identity = basis.is_identity()
+        if self.is_identity:
+            self.pivot_rows = list(range(basis.rows))
+            self.solver = None
+            return
+        # Row-reduce a copy to find r independent rows of the basis.
+        work = basis.copy()
+        tag = list(range(basis.rows))
+        data = work.data
+        prow = 0
+        pivot_rows = []
+        for pcol in range(work.cols):
+            found = -1
+            for i in range(prow, work.rows):
+                if data[i][pcol]:
+                    found = i
+                    break
+            if found < 0:
+                raise ValueError("basis columns are linearly dependent")
+            data[prow], data[found] = data[found], data[prow]
+            tag[prow], tag[found] = tag[found], tag[prow]
+            inv = F.inv(data[prow][pcol])
+            for j in range(pcol, work.cols):
+                if data[prow][j]:
+                    data[prow][j] = F.mul(data[prow][j], inv)
+            for i in range(work.rows):
+                if i != prow and data[i][pcol]:
+                    c = data[i][pcol]
+                    for j in range(pcol, work.cols):
+                        if data[prow][j]:
+                            data[i][j] = F.sub(data[i][j], F.mul(c, data[prow][j]))
+            pivot_rows.append(tag[prow])
+            prow += 1
+        self.pivot_rows = pivot_rows
+        sub = Matrix(F, len(pivot_rows), basis.cols,
+                     [basis.data[i][:] for i in pivot_rows])
+        self.solver = _invert(sub)
+
+    @property
+    def dim(self):
+        return self.basis.cols
+
+    def coords(self, vec):
+        if self.is_identity:
+            return list(vec)
+        x = self.solver.apply([vec[i] for i in self.pivot_rows])
+        # Exact membership: the solved coordinates must reproduce vec.
+        if self.basis.apply(x) != list(vec):
+            raise ValueError("vector not in column span")
+        return x
+
+    def contains(self, vec):
+        try:
+            self.coords(vec)
+            return True
+        except ValueError:
+            return False
+
+
+def _invert(m):
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    F = m.field
+    aug = m.hstack(Matrix.identity(F, m.rows))
+    pivots = _echelon(aug, reduce_up=True)
+    if len(pivots) != m.rows:
+        raise ValueError("matrix is singular")
+    return Matrix(F, m.rows, m.rows, [row[m.rows:] for row in aug.data])
+
+
+def image_basis(m):
+    """Pivot columns of m (leftmost-pivot RREF convention) as a matrix."""
+    _, pivots = rref(m)
+    return Matrix.from_cols(m.field, m.rows, [m.col(j) for j in pivots])
+
+
+class QuotientSpace:
+    """Ambient space modulo a subspace, with exact projection and section."""
+
+    __slots__ = ("ambient_dim", "subspace_basis", "projection", "section")
+
+    def __init__(self, ambient_dim, subspace_basis, projection, section):
+        self.ambient_dim = ambient_dim
+        self.subspace_basis = subspace_basis
+        self.projection = projection
+        self.section = section
+
+    @property
+    def dim(self):
+        return self.projection.rows
+
+    @property
+    def field(self):
+        return self.projection.field
+
+    def contains_in_subspace(self, vec):
+        return vec_is_zero(self.projection.apply(vec))
+
+
+def quotient_space(field, ambient_dim, span):
+    """Quotient of K^ambient_dim by the column span of ``span``.
+
+    The subspace basis is the pivot columns of span; the complement is
+    filled with standard basis vectors, again by leftmost pivot, so the
+    section picks the earliest standard vectors independent of the
+    subspace.
+    """
+    if span.rows != ambient_dim:
+        raise ValueError(
+            f"dimension mismatch: span has {span.rows} rows, ambient is {ambient_dim}"
+        )
+    if span.field != field:
+        raise ValueError("field mismatch between span and quotient")
+    sub = image_basis(span)
+    r = sub.cols
+    ext = sub.hstack(Matrix.identity(field, ambient_dim))
+    _, pivots = rref(ext)
+    comp_cols = [j - r for j in pivots[r:]]
+    section = Matrix.from_cols(
+        field, ambient_dim,
+        [[field.one if i == c else field.zero for i in range(ambient_dim)]
+         for c in comp_cols],
+    )
+    change = sub.hstack(section)
+    inv = _invert(change)
+    projection = Matrix(field, ambient_dim - r, ambient_dim, inv.data[r:])
+    q = QuotientSpace(ambient_dim, sub, projection, section)
+    # The defining identities are cheap; verify them outright.
+    assert (projection @ section).is_identity() or projection.rows == 0
+    assert (projection @ sub).is_zero()
+    return q
+
+
+def induced_map(f, dom, cod):
+    """The unique map g with g∘dom.projection = cod.projection∘f.
+
+    Raises "subspace not preserved" when f does not carry dom's subspace
+    into cod's.
+    """
+    if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
+        raise ValueError("dimension mismatch between map and quotient data")
+    moved = f @ dom.subspace_basis
+    if not (cod.projection @ moved).is_zero():
+        raise ValueError("subspace not preserved")
+    g = cod.projection @ f @ dom.section
+    assert g @ dom.projection == cod.projection @ f
+    return g
+
+
+class SparseCols:
+    """Column-sparse matrix used for the large boundary operators.
+
+    Each column is a dict row->scalar.  Dense conversion is available for
+    rank computation; composites and zero tests stay sparse.
+    """
+
+    __slots__ = ("field", "rows", "cols", "columns")
+
+    def __init__(self, field, rows, cols):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.columns = [dict() for _ in range(cols)]
+
+    def add_at(self, i, j, v):
+        if not v:
+            return
+        col = self.columns[j]
+        F = self.field
+        c = F.add(col.get(i, F.zero), v)
+        if c:
+            col[i] = c
+        elif i in col:
+            del col[i]
+
+    def is_zero(self):
+        return all(not col for col in self.columns)
+
+    def nnz(self):
+        return sum(len(col) for col in self.columns)
+
+    def compose(self, other):
+        """self @ other, both column-sparse."""
+        if self.cols != other.rows or self.field != other.field:
+            raise ValueError("dimension mismatch in sparse product")
+        out = SparseCols(self.field, self.rows, other.cols)
+        F = self.field
+        for j, ocol in enumerate(other.columns):
+            acc = {}
+            for k, v in ocol.items():
+                for i, a in self.columns[k].items():
+                    c = F.add(acc.get(i, F.zero), F.mul(a, v))
+                    if c:
+                        acc[i] = c
+                    elif i in acc:
+                        del acc[i]
+            out.columns[j] = acc
+        return out
+
+    def to_matrix(self):
+        m = Matrix.zeros(self.field, self.rows, self.cols)
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                m.data[i][j] = v
+        return m
+
+    def rank(self):
+        return mat_rank(self.to_matrix())
+
+    def apply(self, vec):
+        F = self.field
+        out = [F.zero] * self.rows
+        for j, v in enumerate(vec):
+            if not v:
+                continue
+            for i, a in self.columns[j].items():
+                out[i] = F.add(out[i], F.mul(a, v))
+        return out

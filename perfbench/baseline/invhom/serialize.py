@@ -1,0 +1,246 @@
+"""JSON schemas for the domain objects and shorthand object references.
+
+Scalars are exact: rationals as "p/q" strings, prime-field elements as
+integers 0..p-1.  Matrices and tables are flat row-major arrays (nested
+row lists are accepted on input).  References inside documents and on the
+command line are either builtin shorthands (i:2, chain:3, z:2,
+prod:chain:2,z:2, pair:2, group:z2, discrete:3) or file:PATH.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .algebras import Algebra, Bimodule
+from .crossed import UnitalAction
+from .groupoids import (FiniteGroupoid, discrete_groupoid, group_as_groupoid,
+                        pair_groupoid)
+from .homology import KSModule
+from .linalg import Field, Matrix
+from .monoids import (InverseMonoid, chain_semilattice, cyclic_group,
+                      direct_product, from_table, symmetric_inverse_monoid,
+                      trivial_monoid)
+
+
+def parse_field(token):
+    if token in ("q", "Q", "rationals"):
+        return Field(0)
+    if token.startswith("fp:"):
+        return Field(int(token[3:]))
+    raise ValueError(f"unknown field spec {token!r}; use q or fp:<p>")
+
+
+def field_token(field):
+    return "q" if field.char == 0 else f"fp:{field.char}"
+
+
+def _scalars_out(field, vec):
+    return [field.to_token(v) for v in vec]
+
+
+def _scalars_in(field, seq):
+    return [field.of(v) for v in seq]
+
+
+def _matrix_out(m):
+    flat = []
+    for row in m.data:
+        flat.extend(m.field.to_token(v) for v in row)
+    return flat
+
+
+def _matrix_in(field, rows, cols, data):
+    if data and isinstance(data[0], list):
+        flat = [v for row in data for v in row]
+    else:
+        flat = list(data)
+    if len(flat) != rows * cols:
+        raise ValueError(f"matrix data has {len(flat)} entries, expected {rows * cols}")
+    out = Matrix.zeros(field, rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            out.data[i][j] = field.of(flat[i * cols + j])
+    return out
+
+
+def monoid_to_dict(m):
+    doc = {
+        "size": m.size,
+        "table": [v for row in m.table for v in row],
+        "unit": m.unit,
+    }
+    if m.names is not None:
+        doc["names"] = list(m.names)
+    return doc
+
+
+def monoid_from_dict(doc):
+    size = doc["size"]
+    raw = doc["table"]
+    if raw and isinstance(raw[0], list):
+        table = [list(row) for row in raw]
+    else:
+        if len(raw) != size * size:
+            raise ValueError("monoid table has wrong length")
+        table = [list(raw[i * size:(i + 1) * size]) for i in range(size)]
+    return from_table(table, unit=doc.get("unit"), names=doc.get("names"))
+
+
+def ks_module_to_dict(module, monoid_ref="file:inline"):
+    return {
+        "monoid_ref": monoid_ref,
+        "field": field_token(module.field),
+        "dim": module.dim,
+        "act": [_matrix_out(m) for m in module.act],
+        "side": module.side,
+    }
+
+
+def ks_module_from_dict(doc, monoid):
+    field = parse_field(doc["field"])
+    dim = doc["dim"]
+    act = [_matrix_in(field, dim, dim, m) for m in doc["act"]]
+    return KSModule(monoid, field, dim, act, side=doc.get("side", "left"))
+
+
+def algebra_to_dict(a):
+    sc = []
+    for i in range(a.dim):
+        for j in range(a.dim):
+            sc.extend(a.field.to_token(v) for v in a.sc[i][j])
+    return {
+        "field": field_token(a.field),
+        "dim": a.dim,
+        "sc": sc,
+        "unit": _scalars_out(a.field, a.unit),
+    }
+
+
+def algebra_from_dict(doc):
+    field = parse_field(doc["field"])
+    d = doc["dim"]
+    flat = doc["sc"]
+    if len(flat) != d ** 3:
+        raise ValueError(f"structure constants have {len(flat)} entries, expected {d ** 3}")
+    sc = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            base = (i * d + j) * d
+            row.append(_scalars_in(field, flat[base:base + d]))
+        sc.append(row)
+    return Algebra(field, d, sc, _scalars_in(field, doc["unit"]))
+
+
+def action_to_dict(action, monoid_ref="file:inline", algebra_ref="file:inline"):
+    F = action.algebra.field
+    return {
+        "monoid_ref": monoid_ref,
+        "algebra_ref": algebra_ref,
+        "one": [_scalars_out(F, v) for v in action.one],
+        "theta": [_matrix_out(m) for m in action.theta],
+    }
+
+
+def action_from_dict(doc, monoid, algebra):
+    F = algebra.field
+    one = [_scalars_in(F, v) for v in doc["one"]]
+    theta = [_matrix_in(F, algebra.dim, algebra.dim, m) for m in doc["theta"]]
+    return UnitalAction(monoid, algebra, one, theta)
+
+
+def bimodule_to_dict(module, algebra_ref="file:inline"):
+    return {
+        "algebra_ref": algebra_ref,
+        "dim": module.dim,
+        "left": [_matrix_out(m) for m in module.left],
+        "right": [_matrix_out(m) for m in module.right],
+    }
+
+
+def bimodule_from_dict(doc, algebra):
+    F = algebra.field
+    d = doc["dim"]
+    left = [_matrix_in(F, d, d, m) for m in doc["left"]]
+    right = [_matrix_in(F, d, d, m) for m in doc["right"]]
+    return Bimodule(algebra, d, left, right)
+
+
+def groupoid_to_dict(g):
+    comp = []
+    for a in range(g.n_arrows):
+        for b in range(g.n_arrows):
+            c = g.comp[a][b]
+            if c is not None:
+                comp.append([a, b, c])
+    return {
+        "objects": g.n_objects,
+        "arrows": [{"src": g.src[a], "rng": g.rng[a]}
+                   for a in range(g.n_arrows)],
+        "comp": comp,
+        "inv": list(g.inv),
+    }
+
+
+def groupoid_from_dict(doc):
+    n_obj = doc["objects"]
+    arrows = doc["arrows"]
+    n = len(arrows)
+    src = [a["src"] for a in arrows]
+    rng = [a["rng"] for a in arrows]
+    comp = [[None] * n for _ in range(n)]
+    for a, b, c in doc["comp"]:
+        comp[a][b] = c
+    inv = list(doc["inv"])
+    unit_of = doc.get("unit_of")
+    if unit_of is None:
+        unit_of = [None] * n_obj
+        for a in range(n):
+            if src[a] == rng[a] and comp[a][a] == a:
+                x = src[a]
+                ok = all(comp[a][b] == b for b in range(n) if src[a] == rng[b])
+                if ok and unit_of[x] is None:
+                    unit_of[x] = a
+        if any(u is None for u in unit_of):
+            raise ValueError("could not identify a unit arrow for every object")
+    return FiniteGroupoid(n_obj, src, rng, comp, inv, unit_of)
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def resolve_monoid(spec):
+    """Builtin shorthand or file:PATH -> InverseMonoid."""
+    if spec.startswith("file:"):
+        return monoid_from_dict(_load_json(spec[5:]))
+    if spec == "trivial":
+        return trivial_monoid()
+    if spec.startswith("i:"):
+        return symmetric_inverse_monoid(int(spec[2:]))
+    if spec.startswith("chain:"):
+        return chain_semilattice(int(spec[6:]))
+    if spec.startswith("z:"):
+        return cyclic_group(int(spec[2:]))
+    if spec.startswith("prod:"):
+        parts = spec[5:].split(",")
+        if len(parts) < 2:
+            raise ValueError(f"prod spec needs at least two factors: {spec!r}")
+        m = resolve_monoid(parts[0])
+        for p in parts[1:]:
+            m = direct_product(m, resolve_monoid(p))
+        return m
+    raise ValueError(f"unknown monoid spec {spec!r}")
+
+
+def resolve_groupoid(spec):
+    if spec.startswith("file:"):
+        return groupoid_from_dict(_load_json(spec[5:]))
+    if spec.startswith("pair:"):
+        return pair_groupoid(int(spec[5:]))
+    if spec.startswith("group:"):
+        return group_as_groupoid(resolve_monoid(spec[6:]))
+    if spec.startswith("discrete:"):
+        return discrete_groupoid(int(spec[9:]))
+    raise ValueError(f"unknown groupoid spec {spec!r}")
