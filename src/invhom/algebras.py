@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Matrix, SparseCols, mat_rank
-from .homology import DEFAULT_COLUMN_CAP
+from .linalg import ColumnSpan, Matrix, mat_rank
+from .homology import DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble
 
 
 class Algebra:
@@ -235,6 +235,17 @@ def regular_bimodule(algebra):
     )
 
 
+def _hochschild_degree(algebra, n, span):
+    """Degree n as blocks: one copy of M per n-tuple of basis indices.
+
+    The tuple with mixed-radix index k sits at offset k * dim M, and every
+    block shares the identity span of M.
+    """
+    tuples = itertools.product(range(algebra.dim), repeat=n)
+    return {tup: Block(span, k * span.dim)
+            for k, tup in enumerate(tuples)}
+
+
 def _hochschild_chain_boundary(algebra, module, n):
     """b_n : A^{(x)n} (x) M -> A^{(x)(n-1)} (x) M, column-sparse.
 
@@ -243,66 +254,22 @@ def _hochschild_chain_boundary(algebra, module, n):
     on the left (the classical bar-type boundary, written with the module
     slot last).
     """
-    F = algebra.field
-    dA, dM = algebra.dim, module.dim
-    rows = dA ** (n - 1) * dM
-    cols = dA ** n * dM
-    d = SparseCols(F, rows, cols)
-    right = module.right
-    left = module.left
-    for tup in itertools.product(range(dA), repeat=n):
-        base = 0
-        for a in tup:
-            base = base * dA + a
-        for j in range(dM):
-            col = base * dM + j
-            # d_0: wrap a_1 to the right of x.
-            tail = 0
-            for a in tup[1:]:
-                tail = tail * dA + a
-            m = right[tup[0]]
-            for i in range(dM):
-                v = m.data[i][j]
-                if v:
-                    d.add_at(tail * dM + i, col, v)
-            # middle faces: multiply adjacent algebra slots.
+    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
+    lower = _hochschild_degree(algebra, n - 1, span)
+    upper = _hochschild_degree(algebra, n, span)
+
+    def faces():
+        for tup, blk in upper.items():
+            yield blk, lower[tup[1:]], module.right[tup[0]], 1
             for i in range(n - 1):
-                prod = algebra.sc[tup[i]][tup[i + 1]]
-                sign = F.of((-1) ** (i + 1))
-                for k, c in enumerate(prod):
-                    if not c:
-                        continue
-                    merged = 0
-                    for a in tup[:i] + (k,) + tup[i + 2:]:
-                        merged = merged * dA + a
-                    d.add_at(merged * dM + j, col, F.mul(sign, c))
-            # d_n: a_n acts on the left of x.
-            head = 0
-            for a in tup[:-1]:
-                head = head * dA + a
-            sign = F.of((-1) ** n)
-            m = left[tup[-1]]
-            for i in range(dM):
-                v = m.data[i][j]
-                if v:
-                    d.add_at(head * dM + i, col, F.mul(sign, v))
-    return d
+                for k, c in enumerate(algebra.sc[tup[i]][tup[i + 1]]):
+                    if c:
+                        merged = tup[:i] + (k,) + tup[i + 2:]
+                        yield blk, lower[merged], None, (-1) ** (i + 1) * c
+            yield blk, lower[tup[:-1]], module.left[tup[-1]], (-1) ** n
 
-
-def hochschild_homology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of the Hochschild complex of A with values in M."""
-    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
-        raise ValueError("bimodule is not over the given algebra")
-    dA, dM = algebra.dim, module.dim
-    if dA ** (max_deg + 1) * dM > cap:
-        raise ValueError("size cap exceeded")
-    ranks = [_hochschild_chain_boundary(algebra, module, n).rank()
-             for n in range(1, max_deg + 2)]
-    dims = [dA ** n * dM for n in range(max_deg + 2)]
-    betti = [dims[0] - ranks[0]]
-    for n in range(1, max_deg + 1):
-        betti.append(dims[n] - ranks[n - 1] - ranks[n])
-    return betti
+    return assemble(algebra.field, len(lower) * module.dim,
+                    len(upper) * module.dim, faces())
 
 
 def _hochschild_cochain_boundary(algebra, module, n):
@@ -311,65 +278,47 @@ def _hochschild_cochain_boundary(algebra, module, n):
     (delta f)(a_1,...,a_{n+1}) = a_1 f(a_2,...) + sum (-1)^i f(..a_i a_{i+1}..)
     + (-1)^{n+1} f(a_1,...,a_n) a_{n+1}.
     """
-    F = algebra.field
-    dA, dM = algebra.dim, module.dim
-    rows = dA ** (n + 1) * dM
-    cols = dA ** n * dM
-    d = SparseCols(F, rows, cols)
-    for tup in itertools.product(range(dA), repeat=n + 1):
-        base = 0
-        for a in tup:
-            base = base * dA + a
-        # pull from f(a_2..a_{n+1}) via left action of a_1
-        tail = 0
-        for a in tup[1:]:
-            tail = tail * dA + a
-        m = module.left[tup[0]]
-        for j in range(dM):
-            for i in range(dM):
-                v = m.data[i][j]
-                if v:
-                    d.add_at(base * dM + i, tail * dM + j, v)
-        # merged arguments
-        for i in range(n):
-            prod = algebra.sc[tup[i]][tup[i + 1]]
-            sign = F.of((-1) ** (i + 1))
-            for k, c in enumerate(prod):
-                if not c:
-                    continue
-                merged = 0
-                for a in tup[:i] + (k,) + tup[i + 2:]:
-                    merged = merged * dA + a
-                for j in range(dM):
-                    d.add_at(base * dM + j, merged * dM + j, F.mul(sign, c))
-        # last: right action of a_{n+1} on f(a_1..a_n)
-        head = 0
-        for a in tup[:-1]:
-            head = head * dA + a
-        sign = F.of((-1) ** (n + 1))
-        m = module.right[tup[-1]]
-        for j in range(dM):
-            for i in range(dM):
-                v = m.data[i][j]
-                if v:
-                    d.add_at(base * dM + i, head * dM + j, F.mul(sign, v))
-    return d
+    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
+    lower = _hochschild_degree(algebra, n, span)
+    upper = _hochschild_degree(algebra, n + 1, span)
+
+    def faces():
+        for tup, blk in upper.items():
+            yield lower[tup[1:]], blk, module.left[tup[0]], 1
+            for i in range(n):
+                for k, c in enumerate(algebra.sc[tup[i]][tup[i + 1]]):
+                    if c:
+                        merged = tup[:i] + (k,) + tup[i + 2:]
+                        yield lower[merged], blk, None, (-1) ** (i + 1) * c
+            yield lower[tup[:-1]], blk, module.right[tup[-1]], (-1) ** (n + 1)
+
+    return assemble(algebra.field, len(upper) * module.dim,
+                    len(lower) * module.dim, faces())
+
+
+def _hochschild_dims(algebra, module, top, cap):
+    """Dimensions of degrees 0..top, after the bimodule and cap checks."""
+    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
+        raise ValueError("bimodule is not over the given algebra")
+    if algebra.dim ** top * module.dim > cap:
+        raise ValueError("size cap exceeded")
+    return [algebra.dim ** n * module.dim for n in range(top + 1)]
+
+
+def hochschild_homology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of the Hochschild complex of A with values in M."""
+    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
+    boundaries = [None] + [_hochschild_chain_boundary(algebra, module, n)
+                           for n in range(1, len(dims))]
+    return ChainComplexData("chain", dims, boundaries).betti(max_deg)
 
 
 def hochschild_cohomology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Betti numbers of Hochschild cohomology of A with values in M."""
-    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
-        raise ValueError("bimodule is not over the given algebra")
-    dA, dM = algebra.dim, module.dim
-    if dA ** (max_deg + 1) * dM > cap:
-        raise ValueError("size cap exceeded")
-    ranks = [_hochschild_cochain_boundary(algebra, module, n).rank()
-             for n in range(max_deg + 1)]
-    dims = [dA ** n * dM for n in range(max_deg + 1)]
-    betti = [dims[0] - ranks[0]]
-    for n in range(1, max_deg + 1):
-        betti.append(dims[n] - ranks[n] - ranks[n - 1])
-    return betti
+    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
+    boundaries = [_hochschild_cochain_boundary(algebra, module, n)
+                  for n in range(len(dims) - 1)]
+    return ChainComplexData("cochain", dims, boundaries).betti(max_deg)
 
 
 def is_separable(algebra):

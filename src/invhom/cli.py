@@ -119,10 +119,6 @@ def _betti_cmd(args, kind):
     return 0
 
 
-def _report_doc(rep):
-    return rep.as_dict()
-
-
 def _crossed_product_cmd(args):
     field = parse_field(args.field)
     action = _resolve_action(args.action, field)
@@ -158,7 +154,7 @@ def _crossed_product_cmd(args):
     doc["sigma_class_sums_vanish"] = sums_ok
     if doc["compatible"]:
         _, rep = phi_map(action, crossed=cp)
-        doc["phi"] = _report_doc(rep)
+        doc["phi"] = rep.as_dict()
     _emit(doc, args.format)
     if not sums_ok or (doc["compatible"] and not doc["phi"]["pass"]):
         return 1
@@ -188,7 +184,7 @@ def _steinberg_cmd(args):
         "bisections": monoid.size,
         "steinberg_dim": ak.dim,
         "indicator_convolution_identity": indicator_ok,
-        "psi": _report_doc(rep),
+        "psi": rep.as_dict(),
     }
     _emit(doc, args.format)
     return 0 if (indicator_ok and rep.ok) else 1
@@ -242,7 +238,7 @@ def _verify_cmd(args):
     else:
         raise InputError(f"unknown verify target {target!r}")
     doc = {"command": "verify", "target": target, "field": args.field,
-           "report": _report_doc(rep),
+           "report": rep.as_dict(),
            "verdict": "PASS" if rep.ok else "FAIL"}
     _emit(doc, args.format)
     return 0 if rep.ok else 1

@@ -16,7 +16,7 @@ from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, validate_action)
 from .homology import cohomology, homology
 from .linalg import Matrix, mat_rank
-from .monoids import from_table
+from .monoids import check_size, from_table
 from .reporting import Report
 
 BISECTION_ARROW_CAP = 16
@@ -178,6 +178,7 @@ def bisections(g, cap=BISECTION_ARROW_CAP):
 
 def bisections_with_masks(g, cap=BISECTION_ARROW_CAP):
     masks = _bisection_masks(g, cap)
+    check_size(len(masks))
     index = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     table = [[index[_mask_product(g, masks[i], masks[j])] for j in range(size)]

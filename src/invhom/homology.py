@@ -82,15 +82,46 @@ def regular_ks_module(monoid, field):
     return KSModule(monoid, field, dim, act, side="left")
 
 
-class _Block:
-    """One direct summand of a complex degree: a tuple with its basis."""
+class Block:
+    """One direct summand of a complex degree: its basis and first column."""
 
-    __slots__ = ("tup", "span", "offset")
+    __slots__ = ("span", "offset")
 
-    def __init__(self, tup, span, offset):
-        self.tup = tup
+    def __init__(self, span, offset):
         self.span = span
         self.offset = offset
+
+
+def assemble(field, rows, cols, terms):
+    """The boundary matrix that a stream of face terms describes.
+
+    Each term is (source block, target block, operator or None, coefficient)
+    and adds coefficient * op(v) for every basis vector v of the source
+    block, written in the target block's basis (None is the identity).  The
+    coordinates come from the target's ``ColumnSpan.coords``, so a face
+    that leaves its target summand raises instead of being dropped.
+    """
+    d = SparseCols(field, rows, cols)
+    span = None
+    for source, target, op, coeff in terms:
+        c = field.of(coeff)
+        coords = target.span.coords
+        if source.span is not span:
+            # Consecutive terms often share a span; split its columns once.
+            span = source.span
+            basis_columns = list(zip(*span.basis.data))
+        columns = basis_columns
+        if op is not None:
+            # On an identity basis op(e_j) is column j of op, read directly.
+            columns = (zip(*op.data) if span.is_identity
+                       else map(op.apply, columns))
+        for j, w in enumerate(columns, source.offset):
+            if vec_is_zero(w):
+                continue
+            for i, x in enumerate(coords(w), target.offset):
+                if x:
+                    d.add_at(i, j, field.mul(c, x))
+    return d
 
 
 class ChainComplexData:
@@ -98,23 +129,20 @@ class ChainComplexData:
 
     For chains, boundaries[n] is delta'_n : C_n -> C_{n-1} (n >= 1).
     For cochains, boundaries[n] is delta^n : C^n -> C^{n+1} (n >= 0).
-    Boundaries are stored column-sparse; ``boundary_matrix`` densifies.
+    Boundaries are stored column-sparse.  block_index labels each column
+    of a degree by (tuple, position in its summand) when the builder
+    supplies it.
     """
 
     __slots__ = ("direction", "max_degree", "space_dims", "boundaries",
-                 "block_index", "_blocks")
+                 "block_index")
 
-    def __init__(self, direction, max_degree, space_dims, boundaries,
-                 block_index, blocks):
+    def __init__(self, direction, space_dims, boundaries, block_index=None):
         self.direction = direction
-        self.max_degree = max_degree
+        self.max_degree = len(space_dims) - 1
         self.space_dims = space_dims
         self.boundaries = boundaries
         self.block_index = block_index
-        self._blocks = blocks
-
-    def boundary_matrix(self, n):
-        return self.boundaries[n].to_matrix()
 
     def check_composites(self):
         """Exact check that consecutive composites vanish."""
@@ -128,6 +156,21 @@ class ChainComplexData:
                     return False
         return True
 
+    def betti(self, max_deg):
+        """Betti numbers b_0 .. b_max_deg, every rank by SparseCols.rank.
+
+        The complex must reach degree max_deg + 1.
+        """
+        if max_deg < 0:
+            raise ValueError(f"max degree must be non-negative, got {max_deg}")
+        # maps[n] and maps[n + 1] are the two boundaries touching degree n.
+        maps = self.boundaries
+        if self.direction == "cochain":
+            maps = [None] + maps
+        ranks = [0 if d is None else d.rank() for d in maps[:max_deg + 2]]
+        return [self.space_dims[n] - ranks[n] - ranks[n + 1]
+                for n in range(max_deg + 1)]
+
 
 def _check_module(monoid, module):
     if module.monoid is not monoid and (
@@ -138,37 +181,27 @@ def _check_module(monoid, module):
         raise ValueError("not a left module")
 
 
-def _degree_blocks(monoid, module, n, projector_of, cap):
-    """Blocks of degree n, tuples in lexicographic order by element index."""
-    field = module.field
-    blocks = []
-    index = {}
+def _degree_blocks(monoid, n, projector_of, cap):
+    """Blocks of degree n by tuple, in lexicographic order by element index."""
+    blocks = {}
     offset = 0
-    if n == 0:
-        span = ColumnSpan(Matrix.identity(field, module.dim))
-        blk = _Block((), span, 0)
-        return [blk], {(): blk}, module.dim
     for tup in itertools.product(range(monoid.size), repeat=n):
-        proj = projector_of(tup)
-        basis = image_basis(proj)
-        span = ColumnSpan(basis)
-        blk = _Block(tup, span, offset)
-        blocks.append(blk)
-        index[tup] = blk
-        offset += span.dim
+        blk = Block(ColumnSpan(image_basis(projector_of(tup))), offset)
+        blocks[tup] = blk
+        offset += blk.span.dim
         if offset > cap:
             raise ValueError(
                 f"size cap exceeded: degree-{n} space needs more than {cap} columns"
             )
-    return blocks, index, offset
+    return blocks, offset
 
 
-def _block_labels(blocks):
-    labels = []
-    for blk in blocks:
-        for j in range(blk.span.dim):
-            labels.append((blk.tup, j))
-    return labels
+def _complex(direction, degrees, boundaries):
+    labels = [[(tup, j) for tup, blk in blocks.items()
+               for j in range(blk.span.dim)]
+              for blocks, _ in degrees]
+    return ChainComplexData(direction, [dim for _, dim in degrees],
+                            boundaries, labels)
 
 
 def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
@@ -178,128 +211,66 @@ def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     summand is the image of act(d(s_n ... s_1)).
     """
     _check_module(monoid, module)
-    field = module.field
 
     def projector(tup):
-        p = monoid.product(tup)
-        return module.act[monoid.dom(p)]
+        return module.act[monoid.dom(monoid.product(tup))]
 
-    degrees = []
-    for n in range(max_deg + 1):
-        degrees.append(_degree_blocks(monoid, module, n, projector, cap))
+    degrees = [_degree_blocks(monoid, n, projector, cap)
+               for n in range(max_deg + 1)]
 
-    boundaries = [None]
-    for n in range(1, max_deg + 1):
-        blocks, _, dim_n = degrees[n]
-        _, lower_index, dim_lower = degrees[n - 1]
-        d = SparseCols(field, dim_lower, dim_n)
-        for blk in blocks:
-            tup = blk.tup
+    def faces(n):
+        lower, _ = degrees[n - 1]
+        for u, blk in degrees[n][0].items():
             # faces of (s_n, ..., s_1) stored as u = (u_1, ..., u_n):
             #   drop u_n acting by it (+1), merge u_j u_{j+1} ((-1)^(n-j)),
             #   drop u_1 ((-1)^n).
-            faces = []
-            last = tup[-1]
-            faces.append((tup[:-1], module.act[last], 1))
+            yield blk, lower[u[:-1]], module.act[u[-1]], 1
             for j in range(n - 1):
-                merged = tup[:j] + (monoid.table[tup[j]][tup[j + 1]],) + tup[j + 2:]
-                faces.append((merged, None, (-1) ** (n - 1 - j)))
-            faces.append((tup[1:], None, (-1) ** n))
-            for col_local in range(blk.span.dim):
-                v = blk.span.basis.col(col_local)
-                col = blk.offset + col_local
-                for target_tup, op, sign in faces:
-                    w = op.apply(v) if op is not None else v
-                    if vec_is_zero(w):
-                        continue
-                    target = lower_index[target_tup]
-                    coords = target.span.coords(w)
-                    sgn = field.of(sign)
-                    for i, c in enumerate(coords):
-                        if c:
-                            d.add_at(target.offset + i, col, field.mul(sgn, c))
-        boundaries.append(d)
+                merged = u[:j] + (monoid.table[u[j]][u[j + 1]],) + u[j + 2:]
+                yield blk, lower[merged], None, (-1) ** (n - 1 - j)
+            yield blk, lower[u[1:]], None, (-1) ** n
 
-    return ChainComplexData(
-        "chain", max_deg,
-        [degrees[n][2] for n in range(max_deg + 1)],
-        boundaries,
-        [_block_labels(degrees[n][0]) for n in range(max_deg + 1)],
-        [degrees[n][0] for n in range(max_deg + 1)],
-    )
+    boundaries = [None] + [
+        assemble(module.field, degrees[n - 1][1], degrees[n][1], faces(n))
+        for n in range(1, max_deg + 1)]
+    return _complex("chain", degrees, boundaries)
 
 
 def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """The cochain complex C^n(S, V); summands are images of act(r(...))."""
     _check_module(monoid, module)
-    field = module.field
 
     def projector(tup):
-        p = monoid.product(tup)
-        return module.act[monoid.rng(p)]
+        return module.act[monoid.rng(monoid.product(tup))]
 
-    degrees = []
-    for n in range(max_deg + 2):
-        degrees.append(_degree_blocks(monoid, module, n, projector, cap))
+    degrees = [_degree_blocks(monoid, n, projector, cap)
+               for n in range(max_deg + 2)]
 
-    boundaries = []
-    for n in range(max_deg + 1):
-        _, source_index, dim_n = degrees[n]
-        blocks_up, _, dim_up = degrees[n + 1]
-        d = SparseCols(field, dim_up, dim_n)
-        for blk in blocks_up:
-            w = blk.tup
-            prod = monoid.product(w)
-            r_proj = module.act[monoid.rng(prod)]
+    def faces(n):
+        lower, _ = degrees[n]
+        for w, blk in degrees[n + 1][0].items():
             # (delta sigma)(s_1..s_{n+1}) = s_1 sigma(s_2..) + sum (-1)^i
             # sigma(..s_i s_{i+1}..) + (-1)^(n+1) r(s_1..s_{n+1}) sigma(s_1..s_n)
-            pulls = [(w[1:], module.act[w[0]], 1)]
+            yield lower[w[1:]], blk, module.act[w[0]], 1
             for i in range(1, n + 1):
                 merged = w[:i - 1] + (monoid.table[w[i - 1]][w[i]],) + w[i + 1:]
-                pulls.append((merged, None, (-1) ** i))
-            pulls.append((w[:-1], r_proj, (-1) ** (n + 1)))
-            for source_tup, op, sign in pulls:
-                source = source_index[source_tup]
-                sgn = field.of(sign)
-                for col_local in range(source.span.dim):
-                    v = source.span.basis.col(col_local)
-                    img = op.apply(v) if op is not None else v
-                    if vec_is_zero(img):
-                        continue
-                    coords = blk.span.coords(img)
-                    col = source.offset + col_local
-                    for i, c in enumerate(coords):
-                        if c:
-                            d.add_at(blk.offset + i, col, field.mul(sgn, c))
-        boundaries.append(d)
+                yield lower[merged], blk, None, (-1) ** i
+            yield lower[w[:-1]], blk, projector(w), (-1) ** (n + 1)
 
-    return ChainComplexData(
-        "cochain", max_deg + 1,
-        [degrees[n][2] for n in range(max_deg + 2)],
-        boundaries,
-        [_block_labels(degrees[n][0]) for n in range(max_deg + 2)],
-        [degrees[n][0] for n in range(max_deg + 2)],
-    )
+    boundaries = [
+        assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))
+        for n in range(max_deg + 1)]
+    return _complex("cochain", degrees, boundaries)
 
 
 def homology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Betti numbers of H_0 .. H_max_deg of S with coefficients in module."""
-    cx = homology_complex(monoid, module, max_deg + 1, cap)
-    ranks = [None] + [cx.boundaries[n].rank() for n in range(1, max_deg + 2)]
-    betti = [cx.space_dims[0] - ranks[1]]
-    for n in range(1, max_deg + 1):
-        betti.append(cx.space_dims[n] - ranks[n] - ranks[n + 1])
-    return betti
+    return homology_complex(monoid, module, max_deg + 1, cap).betti(max_deg)
 
 
 def cohomology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Betti numbers of H^0 .. H^max_deg."""
-    cx = cohomology_complex(monoid, module, max_deg, cap)
-    ranks = [cx.boundaries[n].rank() for n in range(max_deg + 1)]
-    betti = [cx.space_dims[0] - ranks[0]]
-    for n in range(1, max_deg + 1):
-        betti.append(cx.space_dims[n] - ranks[n] - ranks[n - 1])
-    return betti
+    return cohomology_complex(monoid, module, max_deg, cap).betti(max_deg)
 
 
 class ResolutionComplex:

@@ -11,14 +11,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
+    """Miller-Rabin with the prime bases up to 37: exact for p < 2^64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -28,17 +44,12 @@ class Field:
     __slots__ = ("char",)
 
     def __init__(self, char=0):
+        if char >= 1 << 64:
+            raise ValueError(
+                f"characteristic must be below 2^64, got {char}")
         if char != 0 and not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or a prime, got {char}")
         self.char = char
-
-    @staticmethod
-    def rationals():
-        return Field(0)
-
-    @staticmethod
-    def prime(p):
-        return Field(p)
 
     @property
     def zero(self):
@@ -83,9 +94,6 @@ class Field:
         if self.char == 0:
             return 1 / a
         return pow(a, -1, self.char)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def to_token(self, a):
         """Serialize a scalar: exact 'p/q' string over Q, int over F_p."""
@@ -366,43 +374,18 @@ class ColumnSpan:
     __slots__ = ("basis", "pivot_rows", "solver", "is_identity")
 
     def __init__(self, basis):
-        F = basis.field
         self.basis = basis
         self.is_identity = basis.is_identity()
         if self.is_identity:
             self.pivot_rows = list(range(basis.rows))
             self.solver = None
             return
-        # Row-reduce a copy to find r independent rows of the basis.
-        work = basis.copy()
-        tag = list(range(basis.rows))
-        data = work.data
-        prow = 0
-        pivot_rows = []
-        for pcol in range(work.cols):
-            found = -1
-            for i in range(prow, work.rows):
-                if data[i][pcol]:
-                    found = i
-                    break
-            if found < 0:
-                raise ValueError("basis columns are linearly dependent")
-            data[prow], data[found] = data[found], data[prow]
-            tag[prow], tag[found] = tag[found], tag[prow]
-            inv = F.inv(data[prow][pcol])
-            for j in range(pcol, work.cols):
-                if data[prow][j]:
-                    data[prow][j] = F.mul(data[prow][j], inv)
-            for i in range(work.rows):
-                if i != prow and data[i][pcol]:
-                    c = data[i][pcol]
-                    for j in range(pcol, work.cols):
-                        if data[prow][j]:
-                            data[i][j] = F.sub(data[i][j], F.mul(c, data[prow][j]))
-            pivot_rows.append(tag[prow])
-            prow += 1
+        # The leftmost pivots of the transpose are independent rows.
+        pivot_rows = _echelon(basis.transpose(), reduce_up=False)
+        if len(pivot_rows) < basis.cols:
+            raise ValueError("basis columns are linearly dependent")
         self.pivot_rows = pivot_rows
-        sub = Matrix(F, len(pivot_rows), basis.cols,
+        sub = Matrix(basis.field, len(pivot_rows), basis.cols,
                      [basis.data[i][:] for i in pivot_rows])
         self.solver = _invert(sub)
 

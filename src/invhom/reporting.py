@@ -35,14 +35,5 @@ class Report:
             "data": self.data,
         }
 
-    def as_text(self):
-        lines = [f"{self.title}: {'PASS' if self.ok else 'FAIL'}"]
-        for name, ok, detail in self.checks:
-            suffix = f"  ({detail})" if detail else ""
-            lines.append(f"  [{'ok' if ok else 'FAIL'}] {name}{suffix}")
-        for key in self.data:
-            lines.append(f"  {key} = {self.data[key]}")
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"Report({self.title!r}, ok={self.ok})"

@@ -45,6 +45,10 @@ def test_bisection_counts():
 def test_bisections_cap():
     with pytest.raises(ValueError, match="enumeration cap exceeded"):
         bisections(pair_groupoid(2), cap=3)
+    # 9 arrows pass the arrow cap, but their 512 bisections exceed the
+    # monoid size cap, which is checked before any table is built
+    with pytest.raises(ValueError, match="size cap exceeded"):
+        bisections(discrete_groupoid(9))
 
 
 def test_bisections_pair_isomorphic_to_symmetric_inverse_monoid():

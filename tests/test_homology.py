@@ -181,6 +181,20 @@ def test_size_cap():
         homology_complex(i2, v, 3, cap=100)
 
 
+def test_betti_rejects_negative_degree():
+    from invhom.algebras import (field_algebra, hochschild_cohomology,
+                                 hochschild_homology, regular_bimodule)
+    z2 = cyclic_group(2)
+    v = trivial_module_ke(z2, Q)
+    k = field_algebra(Q)
+    for betti in (lambda: homology(z2, v, -1),
+                  lambda: cohomology(z2, v, -1),
+                  lambda: hochschild_homology(k, regular_bimodule(k), -1),
+                  lambda: hochschild_cohomology(k, regular_bimodule(k), -1)):
+        with pytest.raises(ValueError, match="max degree must be non-negative"):
+            betti()
+
+
 def test_resolution_trivial_monoid():
     res = build_resolution(trivial_monoid(), Q, 3)
     assert res.dims() == [1, 1, 1, 1]

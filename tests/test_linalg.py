@@ -19,6 +19,25 @@ def test_field_validation():
         Field(1)
 
 
+def test_field_primality_miller_rabin():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    for p in range(2, 3000):
+        if trial_division(p):
+            assert Field(p).char == p
+        else:
+            with pytest.raises(ValueError, match="0 or a prime"):
+                Field(p)
+    assert Field(2 ** 61 - 1).char == 2 ** 61 - 1
+    assert Field(2 ** 64 - 59).char == 2 ** 64 - 59  # largest prime < 2^64
+    for carmichael in (561, 1105, 3215031751):
+        with pytest.raises(ValueError, match="0 or a prime"):
+            Field(carmichael)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        Field(2 ** 89 - 1)  # prime, but above the certified range
+
+
 def test_field_arithmetic():
     assert Q.of("2/3") + Q.of("1/3") == Q.one
     f5 = Field(5)
@@ -159,6 +178,11 @@ def test_column_span_membership():
     span = ColumnSpan(b)
     assert span.coords([1, 2, 1]) == [Q.one, Q.one]
     assert not span.contains([1, 0, 1])
+    # the first row starts with a zero, so elimination must swap rows
+    b = Matrix.from_cols(Q, 3, [[0, 1, 1], [2, 0, 1]])
+    assert ColumnSpan(b).coords([2, 3, 4]) == [Q.of(3), Q.one]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        ColumnSpan(Matrix.from_cols(Q, 3, [[1, 2, 3], [2, 4, 6]]))
 
 
 def test_matrix_shape_errors():

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
-                            from_table, max_group_image,
+from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
+                            direct_product, from_table, max_group_image,
                             symmetric_inverse_monoid, trivial_monoid)
 
 
@@ -79,14 +79,29 @@ def test_idempotents():
 def test_dom_range():
     i2 = symmetric_inverse_monoid(2)
     for e in i2.idempotents():
-        assert i2.dom_range(e) == (e, e)
+        assert (i2.dom(e), i2.rng(e)) == (e, e)
     names = i2.names
     swap = names.index("[12->21]")
     unit = i2.unit
-    assert i2.dom_range(swap) == (unit, unit)
+    assert (i2.dom(swap), i2.rng(swap)) == (unit, unit)
     one_to_two = names.index("[1->2]")
-    d, r = i2.dom_range(one_to_two)
+    d, r = i2.dom(one_to_two), i2.rng(one_to_two)
     assert names[d] == "[1->1]" and names[r] == "[2->2]"
+
+
+def test_size_cap():
+    assert MONOID_SIZE_CAP >= symmetric_inverse_monoid(4).size == 209
+    too_big = [
+        lambda: symmetric_inverse_monoid(5),
+        lambda: cyclic_group(MONOID_SIZE_CAP + 1),
+        lambda: chain_semilattice(MONOID_SIZE_CAP + 1),
+        lambda: direct_product(cyclic_group(16), cyclic_group(17)),
+        lambda: from_table([[0] * (MONOID_SIZE_CAP + 1)]
+                           * (MONOID_SIZE_CAP + 1)),
+    ]
+    for build in too_big:
+        with pytest.raises(ValueError, match="size cap exceeded"):
+            build()
 
 
 def test_natural_leq():

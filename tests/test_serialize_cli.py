@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from invhom.algebras import dual_numbers, regular_bimodule
 from invhom.crossed import natural_ke_action
-from invhom.groupoids import pair_groupoid
+from invhom.groupoids import bisections_with_masks, pair_groupoid
 from invhom.homology import trivial_module_ke
 from invhom.linalg import Field
 from invhom.monoids import chain_semilattice, symmetric_inverse_monoid
@@ -104,10 +105,10 @@ def test_resolve_groupoid_specs():
     assert resolve_groupoid("discrete:3").n_arrows == 3
 
 
-def _run_cli(*args):
+def _run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "invhom.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=timeout)
     return proc
 
 
@@ -162,6 +163,50 @@ def test_cli_input_error_exit_2():
     p = _run_cli("homology", "--monoid", "bogus:7")
     assert p.returncode == 2
     assert "error:" in p.stderr
+
+
+def _assert_one_error_line(p):
+    assert p.returncode == 2
+    assert p.stdout == ""
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), p.stderr
+
+
+def test_cli_large_prime_field():
+    p = _run_cli("homology", "--monoid", "z:2", "--field",
+                 "fp:2305843009213693951", "--max-degree", "1",
+                 "--format", "json", timeout=10)
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["betti"] == [1, 0]
+    for bad in ("fp:561", f"fp:{2 ** 89 - 1}"):
+        _assert_one_error_line(
+            _run_cli("homology", "--monoid", "z:2", "--field", bad))
+
+
+def test_cli_negative_max_degree_exit_2():
+    for job in (("homology", "--monoid", "z:2"),
+                ("cohomology", "--monoid", "z:2"),
+                ("verify", "separable-homology", "--action", "ke:i:2")):
+        _assert_one_error_line(_run_cli(*job, "--max-degree", "-1"))
+
+
+def test_cli_monoid_size_cap_exit_2_quickly():
+    # The refusal itself is timed in-process, so interpreter start-up does
+    # not count; the subprocess timeout fails a CLI that hangs instead.
+    refusals = (lambda: resolve_monoid("i:5"),
+                lambda: resolve_monoid("z:100000"),
+                lambda: bisections_with_masks(resolve_groupoid("discrete:12")))
+    for refuse in refusals:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="size cap exceeded"):
+            refuse()
+        assert time.monotonic() - start < 2.0
+    for job in (("homology", "--monoid", "i:5"),
+                ("homology", "--monoid", "z:100000"),
+                ("steinberg", "--groupoid", "discrete:12")):
+        p = _run_cli(*job, timeout=10)
+        _assert_one_error_line(p)
+        assert "size cap exceeded" in p.stderr
 
 
 def test_cli_bad_table_error(tmp_path):
