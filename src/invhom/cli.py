@@ -25,13 +25,9 @@ from .homology import (build_resolution, cohomology, homology,
                        regular_ks_module, trivial_module_ke,
                        DEFAULT_COLUMN_CAP)
 from .linalg import vec_is_zero
-from .serialize import (action_from_dict, algebra_from_dict,
+from .serialize import (InputError, action_from_dict, algebra_from_dict,
                         bimodule_from_dict, parse_field, resolve_groupoid,
                         resolve_monoid, _load_json)
-
-
-class InputError(ValueError):
-    pass
 
 
 def _resolve_ks_module(spec, monoid, field):
@@ -214,11 +210,19 @@ def _resolution_cmd(args):
     return 0 if doc["pass"] else 1
 
 
+def _required(args, option):
+    """The value of an option that the verify target cannot do without."""
+    value = getattr(args, option)
+    if value is None:
+        raise InputError(f"verify {args.target} needs --{option}")
+    return value
+
+
 def _verify_cmd(args):
     field = parse_field(args.field)
     target = args.target
     if target in ("separable-homology", "separable-cohomology"):
-        action = _resolve_action(args.action, field)
+        action = _resolve_action(_required(args, "action"), field)
         cp = crossed_product(action)
         module = _resolve_bimodule(args.module, cp.algebra)
         fn = (verify_separable_collapse_homology
@@ -226,14 +230,14 @@ def _verify_cmd(args):
               else verify_separable_collapse_cohomology)
         rep = fn(action, module, args.max_degree, crossed=cp)
     elif target in ("steinberg-homology", "steinberg-cohomology"):
-        g = resolve_groupoid(args.groupoid)
+        g = resolve_groupoid(_required(args, "groupoid"))
         ak = steinberg_algebra(g, field)
         module = _resolve_bimodule(args.module, ak)
         fn = (verify_steinberg_homology if target == "steinberg-homology"
               else verify_steinberg_cohomology)
         rep = fn(g, module, args.max_degree, field=field)
     elif target == "ks-crossed-product":
-        monoid = resolve_monoid(args.monoid)
+        monoid = resolve_monoid(_required(args, "monoid"))
         rep = ks_as_crossed_product(monoid, field)
     else:
         raise InputError(f"unknown verify target {target!r}")

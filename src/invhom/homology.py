@@ -3,7 +3,8 @@
 The degree-n chain space is a direct sum over n-tuples of monoid elements
 of the image of the idempotent projector attached to the tuple (d(...) of
 the tuple product for chains, r(...) for cochains).  Each summand basis is
-the deterministic pivot-column basis of that projector, and every boundary
+the deterministic pivot-column basis of that projector, built once per
+idempotent and shared by every tuple with that idempotent, and every boundary
 term is coordinate-extracted through the target summand basis, which is an
 exact membership assertion for the containments the formulas rely on.
 
@@ -99,29 +100,39 @@ def assemble(field, rows, cols, terms):
     and adds coefficient * op(v) for every basis vector v of the source
     block, written in the target block's basis (None is the identity).  The
     coordinates come from the target's ``ColumnSpan.coords``, so a face
-    that leaves its target summand raises instead of being dropped.
+    that leaves its target summand raises instead of being dropped.  They
+    are computed once per (source span, target span, op) and written at
+    the offsets of every term that shares them.
     """
     d = SparseCols(field, rows, cols)
-    span = None
+    memo = {}
     for source, target, op, coeff in terms:
+        # Spans hash by identity; op is keyed by id() and kept alive in the
+        # value, so its id cannot be reused while the memo lives.
+        key = (source.span, target.span, id(op))
+        if key not in memo:
+            memo[key] = (op, _images(source.span, target.span, op))
         c = field.of(coeff)
-        coords = target.span.coords
-        if source.span is not span:
-            # Consecutive terms often share a span; split its columns once.
-            span = source.span
-            basis_columns = list(zip(*span.basis.data))
-        columns = basis_columns
-        if op is not None:
-            # On an identity basis op(e_j) is column j of op, read directly.
-            columns = (zip(*op.data) if span.is_identity
-                       else map(op.apply, columns))
-        for j, w in enumerate(columns, source.offset):
-            if vec_is_zero(w):
-                continue
-            for i, x in enumerate(coords(w), target.offset):
-                if x:
-                    d.add_at(i, j, field.mul(c, x))
+        for j, image in enumerate(memo[key][1], source.offset):
+            for i, x in image:
+                d.add_at(target.offset + i, j, field.mul(c, x))
     return d
+
+
+def _images(source, target, op):
+    """op(v) in target's basis, for each basis vector v of source.
+
+    Each image is a list of (row, value) pairs; ``coords`` checks exact
+    membership of every vector.
+    """
+    columns = zip(*source.basis.data)
+    if op is not None:
+        # On an identity basis op(e_j) is column j of op, read directly.
+        columns = (zip(*op.data) if source.is_identity
+                   else map(op.apply, columns))
+    return [[] if vec_is_zero(w) else
+            [(i, x) for i, x in enumerate(target.coords(w)) if x]
+            for w in columns]
 
 
 class ChainComplexData:
@@ -181,14 +192,22 @@ def _check_module(monoid, module):
         raise ValueError("not a left module")
 
 
-def _degree_blocks(monoid, n, projector_of, cap):
-    """Blocks of degree n by tuple, in lexicographic order by element index."""
+def _degree_blocks(monoid, n, idempotent_of, module, cap):
+    """Blocks of degree n by tuple, in lexicographic order by element index.
+
+    A tuple's summand is the image of the action of its idempotent, so the
+    blocks of one idempotent share one span, each at its own offset.
+    """
+    spans = {}
     blocks = {}
     offset = 0
     for tup in itertools.product(range(monoid.size), repeat=n):
-        blk = Block(ColumnSpan(image_basis(projector_of(tup))), offset)
-        blocks[tup] = blk
-        offset += blk.span.dim
+        e = idempotent_of(tup)
+        span = spans.get(e)
+        if span is None:
+            span = spans[e] = ColumnSpan(image_basis(module.act[e]))
+        blocks[tup] = Block(span, offset)
+        offset += span.dim
         if offset > cap:
             raise ValueError(
                 f"size cap exceeded: degree-{n} space needs more than {cap} columns"
@@ -212,10 +231,10 @@ def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """
     _check_module(monoid, module)
 
-    def projector(tup):
-        return module.act[monoid.dom(monoid.product(tup))]
+    def idempotent(tup):
+        return monoid.dom(monoid.product(tup))
 
-    degrees = [_degree_blocks(monoid, n, projector, cap)
+    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
                for n in range(max_deg + 1)]
 
     def faces(n):
@@ -240,10 +259,10 @@ def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """The cochain complex C^n(S, V); summands are images of act(r(...))."""
     _check_module(monoid, module)
 
-    def projector(tup):
-        return module.act[monoid.rng(monoid.product(tup))]
+    def idempotent(tup):
+        return monoid.rng(monoid.product(tup))
 
-    degrees = [_degree_blocks(monoid, n, projector, cap)
+    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
                for n in range(max_deg + 2)]
 
     def faces(n):
@@ -255,7 +274,7 @@ def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
             for i in range(1, n + 1):
                 merged = w[:i - 1] + (monoid.table[w[i - 1]][w[i]],) + w[i + 1:]
                 yield lower[merged], blk, None, (-1) ** i
-            yield lower[w[:-1]], blk, projector(w), (-1) ** (n + 1)
+            yield lower[w[:-1]], blk, module.act[idempotent(w)], (-1) ** (n + 1)
 
     boundaries = [
         assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))

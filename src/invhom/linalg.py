@@ -339,9 +339,13 @@ def rref(m):
 
 
 def mat_rank(m):
-    """Rank over the declared field, by exact Gaussian elimination."""
-    r = m.copy()
-    return len(_echelon(r, reduce_up=False))
+    """Rank over the declared field, by the sparse kernel of SparseCols."""
+    s = SparseCols(m.field, m.rows, m.cols)
+    for i, row in enumerate(m.data):
+        for j, v in enumerate(row):
+            if v:
+                s.columns[j][i] = v
+    return s.rank()
 
 
 def kernel_basis(m):
@@ -503,8 +507,8 @@ def induced_map(f, dom, cod):
 class SparseCols:
     """Column-sparse matrix used for the large boundary operators.
 
-    Each column is a dict row->scalar.  Dense conversion is available for
-    rank computation; composites and zero tests stay sparse.
+    Each column is a dict row->scalar.  Rank, composites and zero tests
+    all stay sparse.
     """
 
     __slots__ = ("field", "rows", "cols", "columns")
@@ -519,11 +523,11 @@ class SparseCols:
         if not v:
             return
         col = self.columns[j]
-        F = self.field
-        c = F.add(col.get(i, F.zero), v)
+        old = col.get(i)
+        c = v if old is None else self.field.add(old, v)
         if c:
             col[i] = c
-        elif i in col:
+        else:
             del col[i]
 
     def is_zero(self):
@@ -550,15 +554,36 @@ class SparseCols:
             out.columns[j] = acc
         return out
 
-    def to_matrix(self):
-        m = Matrix.zeros(self.field, self.rows, self.cols)
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                m.data[i][j] = v
-        return m
-
     def rank(self):
-        return mat_rank(self.to_matrix())
+        """Rank by exact sparse column elimination over the field.
+
+        pivots maps a row to the reduced column whose largest row it is,
+        scaled so that entry is 1.  Columns are taken shortest first to
+        limit fill-in; each is reduced by its largest row until that row
+        has no pivot yet, and then becomes that row's pivot.
+        """
+        F = self.field
+        p = F.char
+        pivots = {}
+        for col in sorted(self.columns, key=len):
+            v = dict(col)
+            while v:
+                top = max(v)
+                pivot = pivots.get(top)
+                if pivot is None:
+                    inv = F.inv(v[top])
+                    pivots[top] = {i: F.mul(a, inv) for i, a in v.items()}
+                    break
+                c = v[top]
+                for i, a in pivot.items():
+                    x = v.get(i, 0) - c * a
+                    if p:
+                        x %= p
+                    if x:
+                        v[i] = x
+                    else:
+                        v.pop(i, None)
+        return len(pivots)
 
     def apply(self, vec):
         F = self.field

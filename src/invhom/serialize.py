@@ -22,6 +22,10 @@ from .monoids import (InverseMonoid, chain_semilattice, cyclic_group,
                       trivial_monoid)
 
 
+class InputError(ValueError):
+    pass
+
+
 def parse_field(token):
     if token in ("q", "Q", "rationals"):
         return Field(0)
@@ -207,8 +211,13 @@ def groupoid_from_dict(doc):
 
 
 def _load_json(path):
+    """The JSON object in a file; any other document is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def resolve_monoid(spec):

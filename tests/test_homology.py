@@ -1,10 +1,12 @@
+import importlib
+
 import pytest
 
-from invhom.homology import (KSModule, build_resolution,
+from invhom.homology import (Block, KSModule, assemble, build_resolution,
                              cohomology, cohomology_complex, homology,
                              homology_complex, regular_ks_module,
                              trivial_module_ke)
-from invhom.linalg import Field, Matrix
+from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
 from oracles import bar_group_cohomology, bar_group_homology
@@ -172,6 +174,43 @@ def test_block_index_labels():
     assert cx.block_index[0] == [((), 0), ((), 1)]
     labels = cx.block_index[1]
     assert labels[0][0] == (0,) and labels[-1][0] == (1,)
+
+
+def test_degree_blocks_share_one_span_per_idempotent(monkeypatch):
+    i2 = symmetric_inverse_monoid(2)
+    v = trivial_module_ke(i2, Q)
+    sources = []
+
+    def recording(field, rows, cols, terms):
+        terms = list(terms)
+        sources.append({id(src): src for src, _, _, _ in terms})
+        return assemble(field, rows, cols, terms)
+
+    # The package's `homology` function hides the module of the same name.
+    monkeypatch.setattr(importlib.import_module("invhom.homology"),
+                        "assemble", recording)
+    cx = homology_complex(i2, v, 2)
+    degree_2 = sources[1].values()
+    assert len(degree_2) == i2.size ** 2
+    assert sum(blk.span.dim for blk in degree_2) == cx.space_dims[2]
+    assert len({id(blk.span) for blk in degree_2}) <= len(i2.idempotents())
+
+
+def test_assemble_memo_keeps_membership_check():
+    plane = ColumnSpan(Matrix.identity(Q, 2))
+    line = ColumnSpan(Matrix.from_cols(Q, 2, [[1, 0]]))
+    onto_line = Matrix.from_rows(Q, [[1, 0], [0, 0]])
+    swap = Matrix.from_rows(Q, [[0, 1], [1, 0]])
+    first, second, target = Block(plane, 0), Block(plane, 2), Block(line, 0)
+    d = assemble(Q, 1, 4, [(first, target, onto_line, 1),
+                           (second, target, onto_line, -1)])
+    assert d.columns == [{0: 1}, {}, {0: -1}, {}]
+    # The first term memoizes (plane, line, onto_line); the second has the
+    # same spans but leaves the line, and must still raise.
+    for op in (swap, None):
+        with pytest.raises(ValueError, match="not in column span"):
+            assemble(Q, 1, 4, [(first, target, onto_line, 1),
+                               (second, target, op, 1)])
 
 
 def test_size_cap():

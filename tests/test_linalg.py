@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from invhom.linalg import (ColumnSpan, Field, Matrix, induced_map,
+from invhom.linalg import (ColumnSpan, Field, Matrix, SparseCols, induced_map,
                            kernel_basis, mat_rank, quotient_space)
 from oracles import rank_by_minors
 
@@ -65,6 +66,46 @@ def test_rank_matches_minor_oracle():
         for field in (Q, Field(3)):
             m = Matrix.from_rows(field, data)
             assert mat_rank(m) == rank_by_minors(m)
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """(rows, cols, row lists) of small integers, about half of them zero."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return rows, cols, data
+
+
+TALL = (8, 3, [[1, 0, 2], [0, 1, 1], [1, 1, 3], [0, 0, 0],
+               [2, -1, 3], [0, 2, 2], [1, 0, 0], [0, 0, 1]])
+WIDE = (3, 8, [[1, 2, 0, 0, 3, 0, 1, 0], [0, 1, 1, 0, 0, 2, 0, 3],
+               [1, 3, 1, 0, 3, 2, 1, 3]])
+ZERO = (5, 5, [[0] * 5 for _ in range(5)])
+REPEATED_COLUMN = (4, 4, [[1, 1, 0, 2], [2, 2, 1, 0], [0, 0, 3, 1],
+                          [3, 3, 0, 0]])
+
+
+@settings(deadline=None)
+@given(sparse_int_matrices())
+@example(TALL)
+@example(WIDE)
+@example(ZERO)
+@example(REPEATED_COLUMN)
+def test_sparse_rank_matches_minor_oracle(case):
+    rows, cols, data = case
+    for field in (Q, F2, Field(3), Field(2 ** 61 - 1)):
+        m = Matrix(field, rows, cols, [[field.of(v) for v in row]
+                                        for row in data])
+        s = SparseCols(field, rows, cols)
+        for i, row in enumerate(m.data):
+            for j, v in enumerate(row):
+                s.add_at(i, j, v)
+        expected = rank_by_minors(m)
+        assert s.rank() == expected
+        assert mat_rank(m) == expected
 
 
 def test_kernel_identity_empty():

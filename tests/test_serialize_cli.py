@@ -276,3 +276,31 @@ def test_cli_file_based_action_and_module(tmp_path):
                  "--max-degree", "2", "--format", "json")
     assert p.returncode == 0, p.stderr
     assert json.loads(p.stdout)["betti"] == [2, 0, 0]
+
+
+def test_cli_verify_missing_required_option_exit_2():
+    for job, option in ((("separable-homology", "--monoid", "z:2"), "--action"),
+                        (("steinberg-homology", "--action", "ke:z:2"),
+                         "--groupoid"),
+                        (("ks-crossed-product",), "--monoid")):
+        p = _run_cli("verify", *job, timeout=30)
+        _assert_one_error_line(p)
+        assert option in p.stderr
+
+
+def test_cli_json_document_not_an_object_exit_2(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    (tmp_path / "act.json").write_text(json.dumps(
+        {"monoid_ref": "chain:2", "algebra_ref": f"file:{listed}"}))
+    loaders = {
+        "monoid": ("homology", "--monoid", f"file:{listed}"),
+        "module": ("homology", "--monoid", "z:2", "--module", f"file:{listed}"),
+        "groupoid": ("steinberg", "--groupoid", f"file:{listed}"),
+        "action": ("crossed-product", "--action", f"file:{listed}"),
+        "algebra": ("crossed-product", "--action", f"file:{tmp_path}/act.json"),
+    }
+    for name, job in loaders.items():
+        p = _run_cli(*job, timeout=30)
+        _assert_one_error_line(p)
+        assert "expected a JSON object" in p.stderr, name
