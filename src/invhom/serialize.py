@@ -27,6 +27,8 @@ class InputError(ValueError):
 
 
 def parse_field(token):
+    if not isinstance(token, str):
+        raise InputError(f"field must be a string, got {token!r:.40}")
     if token in ("q", "Q", "rationals"):
         return Field(0)
     if token.startswith("fp:"):
@@ -42,7 +44,29 @@ def _scalars_out(field, vec):
     return [field.to_token(v) for v in vec]
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _count(doc, key):
+    """doc[key], which must be a non-negative integer."""
+    v = doc[key]
+    if not (_is_int(v) and v >= 0):
+        raise InputError(f"{key} must be a non-negative integer, got {v!r:.40}")
+    return v
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _scalars_in(field, seq):
+    for v in _list(seq, "a scalar vector"):
+        if not (_is_int(v) or isinstance(v, str)):
+            raise InputError(
+                f"scalar must be an integer or a 'p/q' string, got {v!r:.40}")
     return [field.of(v) for v in seq]
 
 
@@ -54,17 +78,13 @@ def _matrix_out(m):
 
 
 def _matrix_in(field, rows, cols, data):
-    if data and isinstance(data[0], list):
-        flat = [v for row in data for v in row]
-    else:
-        flat = list(data)
+    if _list(data, "matrix data") and isinstance(data[0], list):
+        data = [v for row in data for v in _list(row, "each matrix row")]
+    flat = _scalars_in(field, data)
     if len(flat) != rows * cols:
         raise ValueError(f"matrix data has {len(flat)} entries, expected {rows * cols}")
-    out = Matrix.zeros(field, rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            out.data[i][j] = field.of(flat[i * cols + j])
-    return out
+    return Matrix(field, rows, cols,
+                  [flat[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
 def monoid_to_dict(m):
@@ -79,15 +99,27 @@ def monoid_to_dict(m):
 
 
 def monoid_from_dict(doc):
-    size = doc["size"]
-    raw = doc["table"]
+    size = _count(doc, "size")
+    raw = _list(doc["table"], "table")
     if raw and isinstance(raw[0], list):
-        table = [list(row) for row in raw]
+        table = [list(_list(row, "each table row")) for row in raw]
     else:
         if len(raw) != size * size:
             raise ValueError("monoid table has wrong length")
-        table = [list(raw[i * size:(i + 1) * size]) for i in range(size)]
-    return from_table(table, unit=doc.get("unit"), names=doc.get("names"))
+        table = [raw[i * size:(i + 1) * size] for i in range(size)]
+    if len(table) != size:
+        raise ValueError(f"monoid table has {len(table)} rows, expected {size}")
+    if not all(_is_int(v) for row in table for v in row):
+        raise InputError("table entries must be integers")
+    unit = doc.get("unit")
+    if unit is not None and not _is_int(unit):
+        raise InputError(f"unit must be an integer, got {unit!r:.40}")
+    names = doc.get("names")
+    if names is not None and not (
+            isinstance(names, list) and len(names) == size
+            and all(isinstance(x, str) for x in names)):
+        raise InputError(f"names must be a list of {size} strings")
+    return from_table(table, unit=unit, names=names)
 
 
 def ks_module_to_dict(module, monoid_ref="file:inline"):
@@ -102,8 +134,8 @@ def ks_module_to_dict(module, monoid_ref="file:inline"):
 
 def ks_module_from_dict(doc, monoid):
     field = parse_field(doc["field"])
-    dim = doc["dim"]
-    act = [_matrix_in(field, dim, dim, m) for m in doc["act"]]
+    dim = _count(doc, "dim")
+    act = [_matrix_in(field, dim, dim, m) for m in _list(doc["act"], "act")]
     return KSModule(monoid, field, dim, act, side=doc.get("side", "left"))
 
 

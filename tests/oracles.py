@@ -151,3 +151,59 @@ def bar_group_cohomology(group, module, max_deg):
     for n in range(1, max_deg + 1):
         betti.append(dim_c(n) - ranks[n] - ranks[n - 1])
     return betti
+
+
+def is_associative(table):
+    """(ij)k == i(jk) for every triple: the |S|^3 check."""
+    n = range(len(table))
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i in n for j in n for k in n)
+
+
+def is_inverse_monoid(table):
+    """Associative, unital, regular, with commuting idempotents.
+
+    A regular semigroup is inverse iff its idempotents commute, so this
+    tests the definition through regularity (some x with s x s = s), not
+    through uniqueness of inverses.
+    """
+    n = range(len(table))
+    if not is_associative(table):
+        return False
+    if not any(all(table[e][x] == x == table[x][e] for x in n) for e in n):
+        return False
+    if not all(any(table[table[s][x]][s] == s for x in n) for s in n):
+        return False
+    idems = [e for e in n if table[e][e] == e]
+    return all(table[e][f] == table[f][e] for e in idems for f in idems)
+
+
+def _matmul(char, a, b):
+    """Row-by-column product of two square entry lists, reduced mod char."""
+    out = []
+    for row in a:
+        acc = [0] * len(b)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    acc[j] += x * y
+        out.append([v % char for v in acc] if char else acc)
+    return out
+
+
+def is_module(table, unit, char, act, side):
+    """act[unit] is the identity and the action law holds for every (s, t).
+
+    ``act`` holds one square entry list per element; the law is
+    act[st] = act[s] act[t] on the left and act[t] act[s] on the right.
+    """
+    n = range(len(table))
+    dim = len(act[unit])
+    if act[unit] != [[int(i == j) for j in range(dim)] for i in range(dim)]:
+        return False
+    for s in n:
+        for t in n:
+            a, b = (act[s], act[t]) if side == "left" else (act[t], act[s])
+            if _matmul(char, a, b) != act[table[s][t]]:
+                return False
+    return True

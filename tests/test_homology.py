@@ -1,6 +1,7 @@
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invhom.homology import (Block, KSModule, assemble, build_resolution,
                              cohomology, cohomology_complex, homology,
@@ -9,7 +10,7 @@ from invhom.homology import (Block, KSModule, assemble, build_resolution,
 from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
-from oracles import bar_group_cohomology, bar_group_homology
+from oracles import bar_group_cohomology, bar_group_homology, is_module
 
 Q = Field(0)
 F2 = Field(2)
@@ -56,6 +57,55 @@ def test_ks_module_rejects_bad_action():
     bad = [Matrix.identity(Q, 2), Matrix.from_rows(Q, [[1, 0], [1, 0]])]
     with pytest.raises(ValueError, match="not a left module"):
         KSModule(z2, Q, 2, bad, side="left")
+
+
+def _oracle_accepts(module_monoid, field, act, side):
+    return is_module(module_monoid.table, module_monoid.unit, field.char,
+                     [a.data for a in act], side)
+
+
+@pytest.mark.parametrize("side, build", [
+    ("left", lambda m: regular_ks_module(m, Q)),
+    ("right", lambda m: trivial_module_ke(m, Q, side="right")),
+])
+def test_module_corrupted_off_the_generators_is_rejected(side, build):
+    i3 = symmetric_inverse_monoid(3)
+    act = build(i3).act
+    others = [x for x in range(i3.size) if x not in i3.generators]
+    for x in others[::5]:
+        bad = Matrix(Q, act[x].rows, act[x].cols, [r[:] for r in act[x].data])
+        bad.data[0][0] += 1
+        corrupted = act[:x] + [bad] + act[x + 1:]
+        assert not _oracle_accepts(i3, Q, corrupted, side)
+        with pytest.raises(ValueError, match=f"not a {side} module"):
+            KSModule(i3, Q, bad.rows, corrupted, side=side)
+
+
+_SMALL_MONOIDS = [symmetric_inverse_monoid(2), cyclic_group(3),
+                  chain_semilattice(3),
+                  direct_product(chain_semilattice(2), cyclic_group(2))]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_module_check_agrees_with_exhaustive_oracle(data):
+    # act[x] is replaced by act[y]: sometimes still a module, mostly not
+    m = data.draw(st.sampled_from(_SMALL_MONOIDS))
+    field = data.draw(st.sampled_from([Q, F2]))
+    kind = data.draw(st.sampled_from(["left", "right", "regular"]))
+    if kind == "regular":
+        side, act = "left", regular_ks_module(m, field).act
+    else:
+        side, act = kind, trivial_module_ke(m, field, side=kind).act
+    x, y = (data.draw(st.integers(0, m.size - 1)) for _ in range(2))
+    act = act[:x] + [act[y]] + act[x + 1:]
+    try:
+        KSModule(m, field, act[0].rows, act, side=side)
+        accepted = True
+    except ValueError as exc:
+        assert f"not a {side} module" in str(exc)
+        accepted = False
+    assert accepted == _oracle_accepts(m, field, act, side)
 
 
 def test_module_monoid_mismatch():

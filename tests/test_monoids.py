@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from invhom.groupoids import bisections, pair_groupoid
+from invhom.homology import trivial_module_ke
+from invhom.linalg import Field, Matrix
 from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
                             direct_product, from_table, max_group_image,
                             symmetric_inverse_monoid, trivial_monoid)
+from oracles import is_associative, is_inverse_monoid
 
 
 def test_trivial_monoid():
@@ -213,3 +218,115 @@ def test_inverse_involution():
         for s in range(m.size):
             assert m.table[m.table[s][m.inv[s]]][s] == s
             assert m.inv[m.inv[s]] == s
+
+
+def _right_closure(m):
+    """Every left-to-right product of the monoid's generators."""
+    reached = set(m.generators)
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for g in m.generators:
+            y = m.table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
+
+
+def test_generators_generate():
+    z2 = cyclic_group(2)
+    monoids = [symmetric_inverse_monoid(2), symmetric_inverse_monoid(3),
+               symmetric_inverse_monoid(4), cyclic_group(1), cyclic_group(7),
+               cyclic_group(12), chain_semilattice(1), chain_semilattice(5),
+               direct_product(chain_semilattice(2), z2),
+               max_group_image(symmetric_inverse_monoid(3)).group,
+               bisections(pair_groupoid(3))]
+    for m in monoids:
+        assert _right_closure(m) == set(range(m.size)), m
+    assert len(symmetric_inverse_monoid(4).generators) <= 5
+    # a semilattice is generated by nothing less than all of its elements
+    assert chain_semilattice(5).generators == [0, 1, 2, 3, 4]
+
+
+def test_module_check_makes_at_most_s_times_a_products(monkeypatch):
+    i4 = symmetric_inverse_monoid(4)
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    trivial_module_ke(i4, Field(2))
+    assert 0 < len(products) <= i4.size * len(i4.generators)
+
+
+def _verdicts(table):
+    """from_table's verdict next to the exhaustive oracles' verdict."""
+    try:
+        from_table(table)
+        ours = "accepted"
+    except ValueError as exc:
+        ours = "not associative" if "not associative" in str(exc) else "rejected"
+    if not is_associative(table):
+        oracle = "not associative"
+    else:
+        oracle = "accepted" if is_inverse_monoid(table) else "rejected"
+    return ours, oracle
+
+
+def test_light_test_agrees_with_exhaustive_check_up_to_order_3():
+    associative = 0
+    for n in range(1, 4):
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            ours, oracle = _verdicts(table)
+            assert ours == oracle, table
+            associative += oracle != "not associative"
+    # 1 + 8 + 113 associative magmas (semigroup tables) of orders 1, 2, 3
+    assert associative == 122
+
+
+def _relabel(table, perm):
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out
+
+
+# Associative tables of orders 4 and 5: monoids, and semigroups without
+# a unit.
+_SEMIGROUPS = [cyclic_group(4).table, chain_semilattice(4).table,
+               direct_product(chain_semilattice(2), cyclic_group(2)).table,
+               direct_product(cyclic_group(2), cyclic_group(2)).table,
+               direct_product(chain_semilattice(2), chain_semilattice(2)).table,
+               cyclic_group(5).table, chain_semilattice(5).table,
+               [[i] * 4 for i in range(4)], [[0] * 5 for _ in range(5)],
+               [[j] * 5 for j in range(5)]]
+
+
+@st.composite
+def tables_of_order_4_or_5(draw):
+    """A random table, or an associative one relabelled with a few entries
+    changed."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([4, 5]))
+        return draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+    base = draw(st.sampled_from(_SEMIGROUPS))
+    n = len(base)
+    table = _relabel(base, draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(st.integers(0, n - 1))
+    return table
+
+
+@settings(deadline=None, max_examples=300)
+@given(tables_of_order_4_or_5())
+def test_light_test_agrees_with_exhaustive_check_orders_4_and_5(table):
+    ours, oracle = _verdicts(table)
+    assert ours == oracle

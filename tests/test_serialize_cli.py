@@ -304,3 +304,40 @@ def test_cli_json_document_not_an_object_exit_2(tmp_path):
         p = _run_cli(*job, timeout=30)
         _assert_one_error_line(p)
         assert "expected a JSON object" in p.stderr, name
+
+
+def test_cli_loader_field_types_exit_2(tmp_path):
+    table = [0, 1, 1, 0]
+    monoids = [
+        {"size": 2, "table": 5},
+        {"size": "2", "table": table},
+        {"size": True, "table": table},
+        {"size": -1, "table": table},
+        {"size": 2, "table": [0, 1, 1, 0.0]},
+        {"size": 2, "table": [0, 1, 1, False]},
+        {"size": 2, "table": [[0, 1], 5]},
+        {"size": 2, "table": [[0, 1], [1, "0"]]},
+        {"size": 2, "table": table, "names": "ab"},
+        {"size": 2, "table": table, "names": ["a", 2]},
+        {"size": 2, "table": table, "unit": "0"},
+    ]
+    modules = [
+        {"field": "q", "dim": 1, "act": 3},
+        {"field": "q", "dim": "1", "act": [[1], [1]]},
+        {"field": "q", "dim": True, "act": [[1], [1]]},
+        {"field": 5, "dim": 1, "act": [[1], [1]]},
+        {"field": "q", "dim": 1, "act": [[1], 5]},
+        {"field": "q", "dim": 1, "act": [[1], [None]]},
+        {"field": "q", "dim": 1, "act": [[[1]], [1.5]]},
+    ]
+    jobs = []
+    for k, doc in enumerate(monoids):
+        path = tmp_path / f"monoid{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(("homology", "--monoid", f"file:{path}"))
+    for k, doc in enumerate(modules):
+        path = tmp_path / f"module{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(("homology", "--monoid", "z:2", "--module", f"file:{path}"))
+    for job in jobs:
+        _assert_one_error_line(_run_cli(*job, timeout=30))
