@@ -14,7 +14,7 @@ class Algebra:
 
     __slots__ = ("field", "dim", "sc", "unit", "_left_mats", "_right_mats")
 
-    def __init__(self, field, dim, sc, unit, validate=True):
+    def __init__(self, field, dim, sc, unit):
         if len(sc) != dim or any(len(row) != dim for row in sc):
             raise ValueError("structure constants have wrong shape")
         for row in sc:
@@ -29,8 +29,7 @@ class Algebra:
         self.unit = unit
         self._left_mats = None
         self._right_mats = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         F = self.field
@@ -225,6 +224,33 @@ class Bimodule:
         return out
 
 
+def check_over(module, algebra, what):
+    """Refuse a bimodule whose algebra is not this one (same field and product)."""
+    B = module.algebra
+    if B is not algebra and (B.field.char != algebra.field.char
+                             or B.dim != algebra.dim or B.sc != algebra.sc
+                             or B.unit != algebra.unit):
+        raise ValueError(f"bimodule is not over {what}")
+
+
+def product_checks(f, target, basis, image_of_product, sub):
+    """(multiplicative, bimodule map) for a linear map f into target.
+
+    basis lists the source basis in whatever form the caller holds it, with
+    f.col(k) the image of basis[k]; image_of_product(x, y) is f(xy) for x, y
+    in that form.  sub lists (a, f(a)) for generators a of the subalgebra
+    over which f must be a bimodule map.
+    """
+    images = [f.col(k) for k in range(len(basis))]
+    pairs = list(zip(basis, images))
+    mult = all(image_of_product(x, y) == target.mul(fx, fy)
+               for x, fx in pairs for y, fy in pairs)
+    bimod = all(image_of_product(a, x) == target.mul(fa, fx)
+                and image_of_product(x, a) == target.mul(fx, fa)
+                for a, fa in sub for x, fx in pairs)
+    return mult, bimod
+
+
 def regular_bimodule(algebra):
     """The algebra as a bimodule over itself."""
     return Bimodule(
@@ -298,8 +324,7 @@ def _hochschild_cochain_boundary(algebra, module, n):
 
 def _hochschild_dims(algebra, module, top, cap):
     """Dimensions of degrees 0..top, after the bimodule and cap checks."""
-    if module.algebra is not algebra and module.algebra.sc != algebra.sc:
-        raise ValueError("bimodule is not over the given algebra")
+    check_over(module, algebra, "the given algebra")
     if algebra.dim ** top * module.dim > cap:
         raise ValueError("size cap exceeded")
     return [algebra.dim ** n * module.dim for n in range(top + 1)]

@@ -18,8 +18,7 @@ from .crossed import (crossed_product, is_compatible, ks_as_crossed_product,
                       natural_ke_action, phi_map, trivial_action,
                       verify_separable_collapse_cohomology,
                       verify_separable_collapse_homology)
-from .groupoids import (bisections_with_masks, psi_map, steinberg_algebra,
-                        verify_steinberg_cohomology,
+from .groupoids import (steinberg_data, verify_steinberg_cohomology,
                         verify_steinberg_homology)
 from .homology import (build_resolution, cohomology, homology,
                        regular_ks_module, trivial_module_ke,
@@ -27,7 +26,7 @@ from .homology import (build_resolution, cohomology, homology,
 from .linalg import vec_is_zero
 from .serialize import (InputError, action_from_dict, algebra_from_dict,
                         bimodule_from_dict, parse_field, resolve_groupoid,
-                        resolve_monoid, _load_json)
+                        resolve_monoid, _load_json, _string)
 
 
 def _resolve_ks_module(spec, monoid, field):
@@ -38,8 +37,8 @@ def _resolve_ks_module(spec, monoid, field):
     if spec.startswith("file:"):
         from .serialize import ks_module_from_dict
         doc = _load_json(spec[5:])
-        ref = doc.get("monoid_ref", "")
-        if ref and not ref.startswith("file:inline"):
+        ref = doc.get("monoid_ref")
+        if ref and not _string(ref, "monoid_ref").startswith("file:inline"):
             monoid = resolve_monoid(ref)
         return ks_module_from_dict(doc, monoid)
     raise InputError(f"unknown module spec {spec!r}")
@@ -54,8 +53,8 @@ def _resolve_action(spec, field):
         return natural_ke_action(monoid, field)
     if spec.startswith("file:"):
         doc = _load_json(spec[5:])
-        monoid = resolve_monoid(doc["monoid_ref"])
-        aref = doc["algebra_ref"]
+        monoid = resolve_monoid(_string(doc["monoid_ref"], "monoid_ref"))
+        aref = _string(doc["algebra_ref"], "algebra_ref")
         if not aref.startswith("file:"):
             raise InputError("algebra_ref must be a file: reference")
         algebra = algebra_from_dict(_load_json(aref[5:]))
@@ -149,7 +148,7 @@ def _crossed_product_cmd(args):
             sums_ok = False
     doc["sigma_class_sums_vanish"] = sums_ok
     if doc["compatible"]:
-        _, rep = phi_map(action, crossed=cp)
+        _, rep = phi_map(cp)
         doc["phi"] = rep.as_dict()
     _emit(doc, args.format)
     if not sums_ok or (doc["compatible"] and not doc["phi"]["pass"]):
@@ -160,17 +159,13 @@ def _crossed_product_cmd(args):
 def _steinberg_cmd(args):
     field = parse_field(args.field)
     g = resolve_groupoid(args.groupoid)
-    monoid, masks = bisections_with_masks(g)
-    ak = steinberg_algebra(g, field)
-    psi, rep = psi_map(g, field)
-    indicator_ok = True
-    for i, m1 in enumerate(masks):
-        for j, m2 in enumerate(masks):
-            prod = monoid.table[i][j]
-            u = _indicator(field, g.n_arrows, masks[i])
-            v = _indicator(field, g.n_arrows, masks[j])
-            if ak.mul(u, v) != _indicator(field, g.n_arrows, masks[prod]):
-                indicator_ok = False
+    data = steinberg_data(g, field)
+    monoid = data.bisection_monoid
+    ak = data.steinberg_algebra
+    rep = data.psi_report
+    ind = [_indicator(field, g.n_arrows, m) for m in data.masks]
+    indicator_ok = all(ak.mul(ind[i], ind[j]) == ind[monoid.table[i][j]]
+                       for i in range(monoid.size) for j in range(monoid.size))
     doc = {
         "command": "steinberg",
         "groupoid": args.groupoid,
@@ -222,20 +217,19 @@ def _verify_cmd(args):
     field = parse_field(args.field)
     target = args.target
     if target in ("separable-homology", "separable-cohomology"):
-        action = _resolve_action(_required(args, "action"), field)
-        cp = crossed_product(action)
+        cp = crossed_product(_resolve_action(_required(args, "action"), field))
         module = _resolve_bimodule(args.module, cp.algebra)
         fn = (verify_separable_collapse_homology
               if target == "separable-homology"
               else verify_separable_collapse_cohomology)
-        rep = fn(action, module, args.max_degree, crossed=cp)
+        rep = fn(cp, module, args.max_degree)
     elif target in ("steinberg-homology", "steinberg-cohomology"):
-        g = resolve_groupoid(_required(args, "groupoid"))
-        ak = steinberg_algebra(g, field)
-        module = _resolve_bimodule(args.module, ak)
+        data = steinberg_data(resolve_groupoid(_required(args, "groupoid")),
+                              field)
+        module = _resolve_bimodule(args.module, data.steinberg_algebra)
         fn = (verify_steinberg_homology if target == "steinberg-homology"
               else verify_steinberg_cohomology)
-        rep = fn(g, module, args.max_degree, field=field)
+        rep = fn(data, module, args.max_degree)
     elif target == "ks-crossed-product":
         monoid = resolve_monoid(_required(args, "monoid"))
         rep = ks_as_crossed_product(monoid, field)

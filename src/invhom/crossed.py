@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import (Algebra, Bimodule, hochschild_cohomology,
-                       hochschild_homology, is_separable, semigroup_algebra)
+from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
+                       hochschild_homology, is_separable, product_checks,
+                       semigroup_algebra)
 from .homology import KSModule, cohomology, homology
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
                      kernel_basis, mat_rank, quotient_space, vec_add,
@@ -164,44 +165,54 @@ def is_compatible(action):
     return True
 
 
-class CrossedProduct:
-    """L(A,theta,S) / N with its induced algebra structure.
+class IdealBlocks:
+    """The direct sum of the ideals e_s A, one block per index s.
 
-    labels[k] = (s, j): the k-th coordinate of L is the j-th basis vector
-    of the ideal 1_s A placed in the delta_s slot.
+    labels[k] = (s, j): the k-th coordinate is the j-th basis vector of the
+    ideal e_s A placed in the delta_s slot.
     """
 
-    __slots__ = ("action", "labels", "ideal_spans", "block_offset", "n_space",
-                 "algebra", "embed_A", "gamma")
+    __slots__ = ("labels", "ideal_spans", "block_offset")
 
-    def __init__(self, action, labels, ideal_spans, block_offset, n_space,
-                 algebra, embed_A, gamma):
+    def __init__(self, algebra, idempotents):
+        self.labels = []
+        self.ideal_spans = []
+        self.block_offset = []
+        for s, e in enumerate(idempotents):
+            span = ColumnSpan(image_basis(algebra.left_mult_matrix(e)))
+            self.ideal_spans.append(span)
+            self.block_offset.append(len(self.labels))
+            self.labels.extend((s, j) for j in range(span.dim))
+
+    def place(self, s, a_vec):
+        """The element a delta_s in block coordinates (a must lie in e_s A)."""
+        span = self.ideal_spans[s]
+        out = [span.basis.field.zero] * len(self.labels)
+        off = self.block_offset[s]
+        for i, c in enumerate(span.coords(a_vec)):
+            out[off + i] = c
+        return out
+
+
+class CrossedProduct(IdealBlocks):
+    """L(A,theta,S) / N with its induced algebra structure.
+
+    L has one block 1_s A per s; crossed_product fills in the rest.
+    """
+
+    __slots__ = ("action", "n_space", "algebra", "embed_A", "gamma")
+
+    def __init__(self, action):
+        super().__init__(action.algebra, action.one)
         self.action = action
-        self.labels = labels
-        self.ideal_spans = ideal_spans
-        self.block_offset = block_offset
-        self.n_space = n_space
-        self.algebra = algebra
-        self.embed_A = embed_A
-        self.gamma = gamma
+        self.n_space = None
+        self.algebra = None
+        self.embed_A = None
+        self.gamma = None
 
     @property
     def l_dim(self):
         return len(self.labels)
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    def l_vector(self, s, a_vec):
-        """The element a delta_s of L, in L-coordinates (a must lie in 1_s A)."""
-        F = self.action.algebra.field
-        out = [F.zero] * self.l_dim
-        coords = self.ideal_spans[s].coords(a_vec)
-        off = self.block_offset[s]
-        for i, c in enumerate(coords):
-            out[off + i] = c
-        return out
 
     def l_mult(self, u, v):
         """Multiplication of L in L-coordinates: a d_s * b d_t = a th_s(1 b) d_st."""
@@ -251,49 +262,35 @@ class CrossedProduct:
         return sums
 
 
-def crossed_product(action, validate=True):
-    """Build A x_theta S: L, the relation span N, and the quotient algebra."""
-    if validate:
-        rep = validate_action(action)
-        if not rep.ok:
-            raise ValueError(
-                "action invalid: " + "; ".join(n for n, _ in rep.failures()))
+def crossed_product(action):
+    """Validate the action, then build A x_theta S: L, the relation span N,
+    and the quotient algebra."""
+    failures = validate_action(action).failures()
+    if failures:
+        raise ValueError(
+            "action invalid: " + "; ".join(n for n, _ in failures))
     S = action.monoid
     A = action.algebra
     F = A.field
-
-    ideal_spans = []
-    block_offset = []
-    labels = []
-    off = 0
-    for s in range(S.size):
-        basis = image_basis(A.left_mult_matrix(action.one[s]))
-        span = ColumnSpan(basis)
-        ideal_spans.append(span)
-        block_offset.append(off)
-        for j in range(span.dim):
-            labels.append((s, j))
-        off += span.dim
-
-    cp = CrossedProduct(action, labels, ideal_spans, block_offset,
-                        None, None, None, None)
+    cp = CrossedProduct(action)
+    l_dim = cp.l_dim
 
     gens = []
     for s in range(S.size):
         for t in range(S.size):
             if s != t and S.natural_leq(s, t):
-                for j in range(ideal_spans[s].dim):
-                    a_vec = ideal_spans[s].basis.col(j)
-                    g = vec_sub(F, cp.l_vector(s, a_vec), cp.l_vector(t, a_vec))
-                    gens.append(g)
-    n_span = Matrix.from_cols(F, len(labels), gens)
-    cp.n_space = quotient_space(F, len(labels), n_span)
+                for j in range(cp.ideal_spans[s].dim):
+                    a_vec = cp.ideal_spans[s].basis.col(j)
+                    gens.append(vec_sub(F, cp.place(s, a_vec),
+                                        cp.place(t, a_vec)))
+    n_span = Matrix.from_cols(F, l_dim, gens)
+    cp.n_space = quotient_space(F, l_dim, n_span)
 
     # The generator span must already be a two-sided ideal; re-check it on
     # basis elements so a bad input cannot silently corrupt the quotient.
     basis_elts = []
-    for k in range(len(labels)):
-        e = [F.zero] * len(labels)
+    for k in range(l_dim):
+        e = [F.zero] * l_dim
         e[k] = F.one
         basis_elts.append(e)
     for g in gens:
@@ -312,10 +309,10 @@ def crossed_product(action, validate=True):
             prod = cp.l_mult(q.section.col(i), q.section.col(j))
             row.append(q.projection.apply(prod))
         sc.append(row)
-    unit_q = q.projection.apply(cp.l_vector(S.unit, list(A.unit)))
+    unit_q = q.projection.apply(cp.place(S.unit, list(A.unit)))
     cp.algebra = Algebra(F, dim_q, sc, unit_q)
 
-    embed_cols = [q.projection.apply(cp.l_vector(S.unit, A.basis_vec(i)))
+    embed_cols = [q.projection.apply(cp.place(S.unit, A.basis_vec(i)))
                   for i in range(A.dim)]
     cp.embed_A = Matrix.from_cols(F, dim_q, embed_cols)
     if mat_rank(cp.embed_A) != A.dim:
@@ -328,7 +325,7 @@ def crossed_product(action, validate=True):
                 raise ValueError(
                     "induced multiplication ill-defined: embedding not multiplicative")
 
-    cp.gamma = [q.projection.apply(cp.l_vector(s, action.one[s]))
+    cp.gamma = [q.projection.apply(cp.place(s, action.one[s]))
                 for s in range(S.size)]
     for s in range(S.size):
         for t in range(S.size):
@@ -343,13 +340,12 @@ class PartialGroupAction:
 
     __slots__ = ("group", "algebra", "domains", "maps")
 
-    def __init__(self, group, algebra, domains, maps, validate=True):
+    def __init__(self, group, algebra, domains, maps):
         self.group = group
         self.algebra = algebra
         self.domains = domains
         self.maps = maps
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         G = self.group
@@ -433,29 +429,16 @@ def induced_partial_action(action):
     return PartialGroupAction(G, A, domains, maps)
 
 
-class SkewGroupAlgebra:
-    """The skew group algebra of a partial action, with its block layout."""
+class SkewGroupAlgebra(IdealBlocks):
+    """The skew group algebra of a partial action: one block D_g per g."""
 
-    __slots__ = ("partial", "algebra", "labels", "block_offset", "spans",
-                 "embed_A")
+    __slots__ = ("partial", "algebra", "embed_A")
 
-    def __init__(self, partial, algebra, labels, block_offset, spans, embed_A):
+    def __init__(self, partial):
+        super().__init__(partial.algebra, partial.domains)
         self.partial = partial
-        self.algebra = algebra
-        self.labels = labels
-        self.block_offset = block_offset
-        self.spans = spans
-        self.embed_A = embed_A
-
-    def element(self, g, a_vec):
-        """a delta_g in skew coordinates (a must lie in D_g)."""
-        F = self.partial.algebra.field
-        out = [F.zero] * self.algebra.dim
-        coords = self.spans[g].coords(a_vec)
-        off = self.block_offset[g]
-        for i, c in enumerate(coords):
-            out[off + i] = c
-        return out
+        self.algebra = None
+        self.embed_A = None
 
 
 def skew_group_algebra(partial):
@@ -463,82 +446,47 @@ def skew_group_algebra(partial):
     G = partial.group
     A = partial.algebra
     F = A.field
-    spans = []
-    block_offset = []
-    labels = []
-    off = 0
-    for g in range(G.size):
-        basis = image_basis(A.left_mult_matrix(partial.domains[g]))
-        span = ColumnSpan(basis)
-        spans.append(span)
-        block_offset.append(off)
-        for j in range(span.dim):
-            labels.append((g, j))
-        off += span.dim
-    dim = off
+    skew = SkewGroupAlgebra(partial)
+    dim = len(skew.labels)
 
-    def mul_block(g, a_vec, h, b_vec):
+    def product(k1, k2):
         # a d_g * b d_h = theta_g(theta_g^-1(a) b) d_gh
+        g, j1 = skew.labels[k1]
+        h, j2 = skew.labels[k2]
+        a_vec = skew.ideal_spans[g].basis.col(j1)
+        b_vec = skew.ideal_spans[h].basis.col(j2)
         inner = A.mul(partial.maps[G.inv[g]].apply(a_vec), b_vec)
-        w = partial.maps[g].apply(inner)
-        gh = G.table[g][h]
-        coords = spans[gh].coords(w)
-        out = [F.zero] * dim
-        o = block_offset[gh]
-        for i, c in enumerate(coords):
-            out[o + i] = c
-        return out
+        return skew.place(G.table[g][h], partial.maps[g].apply(inner))
 
-    sc = []
-    for k1 in range(dim):
-        g, j1 = labels[k1]
-        a_vec = spans[g].basis.col(j1)
-        row = []
-        for k2 in range(dim):
-            h, j2 = labels[k2]
-            b_vec = spans[h].basis.col(j2)
-            row.append(mul_block(g, a_vec, h, b_vec))
-        sc.append(row)
-    unit = [F.zero] * dim
-    coords = spans[G.unit].coords(list(A.unit))
-    for i, c in enumerate(coords):
-        unit[block_offset[G.unit] + i] = c
+    sc = [[product(k1, k2) for k2 in range(dim)] for k1 in range(dim)]
     try:
-        algebra = Algebra(F, dim, sc, unit)
+        skew.algebra = Algebra(F, dim, sc, skew.place(G.unit, list(A.unit)))
     except ValueError as exc:
         raise ValueError(f"not associative: {exc}") from exc
-    embed_cols = []
-    for i in range(A.dim):
-        out = [F.zero] * dim
-        cs = spans[G.unit].coords(A.basis_vec(i))
-        for k, c in enumerate(cs):
-            out[block_offset[G.unit] + k] = c
-        embed_cols.append(out)
-    embed_A = Matrix.from_cols(F, dim, embed_cols)
-    return SkewGroupAlgebra(partial, algebra, labels, block_offset, spans,
-                            embed_A)
+    skew.embed_A = Matrix.from_cols(
+        F, dim, [skew.place(G.unit, A.basis_vec(i)) for i in range(A.dim)])
+    return skew
 
 
-def phi_map(action, crossed=None, skew=None):
+def phi_map(crossed):
     """Phi: A x_theta S -> A x_induced G(S), a delta_s + N -> a delta_[s].
 
     Returns (matrix, report); the report records surjectivity, the algebra
     homomorphism property, the A-bimodule property, and bijectivity.
     """
+    action = crossed.action
     if not is_compatible(action):
         raise ValueError("not compatible")
-    if crossed is None:
-        crossed = crossed_product(action)
-    if skew is None:
-        skew = skew_group_algebra(induced_partial_action(action))
+    skew = skew_group_algebra(induced_partial_action(action))
     S = action.monoid
-    F = action.algebra.field
+    A = action.algebra
+    F = A.field
     proj = S.sigma_class_index()
 
     phi_l_cols = []
     for s, j in crossed.labels:
         a_vec = crossed.ideal_spans[s].basis.col(j)
-        phi_l_cols.append(skew.element(proj[s], a_vec))
+        phi_l_cols.append(skew.place(proj[s], a_vec))
     phi_l = Matrix.from_cols(F, skew.algebra.dim, phi_l_cols)
 
     rep = Report("phi: crossed product -> skew group algebra")
@@ -548,34 +496,19 @@ def phi_map(action, crossed=None, skew=None):
     rep.data["dim_crossed"] = crossed.algebra.dim
     rep.data["dim_skew"] = skew.algebra.dim
 
-    hom_ok = phi.apply(crossed.algebra.unit) == skew.algebra.unit
-    for i in range(crossed.algebra.dim):
-        for j in range(crossed.algebra.dim):
-            lhs = phi.apply(crossed.algebra.mul(crossed.algebra.basis_vec(i),
-                                                crossed.algebra.basis_vec(j)))
-            rhs = skew.algebra.mul(phi.col(i), phi.col(j))
-            if lhs != rhs:
-                hom_ok = False
-    rep.check("phi is an algebra homomorphism", hom_ok)
+    Q = crossed.algebra
+    mult, bimod = product_checks(
+        phi, skew.algebra, [Q.basis_vec(i) for i in range(Q.dim)],
+        lambda x, y: phi.apply(Q.mul(x, y)),
+        [(crossed.embed_A.col(i), skew.embed_A.col(i)) for i in range(A.dim)])
+    rep.check("phi is an algebra homomorphism",
+              phi.apply(Q.unit) == skew.algebra.unit and mult)
     rank = mat_rank(phi)
     rep.check("phi surjective", rank == skew.algebra.dim)
-    bimod_ok = True
-    A = action.algebra
-    for i in range(A.dim):
-        a_cross = crossed.embed_A.col(i)
-        a_skew = skew.embed_A.col(i)
-        for j in range(crossed.algebra.dim):
-            x = crossed.algebra.basis_vec(j)
-            if phi.apply(crossed.algebra.mul(a_cross, x)) != \
-                    skew.algebra.mul(a_skew, phi.col(j)):
-                bimod_ok = False
-            if phi.apply(crossed.algebra.mul(x, a_cross)) != \
-                    skew.algebra.mul(phi.col(j), a_skew):
-                bimod_ok = False
-    rep.check("phi is an A-bimodule map", bimod_ok)
-    bijective = rank == crossed.algebra.dim == skew.algebra.dim
+    rep.check("phi is an A-bimodule map", bimod)
+    bijective = rank == Q.dim == skew.algebra.dim
     rep.data["bijective"] = bijective
-    if action.monoid.is_e_unitary():
+    if S.is_e_unitary():
         rep.check("phi bijective (S is E-unitary)", bijective)
     return phi, rep
 
@@ -634,42 +567,32 @@ def ks_as_crossed_product(monoid, field):
     rep = Report("KS as crossed product over G(S)")
     rep.data["dim_KS"] = S.size
     rep.data["dim_skew"] = skew.algebra.dim
-    rep.data["domain_dims"] = [skew.spans[g].dim for g in range(G.size)]
+    rep.data["domain_dims"] = [skew.ideal_spans[g].dim for g in range(G.size)]
 
     phi_cols = []
     for s in range(S.size):
         r = S.rng(s)
         v = [F.zero] * len(idems)
         v[pos[r]] = F.one
-        phi_cols.append(skew.element(proj[s], v))
+        phi_cols.append(skew.place(proj[s], v))
     phi = Matrix.from_cols(F, skew.algebra.dim, phi_cols)
 
     rep.check("phi bijective",
               S.size == skew.algebra.dim and mat_rank(phi) == S.size)
-    hom_ok = True
-    for s in range(S.size):
-        for t in range(S.size):
-            lhs = phi.col(S.table[s][t])
-            rhs = skew.algebra.mul(phi.col(s), phi.col(t))
-            if lhs != rhs:
-                hom_ok = False
-    rep.check("phi is an algebra homomorphism", hom_ok)
+    # KS is held as its Cayley table: phi(st) is the column of S.table[s][t].
+    mult, bimod = product_checks(
+        phi, skew.algebra, range(S.size),
+        lambda s, t: phi.col(S.table[s][t]),
+        [(e, skew.embed_A.col(pos[e])) for e in idems])
+    rep.check("phi is an algebra homomorphism", mult)
     rep.check("phi(1) = 1", phi.col(S.unit) == skew.algebra.unit)
-    bimod_ok = True
-    for e in idems:
-        e_skew = skew.embed_A.col(pos[e])
-        for s in range(S.size):
-            if phi.col(S.table[e][s]) != skew.algebra.mul(e_skew, phi.col(s)):
-                bimod_ok = False
-            if phi.col(S.table[s][e]) != skew.algebra.mul(phi.col(s), e_skew):
-                bimod_ok = False
-    rep.check("phi is a KE(S)-bimodule map", bimod_ok)
+    rep.check("phi is a KE(S)-bimodule map", bimod)
     return rep
 
 
 def module_as_ks(bimodule, crossed):
     """The left KS-module s.x = (1_s d_s) x (1_s^-1 d_s^-1) on a bimodule."""
-    _check_bimodule(bimodule, crossed)
+    check_over(bimodule, crossed.algebra, "this crossed product")
     S = crossed.action.monoid
     F = crossed.action.algebra.field
     act = []
@@ -681,15 +604,6 @@ def module_as_ks(bimodule, crossed):
         return KSModule(S, F, bimodule.dim, act, side="left")
     except ValueError as exc:
         raise ValueError(f"bimodule axioms fail: {exc}") from exc
-
-
-def _check_bimodule(bimodule, crossed):
-    B = bimodule.algebra
-    Q = crossed.algebra
-    if B is Q:
-        return
-    if B.dim != Q.dim or B.sc != Q.sc or B.unit != Q.unit:
-        raise ValueError("bimodule is not over this crossed product")
 
 
 def coinvariants(bimodule, crossed):
@@ -740,41 +654,33 @@ def invariants_sub(bimodule, crossed):
     return KSModule(S, F, basis.cols, act, side="left")
 
 
-def verify_separable_collapse_homology(action, bimodule, max_deg,
-                                       crossed=None):
-    """H_n(S, M/[A,M]) vs Hochschild H_n(A x S, M), degreewise."""
-    if not is_separable(action.algebra):
-        raise ValueError("A not separable")
-    if crossed is None:
-        crossed = crossed_product(action)
-    _check_bimodule(bimodule, crossed)
-    rep = Report("separable collapse (homology)")
-    _, co = coinvariants(bimodule, crossed)
-    lhs = homology(action.monoid, co, max_deg)
-    rhs = hochschild_homology(crossed.algebra, bimodule, max_deg)
+def record_sides(rep, symbol, lhs, rhs):
+    """Record both Betti lists and one check per degree that they agree."""
     rep.data["monoid_side"] = lhs
     rep.data["hochschild_side"] = rhs
-    for n in range(max_deg + 1):
-        rep.check(f"H_{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    for n, (a, b) in enumerate(zip(lhs, rhs)):
+        rep.check(f"{symbol}{n} agree", a == b, f"{a} vs {b}")
+
+
+def verify_separable_collapse_homology(crossed, bimodule, max_deg):
+    """H_n(S, M/[A,M]) vs Hochschild H_n(A x S, M), degreewise."""
+    if not is_separable(crossed.action.algebra):
+        raise ValueError("A not separable")
+    rep = Report("separable collapse (homology)")
+    _, co = coinvariants(bimodule, crossed)
+    record_sides(rep, "H_", homology(crossed.action.monoid, co, max_deg),
+                 hochschild_homology(crossed.algebra, bimodule, max_deg))
     return rep
 
 
-def verify_separable_collapse_cohomology(action, bimodule, max_deg,
-                                         crossed=None):
+def verify_separable_collapse_cohomology(crossed, bimodule, max_deg):
     """H^n(S, M^A) vs Hochschild H^n(A x S, M), degreewise."""
-    if not is_separable(action.algebra):
+    if not is_separable(crossed.action.algebra):
         raise ValueError("A not separable")
-    if crossed is None:
-        crossed = crossed_product(action)
-    _check_bimodule(bimodule, crossed)
     rep = Report("separable collapse (cohomology)")
     inv = invariants_sub(bimodule, crossed)
-    lhs = cohomology(action.monoid, inv, max_deg)
-    rhs = hochschild_cohomology(crossed.algebra, bimodule, max_deg)
-    rep.data["monoid_side"] = lhs
-    rep.data["hochschild_side"] = rhs
-    for n in range(max_deg + 1):
-        rep.check(f"H^{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg),
+                 hochschild_cohomology(crossed.algebra, bimodule, max_deg))
     return rep
 
 

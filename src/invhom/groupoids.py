@@ -9,11 +9,11 @@ algebra is spanned by all point masses on arrows.
 
 from __future__ import annotations
 
-from .algebras import (Algebra, Bimodule, diagonal_algebra,
+from .algebras import (Algebra, Bimodule, check_over, diagonal_algebra,
                        hochschild_cohomology, hochschild_homology,
-                       is_separable)
+                       is_separable, product_checks)
 from .crossed import (UnitalAction, coinvariants, crossed_product,
-                      invariants_sub, validate_action)
+                      invariants_sub, record_sides)
 from .homology import cohomology, homology
 from .linalg import Matrix, mat_rank
 from .monoids import check_size, from_table
@@ -197,14 +197,12 @@ def functions_algebra(g, field):
     return diagonal_algebra(field, g.n_objects)
 
 
-def induced_action_hat(g, field, cap=BISECTION_ARROW_CAP):
-    """The action of the bisection monoid on K^objects.
+def induced_action_hat(g, field, monoid, masks):
+    """The action of the bisection monoid (with its arrow masks) on K^objects.
 
     1_U is the indicator of r(U) and T_U moves the coordinate at src of
-    each arrow of U to its range.
+    each arrow of U to its range.  crossed_product validates it.
     """
-    monoid, masks = bisections_with_masks(g, cap)
-    lx = functions_algebra(g, field)
     F = field
     one = []
     theta = []
@@ -217,13 +215,7 @@ def induced_action_hat(g, field, cap=BISECTION_ARROW_CAP):
             t.data[g.rng[a]][g.src[a]] = F.one
         one.append(v)
         theta.append(t)
-    action = UnitalAction(monoid, lx, one, theta)
-    rep = validate_action(action)
-    if not rep.ok:
-        raise ValueError(
-            "induced action failed validation: "
-            + "; ".join(n for n, _ in rep.failures()))
-    return action
+    return UnitalAction(monoid, functions_algebra(g, field), one, theta)
 
 
 def steinberg_algebra(g, field):
@@ -254,19 +246,15 @@ def lx_embedding(g, field):
     return m
 
 
-def psi_map(g, field, crossed=None, cap=BISECTION_ARROW_CAP):
+def psi_map(g, masks, crossed, ak):
     """Psi: L(X) x S^a(G) -> A_K(G), class of phi d_U -> phi Delta_U.
 
-    Returns (matrix, report); the report checks bijectivity,
-    multiplicativity on the quotient basis, and the L(X)-bimodule property.
+    masks[s] is the arrow mask of bisection s of crossed's monoid, and ak
+    the convolution algebra.  Returns (matrix, report); the report checks
+    bijectivity, multiplicativity on the quotient basis, and the
+    L(X)-bimodule property.
     """
-    action = induced_action_hat(g, field, cap)
-    _, masks = bisections_with_masks(g, cap)
-    if crossed is None:
-        crossed = crossed_product(action, validate=False)
-    ak = steinberg_algebra(g, field)
-    F = field
-
+    F = ak.field
     cols = []
     for s, j in crossed.labels:
         phi = crossed.ideal_spans[s].basis.col(j)
@@ -278,83 +266,59 @@ def psi_map(g, field, crossed=None, cap=BISECTION_ARROW_CAP):
         cols.append(vec)
     psi_l = Matrix.from_cols(F, g.n_arrows, cols)
 
+    Q = crossed.algebra
     rep = Report("psi: crossed product -> convolution algebra")
-    rep.data["dim_crossed"] = crossed.algebra.dim
+    rep.data["dim_crossed"] = Q.dim
     rep.data["dim_steinberg"] = ak.dim
-    if crossed.algebra.dim != ak.dim:
+    if Q.dim != ak.dim:
         raise ValueError(
-            f"dimension mismatch: crossed product {crossed.algebra.dim}, "
+            f"dimension mismatch: crossed product {Q.dim}, "
             f"convolution algebra {ak.dim}")
     rep.check("psi kills the relation subspace",
               (psi_l @ crossed.n_space.subspace_basis).is_zero())
     psi = psi_l @ crossed.n_space.section
     rep.check("psi bijective", mat_rank(psi) == ak.dim)
-    rep.check("psi(1) = 1", psi.apply(crossed.algebra.unit) == list(ak.unit))
-    mult_ok = True
-    for i in range(crossed.algebra.dim):
-        for j in range(crossed.algebra.dim):
-            lhs = psi.apply(crossed.algebra.mul(
-                crossed.algebra.basis_vec(i), crossed.algebra.basis_vec(j)))
-            if lhs != ak.mul(psi.col(i), psi.col(j)):
-                mult_ok = False
-    rep.check("psi multiplicative", mult_ok)
-    emb = lx_embedding(g, field)
-    bimod_ok = True
-    for x in range(g.n_objects):
-        f_cross = crossed.embed_A.col(x)
-        f_ak = emb.col(x)
-        for i in range(crossed.algebra.dim):
-            b = crossed.algebra.basis_vec(i)
-            if psi.apply(crossed.algebra.mul(f_cross, b)) != \
-                    ak.mul(f_ak, psi.col(i)):
-                bimod_ok = False
-            if psi.apply(crossed.algebra.mul(b, f_cross)) != \
-                    ak.mul(psi.col(i), f_ak):
-                bimod_ok = False
-    rep.check("psi is an L(X)-bimodule map", bimod_ok)
+    rep.check("psi(1) = 1", psi.apply(Q.unit) == list(ak.unit))
+    emb = lx_embedding(g, F)
+    mult, bimod = product_checks(
+        psi, ak, [Q.basis_vec(i) for i in range(Q.dim)],
+        lambda x, y: psi.apply(Q.mul(x, y)),
+        [(crossed.embed_A.col(x), emb.col(x)) for x in range(g.n_objects)])
+    rep.check("psi multiplicative", mult)
+    rep.check("psi is an L(X)-bimodule map", bimod)
     return psi, rep
 
 
 class SteinbergData:
-    """Everything attached to one finite groupoid, bundled.
+    """Everything attached to one finite groupoid, built once.
 
-    Holds the bisection monoid with its arrow masks, the function algebra
-    on the unit space, the validated action on it, the convolution
-    algebra, the crossed product, and the isomorphism between them.
+    Holds the bisection monoid with its arrow masks, the crossed product of
+    its action on the function algebra L(X) (which carries that action),
+    the convolution algebra A_K(G), and psi with its report.
     """
 
-    __slots__ = ("groupoid", "bisection_monoid", "masks", "lx", "action_hat",
-                 "steinberg_algebra", "crossed", "psi", "psi_report")
+    __slots__ = ("groupoid", "bisection_monoid", "masks", "crossed",
+                 "steinberg_algebra", "psi", "psi_report")
 
-    def __init__(self, groupoid, bisection_monoid, masks, lx, action_hat,
-                 steinberg, crossed, psi, psi_report):
+    def __init__(self, groupoid, bisection_monoid, masks, crossed, steinberg,
+                 psi, psi_report):
         self.groupoid = groupoid
         self.bisection_monoid = bisection_monoid
         self.masks = masks
-        self.lx = lx
-        self.action_hat = action_hat
-        self.steinberg_algebra = steinberg
         self.crossed = crossed
+        self.steinberg_algebra = steinberg
         self.psi = psi
         self.psi_report = psi_report
 
 
 def steinberg_data(g, field, cap=BISECTION_ARROW_CAP):
-    """Build the full bundle for a groupoid (validating everything)."""
+    """Build the bundle: bisections, the validated action and its crossed
+    product, A_K(G), and psi.  A failed psi check is left in psi_report."""
     monoid, masks = bisections_with_masks(g, cap)
-    action = induced_action_hat(g, field, cap)
-    crossed = crossed_product(action, validate=False)
-    psi, rep = psi_map(g, field, crossed=crossed, cap=cap)
-    if not rep.ok:
-        raise ValueError("psi failed verification: "
-                         + "; ".join(n for n, _ in rep.failures()))
-    return SteinbergData(g, monoid, masks, action.algebra, action,
-                         steinberg_algebra(g, field), crossed, psi, rep)
-
-
-def _check_steinberg_bimodule(module, ak):
-    if module.algebra.dim != ak.dim or module.algebra.sc != ak.sc:
-        raise ValueError("bimodule is not over the convolution algebra")
+    crossed = crossed_product(induced_action_hat(g, field, monoid, masks))
+    ak = steinberg_algebra(g, field)
+    psi, rep = psi_map(g, masks, crossed, ak)
+    return SteinbergData(g, monoid, masks, crossed, ak, psi, rep)
 
 
 def _transport_bimodule(module, crossed, psi):
@@ -368,48 +332,35 @@ def _transport_bimodule(module, crossed, psi):
     return Bimodule(crossed.algebra, module.dim, left, right)
 
 
-def verify_steinberg_homology(g, module, max_deg, field=None,
-                              cap=BISECTION_ARROW_CAP):
+def verify_steinberg_homology(data, module, max_deg):
     """Hochschild homology of A_K(G) vs monoid homology of coinvariants."""
-    field = field or module.algebra.field
-    ak = steinberg_algebra(g, field)
-    _check_steinberg_bimodule(module, ak)
-    action = induced_action_hat(g, field, cap)
-    crossed = crossed_product(action, validate=False)
-    psi, psi_rep = psi_map(g, field, crossed=crossed, cap=cap)
+    ak = data.steinberg_algebra
+    check_over(module, ak, "the convolution algebra")
     rep = Report("Steinberg homology collapse")
-    rep.check("psi isomorphism", psi_rep.ok)
-    transported = _transport_bimodule(module, crossed, psi)
-    _, co = coinvariants(transported, crossed)
+    rep.check("psi isomorphism", data.psi_report.ok)
+    transported = _transport_bimodule(module, data.crossed, data.psi)
+    _, co = coinvariants(transported, data.crossed)
     rep.data["coinvariants_dim"] = co.dim
-    lhs = homology(action.monoid, co, max_deg)
-    rhs = hochschild_homology(ak, module, max_deg)
-    rep.data["monoid_side"] = lhs
-    rep.data["hochschild_side"] = rhs
-    for n in range(max_deg + 1):
-        rep.check(f"H_{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    record_sides(rep, "H_", homology(data.bisection_monoid, co, max_deg),
+                 hochschild_homology(ak, module, max_deg))
     return rep
 
 
-def verify_steinberg_cohomology(g, module, max_deg, field=None,
-                                cap=BISECTION_ARROW_CAP):
+def verify_steinberg_cohomology(data, module, max_deg):
     """Cohomology mirror; also reports vanishing of H^q(L(X), M) for q >= 1.
 
     The function algebra on a finite unit space is separable, which is what
     lets the verifier compare the q = 0 row against the full cohomology.
     """
-    field = field or module.algebra.field
-    ak = steinberg_algebra(g, field)
-    _check_steinberg_bimodule(module, ak)
-    action = induced_action_hat(g, field, cap)
-    crossed = crossed_product(action, validate=False)
-    psi, psi_rep = psi_map(g, field, crossed=crossed, cap=cap)
+    ak = data.steinberg_algebra
+    check_over(module, ak, "the convolution algebra")
+    g = data.groupoid
+    lx = data.crossed.action.algebra
     rep = Report("Steinberg cohomology collapse")
-    rep.check("psi isomorphism", psi_rep.ok)
-    rep.check("L(X) separable", is_separable(action.algebra))
+    rep.check("psi isomorphism", data.psi_report.ok)
+    rep.check("L(X) separable", is_separable(lx))
     # H^q(L(X), M) for the restriction of M to an L(X)-bimodule.
-    emb = lx_embedding(g, field)
-    lx = action.algebra
+    emb = lx_embedding(g, ak.field)
     lx_mod = Bimodule(
         lx, module.dim,
         [module.left_action(emb.col(x)) for x in range(g.n_objects)],
@@ -418,13 +369,9 @@ def verify_steinberg_cohomology(g, module, max_deg, field=None,
     rep.data["lx_cohomology"] = lx_cohom
     for q in range(1, max_deg + 1):
         rep.check(f"H^{q}(L(X), M) = 0", lx_cohom[q] == 0, str(lx_cohom[q]))
-    transported = _transport_bimodule(module, crossed, psi)
-    inv = invariants_sub(transported, crossed)
+    transported = _transport_bimodule(module, data.crossed, data.psi)
+    inv = invariants_sub(transported, data.crossed)
     rep.data["invariants_dim"] = inv.dim
-    lhs = cohomology(action.monoid, inv, max_deg)
-    rhs = hochschild_cohomology(ak, module, max_deg)
-    rep.data["monoid_side"] = lhs
-    rep.data["hochschild_side"] = rhs
-    for n in range(max_deg + 1):
-        rep.check(f"H^{n} agree", lhs[n] == rhs[n], f"{lhs[n]} vs {rhs[n]}")
+    record_sides(rep, "H^", cohomology(data.bisection_monoid, inv, max_deg),
+                 hochschild_cohomology(ak, module, max_deg))
     return rep

@@ -62,6 +62,21 @@ def _list(value, what):
     return value
 
 
+def _string(value, what):
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r:.40}")
+    return value
+
+
+def _indices(seq, bound, what):
+    """seq, which must be a list of integers in range(bound)."""
+    for v in _list(seq, what):
+        if not (_is_int(v) and 0 <= v < bound):
+            raise InputError(f"{what} entries must be integers in "
+                             f"0..{bound - 1}, got {v!r:.40}")
+    return seq
+
+
 def _scalars_in(field, seq):
     for v in _list(seq, "a scalar vector"):
         if not (_is_int(v) or isinstance(v, str)):
@@ -154,8 +169,8 @@ def algebra_to_dict(a):
 
 def algebra_from_dict(doc):
     field = parse_field(doc["field"])
-    d = doc["dim"]
-    flat = doc["sc"]
+    d = _count(doc, "dim")
+    flat = _list(doc["sc"], "sc")
     if len(flat) != d ** 3:
         raise ValueError(f"structure constants have {len(flat)} entries, expected {d ** 3}")
     sc = []
@@ -180,8 +195,9 @@ def action_to_dict(action, monoid_ref="file:inline", algebra_ref="file:inline"):
 
 def action_from_dict(doc, monoid, algebra):
     F = algebra.field
-    one = [_scalars_in(F, v) for v in doc["one"]]
-    theta = [_matrix_in(F, algebra.dim, algebra.dim, m) for m in doc["theta"]]
+    one = [_scalars_in(F, v) for v in _list(doc["one"], "one")]
+    theta = [_matrix_in(F, algebra.dim, algebra.dim, m)
+             for m in _list(doc["theta"], "theta")]
     return UnitalAction(monoid, algebra, one, theta)
 
 
@@ -196,9 +212,9 @@ def bimodule_to_dict(module, algebra_ref="file:inline"):
 
 def bimodule_from_dict(doc, algebra):
     F = algebra.field
-    d = doc["dim"]
-    left = [_matrix_in(F, d, d, m) for m in doc["left"]]
-    right = [_matrix_in(F, d, d, m) for m in doc["right"]]
+    d = _count(doc, "dim")
+    left = [_matrix_in(F, d, d, m) for m in _list(doc["left"], "left")]
+    right = [_matrix_in(F, d, d, m) for m in _list(doc["right"], "right")]
     return Bimodule(algebra, d, left, right)
 
 
@@ -219,16 +235,25 @@ def groupoid_to_dict(g):
 
 
 def groupoid_from_dict(doc):
-    n_obj = doc["objects"]
-    arrows = doc["arrows"]
+    n_obj = _count(doc, "objects")
+    arrows = _list(doc["arrows"], "arrows")
+    if not all(isinstance(a, dict) for a in arrows):
+        raise InputError("each arrow must be an object with src and rng")
     n = len(arrows)
-    src = [a["src"] for a in arrows]
-    rng = [a["rng"] for a in arrows]
+    src = _indices([a["src"] for a in arrows], n_obj, "arrow src")
+    rng = _indices([a["rng"] for a in arrows], n_obj, "arrow rng")
     comp = [[None] * n for _ in range(n)]
-    for a, b, c in doc["comp"]:
+    for triple in _list(doc["comp"], "comp"):
+        if len(_indices(triple, n, "comp")) != 3:
+            raise InputError("each comp entry must be [a, b, a after b]")
+        a, b, c = triple
         comp[a][b] = c
-    inv = list(doc["inv"])
+    inv = _indices(doc["inv"], n, "inv")
+    if len(inv) != n:
+        raise InputError(f"inv must have one entry per arrow, got {len(inv)}")
     unit_of = doc.get("unit_of")
+    if unit_of is not None and len(_indices(unit_of, n, "unit_of")) != n_obj:
+        raise InputError("unit_of must have one entry per object")
     if unit_of is None:
         unit_of = [None] * n_obj
         for a in range(n):

@@ -17,8 +17,9 @@ from invhom.crossed import (UnitalAction, crossed_product,
                             verify_separable_collapse_cohomology,
                             verify_separable_collapse_homology)
 from invhom.groupoids import (bisections_with_masks, discrete_groupoid,
-                              group_as_groupoid, pair_groupoid, psi_map,
-                              steinberg_algebra, verify_steinberg_cohomology,
+                              group_as_groupoid, pair_groupoid,
+                              steinberg_algebra, steinberg_data,
+                              verify_steinberg_cohomology,
                               verify_steinberg_homology)
 from invhom.homology import (build_resolution, cohomology,
                              cohomology_complex, homology, homology_complex,
@@ -165,7 +166,7 @@ def test_criterion_5_crossed_product_structure():
                 for i, val in enumerate(ker.col(j)):
                     vec[i] += c * val
             ok = ok and cp.n_space.contains_in_subspace(vec)
-        _, rep = phi_map(action, crossed=cp)
+        _, rep = phi_map(cp)
         ok = ok and rep.ok and rep.data["bijective"]
 
     ok = ok and ks_as_crossed_product(p, Q).ok
@@ -188,7 +189,7 @@ def test_criterion_6_separable_collapse_homology():
     for action in _separable_instances():
         cp = crossed_product(action)
         m = regular_bimodule(cp.algebra)
-        rep = verify_separable_collapse_homology(action, m, 2, crossed=cp)
+        rep = verify_separable_collapse_homology(cp, m, 2)
         ok = ok and rep.ok
     _verdict(6, "separable collapse, homology", ok, t0, 60)
 
@@ -199,7 +200,7 @@ def test_criterion_7_separable_collapse_cohomology():
     for action in _separable_instances():
         cp = crossed_product(action)
         m = regular_bimodule(cp.algebra)
-        rep = verify_separable_collapse_cohomology(action, m, 2, crossed=cp)
+        rep = verify_separable_collapse_cohomology(cp, m, 2)
         ok = ok and rep.ok
     _verdict(7, "separable collapse, cohomology", ok, t0, 60)
 
@@ -211,13 +212,14 @@ def test_criterion_8_steinberg_theorems():
                  discrete_groupoid(1), discrete_groupoid(2),
                  discrete_groupoid(3)]
     for g in groupoids:
-        m = regular_bimodule(steinberg_algebra(g, Q))
-        rh = verify_steinberg_homology(g, m, 2)
-        rc = verify_steinberg_cohomology(g, m, 2)
+        data = steinberg_data(g, Q)
+        m = regular_bimodule(data.steinberg_algebra)
+        rh = verify_steinberg_homology(data, m, 2)
+        rc = verify_steinberg_cohomology(data, m, 2)
         ok = ok and rh.ok and rc.ok
-    g = pair_groupoid(2)
-    m = regular_bimodule(steinberg_algebra(g, Q))
-    rh = verify_steinberg_homology(g, m, 2)
+    data = steinberg_data(pair_groupoid(2), Q)
+    m = regular_bimodule(data.steinberg_algebra)
+    rh = verify_steinberg_homology(data, m, 2)
     ok = ok and rh.data["monoid_side"] == [1, 0, 0]
     ok = ok and rh.data["hochschild_side"] == [1, 0, 0]
     _verdict(8, "Steinberg theorems at desk scale", ok, t0, 120)
@@ -242,7 +244,7 @@ def test_criterion_9_psi_suite():
             for j in range(monoid.size):
                 lhs = ak.mul(indicator(masks[i]), indicator(masks[j]))
                 ok = ok and lhs == indicator(masks[monoid.table[i][j]])
-        _, rep = psi_map(g, Q)
+        rep = steinberg_data(g, Q).psi_report
         ok = ok and rep.ok
     _verdict(9, "psi suite (indicator identity + isomorphism)", ok, t0, 30)
 

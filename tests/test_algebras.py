@@ -3,8 +3,8 @@ import pytest
 from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              dual_numbers, field_algebra,
                              hochschild_cohomology, hochschild_homology,
-                             is_separable, matrix_algebra, regular_bimodule,
-                             semigroup_algebra)
+                             is_separable, matrix_algebra, product_checks,
+                             regular_bimodule, semigroup_algebra)
 from invhom.linalg import Field, Matrix
 from invhom.monoids import cyclic_group, symmetric_inverse_monoid
 
@@ -56,6 +56,27 @@ def test_bimodule_validation():
     twisted = [Matrix.from_rows(Q, [[2]])]
     with pytest.raises(ValueError, match="bimodule axioms fail"):
         Bimodule(k, 1, twisted, [Matrix.identity(Q, 1)])
+
+
+def test_product_checks_catch_a_non_homomorphism():
+    # the identity on coordinates is an algebra map from K^2 to itself, but
+    # not from the dual numbers K[x]/(x^2) to K^2: f(x x) = 0, f(x)^2 = f(x)
+    diag, dual = diagonal_algebra(Q, 2), dual_numbers(Q)
+    idm = Matrix.identity(Q, 2)
+    for src, expected in ((diag, (True, True)), (dual, (False, False))):
+        basis = [src.basis_vec(i) for i in range(2)]
+        x = src.basis_vec(1)
+        assert product_checks(idm, diag, basis,
+                              lambda u, v: idm.apply(src.mul(u, v)),
+                              [(x, x)]) == expected
+    # a source held as its Cayley table: K[Z/2] -> K^2 by the two
+    # characters is an algebra map; sending g to (1, 0) is not
+    z2 = cyclic_group(2)
+    for g_image, expected in (([1, -1], (True, True)), ([1, 0], (False, True))):
+        f = Matrix.from_cols(Q, 2, [[Q.one, Q.one], [Q.of(v) for v in g_image]])
+        assert product_checks(f, diag, range(2),
+                              lambda s, t: f.col(z2.table[s][t]),
+                              [(z2.unit, f.col(z2.unit))]) == expected
 
 
 def test_hochschild_base_field():

@@ -196,17 +196,17 @@ def test_skew_group_algebra_dimensions():
 
 
 def test_phi_bijective_for_compatible_examples():
-    _, rep = phi_map(i1_on_k2())
+    _, rep = phi_map(crossed_product(i1_on_k2()))
     assert rep.ok and rep.data["bijective"]
     p = direct_product(chain_semilattice(2), cyclic_group(2))
-    _, rep = phi_map(trivial_action(p, field_algebra(Q)))
+    _, rep = phi_map(crossed_product(trivial_action(p, field_algebra(Q))))
     assert rep.ok and rep.data["bijective"]
     assert rep.data["dim_crossed"] == rep.data["dim_skew"] == 2
 
 
 def test_phi_group_case_identity_shape():
     z2 = cyclic_group(2)
-    phi, rep = phi_map(trivial_action(z2, field_algebra(Q)))
+    phi, rep = phi_map(crossed_product(trivial_action(z2, field_algebra(Q))))
     assert rep.ok and rep.data["bijective"]
     assert phi.rows == phi.cols == 2
 
@@ -275,8 +275,8 @@ def test_invariants():
 def test_separable_collapse_homology_examples():
     act = i1_on_k2()
     cp = crossed_product(act)
-    rep = verify_separable_collapse_homology(act, regular_bimodule(cp.algebra),
-                                             2, crossed=cp)
+    rep = verify_separable_collapse_homology(cp, regular_bimodule(cp.algebra),
+                                             2)
     assert rep.ok
     assert rep.data["monoid_side"] == [2, 0, 0]
     assert rep.data["hochschild_side"] == [2, 0, 0]
@@ -286,7 +286,7 @@ def test_separable_collapse_cohomology_examples():
     act = i1_on_k2()
     cp = crossed_product(act)
     rep = verify_separable_collapse_cohomology(
-        act, regular_bimodule(cp.algebra), 2, crossed=cp)
+        cp, regular_bimodule(cp.algebra), 2)
     assert rep.ok
     assert rep.data["monoid_side"] == [2, 0, 0]
 
@@ -296,8 +296,8 @@ def test_separable_collapse_trivial_s_controls():
         act = trivial_action(trivial_monoid(), a)
         cp = crossed_product(act)
         m = regular_bimodule(cp.algebra)
-        rh = verify_separable_collapse_homology(act, m, 2, crossed=cp)
-        rc = verify_separable_collapse_cohomology(act, m, 2, crossed=cp)
+        rh = verify_separable_collapse_homology(cp, m, 2)
+        rc = verify_separable_collapse_cohomology(cp, m, 2)
         assert rh.ok and rc.ok
 
 
@@ -306,9 +306,9 @@ def test_separable_collapse_e_unitary_product():
     act = trivial_action(p, field_algebra(Q))
     cp = crossed_product(act)
     m = regular_bimodule(cp.algebra)
-    rep = verify_separable_collapse_homology(act, m, 2, crossed=cp)
+    rep = verify_separable_collapse_homology(cp, m, 2)
     assert rep.ok and rep.data["monoid_side"] == [2, 0, 0]
-    rep = verify_separable_collapse_cohomology(act, m, 2, crossed=cp)
+    rep = verify_separable_collapse_cohomology(cp, m, 2)
     assert rep.ok and rep.data["monoid_side"] == [2, 0, 0]
 
 
@@ -317,8 +317,8 @@ def test_collapse_requires_separable():
     act = trivial_action(trivial_monoid(), dual_numbers(Q))
     cp = crossed_product(act)
     with pytest.raises(ValueError, match="not separable"):
-        verify_separable_collapse_homology(act, regular_bimodule(cp.algebra),
-                                           1, crossed=cp)
+        verify_separable_collapse_homology(cp, regular_bimodule(cp.algebra),
+                                           1)
 
 
 def test_bimodule_over_quotient_lift():

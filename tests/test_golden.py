@@ -1,0 +1,74 @@
+"""The CLI's stdout, byte for byte, against reports kept in tests/golden/.
+
+Each job runs ``cli.main`` in-process in both output formats; its stdout
+must equal ``tests/golden/<name>.<format>.txt`` and its exit status must
+be 0.  To record the files again from the current tree:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+from invhom.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+JOBS = [
+    ("steinberg-pair2", ["steinberg", "--groupoid", "pair:2"]),
+    ("steinberg-pair3", ["steinberg", "--groupoid", "pair:3"]),
+    ("steinberg-z3", ["steinberg", "--groupoid", "group:z:3"]),
+    ("steinberg-discrete2", ["steinberg", "--groupoid", "discrete:2"]),
+    ("verify-steinberg-homology-pair2",
+     ["verify", "steinberg-homology", "--groupoid", "pair:2",
+      "--max-degree", "2"]),
+    ("verify-steinberg-cohomology-pair2",
+     ["verify", "steinberg-cohomology", "--groupoid", "pair:2",
+      "--max-degree", "2"]),
+    ("verify-steinberg-homology-z3-f3",
+     ["verify", "steinberg-homology", "--groupoid", "group:z:3",
+      "--field", "fp:3", "--max-degree", "2"]),
+    ("verify-steinberg-cohomology-z3-f3",
+     ["verify", "steinberg-cohomology", "--groupoid", "group:z:3",
+      "--field", "fp:3", "--max-degree", "2"]),
+    ("verify-separable-homology-ke-chain2-z2",
+     ["verify", "separable-homology", "--action", "ke:prod:chain:2,z:2"]),
+    ("verify-separable-cohomology-ke-chain2-z2",
+     ["verify", "separable-cohomology", "--action", "ke:prod:chain:2,z:2"]),
+    ("crossed-product-trivial-chain2-z2",
+     ["crossed-product", "--action", "trivial:prod:chain:2,z:2",
+      "--seed", "7"]),
+    ("crossed-product-ke-i2", ["crossed-product", "--action", "ke:i:2"]),
+    ("verify-ks-crossed-product-chain2-z2",
+     ["verify", "ks-crossed-product", "--monoid", "prod:chain:2,z:2"]),
+]
+
+FORMATS = ("text", "json")
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_cli_stdout_matches_golden_files():
+    for name, argv in JOBS:
+        for fmt in FORMATS:
+            code, text = _stdout([*argv, "--format", fmt])
+            assert code == 0, (name, fmt)
+            path = GOLDEN / f"{name}.{fmt}.txt"
+            assert text == path.read_text(encoding="utf-8"), (name, fmt)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in JOBS:
+        for fmt in FORMATS:
+            code, text = _stdout([*argv, "--format", fmt])
+            if code != 0:
+                raise SystemExit(f"{name} --format {fmt} exited {code}")
+            (GOLDEN / f"{name}.{fmt}.txt").write_text(text, encoding="utf-8")

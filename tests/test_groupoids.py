@@ -1,13 +1,17 @@
+import contextlib
+import io
 import itertools
+import sys
 
 import pytest
 
 from invhom.algebras import regular_bimodule
+from invhom.crossed import validate_action
 from invhom.groupoids import (bisections, bisections_with_masks,
                               discrete_groupoid, disjoint_union,
                               group_as_groupoid, induced_action_hat,
-                              lx_embedding, pair_groupoid, psi_map,
-                              steinberg_algebra, verify_steinberg_cohomology,
+                              lx_embedding, pair_groupoid, steinberg_algebra,
+                              steinberg_data, verify_steinberg_cohomology,
                               verify_steinberg_homology)
 from invhom.linalg import Field
 from invhom.monoids import (chain_semilattice, cyclic_group,
@@ -76,14 +80,17 @@ def test_bisections_pair_isomorphic_to_symmetric_inverse_monoid():
 def test_induced_action_hat_validates():
     for g in (pair_groupoid(2), group_as_groupoid(cyclic_group(2)),
               discrete_groupoid(2)):
-        act = induced_action_hat(g, Q)
+        monoid, masks = bisections_with_masks(g)
+        act = induced_action_hat(g, Q, monoid, masks)
+        assert validate_action(act).ok
         assert act.algebra.dim == g.n_objects
 
 
 def test_induced_action_hat_moves_coordinates():
     g = pair_groupoid(2)
-    act = induced_action_hat(g, Q)
     monoid, masks = bisections_with_masks(g)
+    act = induced_action_hat(g, Q, monoid, masks)
+    assert validate_action(act).ok
     # U = {arrow 1 -> 2}: arrow index (rng=1, src=0) -> a = 1*2+0 = 2
     u_idx = masks.index(1 << 2)
     assert act.one[u_idx] == [Q.zero, Q.one]
@@ -96,8 +103,9 @@ def test_induced_action_hat_moves_coordinates():
 
 def test_discrete_groupoid_action_is_ideal_identities():
     g = discrete_groupoid(2)
-    act = induced_action_hat(g, Q)
-    _, masks = bisections_with_masks(g)
+    monoid, masks = bisections_with_masks(g)
+    act = induced_action_hat(g, Q, monoid, masks)
+    assert validate_action(act).ok
     for i, m in enumerate(masks):
         t = act.theta[i]
         assert t @ t == t  # projection onto the ideal
@@ -138,19 +146,22 @@ def test_indicator_convolution_identity_exhaustive():
 
 
 def test_psi_trivial_groupoid():
-    psi, rep = psi_map(pair_groupoid(1), Q)
+    data = steinberg_data(pair_groupoid(1), Q)
+    psi, rep = data.psi, data.psi_report
     assert rep.ok
     assert psi.rows == psi.cols == 1
 
 
 def test_psi_pair_groupoid():
-    psi, rep = psi_map(pair_groupoid(2), Q)
+    data = steinberg_data(pair_groupoid(2), Q)
+    psi, rep = data.psi, data.psi_report
     assert rep.ok
     assert rep.data["dim_crossed"] == 4 and rep.data["dim_steinberg"] == 4
 
 
 def test_psi_discrete():
-    psi, rep = psi_map(discrete_groupoid(2), Q)
+    data = steinberg_data(discrete_groupoid(2), Q)
+    psi, rep = data.psi, data.psi_report
     assert rep.ok and rep.data["dim_crossed"] == 2
 
 
@@ -164,8 +175,9 @@ def test_lx_embedding_is_unital():
 
 def test_steinberg_homology_pair2():
     g = pair_groupoid(2)
-    m = regular_bimodule(steinberg_algebra(g, Q))
-    rep = verify_steinberg_homology(g, m, 2)
+    data = steinberg_data(g, Q)
+    m = regular_bimodule(data.steinberg_algebra)
+    rep = verify_steinberg_homology(data, m, 2)
     assert rep.ok
     assert rep.data["monoid_side"] == [1, 0, 0]
     assert rep.data["hochschild_side"] == [1, 0, 0]
@@ -174,8 +186,9 @@ def test_steinberg_homology_pair2():
 
 def test_steinberg_cohomology_pair2():
     g = pair_groupoid(2)
-    m = regular_bimodule(steinberg_algebra(g, Q))
-    rep = verify_steinberg_cohomology(g, m, 2)
+    data = steinberg_data(g, Q)
+    m = regular_bimodule(data.steinberg_algebra)
+    rep = verify_steinberg_cohomology(data, m, 2)
     assert rep.ok
     assert rep.data["monoid_side"] == [1, 0, 0]
     assert rep.data["lx_cohomology"][1:] == [0, 0]
@@ -184,25 +197,83 @@ def test_steinberg_cohomology_pair2():
 
 def test_steinberg_discrete_2():
     g = discrete_groupoid(2)
-    m = regular_bimodule(steinberg_algebra(g, Q))
-    assert verify_steinberg_homology(g, m, 2).data["monoid_side"] == [2, 0, 0]
-    assert verify_steinberg_cohomology(g, m, 2).data["monoid_side"] == [2, 0, 0]
+    data = steinberg_data(g, Q)
+    m = regular_bimodule(data.steinberg_algebra)
+    assert verify_steinberg_homology(data, m, 2).data["monoid_side"] == [2, 0, 0]
+    assert verify_steinberg_cohomology(data, m, 2).data["monoid_side"] == [2, 0, 0]
 
 
 def test_steinberg_group_z2_rational():
     g = group_as_groupoid(cyclic_group(2))
-    m = regular_bimodule(steinberg_algebra(g, Q))
-    rh = verify_steinberg_homology(g, m, 2)
-    rc = verify_steinberg_cohomology(g, m, 2)
+    data = steinberg_data(g, Q)
+    m = regular_bimodule(data.steinberg_algebra)
+    rh = verify_steinberg_homology(data, m, 2)
+    rc = verify_steinberg_cohomology(data, m, 2)
     assert rh.ok and rh.data["monoid_side"] == [2, 0, 0]
     assert rc.ok and rc.data["monoid_side"] == [2, 0, 0]
 
 
 def test_steinberg_data_bundle():
-    from invhom.groupoids import steinberg_data
     data = steinberg_data(pair_groupoid(2), Q)
     assert data.bisection_monoid.size == 7
-    assert data.lx.dim == 2
+    assert data.crossed.action.algebra.dim == 2
     assert data.steinberg_algebra.dim == 4
     assert data.crossed.algebra.dim == 4
     assert data.psi_report.ok
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each "module:name" wherever an invhom module refers to it."""
+    counts = {}
+    for target in targets:
+        modname, name = target.split(":")
+        original = getattr(sys.modules["invhom." + modname], name)
+        counts[name] = 0
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modkey, mod in list(sys.modules.items()):
+            if modkey == "invhom" or modkey.startswith("invhom."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def test_one_build_per_steinberg_job(monkeypatch):
+    import invhom.cli
+    targets = ["groupoids:bisections_with_masks", "groupoids:steinberg_algebra",
+               "crossed:validate_action", "crossed:crossed_product"]
+    jobs = [["steinberg", "--groupoid", "pair:2"],
+            ["verify", "steinberg-homology", "--groupoid", "pair:2"]]
+    for argv in jobs:
+        with monkeypatch.context() as mp:
+            counts = _count_calls(mp, targets)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert invhom.cli.main(argv) == 0
+        assert counts == {"bisections_with_masks": 1, "steinberg_algebra": 1,
+                          "validate_action": 1, "crossed_product": 1}, argv
+
+
+def test_bimodule_over_another_algebra_is_refused():
+    from invhom.algebras import (diagonal_algebra, dual_numbers,
+                                 hochschild_homology)
+    from invhom.crossed import (crossed_product, trivial_action,
+                                verify_separable_collapse_homology)
+    from invhom.monoids import trivial_monoid
+    wrong = regular_bimodule(dual_numbers(Q))
+    with pytest.raises(ValueError, match="not over"):
+        hochschild_homology(diagonal_algebra(Q, 2), wrong, 1)
+    cp = crossed_product(trivial_action(trivial_monoid(),
+                                        diagonal_algebra(Q, 2)))
+    assert cp.algebra.dim == 2
+    with pytest.raises(ValueError, match="not over"):
+        verify_separable_collapse_homology(cp, wrong, 1)
+    data = steinberg_data(discrete_groupoid(2), Q)
+    assert data.steinberg_algebra.sc == diagonal_algebra(Q, 2).sc
+    for verify in (verify_steinberg_homology, verify_steinberg_cohomology):
+        with pytest.raises(ValueError, match="not over"):
+            verify(data, wrong, 1)

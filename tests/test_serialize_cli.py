@@ -339,5 +339,57 @@ def test_cli_loader_field_types_exit_2(tmp_path):
         path = tmp_path / f"module{k}.json"
         path.write_text(json.dumps(doc))
         jobs.append(("homology", "--monoid", "z:2", "--module", f"file:{path}"))
+    arrow = {"src": 0, "rng": 0}
+    groupoids = [
+        {"objects": 1, "arrows": 5, "comp": [], "inv": [0]},
+        {"objects": "1", "arrows": [arrow], "comp": [[0, 0, 0]], "inv": [0]},
+        {"objects": 1, "arrows": [0], "comp": [[0, 0, 0]], "inv": [0]},
+        {"objects": 1, "arrows": [{"src": 1, "rng": 0}], "comp": [[0, 0, 0]],
+         "inv": [0]},
+        {"objects": 1, "arrows": [arrow], "comp": [[0, 0, 5]], "inv": [0]},
+        {"objects": 1, "arrows": [arrow], "comp": [0], "inv": [0]},
+        {"objects": 1, "arrows": [arrow], "comp": [[0, 0, 0]], "inv": [0, 0]},
+        {"objects": 1, "arrows": [arrow], "comp": [[0, 0, 0]], "inv": [0],
+         "unit_of": [0, 0]},
+    ]
+    for k, doc in enumerate(groupoids):
+        path = tmp_path / f"groupoid{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(("steinberg", "--groupoid", f"file:{path}"))
+    good_algebra = tmp_path / "algebra.json"
+    good_algebra.write_text(json.dumps(
+        {"field": "q", "dim": 1, "sc": [1], "unit": [1]}))
+    algebras = [
+        {"field": "q", "dim": "2", "sc": [1] * 8, "unit": [1, 0]},
+        {"field": "q", "dim": 1, "sc": 5, "unit": [1]},
+    ]
+    actions = []
+    for k, doc in enumerate(algebras):
+        path = tmp_path / f"algebra{k}.json"
+        path.write_text(json.dumps(doc))
+        actions.append({"monoid_ref": "trivial", "algebra_ref": f"file:{path}",
+                        "one": [[1]], "theta": [[1]]})
+    good = {"monoid_ref": "trivial", "algebra_ref": f"file:{good_algebra}",
+            "one": [[1]], "theta": [[1]]}
+    actions += [{**good, "algebra_ref": 5}, {**good, "monoid_ref": 5},
+                {**good, "one": 5}, {**good, "theta": 5}]
+    for k, doc in enumerate(actions):
+        path = tmp_path / f"action{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(("crossed-product", "--action", f"file:{path}"))
+    bimodules = [
+        {"dim": "1", "left": [[1]], "right": [[1]]},
+        {"dim": 1, "left": 3, "right": [[1]]},
+        {"dim": 1, "left": [[1]], "right": 3},
+    ]
+    for k, doc in enumerate(bimodules):
+        path = tmp_path / f"bimodule{k}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(("verify", "separable-homology", "--action",
+                     "trivial:trivial", "--module", f"file:{path}"))
+    path = tmp_path / "module_ref.json"
+    path.write_text(json.dumps({**modules[0], "monoid_ref": 5,
+                                "act": [[1], [1]]}))
+    jobs.append(("homology", "--monoid", "z:2", "--module", f"file:{path}"))
     for job in jobs:
         _assert_one_error_line(_run_cli(*job, timeout=30))
