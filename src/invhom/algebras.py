@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, mat_rank
+from .linalg import ColumnSpan, Matrix, combination, mat_rank
 from .homology import DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble
 
 
@@ -208,20 +208,12 @@ class Bimodule:
                     )
 
     def left_action(self, vec):
-        F = self.algebra.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                out = out + self.left[i].scale(c)
-        return out
+        return combination(self.algebra.field, self.dim, self.dim, vec,
+                           self.left)
 
     def right_action(self, vec):
-        F = self.algebra.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                out = out + self.right[i].scale(c)
-        return out
+        return combination(self.algebra.field, self.dim, self.dim, vec,
+                           self.right)
 
 
 def check_over(module, algebra, what):

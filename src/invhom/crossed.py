@@ -17,9 +17,10 @@ from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
                        hochschild_homology, is_separable, product_checks,
                        semigroup_algebra)
 from .homology import KSModule, cohomology, homology
-from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
-                     kernel_basis, mat_rank, quotient_space, vec_add,
-                     vec_is_zero, vec_scale, vec_sub)
+from .linalg import (ColumnSpan, Matrix, combination, image_basis,
+                     induced_map, kernel_basis, mat_rank, quotient_space,
+                     same_column_space, vec_add, vec_is_zero, vec_scale,
+                     vec_sub)
 from .monoids import from_table, max_group_image
 from .reporting import Report
 
@@ -98,6 +99,7 @@ def validate_action(action):
     rep.check("T_unit = id", action.theta[S.unit] == idm)
 
     left_of = [A.left_mult_matrix(action.one[s]) for s in range(S.size)]
+    ideal_dim = [mat_rank(m) for m in left_of]
 
     for s in range(S.size):
         T = action.theta[s]
@@ -105,14 +107,12 @@ def validate_action(action):
         name = S.name_of(s)
         rep.check(f"T_{name} kills the complement of its domain",
                   T @ left_of[si] == T)
-        img_T = image_basis(T)
-        img_I = image_basis(left_of[s])
-        same = (img_T.cols == img_I.cols
-                and mat_rank(img_T.hstack(img_I)) == img_T.cols)
-        rep.check(f"image(T_{name}) = 1_{name}A", same,
-                  f"rank {img_T.cols} vs ideal dim {img_I.cols}")
+        rank_T = mat_rank(T)
+        rep.check(f"image(T_{name}) = 1_{name}A",
+                  same_column_space(T, left_of[s]),
+                  f"rank {rank_T} vs ideal dim {ideal_dim[s]}")
         rep.check(f"T_{name} bijective on its domain",
-                  mat_rank(T) == mat_rank(left_of[si]))
+                  rank_T == ideal_dim[si])
         dom_basis = image_basis(left_of[si])
         mult_ok = True
         for j in range(dom_basis.cols):
@@ -373,11 +373,11 @@ class PartialGroupAction:
                     raise ValueError(
                         f"partial action axiom (iii) fails at ({g},{h})")
                 # axiom (ii): theta_g(D_g^-1 . D_h) = D_g . D_gh
-                lhs = image_basis(self.maps[g] @ A.left_mult_matrix(
-                    A.mul(self.domains[G.inv[g]], self.domains[h])))
-                rhs = image_basis(A.left_mult_matrix(
-                    A.mul(self.domains[g], self.domains[gh])))
-                if lhs.cols != rhs.cols or mat_rank(lhs.hstack(rhs)) != lhs.cols:
+                if not same_column_space(
+                        self.maps[g] @ A.left_mult_matrix(
+                            A.mul(self.domains[G.inv[g]], self.domains[h])),
+                        A.left_mult_matrix(
+                            A.mul(self.domains[g], self.domains[gh]))):
                     raise ValueError(
                         f"partial action axiom (ii) fails at ({g},{h})")
 
@@ -692,27 +692,15 @@ def bimodule_over_quotient(crossed, left_l, right_l):
     """
     F = crossed.action.algebra.field
     dim = left_l[0].rows
+
+    def induced(vecs):
+        return ([combination(F, dim, dim, v, left_l) for v in vecs],
+                [combination(F, dim, dim, v, right_l) for v in vecs])
+
     n_basis = crossed.n_space.subspace_basis
-    for j in range(n_basis.cols):
-        col = n_basis.col(j)
-        zl = Matrix.zeros(F, dim, dim)
-        zr = Matrix.zeros(F, dim, dim)
-        for k, c in enumerate(col):
-            if c:
-                zl = zl + left_l[k].scale(c)
-                zr = zr + right_l[k].scale(c)
-        if not zl.is_zero() or not zr.is_zero():
-            raise ValueError("relation subspace does not act by zero")
-    left = []
-    right = []
-    for i in range(crossed.algebra.dim):
-        sec = crossed.n_space.section.col(i)
-        ml = Matrix.zeros(F, dim, dim)
-        mr = Matrix.zeros(F, dim, dim)
-        for k, c in enumerate(sec):
-            if c:
-                ml = ml + left_l[k].scale(c)
-                mr = mr + right_l[k].scale(c)
-        left.append(ml)
-        right.append(mr)
+    zl, zr = induced([n_basis.col(j) for j in range(n_basis.cols)])
+    if not all(z.is_zero() for z in zl + zr):
+        raise ValueError("relation subspace does not act by zero")
+    section = crossed.n_space.section
+    left, right = induced([section.col(i) for i in range(section.cols)])
     return Bimodule(crossed.algebra, dim, left, right)

@@ -135,17 +135,23 @@ def discrete_groupoid(n):
     """n objects, unit arrows only."""
     if n < 1:
         raise ValueError("discrete_groupoid needs n >= 1")
-    g = pair_groupoid(1)
-    for _ in range(n - 1):
-        g = disjoint_union(g, pair_groupoid(1))
-    return g
+    comp = [[None] * n for _ in range(n)]
+    for a in range(n):
+        comp[a][a] = a
+    ids = list(range(n))
+    return FiniteGroupoid(n, ids, list(ids), comp, list(ids), list(ids))
+
+
+def check_arrow_cap(n_arrows, cap=BISECTION_ARROW_CAP):
+    """Refuse a groupoid with more arrows than bisections can be listed for."""
+    if n_arrows > cap:
+        raise ValueError(
+            f"enumeration cap exceeded: {n_arrows} arrows > {cap}")
 
 
 def _bisection_masks(g, cap=BISECTION_ARROW_CAP):
     """Bitmasks of all bisections, in increasing mask order."""
-    if g.n_arrows > cap:
-        raise ValueError(
-            f"enumeration cap exceeded: {g.n_arrows} arrows > {cap}")
+    check_arrow_cap(g.n_arrows, cap)
     masks = []
     for mask in range(1 << g.n_arrows):
         arrows = [a for a in range(g.n_arrows) if mask >> a & 1]

@@ -2,8 +2,14 @@
 
 Everything here is arbitrary-precision exact: rationals are
 ``fractions.Fraction``, F_p scalars are ints in ``range(p)``.  No floats
-anywhere.  Pivoting is deterministic (leftmost nonzero column, topmost
-row), so every basis produced downstream is reproducible run to run.
+anywhere.
+
+One sparse elimination loop, ``_reduce``, serves rank, rref, spans,
+kernels and quotients.  Every basis it yields is fixed by definition, not
+by the order of elimination: an image basis is the leftmost independent
+columns, a kernel vector has 1 at its free column and 0 at the other free
+columns, a quotient's section is the earliest standard vectors independent
+of the subspace, and coordinates are unique.
 """
 
 from __future__ import annotations
@@ -62,8 +68,6 @@ class Field:
     def of(self, v):
         """Coerce an int / Fraction / 'p/q' string into the field."""
         if self.char == 0:
-            if isinstance(v, str):
-                return Fraction(v)
             return Fraction(v)
         if isinstance(v, str):
             v = Fraction(v)
@@ -109,9 +113,6 @@ class Field:
 
     def __repr__(self):
         return "Q" if self.char == 0 else f"F{self.char}"
-
-
-QQ = Field(0)
 
 
 class Matrix:
@@ -160,9 +161,6 @@ class Matrix:
                 m.data[i][j] = field.of(v)
         return m
 
-    def copy(self):
-        return Matrix(self.field, self.rows, self.cols, [row[:] for row in self.data])
-
     def col(self, j):
         return [row[j] for row in self.data]
 
@@ -182,12 +180,6 @@ class Matrix:
                     return False
         return True
 
-    def transpose(self):
-        return Matrix(
-            self.field, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def hstack(self, other):
         if other.rows != self.rows or other.field != self.field:
             raise ValueError("dimension mismatch in hstack")
@@ -197,8 +189,6 @@ class Matrix:
         )
 
     def __matmul__(self, other):
-        if isinstance(other, list):
-            return self.apply(other)
         if self.cols != other.rows or self.field != other.field:
             raise ValueError(
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
@@ -253,11 +243,6 @@ class Matrix:
              for r1, r2 in zip(self.data, other.data)],
         )
 
-    def scale(self, c):
-        F = self.field
-        return Matrix(F, self.rows, self.cols,
-                      [[F.mul(c, v) for v in row] for row in self.data])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -269,6 +254,19 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
+
+
+def combination(field, rows, cols, coeffs, mats):
+    """The rows x cols matrix sum_k coeffs[k] * mats[k], summed in place."""
+    out = Matrix.zeros(field, rows, cols)
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        for orow, mrow in zip(out.data, m.data):
+            for j, a in enumerate(mrow):
+                if a:
+                    orow[j] = field.add(orow[j], field.mul(c, a))
+    return out
 
 
 def vec_add(field, u, v):
@@ -284,58 +282,88 @@ def vec_is_zero(u):
     return all(not a for a in u)
 
 
-def _echelon(m, reduce_up=True):
-    """In-place row echelon form; returns pivot columns (leftmost-pivot).
+def _reduce(field, pivots, v):
+    """Reduce the sparse column v in place; return its largest row that has
+    no pivot, or None once no row is left.
 
-    Only rows with a nonzero entry in the pivot column are touched, which
-    makes elimination cheap on the sparse matrices produced by the complex
-    builders.
+    v maps a row to a nonzero scalar.  pivots maps a row to the reduced
+    column whose largest row it is, scaled so that entry is 1; v is
+    reduced by its largest row until that row has no pivot.  Keys below 0
+    are not rows: key -1-k carries the coefficient of input column k.  A
+    column that enters as m_k with -1-k set to 1 stays equal to the
+    combination of input columns that its negative keys name.
     """
-    F = m.field
-    data = m.data
-    pivots = []
-    prow = 0
-    for pcol in range(m.cols):
-        found = -1
-        for i in range(prow, m.rows):
-            if data[i][pcol]:
-                found = i
-                break
-        if found < 0:
-            continue
-        if found != prow:
-            data[prow], data[found] = data[found], data[prow]
-        inv = F.inv(data[prow][pcol])
-        if inv != F.one:
-            row = data[prow]
-            for j in range(pcol, m.cols):
-                if row[j]:
-                    row[j] = F.mul(row[j], inv)
-        rng = range(m.rows) if reduce_up else range(prow + 1, m.rows)
-        prowdata = data[prow]
-        for i in rng:
-            if i == prow:
-                continue
-            c = data[i][pcol]
-            if not c:
-                continue
-            row = data[i]
-            for j in range(pcol, m.cols):
-                pv = prowdata[j]
-                if pv:
-                    row[j] = F.sub(row[j], F.mul(c, pv))
-        pivots.append(pcol)
-        prow += 1
-        if prow == m.rows:
+    p = field.char
+    while v:
+        top = max(v)
+        if top < 0:
             break
-    return pivots
+        pivot = pivots.get(top)
+        if pivot is None:
+            return top
+        c = v[top]
+        for i, a in pivot.items():
+            x = v.get(i, 0) - c * a
+            if p:
+                x %= p
+            if x:
+                v[i] = x
+            else:
+                v.pop(i, None)
+    return None
+
+
+def _insert(field, pivots, v):
+    """Reduce v and make it the pivot of the row it stops at, if any.
+
+    Returns that row, or None when v lies in the span of the pivots.
+    """
+    top = _reduce(field, pivots, v)
+    if top is not None:
+        inv = field.inv(v[top])
+        pivots[top] = {i: field.mul(a, inv) for i, a in v.items()}
+    return top
+
+
+def _tagged(field, vec, k):
+    """The dense column vec, sparse, entering as input column k."""
+    v = {i: a for i, a in enumerate(vec) if a}
+    v[-1 - k] = field.one
+    return v
+
+
+def _coords(field, pivots, v, n):
+    """Coordinates of the sparse column v on the n tagged input columns
+    that built pivots, or None when v is outside their span."""
+    if _reduce(field, pivots, v) is not None:
+        return None
+    # v now holds only combination keys, and the input equals minus them.
+    x = [field.zero] * n
+    for k, a in v.items():
+        x[-1 - k] = field.neg(a)
+    return x
 
 
 def rref(m):
-    """Reduced row echelon form (copy) and its pivot columns."""
-    r = m.copy()
-    pivots = _echelon(r, reduce_up=True)
-    return r, pivots
+    """Reduced row echelon form (a new matrix) and its pivot columns.
+
+    Columns are inserted left to right, so the pivot columns are the
+    leftmost independent ones; any other column reduces to zero, and its
+    combination writes it in the pivot columns before it.
+    """
+    F = m.field
+    pivots = {}
+    pcols = []
+    r = Matrix.zeros(F, m.rows, m.cols)
+    for j in range(m.cols):
+        v = _tagged(F, m.col(j), j)
+        if _insert(F, pivots, v) is not None:
+            r.data[len(pcols)][j] = F.one
+            pcols.append(j)
+            continue
+        for i, p in enumerate(pcols):
+            r.data[i][j] = F.neg(v.get(-1 - p, F.zero))
+    return r, pcols
 
 
 def mat_rank(m):
@@ -346,6 +374,12 @@ def mat_rank(m):
             if v:
                 s.columns[j][i] = v
     return s.rank()
+
+
+def same_column_space(a, b):
+    """Whether the columns of a and of b span the same subspace."""
+    r = mat_rank(a)
+    return r == mat_rank(b) == mat_rank(a.hstack(b))
 
 
 def kernel_basis(m):
@@ -375,34 +409,31 @@ class ColumnSpan:
     every use doubles as an exact membership assertion.
     """
 
-    __slots__ = ("basis", "pivot_rows", "solver", "is_identity")
+    __slots__ = ("basis", "pivots", "is_identity")
 
     def __init__(self, basis):
         self.basis = basis
         self.is_identity = basis.is_identity()
+        self.pivots = {}
         if self.is_identity:
-            self.pivot_rows = list(range(basis.rows))
-            self.solver = None
             return
-        # The leftmost pivots of the transpose are independent rows.
-        pivot_rows = _echelon(basis.transpose(), reduce_up=False)
-        if len(pivot_rows) < basis.cols:
-            raise ValueError("basis columns are linearly dependent")
-        self.pivot_rows = pivot_rows
-        sub = Matrix(basis.field, len(pivot_rows), basis.cols,
-                     [basis.data[i][:] for i in pivot_rows])
-        self.solver = _invert(sub)
+        F = basis.field
+        for j in range(basis.cols):
+            if _insert(F, self.pivots, _tagged(F, basis.col(j), j)) is None:
+                raise ValueError("basis columns are linearly dependent")
 
     @property
     def dim(self):
         return self.basis.cols
 
     def coords(self, vec):
+        if len(vec) != self.basis.rows:
+            raise ValueError("dimension mismatch in coords")
         if self.is_identity:
             return list(vec)
-        x = self.solver.apply([vec[i] for i in self.pivot_rows])
-        # Exact membership: the solved coordinates must reproduce vec.
-        if self.basis.apply(x) != list(vec):
+        x = _coords(self.basis.field, self.pivots,
+                    {i: a for i, a in enumerate(vec) if a}, self.basis.cols)
+        if x is None:
             raise ValueError("vector not in column span")
         return x
 
@@ -414,19 +445,8 @@ class ColumnSpan:
             return False
 
 
-def _invert(m):
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    F = m.field
-    aug = m.hstack(Matrix.identity(F, m.rows))
-    pivots = _echelon(aug, reduce_up=True)
-    if len(pivots) != m.rows:
-        raise ValueError("matrix is singular")
-    return Matrix(F, m.rows, m.rows, [row[m.rows:] for row in aug.data])
-
-
 def image_basis(m):
-    """Pivot columns of m (leftmost-pivot RREF convention) as a matrix."""
+    """The leftmost independent columns of m, as a matrix."""
     _, pivots = rref(m)
     return Matrix.from_cols(m.field, m.rows, [m.col(j) for j in pivots])
 
@@ -446,10 +466,6 @@ class QuotientSpace:
     def dim(self):
         return self.projection.rows
 
-    @property
-    def field(self):
-        return self.projection.field
-
     def contains_in_subspace(self, vec):
         return vec_is_zero(self.projection.apply(vec))
 
@@ -457,10 +473,12 @@ class QuotientSpace:
 def quotient_space(field, ambient_dim, span):
     """Quotient of K^ambient_dim by the column span of ``span``.
 
-    The subspace basis is the pivot columns of span; the complement is
-    filled with standard basis vectors, again by leftmost pivot, so the
-    section picks the earliest standard vectors independent of the
-    subspace.
+    Columns of span, then standard vectors, are inserted in order.  The
+    subspace basis is the columns of span that insert: its leftmost
+    independent ones.  The section is the standard vectors that still
+    insert: the earliest ones independent of the subspace.  The
+    projection takes the section coordinates of a vector in the basis
+    [subspace | section].
     """
     if span.rows != ambient_dim:
         raise ValueError(
@@ -468,19 +486,26 @@ def quotient_space(field, ambient_dim, span):
         )
     if span.field != field:
         raise ValueError("field mismatch between span and quotient")
-    sub = image_basis(span)
-    r = sub.cols
-    ext = sub.hstack(Matrix.identity(field, ambient_dim))
-    _, pivots = rref(ext)
-    comp_cols = [j - r for j in pivots[r:]]
-    section = Matrix.from_cols(
-        field, ambient_dim,
-        [[field.one if i == c else field.zero for i in range(ambient_dim)]
-         for c in comp_cols],
-    )
-    change = sub.hstack(section)
-    inv = _invert(change)
-    projection = Matrix(field, ambient_dim - r, ambient_dim, inv.data[r:])
+    pivots = {}
+    basis = []
+
+    def extend(vecs):
+        # A column that does not insert is dropped, so the next one may
+        # take its tag.
+        for vec in vecs:
+            v = _tagged(field, vec, len(basis))
+            if _insert(field, pivots, v) is not None:
+                basis.append(vec)
+
+    extend(span.col(j) for j in range(span.cols))
+    r = len(basis)
+    extend(Matrix.identity(field, ambient_dim).data)
+    sub = Matrix.from_cols(field, ambient_dim, basis[:r])
+    section = Matrix.from_cols(field, ambient_dim, basis[r:])
+    coords = [_coords(field, pivots, {i: field.one}, ambient_dim)[r:]
+              for i in range(ambient_dim)]
+    projection = Matrix(field, ambient_dim - r, ambient_dim,
+                        [list(row) for row in zip(*coords)])
     q = QuotientSpace(ambient_dim, sub, projection, section)
     # The defining identities are cheap; verify them outright.
     assert (projection @ section).is_identity() or projection.rows == 0
@@ -557,40 +582,10 @@ class SparseCols:
     def rank(self):
         """Rank by exact sparse column elimination over the field.
 
-        pivots maps a row to the reduced column whose largest row it is,
-        scaled so that entry is 1.  Columns are taken shortest first to
-        limit fill-in; each is reduced by its largest row until that row
-        has no pivot yet, and then becomes that row's pivot.
+        Columns are inserted shortest first to limit fill-in, and carry no
+        combination.
         """
-        F = self.field
-        p = F.char
         pivots = {}
         for col in sorted(self.columns, key=len):
-            v = dict(col)
-            while v:
-                top = max(v)
-                pivot = pivots.get(top)
-                if pivot is None:
-                    inv = F.inv(v[top])
-                    pivots[top] = {i: F.mul(a, inv) for i, a in v.items()}
-                    break
-                c = v[top]
-                for i, a in pivot.items():
-                    x = v.get(i, 0) - c * a
-                    if p:
-                        x %= p
-                    if x:
-                        v[i] = x
-                    else:
-                        v.pop(i, None)
+            _insert(self.field, pivots, dict(col))
         return len(pivots)
-
-    def apply(self, vec):
-        F = self.field
-        out = [F.zero] * self.rows
-        for j, v in enumerate(vec):
-            if not v:
-                continue
-            for i, a in self.columns[j].items():
-                out[i] = F.add(out[i], F.mul(a, v))
-        return out

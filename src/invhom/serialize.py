@@ -13,8 +13,8 @@ import json
 
 from .algebras import Algebra, Bimodule
 from .crossed import UnitalAction
-from .groupoids import (FiniteGroupoid, discrete_groupoid, group_as_groupoid,
-                        pair_groupoid)
+from .groupoids import (FiniteGroupoid, check_arrow_cap, discrete_groupoid,
+                        group_as_groupoid, pair_groupoid)
 from .homology import KSModule
 from .linalg import Field, Matrix
 from .monoids import (InverseMonoid, chain_semilattice, cyclic_group,
@@ -240,6 +240,7 @@ def groupoid_from_dict(doc):
     if not all(isinstance(a, dict) for a in arrows):
         raise InputError("each arrow must be an object with src and rng")
     n = len(arrows)
+    check_arrow_cap(n)
     src = _indices([a["src"] for a in arrows], n_obj, "arrow src")
     rng = _indices([a["rng"] for a in arrows], n_obj, "arrow rng")
     comp = [[None] * n for _ in range(n)]
@@ -301,12 +302,23 @@ def resolve_monoid(spec):
 
 
 def resolve_groupoid(spec):
+    """Builtin shorthand or file:PATH -> FiniteGroupoid.
+
+    Every groupoid is read for its bisections, so one with more arrows
+    than BISECTION_ARROW_CAP is refused before it is built.
+    """
     if spec.startswith("file:"):
         return groupoid_from_dict(_load_json(spec[5:]))
     if spec.startswith("pair:"):
-        return pair_groupoid(int(spec[5:]))
+        n = int(spec[5:])
+        check_arrow_cap(max(n, 0) ** 2)
+        return pair_groupoid(n)
     if spec.startswith("group:"):
-        return group_as_groupoid(resolve_monoid(spec[6:]))
+        group = resolve_monoid(spec[6:])
+        check_arrow_cap(group.size)
+        return group_as_groupoid(group)
     if spec.startswith("discrete:"):
-        return discrete_groupoid(int(spec[9:]))
+        n = int(spec[9:])
+        check_arrow_cap(n)
+        return discrete_groupoid(n)
     raise ValueError(f"unknown groupoid spec {spec!r}")

@@ -49,6 +49,32 @@ def rank_by_minors(m):
     return best
 
 
+def gauss_jordan(m):
+    """Textbook Gauss-Jordan: the RREF of m (a new matrix) and its pivots.
+
+    Columns are scanned left to right.  The topmost nonzero entry at or
+    below the current row is swapped up, scaled to 1, and cleared from
+    every other row.
+    """
+    F = m.field
+    a = [row[:] for row in m.data]
+    pivots = []
+    for j in range(m.cols):
+        r = len(pivots)
+        i = next((i for i in range(r, m.rows) if a[i][j]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = F.inv(a[r][j])
+        a[r] = [F.mul(inv, x) for x in a[r]]
+        for k in range(m.rows):
+            c = a[k][j]
+            if k != r and c:
+                a[k] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[k], a[r])]
+        pivots.append(j)
+    return Matrix(F, m.rows, m.cols, a), pivots
+
+
 def _act_vec(module, s, v):
     return module.act[s].apply(v)
 

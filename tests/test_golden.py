@@ -42,6 +42,17 @@ JOBS = [
     ("crossed-product-ke-i2", ["crossed-product", "--action", "ke:i:2"]),
     ("verify-ks-crossed-product-chain2-z2",
      ["verify", "ks-crossed-product", "--monoid", "prod:chain:2,z:2"]),
+    ("homology-i2-trivial-ke",
+     ["homology", "--monoid", "i:2", "--module", "trivial-ke",
+      "--max-degree", "3"]),
+    ("cohomology-i2-regular-ks-f2",
+     ["cohomology", "--monoid", "i:2", "--module", "regular-ks",
+      "--field", "fp:2", "--max-degree", "3"]),
+    ("homology-i3-trivial-ke-f3",
+     ["homology", "--monoid", "i:3", "--module", "trivial-ke",
+      "--field", "fp:3", "--max-degree", "1"]),
+    ("resolution-check-chain3",
+     ["resolution-check", "--monoid", "chain:3", "--max-degree", "2"]),
 ]
 
 FORMATS = ("text", "json")

@@ -40,6 +40,16 @@ def test_disjoint_union_and_discrete():
     assert discrete_groupoid(3).n_arrows == 3
 
 
+def test_discrete_groupoid_is_the_iterated_union():
+    def fields(g):
+        return (g.n_objects, g.src, g.rng, g.comp, g.inv, g.unit_of)
+
+    union = pair_groupoid(1)
+    for n in range(1, 6):
+        assert fields(discrete_groupoid(n)) == fields(union)
+        union = disjoint_union(union, pair_groupoid(1))
+
+
 def test_bisection_counts():
     assert bisections(pair_groupoid(2)).size == 7
     assert bisections(group_as_groupoid(cyclic_group(2))).size == 3

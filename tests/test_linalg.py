@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invhom.linalg import (ColumnSpan, Field, Matrix, SparseCols, induced_map,
-                           kernel_basis, mat_rank, quotient_space)
-from oracles import rank_by_minors
+from invhom.linalg import (ColumnSpan, Field, Matrix, SparseCols,
+                           image_basis, induced_map, kernel_basis, mat_rank,
+                           quotient_space, rref, same_column_space)
+from oracles import gauss_jordan, rank_by_minors
 
 Q = Field(0)
 F2 = Field(2)
@@ -69,10 +70,10 @@ def test_rank_matches_minor_oracle():
 
 
 @st.composite
-def sparse_int_matrices(draw):
+def sparse_int_matrices(draw, max_dim=8):
     """(rows, cols, row lists) of small integers, about half of them zero."""
-    rows = draw(st.integers(0, 8))
-    cols = draw(st.integers(0, 8))
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
     entry = st.one_of(st.just(0), st.integers(-3, 3))
     data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
@@ -106,6 +107,94 @@ def test_sparse_rank_matches_minor_oracle(case):
         expected = rank_by_minors(m)
         assert s.rank() == expected
         assert mat_rank(m) == expected
+
+
+FIELDS = (Q, F2, Field(3), Field(2 ** 61 - 1))
+
+
+def _oracle_kernel(m, r, pivots):
+    """Kernel vectors read off the oracle RREF, 1 at each free column."""
+    F = m.field
+    cols = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        col = [F.zero] * m.cols
+        col[f] = F.one
+        for i, p in enumerate(pivots):
+            col[p] = F.neg(r.data[i][f])
+        cols.append(col)
+    return Matrix.from_cols(F, m.cols, cols)
+
+
+def _oracle_coords(basis, vec):
+    """x with basis x = vec from the RREF of [basis | vec], or None."""
+    aug = basis.hstack(Matrix.from_cols(basis.field, basis.rows, [vec]))
+    r, pivots = gauss_jordan(aug)
+    if basis.cols in pivots:
+        return None
+    return [r.data[i][basis.cols] for i in range(basis.cols)]
+
+
+def _oracle_quotient(field, n, sub):
+    """Section and projection for the span of the independent columns sub.
+
+    The section is the pivot columns of [sub | I] past sub; the projection
+    is the last rows of the inverse of [sub | section], read off the RREF
+    of [sub | section | I].
+    """
+    r = sub.cols
+    ident = Matrix.identity(field, n)
+    _, pivots = gauss_jordan(sub.hstack(ident))
+    section = Matrix.from_cols(field, n, [ident.col(p - r) for p in pivots[r:]])
+    inv, _ = gauss_jordan(sub.hstack(section).hstack(ident))
+    return section, Matrix(field, n - r, n, [row[n:] for row in inv.data[r:]])
+
+
+@settings(deadline=None)
+@given(sparse_int_matrices(7))
+@example((7, 3, TALL[2][:7]))
+@example((3, 7, [row[:7] for row in WIDE[2]]))
+@example(ZERO)
+@example(REPEATED_COLUMN)
+def test_elimination_matches_gauss_jordan_oracle(case):
+    rows, cols, data = case
+    for field in FIELDS:
+        m = Matrix(field, rows, cols, [[field.of(v) for v in row]
+                                        for row in data])
+        r, pivots = gauss_jordan(m)
+        assert rref(m) == (r, pivots)
+        image = Matrix.from_cols(field, rows, [m.col(j) for j in pivots])
+        assert image_basis(m) == image
+        assert kernel_basis(m) == _oracle_kernel(m, r, pivots)
+
+        span = ColumnSpan(image)
+        total = [field.of(sum(row)) for row in data]
+        for vec in [m.col(j) for j in range(cols)] + [total] + \
+                Matrix.identity(field, rows).data:
+            expected = _oracle_coords(image, vec)
+            assert span.contains(vec) == (expected is not None)
+            if expected is not None:
+                assert span.coords(vec) == expected
+        if len(pivots) < cols:
+            with pytest.raises(ValueError, match="linearly dependent"):
+                ColumnSpan(m)
+
+        q = quotient_space(field, rows, m)
+        section, projection = _oracle_quotient(field, rows, image)
+        assert q.subspace_basis == image
+        assert q.section == section
+        assert q.projection == projection
+
+
+def test_same_column_space():
+    a = Matrix.from_cols(Q, 3, [[1, 1, 0], [0, 1, 1]])
+    b = Matrix.from_cols(Q, 3, [[1, 2, 1], [1, 0, -1], [2, 2, 0]])
+    assert same_column_space(a, b)
+    assert not same_column_space(a, Matrix.from_cols(Q, 3, [[1, 1, 0]]))
+    assert not same_column_space(a, Matrix.from_cols(Q, 3, [[1, 0, 0],
+                                                            [0, 0, 1]]))
+    assert same_column_space(Matrix.zeros(Q, 3, 2), Matrix.zeros(Q, 3, 0))
 
 
 def test_kernel_identity_empty():
@@ -219,6 +308,8 @@ def test_column_span_membership():
     span = ColumnSpan(b)
     assert span.coords([1, 2, 1]) == [Q.one, Q.one]
     assert not span.contains([1, 0, 1])
+    for s in (span, ColumnSpan(Matrix.identity(Q, 3))):
+        assert not s.contains([1, 2]) and not s.contains([1, 2, 1, 0])
     # the first row starts with a zero, so elimination must swap rows
     b = Matrix.from_cols(Q, 3, [[0, 1, 1], [2, 0, 1]])
     assert ColumnSpan(b).coords([2, 3, 4]) == [Q.of(3), Q.one]

@@ -209,6 +209,25 @@ def test_cli_monoid_size_cap_exit_2_quickly():
         assert "size cap exceeded" in p.stderr
 
 
+def test_arrow_cap_refuses_before_building(tmp_path):
+    # 17 objects with one unit arrow each: one arrow over the cap.
+    n = 17
+    wide = tmp_path / "discrete17.json"
+    wide.write_text(json.dumps(
+        {"objects": n, "arrows": [{"src": x, "rng": x} for x in range(n)],
+         "comp": [[x, x, x] for x in range(n)], "inv": list(range(n))}))
+    specs = ("pair:20", "discrete:400", "group:z:17", f"file:{wide}")
+    for spec in specs:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+            resolve_groupoid(spec)
+        assert time.monotonic() - start < 0.5, spec
+    for spec in specs:
+        p = _run_cli("steinberg", "--groupoid", spec, timeout=10)
+        _assert_one_error_line(p)
+        assert "enumeration cap exceeded" in p.stderr
+
+
 def test_cli_bad_table_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
