@@ -14,7 +14,7 @@ from .homology import (ChainComplexData, KSModule, ResolutionComplex,
 from .algebras import (Algebra, Bimodule, diagonal_algebra, dual_numbers,
                        field_algebra, hochschild_cohomology,
                        hochschild_homology, is_separable, matrix_algebra,
-                       regular_bimodule, semigroup_algebra)
+                       regular_bimodule, semigroup_algebra, table_algebra)
 from .crossed import (CrossedProduct, PartialGroupAction, SkewGroupAlgebra,
                       UnitalAction, coinvariants, crossed_product,
                       induced_partial_action, invariants_sub, is_compatible,

@@ -108,38 +108,43 @@ class Algebra:
         return f"Algebra({self.field}, dim={self.dim})"
 
 
+def table_algebra(field, table, units):
+    """The algebra with b_i b_j = b_{table[i][j]}, or 0 where it is None.
+
+    Its unit is the sum of b_u over units.  Monoid, groupoid, matrix-unit
+    and diagonal algebras all take this form.
+    """
+    n = len(table)
+    z, one = field.zero, field.one
+    sc = [[[one if k == c else z for k in range(n)] for c in row]
+          for row in table]
+    unit = [z] * n
+    for u in units:
+        unit[u] = one
+    return Algebra(field, n, sc, unit)
+
+
 def field_algebra(field):
     """K itself as a 1-dimensional algebra."""
-    return Algebra(field, 1, [[[field.one]]], [field.one])
+    return table_algebra(field, [[0]], [0])
 
 
 def diagonal_algebra(field, n):
     """K^n with pointwise multiplication."""
-    z, one = field.zero, field.one
-    sc = [[[one if i == j == k else z for k in range(n)]
-           for j in range(n)] for i in range(n)]
-    return Algebra(field, n, sc, [one] * n)
+    return table_algebra(field, [[i if i == j else None for j in range(n)]
+                                 for i in range(n)], range(n))
+
+
+def matrix_unit_table(n):
+    """e_ij e_kl = [j=k] e_il, with e_ij at index i*n + j (None for 0)."""
+    return [[a // n * n + b % n if a % n == b // n else None
+             for b in range(n * n)] for a in range(n * n)]
 
 
 def matrix_algebra(field, n):
-    """n x n matrices; basis e_{ij} flattened row-major, e_ij e_kl = [j=k] e_il."""
-    dim = n * n
-    z, one = field.zero, field.one
-    sc = []
-    for a in range(dim):
-        i, j = divmod(a, n)
-        row = []
-        for b in range(dim):
-            k, l = divmod(b, n)
-            vec = [z] * dim
-            if j == k:
-                vec[i * n + l] = one
-            row.append(vec)
-        sc.append(row)
-    unit = [z] * dim
-    for i in range(n):
-        unit[i * n + i] = one
-    return Algebra(field, dim, sc, unit)
+    """n x n matrices; basis e_{ij} flattened row-major."""
+    return table_algebra(field, matrix_unit_table(n),
+                         [i * n + i for i in range(n)])
 
 
 def dual_numbers(field):
@@ -152,19 +157,7 @@ def dual_numbers(field):
 
 def semigroup_algebra(field, monoid):
     """KS for a finite monoid given by its Cayley table."""
-    n = monoid.size
-    z, one = field.zero, field.one
-    sc = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [z] * n
-            vec[monoid.table[i][j]] = one
-            row.append(vec)
-        sc.append(row)
-    unit = [z] * n
-    unit[monoid.unit] = one
-    return Algebra(field, n, sc, unit)
+    return table_algebra(field, monoid.table, [monoid.unit])
 
 
 class Bimodule:

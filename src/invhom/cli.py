@@ -25,8 +25,15 @@ from .homology import (build_resolution, cohomology, homology,
                        DEFAULT_COLUMN_CAP)
 from .linalg import vec_is_zero
 from .serialize import (InputError, action_from_dict, algebra_from_dict,
-                        bimodule_from_dict, parse_field, resolve_groupoid,
-                        resolve_monoid, _load_json, _string)
+                        bimodule_from_dict, field_token, parse_field,
+                        resolve_groupoid, resolve_monoid, _load_json, _string)
+
+
+def _check_field(found, field, what):
+    """Refuse a file object over another field than --field names."""
+    if found.char != field.char:
+        raise InputError(f"{what} is over {field_token(found)}, "
+                         f"but --field is {field_token(field)}")
 
 
 def _resolve_ks_module(spec, monoid, field):
@@ -40,7 +47,9 @@ def _resolve_ks_module(spec, monoid, field):
         ref = doc.get("monoid_ref")
         if ref and not _string(ref, "monoid_ref").startswith("file:inline"):
             monoid = resolve_monoid(ref)
-        return ks_module_from_dict(doc, monoid)
+        module = ks_module_from_dict(doc, monoid)
+        _check_field(module.field, field, "module")
+        return module
     raise InputError(f"unknown module spec {spec!r}")
 
 
@@ -58,6 +67,7 @@ def _resolve_action(spec, field):
         if not aref.startswith("file:"):
             raise InputError("algebra_ref must be a file: reference")
         algebra = algebra_from_dict(_load_json(aref[5:]))
+        _check_field(algebra.field, field, "action's algebra")
         return action_from_dict(doc, monoid, algebra)
     raise InputError(f"unknown action spec {spec!r}")
 

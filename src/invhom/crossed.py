@@ -16,7 +16,7 @@ import itertools
 from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
                        hochschild_homology, is_separable, product_checks,
                        semigroup_algebra)
-from .homology import KSModule, cohomology, homology
+from .homology import KSModule, cohomology, homology, trivial_module_ke
 from .linalg import (ColumnSpan, Matrix, combination, image_basis,
                      induced_map, kernel_basis, mat_rank, quotient_space,
                      same_column_space, vec_add, vec_is_zero, vec_scale,
@@ -54,24 +54,16 @@ def trivial_action(monoid, algebra):
 
 
 def natural_ke_action(monoid, field):
-    """The natural action of S on KE(S): 1_s = ss^-1, theta_s(e) = s e s^-1."""
-    idems = monoid.idempotents()
-    pos = {e: i for i, e in enumerate(idems)}
-    dim = len(idems)
+    """The natural action of S on KE(S): 1_s = ss^-1, theta_s(e) = s e s^-1.
+
+    theta is the left module KE(S) of trivial_module_ke, whose basis is E(S)
+    in the order of the semilattice algebra's basis.
+    """
     algebra = semigroup_algebra(field, _semilattice_of(monoid))
-    one = []
-    theta = []
-    for s in range(monoid.size):
-        si = monoid.inv[s]
-        vec = [field.zero] * dim
-        vec[pos[monoid.rng(s)]] = field.one
-        one.append(vec)
-        m = Matrix.zeros(field, dim, dim)
-        for j, e in enumerate(idems):
-            img = monoid.table[monoid.table[s][e]][si]
-            m.data[pos[img]][j] = field.one
-        theta.append(m)
-    return UnitalAction(monoid, algebra, one, theta)
+    pos = {e: i for i, e in enumerate(monoid.idempotents())}
+    one = [algebra.basis_vec(pos[monoid.rng(s)]) for s in range(monoid.size)]
+    return UnitalAction(monoid, algebra, one,
+                        trivial_module_ke(monoid, field).act)
 
 
 def _semilattice_of(monoid):
@@ -475,8 +467,6 @@ def phi_map(crossed):
     homomorphism property, the A-bimodule property, and bijectivity.
     """
     action = crossed.action
-    if not is_compatible(action):
-        raise ValueError("not compatible")
     skew = skew_group_algebra(induced_partial_action(action))
     S = action.monoid
     A = action.algebra
@@ -514,76 +504,36 @@ def phi_map(crossed):
 
 
 def ks_as_crossed_product(monoid, field):
-    """KS = KE(S) x G(S) for E-unitary S, via tau_g(s^-1 s) = s s^-1.
+    """KS = KE(S) x G(S) for E-unitary S.
 
-    Builds the partial action tau~ of G(S) on KE(S), the skew group
-    algebra, and phi(s) = ss^-1 delta_[s]; checks phi is a bijective
-    algebra homomorphism and a KE(S)-bimodule map.
+    The partial action of G(S) on KE(S) is the one induced by the natural
+    action, so tau_[s] sends s^-1 s to s s^-1.  Builds the skew group
+    algebra and phi(s) = ss^-1 delta_[s]; checks phi is a bijective algebra
+    homomorphism and a KE(S)-bimodule map.
     """
     if not monoid.is_e_unitary():
         raise ValueError("not E-unitary")
     S = monoid
-    idems = S.idempotents()
-    pos = {e: i for i, e in enumerate(idems)}
-    ke = semigroup_algebra(field, _semilattice_of(S))
-    F = field
-    gi = max_group_image(S)
-    G = gi.group
+    action = natural_ke_action(S, field)
+    skew = skew_group_algebra(induced_partial_action(action))
+    G = skew.partial.group
     proj = S.sigma_class_index()
-    classes = S.sigma_classes()
-
-    domains = []
-    raw_maps = []
-    for g in range(G.size):
-        cls = classes[g]
-        image_of = {}
-        for s in cls:
-            d, r = S.dom(s), S.rng(s)
-            if d in image_of:
-                if image_of[d] != r:
-                    raise ValueError("induced table ill-defined: tau not a function")
-            else:
-                image_of[d] = r
-        # tau_g sends d(s) to r(s); D_g is spanned by {r(s) : s in g}.
-        m = Matrix.zeros(F, len(idems), len(idems))
-        for d, r in image_of.items():
-            m.data[pos[r]][pos[d]] = F.one
-        raw_maps.append(m)
-        rng_vecs = []
-        for s in cls:
-            v = [F.zero] * len(idems)
-            v[pos[S.rng(s)]] = F.one
-            if v not in rng_vecs:
-                rng_vecs.append(v)
-        domains.append(_sum_ideal_unit(ke, rng_vecs))
-
-    # Total-matrix convention: compose with the projection onto the domain
-    # ideal KD_{g^-1} so each map vanishes off its domain.
-    maps = [raw_maps[g] @ ke.left_mult_matrix(domains[G.inv[g]])
-            for g in range(G.size)]
-    partial = PartialGroupAction(G, ke, domains, maps)
-    skew = skew_group_algebra(partial)
 
     rep = Report("KS as crossed product over G(S)")
     rep.data["dim_KS"] = S.size
     rep.data["dim_skew"] = skew.algebra.dim
     rep.data["domain_dims"] = [skew.ideal_spans[g].dim for g in range(G.size)]
 
-    phi_cols = []
-    for s in range(S.size):
-        r = S.rng(s)
-        v = [F.zero] * len(idems)
-        v[pos[r]] = F.one
-        phi_cols.append(skew.place(proj[s], v))
-    phi = Matrix.from_cols(F, skew.algebra.dim, phi_cols)
-
+    phi = Matrix.from_cols(field, skew.algebra.dim,
+                           [skew.place(proj[s], action.one[s])
+                            for s in range(S.size)])
     rep.check("phi bijective",
               S.size == skew.algebra.dim and mat_rank(phi) == S.size)
     # KS is held as its Cayley table: phi(st) is the column of S.table[s][t].
     mult, bimod = product_checks(
         phi, skew.algebra, range(S.size),
         lambda s, t: phi.col(S.table[s][t]),
-        [(e, skew.embed_A.col(pos[e])) for e in idems])
+        [(e, skew.embed_A.col(k)) for k, e in enumerate(S.idempotents())])
     rep.check("phi is an algebra homomorphism", mult)
     rep.check("phi(1) = 1", phi.col(S.unit) == skew.algebra.unit)
     rep.check("phi is a KE(S)-bimodule map", bimod)

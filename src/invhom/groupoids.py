@@ -9,9 +9,10 @@ algebra is spanned by all point masses on arrows.
 
 from __future__ import annotations
 
-from .algebras import (Algebra, Bimodule, check_over, diagonal_algebra,
+from .algebras import (Bimodule, check_over, diagonal_algebra,
                        hochschild_cohomology, hochschild_homology,
-                       is_separable, product_checks)
+                       is_separable, matrix_unit_table, product_checks,
+                       table_algebra)
 from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, record_sides)
 from .homology import cohomology, homology
@@ -81,23 +82,13 @@ def pair_groupoid(n):
     """Objects 0..n-1; one arrow (i,j): j -> i; (i,j)(j,k) = (i,k)."""
     if n < 1:
         raise ValueError("pair_groupoid needs n >= 1")
-    src = []
-    rng = []
-    for i in range(n):
-        for j in range(n):
-            rng.append(i)
-            src.append(j)
-    m = n * n
-    comp = [[None] * m for _ in range(m)]
-    for a in range(m):
-        i, j = divmod(a, n)
-        for b in range(m):
-            k, l = divmod(b, n)
-            if j == k:
-                comp[a][b] = i * n + l
-    inv = [(a % n) * n + a // n for a in range(m)]
+    # Arrow (i,j) is index i*n + j, so composition is the matrix units'.
+    arrows = range(n * n)
+    src = [a % n for a in arrows]
+    rng = [a // n for a in arrows]
+    inv = [(a % n) * n + a // n for a in arrows]
     unit_of = [i * n + i for i in range(n)]
-    return FiniteGroupoid(n, src, rng, comp, inv, unit_of)
+    return FiniteGroupoid(n, src, rng, matrix_unit_table(n), inv, unit_of)
 
 
 def group_as_groupoid(group):
@@ -198,13 +189,9 @@ def bisections_with_masks(g, cap=BISECTION_ARROW_CAP):
     return monoid, masks
 
 
-def functions_algebra(g, field):
-    """L(X) = K^objects with pointwise multiplication."""
-    return diagonal_algebra(field, g.n_objects)
-
-
 def induced_action_hat(g, field, monoid, masks):
-    """The action of the bisection monoid (with its arrow masks) on K^objects.
+    """The action of the bisection monoid (with its arrow masks) on the
+    function algebra L(X) = K^objects.
 
     1_U is the indicator of r(U) and T_U moves the coordinate at src of
     each arrow of U to its range.  crossed_product validates it.
@@ -221,27 +208,13 @@ def induced_action_hat(g, field, monoid, masks):
             t.data[g.rng[a]][g.src[a]] = F.one
         one.append(v)
         theta.append(t)
-    return UnitalAction(monoid, functions_algebra(g, field), one, theta)
+    lx = diagonal_algebra(field, g.n_objects)
+    return UnitalAction(monoid, lx, one, theta)
 
 
 def steinberg_algebra(g, field):
     """K^arrows under convolution; unit = indicator of the unit arrows."""
-    n = g.n_arrows
-    z, one = field.zero, field.one
-    sc = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            vec = [z] * n
-            c = g.comp[a][b]
-            if c is not None:
-                vec[c] = one
-            row.append(vec)
-        sc.append(row)
-    unit = [z] * n
-    for x in range(g.n_objects):
-        unit[g.unit_of[x]] = one
-    return Algebra(field, n, sc, unit)
+    return table_algebra(field, g.comp, g.unit_of)
 
 
 def lx_embedding(g, field):

@@ -346,6 +346,8 @@ def build_resolution(monoid, field, max_deg, cap=DEFAULT_COLUMN_CAP):
     The identification t(s_1,...,s_n) = t*r(s_1...s_n)(s_1,...,s_n)
     normalizes every symbol onto the restricted basis.
     """
+    if max_deg < 0:
+        raise ValueError(f"max degree must be non-negative, got {max_deg}")
     idems = monoid.idempotents()
     epos = {e: i for i, e in enumerate(idems)}
 

@@ -4,7 +4,10 @@ from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              dual_numbers, field_algebra,
                              hochschild_cohomology, hochschild_homology,
                              is_separable, matrix_algebra, product_checks,
-                             regular_bimodule, semigroup_algebra)
+                             regular_bimodule, semigroup_algebra,
+                             table_algebra)
+from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
+                              pair_groupoid, steinberg_algebra)
 from invhom.linalg import Field, Matrix
 from invhom.monoids import cyclic_group, symmetric_inverse_monoid
 
@@ -47,6 +50,44 @@ def test_semigroup_algebra_of_inverse_monoid():
     ki1 = semigroup_algebra(Q, symmetric_inverse_monoid(1))
     zero_elt = ki1.basis_vec(0)
     assert ki1.mul(zero_elt, zero_elt) == zero_elt
+
+
+def test_table_algebras_multiply_by_their_table():
+    # b_i b_j = b_table[i][j], or 0 where the table has no entry, for the
+    # Cayley tables of i:2 and z:3 and the composition of pair:2 and z:3.
+    for F in (Q, Field(3)):
+        cases = [(semigroup_algebra(F, m), m.table, [m.unit])
+                 for m in (symmetric_inverse_monoid(2), cyclic_group(3))]
+        cases += [(steinberg_algebra(g, F), g.comp, g.unit_of)
+                  for g in (pair_groupoid(2),
+                            group_as_groupoid(cyclic_group(3)))]
+        for alg, table, units in cases:
+            zero = [F.zero] * alg.dim
+            for i, row in enumerate(table):
+                for j, k in enumerate(row):
+                    want = zero if k is None else alg.basis_vec(k)
+                    assert alg.mul(alg.basis_vec(i), alg.basis_vec(j)) == want
+            assert alg.unit == [F.one if k in units else F.zero
+                                for k in range(alg.dim)]
+
+
+def test_groupoid_algebras_are_matrix_and_diagonal_algebras():
+    for F in (Q, Field(3)):
+        for n in range(1, 4):
+            pair = steinberg_algebra(pair_groupoid(n), F)
+            mat = matrix_algebra(F, n)
+            assert (pair.sc, pair.unit) == (mat.sc, mat.unit)
+            disc = steinberg_algebra(discrete_groupoid(n), F)
+            diag = diagonal_algebra(F, n)
+            assert (disc.sc, disc.unit) == (diag.sc, diag.unit)
+
+
+def test_table_algebra_is_validated():
+    # (b1 b1) b2 = b2 b2 = b1, but b1 (b1 b2) = 0.
+    with pytest.raises(ValueError, match="not associative"):
+        table_algebra(Q, [[0, 1, 2], [1, 2, None], [2, None, 1]], [0])
+    with pytest.raises(ValueError, match="unit"):
+        table_algebra(Q, [[0, 1], [1, 0]], [1])
 
 
 def test_bimodule_validation():

@@ -53,6 +53,15 @@ JOBS = [
       "--field", "fp:3", "--max-degree", "1"]),
     ("resolution-check-chain3",
      ["resolution-check", "--monoid", "chain:3", "--max-degree", "2"]),
+    ("verify-ks-crossed-product-chain3",
+     ["verify", "ks-crossed-product", "--monoid", "chain:3"]),
+    ("verify-ks-crossed-product-z3-f3",
+     ["verify", "ks-crossed-product", "--monoid", "z:3", "--field", "fp:3"]),
+    ("verify-ks-crossed-product-chain2-z3-f2",
+     ["verify", "ks-crossed-product", "--monoid", "prod:chain:2,z:3",
+      "--field", "fp:2"]),
+    ("crossed-product-ke-chain2-z3",
+     ["crossed-product", "--action", "ke:prod:chain:2,z:3"]),
 ]
 
 FORMATS = ("text", "json")

@@ -186,8 +186,35 @@ def test_cli_large_prime_field():
 def test_cli_negative_max_degree_exit_2():
     for job in (("homology", "--monoid", "z:2"),
                 ("cohomology", "--monoid", "z:2"),
-                ("verify", "separable-homology", "--action", "ke:i:2")):
+                ("verify", "separable-homology", "--action", "ke:i:2"),
+                ("resolution-check", "--monoid", "chain:2")):
         _assert_one_error_line(_run_cli(*job, "--max-degree", "-1"))
+
+
+def test_cli_refuses_file_over_another_field(tmp_path):
+    # An F_2 module or action read from a file is not computed over Q: the
+    # report would name --field while the numbers came from the file's field.
+    F2 = Field(2)
+    z2 = resolve_monoid("z:2")
+    (tmp_path / "mod.json").write_text(json.dumps(
+        ks_module_to_dict(trivial_module_ke(z2, F2))))
+    act = natural_ke_action(z2, F2)
+    (tmp_path / "mon.json").write_text(json.dumps(monoid_to_dict(z2)))
+    (tmp_path / "alg.json").write_text(json.dumps(algebra_to_dict(act.algebra)))
+    (tmp_path / "act.json").write_text(json.dumps(action_to_dict(
+        act, monoid_ref=f"file:{tmp_path}/mon.json",
+        algebra_ref=f"file:{tmp_path}/alg.json")))
+    module = ("homology", "--monoid", "z:2", "--module",
+              f"file:{tmp_path}/mod.json", "--max-degree", "3")
+    action = ("verify", "separable-homology", "--action",
+              f"file:{tmp_path}/act.json")
+    for job in (module, action):
+        p = _run_cli(*job, "--field", "q", timeout=30)
+        _assert_one_error_line(p)
+        assert "over fp:2, but --field is q" in p.stderr, job
+        p = _run_cli(*job, "--field", "fp:2", "--format", "json", timeout=30)
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["field"] == "fp:2"
 
 
 def test_cli_monoid_size_cap_exit_2_quickly():
