@@ -15,8 +15,8 @@ from .algebras import (Algebra, Bimodule, diagonal_algebra, dual_numbers,
                        field_algebra, hochschild_cohomology,
                        hochschild_homology, is_separable, matrix_algebra,
                        regular_bimodule, semigroup_algebra, table_algebra)
-from .crossed import (CrossedProduct, PartialGroupAction, SkewGroupAlgebra,
-                      UnitalAction, coinvariants, crossed_product,
+from .crossed import (CrossedProduct, PartialGroupAction, UnitalAction,
+                      coinvariants, crossed_product,
                       induced_partial_action, invariants_sub, is_compatible,
                       ks_as_crossed_product, module_as_ks, natural_ke_action,
                       phi_map, skew_group_algebra, trivial_action,

@@ -5,8 +5,10 @@ The maps theta_s are stored as total matrices T_s (x -> theta_s(1_{s^-1} x),
 zero off the domain ideal), so all of the action axioms become checkable
 matrix identities.  The relation subspace N of L(A,theta,S) is spanned by
 the generators a delta_s - a delta_t over the natural-order pairs s <= t;
-that span is already an ideal, which crossed_product re-verifies on basis
-elements before inducing the quotient multiplication.
+that span is already an ideal, which CrossedProduct re-verifies on its
+table of basis products before inducing the quotient multiplication.  The
+skew group algebra of a partial group action is the same construction,
+with N = 0.
 """
 
 from __future__ import annotations
@@ -75,12 +77,12 @@ def _semilattice_of(monoid):
     return from_table(table, unit=pos[monoid.unit], names=names)
 
 
-def validate_action(action):
-    """Check every UnitalAction invariant; failures carry witnesses."""
+def _check_partial_action_axioms(action, rep):
+    """Record the axioms a unital action shares with a partial group action
+    (for a group, these are the partial action axioms (i)-(iii))."""
     S = action.monoid
     A = action.algebra
     F = A.field
-    rep = Report("unital action")
     idm = Matrix.identity(F, A.dim)
 
     for s in range(S.size):
@@ -118,10 +120,6 @@ def validate_action(action):
     for s in range(S.size):
         for t in range(S.size):
             st = S.table[s][t]
-            if S.natural_leq(s, t):
-                rep.check(
-                    f"1_s 1_t = 1_s for {S.name_of(s)} <= {S.name_of(t)}",
-                    A.mul(action.one[s], action.one[t]) == action.one[s])
             lhs = action.theta[s].apply(
                 A.mul(action.one[S.inv[s]], action.one[t]))
             rep.check(
@@ -133,6 +131,23 @@ def validate_action(action):
                 f"T_s T_t = T_st on the composite domain at ({S.name_of(s)},{S.name_of(t)})",
                 action.theta[s] @ action.theta[t] @ restrict
                 == action.theta[st] @ restrict)
+
+
+def validate_action(action):
+    """Check every UnitalAction invariant; failures carry witnesses.
+
+    Only 1_s 1_t = 1_s for s <= t, 1_ss^-1 = 1_s and 1_ef = 1_e 1_f are
+    checked here beyond the axioms of a partial action."""
+    S = action.monoid
+    A = action.algebra
+    rep = Report("unital action")
+    _check_partial_action_axioms(action, rep)
+    for s in range(S.size):
+        for t in range(S.size):
+            if S.natural_leq(s, t):
+                rep.check(
+                    f"1_s 1_t = 1_s for {S.name_of(s)} <= {S.name_of(t)}",
+                    A.mul(action.one[s], action.one[t]) == action.one[s])
         rep.check(f"1_ss^-1 = 1_s at {S.name_of(s)}",
                   action.one[S.rng(s)] == action.one[s])
     for e in S.idempotents():
@@ -157,82 +172,125 @@ def is_compatible(action):
     return True
 
 
-class IdealBlocks:
-    """The direct sum of the ideals e_s A, one block per index s.
+def _sparse_sum(field, terms):
+    """sum of c * v over pairs (c, v) of a scalar and a sparse vector {i: x}."""
+    out = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            out[i] = field.add(out.get(i, field.zero), field.mul(c, x))
+    return {i: x for i, x in out.items() if x}
 
-    labels[k] = (s, j): the k-th coordinate is the j-th basis vector of the
-    ideal e_s A placed in the delta_s slot.
+
+class CrossedProduct:
+    """L(A,theta,S) / N with its induced algebra structure.
+
+    labels[k] = (s, j): the k-th coordinate of L is the j-th basis vector of
+    the ideal 1_s A placed in the delta_s slot.  For a partial group action
+    the natural order is equality, so N = 0: A x G is the same construction.
     """
 
-    __slots__ = ("labels", "ideal_spans", "block_offset")
+    __slots__ = ("action", "labels", "ideal_spans", "block_offset",
+                 "n_space", "algebra", "embed_A", "gamma")
 
-    def __init__(self, algebra, idempotents):
+    def __init__(self, action):
+        S = action.monoid
+        A = action.algebra
+        F = A.field
+        self.action = action
         self.labels = []
         self.ideal_spans = []
         self.block_offset = []
-        for s, e in enumerate(idempotents):
-            span = ColumnSpan(image_basis(algebra.left_mult_matrix(e)))
+        for s, e in enumerate(action.one):
+            span = ColumnSpan(image_basis(A.left_mult_matrix(e)))
             self.ideal_spans.append(span)
             self.block_offset.append(len(self.labels))
             self.labels.extend((s, j) for j in range(span.dim))
+        l_dim = self.l_dim
 
-    def place(self, s, a_vec):
-        """The element a delta_s in block coordinates (a must lie in e_s A)."""
-        span = self.ideal_spans[s]
-        out = [span.basis.field.zero] * len(self.labels)
-        off = self.block_offset[s]
-        for i, c in enumerate(span.coords(a_vec)):
-            out[off + i] = c
-        return out
+        gens = []
+        for s in range(S.size):
+            for t in range(S.size):
+                if s != t and S.natural_leq(s, t):
+                    for j in range(self.ideal_spans[s].dim):
+                        a_vec = self.ideal_spans[s].basis.col(j)
+                        gens.append(vec_sub(F, self.place(s, a_vec),
+                                            self.place(t, a_vec)))
+        q = self.n_space = quotient_space(
+            F, l_dim, Matrix.from_cols(F, l_dim, gens))
 
+        # The products of all pairs of L basis labels, projected through N
+        # and kept only where nonzero.
+        proj = [{i: c for i, c in enumerate(q.projection.col(k)) if c}
+                for k in range(l_dim)]
+        table = {}
+        for k1 in range(l_dim):
+            for k2 in range(l_dim):
+                prod = _sparse_sum(F, ((c, proj[k]) for k, c in
+                                       self.l_mult(k1, k2).items()))
+                if prod:
+                    table[k1, k2] = prod
 
-class CrossedProduct(IdealBlocks):
-    """L(A,theta,S) / N with its induced algebra structure.
+        # N must be a two-sided ideal: every L basis element times every
+        # basis vector of N, on either side, projects to zero.
+        for n in range(q.subspace_basis.cols):
+            terms = [(m, c) for m, c in enumerate(q.subspace_basis.col(n)) if c]
+            for k in range(l_dim):
+                left = _sparse_sum(F, ((c, table.get((k, m), {})) for m, c in terms))
+                right = _sparse_sum(F, ((c, table.get((m, k), {})) for m, c in terms))
+                if left or right:
+                    raise ValueError("induced multiplication ill-defined")
 
-    L has one block 1_s A per s; crossed_product fills in the rest.
-    """
+        # The section is standard vectors, so the quotient's structure
+        # constants are the table's entries at their coordinates.
+        sec = [q.section.col(i).index(F.one) for i in range(q.dim)]
+        sc = [[[table.get((a, b), {}).get(i, F.zero) for i in range(q.dim)]
+               for b in sec] for a in sec]
+        self.algebra = Algebra(F, q.dim, sc,
+                               self.class_of(self.place(S.unit, list(A.unit))))
 
-    __slots__ = ("action", "n_space", "algebra", "embed_A", "gamma")
-
-    def __init__(self, action):
-        super().__init__(action.algebra, action.one)
-        self.action = action
-        self.n_space = None
-        self.algebra = None
-        self.embed_A = None
-        self.gamma = None
+        embed_cols = [self.class_of(self.place(S.unit, A.basis_vec(i)))
+                      for i in range(A.dim)]
+        self.embed_A = Matrix.from_cols(F, q.dim, embed_cols)
+        if mat_rank(self.embed_A) != A.dim:
+            raise ValueError("induced multiplication ill-defined: A does not embed")
+        for i in range(A.dim):
+            for j in range(A.dim):
+                lhs = self.algebra.mul(self.embed_A.col(i), self.embed_A.col(j))
+                rhs = self.embed_A.apply(A.mul(A.basis_vec(i), A.basis_vec(j)))
+                if lhs != rhs:
+                    raise ValueError(
+                        "induced multiplication ill-defined: embedding not multiplicative")
+        self.gamma = [self.class_of(self.place(s, action.one[s]))
+                      for s in range(S.size)]
 
     @property
     def l_dim(self):
         return len(self.labels)
 
-    def l_mult(self, u, v):
-        """Multiplication of L in L-coordinates: a d_s * b d_t = a th_s(1 b) d_st."""
+    def place(self, s, a_vec):
+        """The element a delta_s in L-coordinates (a must lie in 1_s A)."""
+        span = self.ideal_spans[s]
+        out = [span.basis.field.zero] * self.l_dim
+        off = self.block_offset[s]
+        for i, c in enumerate(span.coords(a_vec)):
+            out[off + i] = c
+        return out
+
+    def l_mult(self, k1, k2):
+        """The product of two L basis labels, a d_s * b d_t = a T_s(b) d_st,
+        as a sparse vector {L-coordinate: coefficient}."""
         S = self.action.monoid
         A = self.action.algebra
-        F = A.field
-        out = [F.zero] * self.l_dim
-        for k1, c1 in enumerate(u):
-            if not c1:
-                continue
-            s, j1 = self.labels[k1]
-            a_vec = self.ideal_spans[s].basis.col(j1)
-            for k2, c2 in enumerate(v):
-                if not c2:
-                    continue
-                t, j2 = self.labels[k2]
-                b_vec = self.ideal_spans[t].basis.col(j2)
-                w = A.mul(a_vec, self.action.theta[s].apply(b_vec))
-                if vec_is_zero(w):
-                    continue
-                st = S.table[s][t]
-                coords = self.ideal_spans[st].coords(w)
-                off = self.block_offset[st]
-                c = F.mul(c1, c2)
-                for i, cc in enumerate(coords):
-                    if cc:
-                        out[off + i] = F.add(out[off + i], F.mul(c, cc))
-        return out
+        s, j1 = self.labels[k1]
+        t, j2 = self.labels[k2]
+        w = A.mul(self.ideal_spans[s].basis.col(j1),
+                  self.action.theta[s].apply(self.ideal_spans[t].basis.col(j2)))
+        if vec_is_zero(w):
+            return {}
+        st = S.table[s][t]
+        off = self.block_offset[st]
+        return {off + i: c
+                for i, c in enumerate(self.ideal_spans[st].coords(w)) if c}
 
     def class_of(self, l_vec):
         """Image of an element of L in the quotient A x S."""
@@ -257,68 +315,9 @@ class CrossedProduct(IdealBlocks):
 def crossed_product(action):
     """Validate the action, then build A x_theta S: L, the relation span N,
     and the quotient algebra."""
-    failures = validate_action(action).failures()
-    if failures:
-        raise ValueError(
-            "action invalid: " + "; ".join(n for n, _ in failures))
+    validate_action(action).refuse("action invalid")
     S = action.monoid
-    A = action.algebra
-    F = A.field
     cp = CrossedProduct(action)
-    l_dim = cp.l_dim
-
-    gens = []
-    for s in range(S.size):
-        for t in range(S.size):
-            if s != t and S.natural_leq(s, t):
-                for j in range(cp.ideal_spans[s].dim):
-                    a_vec = cp.ideal_spans[s].basis.col(j)
-                    gens.append(vec_sub(F, cp.place(s, a_vec),
-                                        cp.place(t, a_vec)))
-    n_span = Matrix.from_cols(F, l_dim, gens)
-    cp.n_space = quotient_space(F, l_dim, n_span)
-
-    # The generator span must already be a two-sided ideal; re-check it on
-    # basis elements so a bad input cannot silently corrupt the quotient.
-    basis_elts = []
-    for k in range(l_dim):
-        e = [F.zero] * l_dim
-        e[k] = F.one
-        basis_elts.append(e)
-    for g in gens:
-        for x in basis_elts:
-            if not cp.n_space.contains_in_subspace(cp.l_mult(x, g)):
-                raise ValueError("induced multiplication ill-defined")
-            if not cp.n_space.contains_in_subspace(cp.l_mult(g, x)):
-                raise ValueError("induced multiplication ill-defined")
-
-    q = cp.n_space
-    dim_q = q.dim
-    sc = []
-    for i in range(dim_q):
-        row = []
-        for j in range(dim_q):
-            prod = cp.l_mult(q.section.col(i), q.section.col(j))
-            row.append(q.projection.apply(prod))
-        sc.append(row)
-    unit_q = q.projection.apply(cp.place(S.unit, list(A.unit)))
-    cp.algebra = Algebra(F, dim_q, sc, unit_q)
-
-    embed_cols = [q.projection.apply(cp.place(S.unit, A.basis_vec(i)))
-                  for i in range(A.dim)]
-    cp.embed_A = Matrix.from_cols(F, dim_q, embed_cols)
-    if mat_rank(cp.embed_A) != A.dim:
-        raise ValueError("induced multiplication ill-defined: A does not embed")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = cp.algebra.mul(cp.embed_A.col(i), cp.embed_A.col(j))
-            rhs = cp.embed_A.apply(A.mul(A.basis_vec(i), A.basis_vec(j)))
-            if lhs != rhs:
-                raise ValueError(
-                    "induced multiplication ill-defined: embedding not multiplicative")
-
-    cp.gamma = [q.projection.apply(cp.place(s, action.one[s]))
-                for s in range(S.size)]
     for s in range(S.size):
         for t in range(S.size):
             if cp.algebra.mul(cp.gamma[s], cp.gamma[t]) != cp.gamma[S.table[s][t]]:
@@ -327,51 +326,17 @@ def crossed_product(action):
     return cp
 
 
-class PartialGroupAction:
-    """Partial action of a group: domain idempotents e_g and total maps."""
+class PartialGroupAction(UnitalAction):
+    """Partial action of a group: the domain D_g = 1_g A and theta_g stored
+    as T_g, checked against the partial action axioms on construction."""
 
-    __slots__ = ("group", "algebra", "domains", "maps")
+    __slots__ = ()
 
     def __init__(self, group, algebra, domains, maps):
-        self.group = group
-        self.algebra = algebra
-        self.domains = domains
-        self.maps = maps
-        self._validate()
-
-    def _validate(self):
-        G = self.group
-        A = self.algebra
-        if self.domains[G.unit] != list(A.unit):
-            raise ValueError("partial action axiom (i) fails: D_1 != A")
-        if not self.maps[G.unit].is_identity():
-            raise ValueError("partial action axiom (i) fails: theta_1 != id")
-        for g in range(G.size):
-            if not A.is_central_idempotent(self.domains[g]):
-                raise ValueError(f"domain idempotent for {g} is not central idempotent")
-            gi = G.inv[g]
-            into = A.left_mult_matrix(self.domains[gi])
-            if self.maps[g] @ into != self.maps[g]:
-                raise ValueError(f"map for {g} does not vanish off its domain")
-            if self.maps[g] @ self.maps[gi] != A.left_mult_matrix(self.domains[g]):
-                raise ValueError(f"map for {g} is not inverted by the map for {G.inv[g]}")
-        for g in range(G.size):
-            for h in range(G.size):
-                gh = G.table[g][h]
-                e = A.mul(self.domains[G.inv[h]], self.domains[G.inv[gh]])
-                restrict = A.left_mult_matrix(e)
-                if (self.maps[g] @ self.maps[h] @ restrict
-                        != self.maps[gh] @ restrict):
-                    raise ValueError(
-                        f"partial action axiom (iii) fails at ({g},{h})")
-                # axiom (ii): theta_g(D_g^-1 . D_h) = D_g . D_gh
-                if not same_column_space(
-                        self.maps[g] @ A.left_mult_matrix(
-                            A.mul(self.domains[G.inv[g]], self.domains[h])),
-                        A.left_mult_matrix(
-                            A.mul(self.domains[g], self.domains[gh]))):
-                    raise ValueError(
-                        f"partial action axiom (ii) fails at ({g},{h})")
+        super().__init__(group, algebra, domains, maps)
+        rep = Report("partial group action")
+        _check_partial_action_axioms(self, rep)
+        rep.refuse("partial action invalid")
 
 
 def _sum_ideal_unit(algebra, idempotents):
@@ -421,43 +386,9 @@ def induced_partial_action(action):
     return PartialGroupAction(G, A, domains, maps)
 
 
-class SkewGroupAlgebra(IdealBlocks):
-    """The skew group algebra of a partial action: one block D_g per g."""
-
-    __slots__ = ("partial", "algebra", "embed_A")
-
-    def __init__(self, partial):
-        super().__init__(partial.algebra, partial.domains)
-        self.partial = partial
-        self.algebra = None
-        self.embed_A = None
-
-
 def skew_group_algebra(partial):
-    """A x G for a unital partial group action: sum of D_g delta_g."""
-    G = partial.group
-    A = partial.algebra
-    F = A.field
-    skew = SkewGroupAlgebra(partial)
-    dim = len(skew.labels)
-
-    def product(k1, k2):
-        # a d_g * b d_h = theta_g(theta_g^-1(a) b) d_gh
-        g, j1 = skew.labels[k1]
-        h, j2 = skew.labels[k2]
-        a_vec = skew.ideal_spans[g].basis.col(j1)
-        b_vec = skew.ideal_spans[h].basis.col(j2)
-        inner = A.mul(partial.maps[G.inv[g]].apply(a_vec), b_vec)
-        return skew.place(G.table[g][h], partial.maps[g].apply(inner))
-
-    sc = [[product(k1, k2) for k2 in range(dim)] for k1 in range(dim)]
-    try:
-        skew.algebra = Algebra(F, dim, sc, skew.place(G.unit, list(A.unit)))
-    except ValueError as exc:
-        raise ValueError(f"not associative: {exc}") from exc
-    skew.embed_A = Matrix.from_cols(
-        F, dim, [skew.place(G.unit, A.basis_vec(i)) for i in range(A.dim)])
-    return skew
+    """A x G for a unital partial group action: sum of D_g delta_g, N = 0."""
+    return CrossedProduct(partial)
 
 
 def phi_map(crossed):
@@ -516,13 +447,12 @@ def ks_as_crossed_product(monoid, field):
     S = monoid
     action = natural_ke_action(S, field)
     skew = skew_group_algebra(induced_partial_action(action))
-    G = skew.partial.group
     proj = S.sigma_class_index()
 
     rep = Report("KS as crossed product over G(S)")
     rep.data["dim_KS"] = S.size
     rep.data["dim_skew"] = skew.algebra.dim
-    rep.data["domain_dims"] = [skew.ideal_spans[g].dim for g in range(G.size)]
+    rep.data["domain_dims"] = [span.dim for span in skew.ideal_spans]
 
     phi = Matrix.from_cols(field, skew.algebra.dim,
                            [skew.place(proj[s], action.one[s])

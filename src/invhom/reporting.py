@@ -24,6 +24,12 @@ class Report:
     def failures(self):
         return [(name, detail) for name, ok, detail in self.checks if not ok]
 
+    def refuse(self, prefix):
+        """Raise ValueError("<prefix>: <failed check names>") if any failed."""
+        if not self.ok:
+            raise ValueError(
+                f"{prefix}: " + "; ".join(n for n, _ in self.failures()))
+
     def as_dict(self):
         return {
             "title": self.title,

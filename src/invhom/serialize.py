@@ -240,6 +240,9 @@ def groupoid_from_dict(doc):
     if not all(isinstance(a, dict) for a in arrows):
         raise InputError("each arrow must be an object with src and rng")
     n = len(arrows)
+    if n_obj > n:
+        raise InputError(
+            f"{n_obj} objects but {n} arrows: each object needs a unit arrow")
     check_arrow_cap(n)
     src = _indices([a["src"] for a in arrows], n_obj, "arrow src")
     rng = _indices([a["rng"] for a in arrows], n_obj, "arrow rng")

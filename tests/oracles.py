@@ -1,13 +1,16 @@
 """Independent oracle routines used to freeze expected test values.
 
 These deliberately avoid the library's complex builders: the rank oracle
-enumerates minors, and the group (co)homology oracles build the textbook
-bar differentials over full tuple spaces with no projector machinery.
+enumerates minors, the group (co)homology oracles build the textbook
+bar differentials over full tuple spaces with no projector machinery, and
+the crossed-product oracle multiplies dense vectors of L pair by pair.
 """
 
 import itertools
 
-from invhom.linalg import Matrix, mat_rank
+from invhom.algebras import Algebra
+from invhom.linalg import (ColumnSpan, Matrix, image_basis, mat_rank,
+                           quotient_space, vec_is_zero, vec_sub)
 
 
 def det(field, rows):
@@ -233,3 +236,91 @@ def is_module(table, unit, char, act, side):
             if _matmul(char, a, b) != act[table[s][t]]:
                 return False
     return True
+
+
+def crossed_product_by_vectors(action):
+    """A x_theta S from dense vectors of L, without validating the action.
+
+    L has one block 1_s A per s.  Its product multiplies two vectors of L
+    entry by entry, a d_s * b d_t = a T_s(b) d_st.  Every generator
+    a d_s - a d_t (s < t) of N is multiplied by every basis vector of L on
+    both sides, and each product must lie in N; the structure constants
+    are the products of the section vectors.  Raises ValueError where the
+    quotient is ill-defined; returns dim_N, the basis of N, sc, the unit,
+    embed_A and gamma.
+    """
+    S = action.monoid
+    A = action.algebra
+    F = A.field
+    labels, spans, offset = [], [], []
+    for s, e in enumerate(action.one):
+        span = ColumnSpan(image_basis(A.left_mult_matrix(e)))
+        spans.append(span)
+        offset.append(len(labels))
+        labels.extend((s, j) for j in range(span.dim))
+    l_dim = len(labels)
+
+    def place(s, a_vec):
+        out = [F.zero] * l_dim
+        for i, c in enumerate(spans[s].coords(a_vec)):
+            out[offset[s] + i] = c
+        return out
+
+    def l_mult(u, v):
+        out = [F.zero] * l_dim
+        for k1, c1 in enumerate(u):
+            if not c1:
+                continue
+            s, j1 = labels[k1]
+            a_vec = spans[s].basis.col(j1)
+            for k2, c2 in enumerate(v):
+                if not c2:
+                    continue
+                t, j2 = labels[k2]
+                w = A.mul(a_vec, action.theta[s].apply(spans[t].basis.col(j2)))
+                if vec_is_zero(w):
+                    continue
+                st = S.table[s][t]
+                c = F.mul(c1, c2)
+                for i, cc in enumerate(spans[st].coords(w)):
+                    if cc:
+                        k = offset[st] + i
+                        out[k] = F.add(out[k], F.mul(c, cc))
+        return out
+
+    gens = []
+    for s in range(S.size):
+        for t in range(S.size):
+            if s != t and S.natural_leq(s, t):
+                for j in range(spans[s].dim):
+                    a_vec = spans[s].basis.col(j)
+                    gens.append(vec_sub(F, place(s, a_vec), place(t, a_vec)))
+    q = quotient_space(F, l_dim, Matrix.from_cols(F, l_dim, gens))
+    basis_elts = [[F.one if i == k else F.zero for i in range(l_dim)]
+                  for k in range(l_dim)]
+    for g in gens:
+        for x in basis_elts:
+            if not (q.contains_in_subspace(l_mult(x, g))
+                    and q.contains_in_subspace(l_mult(g, x))):
+                raise ValueError("induced multiplication ill-defined")
+
+    sc = [[q.projection.apply(l_mult(q.section.col(i), q.section.col(j)))
+           for j in range(q.dim)] for i in range(q.dim)]
+    unit = q.projection.apply(place(S.unit, list(A.unit)))
+    quotient = Algebra(F, q.dim, sc, unit)
+    embed = Matrix.from_cols(F, q.dim, [
+        q.projection.apply(place(S.unit, A.basis_vec(i))) for i in range(A.dim)])
+    if mat_rank(embed) != A.dim:
+        raise ValueError("A does not embed")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if (quotient.mul(embed.col(i), embed.col(j))
+                    != embed.apply(A.mul(A.basis_vec(i), A.basis_vec(j)))):
+                raise ValueError("embedding not multiplicative")
+    gamma = [q.projection.apply(place(s, action.one[s])) for s in range(S.size)]
+    for s in range(S.size):
+        for t in range(S.size):
+            if quotient.mul(gamma[s], gamma[t]) != gamma[S.table[s][t]]:
+                raise ValueError("gamma not multiplicative")
+    return {"dim_N": q.subspace_basis.cols, "subspace_basis": q.subspace_basis,
+            "sc": sc, "unit": unit, "embed_A": embed, "gamma": gamma}

@@ -160,24 +160,24 @@ def test_induced_partial_action_group_case():
     z2 = cyclic_group(2)
     act = trivial_action(z2, field_algebra(Q))
     pa = induced_partial_action(act)
-    assert pa.group.size == 2
-    assert all(d == [Q.one] for d in pa.domains)
+    assert pa.monoid.size == 2
+    assert all(d == [Q.one] for d in pa.one)
 
 
 def test_induced_partial_action_i1():
     pa = induced_partial_action(i1_on_k2())
-    assert pa.group.size == 1
-    assert pa.domains[0] == [Q.one, Q.one]
-    assert pa.maps[0].is_identity()
+    assert pa.monoid.size == 1
+    assert pa.one[0] == [Q.one, Q.one]
+    assert pa.theta[0].is_identity()
 
 
 def test_induced_partial_action_chain2_z2():
     p = direct_product(chain_semilattice(2), cyclic_group(2))
     act = trivial_action(p, field_algebra(Q))
     pa = induced_partial_action(act)
-    assert pa.group.size == 2
-    assert all(d == [Q.one] for d in pa.domains)
-    assert all(m.is_identity() for m in pa.maps)
+    assert pa.monoid.size == 2
+    assert all(d == [Q.one] for d in pa.one)
+    assert all(m.is_identity() for m in pa.theta)
 
 
 def test_skew_group_algebra_dimensions():
@@ -374,3 +374,130 @@ def test_hochschild_degree_zero_is_commutator_quotient_and_centralizer():
         assert hochschild_homology(a, m, 0)[0] == m.dim - mat_rank(span)
         centralizer = kernel_basis(M(Q, len(stacked), m.dim, stacked))
         assert hochschild_cohomology(a, m, 0)[0] == centralizer.cols
+
+
+def _desk_actions():
+    """trivial: and ke: actions on small monoids over Q, F_2 and F_3, and
+    the bisection actions of four small groupoids over Q."""
+    from invhom.groupoids import bisections_with_masks, induced_action_hat
+    from invhom.serialize import resolve_groupoid, resolve_monoid
+    for spec in ("chain:2", "z:2", "z:3", "i:1", "i:2", "prod:chain:2,z:2"):
+        m = resolve_monoid(spec)
+        for F in (Q, Field(2), Field(3)):
+            yield trivial_action(m, field_algebra(F))
+            yield natural_ke_action(m, F)
+    for spec in ("pair:2", "pair:3", "group:z:3", "discrete:2"):
+        g = resolve_groupoid(spec)
+        yield induced_action_hat(g, Q, *bisections_with_masks(g))
+
+
+def _assert_matches_oracle(cp, expected):
+    assert cp.n_space.subspace_basis.cols == expected["dim_N"]
+    assert cp.n_space.subspace_basis == expected["subspace_basis"]
+    assert cp.algebra.sc == expected["sc"]
+    assert cp.algebra.unit == expected["unit"]
+    assert cp.embed_A == expected["embed_A"]
+    assert cp.gamma == expected["gamma"]
+
+
+def test_crossed_product_matches_vector_oracle():
+    from oracles import crossed_product_by_vectors
+    n = 0
+    for action in _desk_actions():
+        _assert_matches_oracle(crossed_product(action),
+                               crossed_product_by_vectors(action))
+        n += 1
+    assert n == 40
+
+
+def _corrupted_actions(action):
+    """Copies of a valid action with one 1_s or one T_s replaced (some of
+    them are still valid actions)."""
+    S = action.monoid
+    A = action.algebra
+    F = A.field
+    zero = Matrix.zeros(F, A.dim, A.dim)
+    for s in range(S.size):
+        T = action.theta[s]
+        for new in (T + T, zero, Matrix.identity(F, A.dim), T @ T,
+                    *action.theta):
+            theta = list(action.theta)
+            theta[s] = new
+            yield UnitalAction(S, A, action.one, theta)
+        for new in ([F.zero] * A.dim, list(A.unit), *action.one):
+            one = list(action.one)
+            one[s] = new
+            yield UnitalAction(S, A, one, action.theta)
+
+
+def test_crossed_product_refuses_what_the_vector_oracle_refuses(monkeypatch):
+    # With the action check switched off, the construction itself must
+    # refuse every corrupted action that the oracle refuses, and agree with
+    # it on every other one.
+    import invhom.crossed as crossed
+    from invhom.reporting import Report
+    from oracles import crossed_product_by_vectors
+    monkeypatch.setattr(crossed, "validate_action",
+                        lambda action: Report("unchecked"))
+    bases = [i1_on_k2(), natural_ke_action(chain_semilattice(2), Q),
+             natural_ke_action(direct_product(chain_semilattice(2),
+                                              cyclic_group(2)), Q)]
+    refused = 0
+    corrupted = [bad for base in bases for bad in _corrupted_actions(base)
+                 if not validate_action(bad).ok]
+    for bad in corrupted:
+        try:
+            expected = crossed_product_by_vectors(bad)
+        except ValueError:
+            with pytest.raises(ValueError):
+                crossed.crossed_product(bad)
+            refused += 1
+            continue
+        _assert_matches_oracle(crossed.crossed_product(bad), expected)
+    assert (len(corrupted), refused) == (56, 44)
+
+
+def test_partial_action_axioms():
+    from invhom.crossed import PartialGroupAction
+    z2 = cyclic_group(2)
+    a = diagonal_algebra(Q, 2)
+    # An involution of K^2 that is not an algebra map: it fixes (1, 0) and
+    # sends (0, 1) to (1, -1), whose square is (1, 1).
+    flip = Matrix.from_rows(Q, [[1, 1], [0, -1]])
+    with pytest.raises(ValueError, match="partial action invalid: .*multiplicative"):
+        PartialGroupAction(z2, a, [[Q.one, Q.one]] * 2,
+                           [Matrix.identity(Q, 2), flip])
+    # The proper partial action with D_g = K x 0 is accepted.
+    pa = PartialGroupAction(z2, a, [[Q.one, Q.one], [Q.one, Q.zero]],
+                            [Matrix.identity(Q, 2),
+                             Matrix.from_rows(Q, [[1, 0], [0, 0]])])
+    assert pa.one[1] == [Q.one, Q.zero]
+
+
+def test_skew_products_follow_the_partial_action():
+    # a d_g * b d_h = theta_g(theta_g^-1(a) b) d_gh on every pair of basis
+    # labels, for the induced partial actions of small monoids.
+    from invhom.serialize import monoid_from_dict, resolve_monoid
+    monoids = [resolve_monoid(spec) for spec in
+               ("chain:2", "z:2", "z:3", "i:1", "i:2", "prod:chain:2,z:2")]
+    monoids.append(monoid_from_dict(
+        {"size": 3, "table": [[0, 1, 2], [1, 1, 2], [2, 2, 1]], "unit": 0}))
+    checked = 0
+    for m in monoids:
+        for F in (Q, Field(2), Field(3)):
+            for action in (trivial_action(m, field_algebra(F)),
+                           natural_ke_action(m, F)):
+                if not is_compatible(action):
+                    continue
+                pa = induced_partial_action(action)
+                skew = skew_group_algebra(pa)
+                G, A = pa.monoid, pa.algebra
+                for k1, (g, j1) in enumerate(skew.labels):
+                    a_vec = skew.ideal_spans[g].basis.col(j1)
+                    for k2, (h, j2) in enumerate(skew.labels):
+                        b_vec = skew.ideal_spans[h].basis.col(j2)
+                        inner = A.mul(pa.theta[G.inv[g]].apply(a_vec), b_vec)
+                        assert skew.algebra.sc[k1][k2] == skew.place(
+                            G.table[g][h], pa.theta[g].apply(inner))
+                checked += 1
+    assert checked == 39

@@ -2,18 +2,23 @@
 
 Each job runs ``cli.main`` in-process in both output formats; its stdout
 must equal ``tests/golden/<name>.<format>.txt`` and its exit status must
-be 0.  To record the files again from the current tree:
+be 0.  Jobs run with the repository root as working directory, so a
+``file:`` path under ``tests/fixtures/`` is printed the same everywhere.
+To record the files again from the current tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 from invhom.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+FIXTURE = "tests/fixtures/monoid-1-e-ge.json"
 
 JOBS = [
     ("steinberg-pair2", ["steinberg", "--groupoid", "pair:2"]),
@@ -62,6 +67,12 @@ JOBS = [
       "--field", "fp:2"]),
     ("crossed-product-ke-chain2-z3",
      ["crossed-product", "--action", "ke:prod:chain:2,z:3"]),
+    # {1, e, ge}: the induced partial action of G(S) = Z_2 on KE(S) = K^2 is
+    # proper, its domain D_g = eK^2 has dimension 1.
+    ("crossed-product-ke-1-e-ge",
+     ["crossed-product", "--action", f"ke:file:{FIXTURE}"]),
+    ("verify-ks-crossed-product-1-e-ge",
+     ["verify", "ks-crossed-product", "--monoid", f"file:{FIXTURE}"]),
 ]
 
 FORMATS = ("text", "json")
@@ -69,9 +80,14 @@ FORMATS = ("text", "json")
 
 def _stdout(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue()
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +9,7 @@ import time
 import pytest
 
 from invhom.algebras import dual_numbers, regular_bimodule
+from invhom.cli import main as cli_main
 from invhom.crossed import natural_ke_action
 from invhom.groupoids import bisections_with_masks, pair_groupoid
 from invhom.homology import trivial_module_ke
@@ -439,3 +443,94 @@ def test_cli_loader_field_types_exit_2(tmp_path):
     jobs.append(("homology", "--monoid", "z:2", "--module", f"file:{path}"))
     for job in jobs:
         _assert_one_error_line(_run_cli(*job, timeout=30))
+
+
+def test_groupoid_with_more_objects_than_arrows_exit_2(tmp_path):
+    # Every object needs its own unit arrow, so the object count is refused
+    # before anything of that size is allocated.
+    arrows = [{"src": 0, "rng": 0}]
+    for objects in (10 ** 30, len(arrows) + 1):
+        path = tmp_path / "groupoid.json"
+        path.write_text(json.dumps({"objects": objects, "arrows": arrows,
+                                    "comp": [[0, 0, 0]], "inv": [0]}))
+        p = _run_cli("steinberg", "--groupoid", f"file:{path}", timeout=30)
+        _assert_one_error_line(p)
+        assert "objects but 1 arrows" in p.stderr
+
+
+FUZZ_VALUES = [None, "x", 1.5, -1, True, [], {}, [[]], [None], ["a"], 10 ** 30]
+
+
+def _fuzz_paths(doc):
+    """Every key of doc, plus an arrow's src and rng and one comp triple."""
+    paths = [(key,) for key in doc]
+    if "arrows" in doc:
+        paths += [("arrows", 0, "src"), ("arrows", 0, "rng"), ("comp", 0)]
+    return paths
+
+
+def test_cli_json_loader_fuzz_exit_0_or_2(tmp_path):
+    # Each loader's document has one field replaced at a time by a value of
+    # the wrong type or size.  cli.main runs in-process, so an exception
+    # that escapes it fails the test; exit 1 would mean "verification
+    # failed", which no malformed input may report.
+    algebra = tmp_path / "algebra.json"
+    algebra_doc = {"field": "q", "dim": 1, "sc": [1], "unit": [1]}
+    action = tmp_path / "action.json"
+    action_doc = {"monoid_ref": "chain:2", "algebra_ref": f"file:{algebra}",
+                  "one": [[1], [1]], "theta": [[1], [1]]}
+    # Z_2 as a one-object groupoid; without unit_of the loader finds the
+    # unit arrows itself.
+    z2_groupoid = {"objects": 1,
+                   "arrows": [{"src": 0, "rng": 0}, {"src": 0, "rng": 0}],
+                   "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                   "inv": [0, 1]}
+    cases = {
+        "monoid": ({"size": 2, "table": [0, 1, 1, 0], "unit": 0,
+                    "names": ["1", "g"]},
+                   ["homology", "--monoid", "file:{}", "--max-degree", "1"]),
+        "module": ({"monoid_ref": "z:2", "field": "q", "dim": 1,
+                    "act": [[1], [1]], "side": "left"},
+                   ["homology", "--monoid", "z:2", "--module", "file:{}",
+                    "--max-degree", "1"]),
+        "algebra": (algebra_doc,
+                    ["crossed-product", "--action", f"file:{action}"]),
+        "action": (action_doc, ["crossed-product", "--action", "file:{}"]),
+        "bimodule": ({"dim": 1, "left": [[1]], "right": [[1]]},
+                     ["verify", "separable-homology", "--action",
+                      "trivial:trivial", "--module", "file:{}",
+                      "--max-degree", "1"]),
+        "groupoid": (z2_groupoid, ["steinberg", "--groupoid", "file:{}"]),
+        "groupoid-units": ({**z2_groupoid, "unit_of": [0]},
+                           ["steinberg", "--groupoid", "file:{}"]),
+    }
+    runs = 0
+    for name, (base, argv) in cases.items():
+        algebra.write_text(json.dumps(algebra_doc))
+        action.write_text(json.dumps(action_doc))
+        path = tmp_path / f"{name}.json"
+        for field_path in [None, *_fuzz_paths(base)]:
+            for value in FUZZ_VALUES if field_path else [None]:
+                doc = copy.deepcopy(base)
+                if field_path:
+                    *outer, last = field_path
+                    target = doc
+                    for key in outer:
+                        target = target[key]
+                    target[last] = value
+                path.write_text(json.dumps(doc))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli_main([a.format(path) for a in argv])
+                case = (name, field_path, value, err.getvalue())
+                if field_path is None:
+                    assert code == 0, case
+                else:
+                    assert code in (0, 2), case
+                if code == 2:
+                    lines = err.getvalue().splitlines()
+                    assert out.getvalue() == "", case
+                    assert len(lines) == 1 and lines[0].startswith("error:"), case
+                runs += 1
+    assert runs == 7 + 11 * (4 + 5 + 4 + 4 + 3 + 7 + 8)
