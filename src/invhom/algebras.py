@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 
 from .linalg import ColumnSpan, Matrix, combination, mat_rank
-from .homology import DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble
+from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
+                       check_degree)
 
 
 class Algebra:
@@ -310,6 +311,7 @@ def _hochschild_cochain_boundary(algebra, module, n):
 def _hochschild_dims(algebra, module, top, cap):
     """Dimensions of degrees 0..top, after the bimodule and cap checks."""
     check_over(module, algebra, "the given algebra")
+    check_degree(top, algebra.dim ** top, cap)
     if algebra.dim ** top * module.dim > cap:
         raise ValueError("size cap exceeded")
     return [algebra.dim ** n * module.dim for n in range(top + 1)]

@@ -174,8 +174,9 @@ def _steinberg_cmd(args):
     ak = data.steinberg_algebra
     rep = data.psi_report
     ind = [_indicator(field, g.n_arrows, m) for m in data.masks]
-    indicator_ok = all(ak.mul(ind[i], ind[j]) == ind[monoid.table[i][j]]
-                       for i in range(monoid.size) for j in range(monoid.size))
+    # ind[unit] is the unit of the associative ak: generators suffice.
+    indicator_ok = all(ak.mul(ind[s], ind[g]) == ind[monoid.table[s][g]]
+                       for s in range(monoid.size) for g in monoid.generators)
     doc = {
         "command": "steinberg",
         "groupoid": args.groupoid,

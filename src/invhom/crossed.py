@@ -17,13 +17,13 @@ import itertools
 
 from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
                        hochschild_homology, is_separable, product_checks,
-                       semigroup_algebra)
+                       table_algebra)
 from .homology import KSModule, cohomology, homology, trivial_module_ke
 from .linalg import (ColumnSpan, Matrix, combination, image_basis,
                      induced_map, kernel_basis, mat_rank, quotient_space,
                      same_column_space, vec_add, vec_is_zero, vec_scale,
                      vec_sub)
-from .monoids import from_table, max_group_image
+from .monoids import max_group_image
 from .reporting import Report
 
 
@@ -58,39 +58,29 @@ def trivial_action(monoid, algebra):
 def natural_ke_action(monoid, field):
     """The natural action of S on KE(S): 1_s = ss^-1, theta_s(e) = s e s^-1.
 
-    theta is the left module KE(S) of trivial_module_ke, whose basis is E(S)
-    in the order of the semilattice algebra's basis.
+    KE(S) has basis E(S) in the order of monoid.idempotents(), and theta
+    is the left module KE(S) of trivial_module_ke on that basis.
     """
-    algebra = semigroup_algebra(field, _semilattice_of(monoid))
-    pos = {e: i for i, e in enumerate(monoid.idempotents())}
+    idems = monoid.idempotents()
+    pos = {e: i for i, e in enumerate(idems)}
+    algebra = table_algebra(
+        field, [[pos[monoid.table[e][f]] for f in idems] for e in idems],
+        [pos[monoid.unit]])
     one = [algebra.basis_vec(pos[monoid.rng(s)]) for s in range(monoid.size)]
     return UnitalAction(monoid, algebra, one,
                         trivial_module_ke(monoid, field).act)
 
 
-def _semilattice_of(monoid):
-    """E(S) as a monoid on indices 0..|E|-1 (used as the algebra basis)."""
-    idems = monoid.idempotents()
-    pos = {e: i for i, e in enumerate(idems)}
-    table = [[pos[monoid.table[e][f]] for f in idems] for e in idems]
-    names = [monoid.name_of(e) for e in idems]
-    return from_table(table, unit=pos[monoid.unit], names=names)
-
-
-def _check_partial_action_axioms(action, rep):
-    """Record the axioms a unital action shares with a partial group action
-    (for a group, these are the partial action axioms (i)-(iii))."""
+def _check_each_element(action, rep):
+    """Record the axioms on one element at a time: 1_s is a central
+    idempotent, and T_s kills the complement of its domain 1_s^-1 A, maps
+    it onto 1_s A, and is bijective and multiplicative on it."""
     S = action.monoid
     A = action.algebra
-    F = A.field
-    idm = Matrix.identity(F, A.dim)
 
     for s in range(S.size):
-        v = action.one[s]
         rep.check(f"1_{S.name_of(s)} central idempotent",
-                  A.is_central_idempotent(v))
-    rep.check("1_unit = 1_A", action.one[S.unit] == list(A.unit))
-    rep.check("T_unit = id", action.theta[S.unit] == idm)
+                  A.is_central_idempotent(action.one[s]))
 
     left_of = [A.left_mult_matrix(action.one[s]) for s in range(S.size)]
     ideal_dim = [mat_rank(m) for m in left_of]
@@ -107,55 +97,41 @@ def _check_partial_action_axioms(action, rep):
                   f"rank {rank_T} vs ideal dim {ideal_dim[s]}")
         rep.check(f"T_{name} bijective on its domain",
                   rank_T == ideal_dim[si])
-        dom_basis = image_basis(left_of[si])
-        mult_ok = True
-        for j in range(dom_basis.cols):
-            for k in range(dom_basis.cols):
-                u = dom_basis.col(j)
-                v = dom_basis.col(k)
-                if T.apply(A.mul(u, v)) != A.mul(T.apply(u), T.apply(v)):
-                    mult_ok = False
-        rep.check(f"T_{name} multiplicative on its domain", mult_ok)
-
-    for s in range(S.size):
-        for t in range(S.size):
-            st = S.table[s][t]
-            lhs = action.theta[s].apply(
-                A.mul(action.one[S.inv[s]], action.one[t]))
-            rep.check(
-                f"theta_s(1_s^-1 1_t) = 1_s 1_st at ({S.name_of(s)},{S.name_of(t)})",
-                lhs == A.mul(action.one[s], action.one[st]))
-            e = A.mul(action.one[S.inv[t]], action.one[S.inv[st]])
-            restrict = A.left_mult_matrix(e)
-            rep.check(
-                f"T_s T_t = T_st on the composite domain at ({S.name_of(s)},{S.name_of(t)})",
-                action.theta[s] @ action.theta[t] @ restrict
-                == action.theta[st] @ restrict)
+        basis = image_basis(left_of[si])
+        dom = [basis.col(j) for j in range(basis.cols)]
+        rep.check(f"T_{name} multiplicative on its domain",
+                  all(T.apply(A.mul(u, v)) == A.mul(T.apply(u), T.apply(v))
+                      for u in dom for v in dom))
 
 
 def validate_action(action):
     """Check every UnitalAction invariant; failures carry witnesses.
 
-    Only 1_s 1_t = 1_s for s <= t, 1_ss^-1 = 1_s and 1_ef = 1_e 1_f are
-    checked here beyond the axioms of a partial action."""
-    S = action.monoid
+    Beyond the per-element checks, the action law is that the T_s make A a
+    left KS-module: KSModule checks T_unit = id and T_s T_g = T_sg for every
+    generator g, and a failure names the pair (s, g).  Given the per-element
+    checks, the law holds iff the partial action axioms hold (theta_s(1_s^-1
+    1_t) = 1_s 1_st, and T_s T_t = T_st on the composite domain) with
+    1_unit = 1_A, 1_ss^-1 = 1_s, 1_ef = 1_e 1_f and 1_s 1_t = 1_s for s <= t.
+
+    => For e in E(S), T_e = T_e T_e has image 1_e A, kills (1 - 1_e)A and is
+       bijective on 1_e A, so it is multiplication by 1_e.  So 1_ss^-1 = 1_s,
+       as T_ss^-1 = T_s T_s^-1 has image T_s(1_s^-1 A) = 1_s A; T_ef = T_e T_f
+       gives 1_ef = 1_e 1_f; s = et gives 1_s = 1_e 1_t.  theta_t is unital
+       onto 1_t A, so T_t(1_A) = 1_t and theta_s(1_s^-1 1_t) = T_s T_t(1_A)
+       = 1_st = 1_s 1_st.  T_unit = id gives 1_unit = 1_A.
+    <= The composite-domain axiom gives T_s T_t = T_st on 1_(st)^-1 A.  Off
+       it T_st is 0, and by (ii) at (t^-1, s^-1) T_t lands where T_s is 0.
+    """
     A = action.algebra
     rep = Report("unital action")
-    _check_partial_action_axioms(action, rep)
-    for s in range(S.size):
-        for t in range(S.size):
-            if S.natural_leq(s, t):
-                rep.check(
-                    f"1_s 1_t = 1_s for {S.name_of(s)} <= {S.name_of(t)}",
-                    A.mul(action.one[s], action.one[t]) == action.one[s])
-        rep.check(f"1_ss^-1 = 1_s at {S.name_of(s)}",
-                  action.one[S.rng(s)] == action.one[s])
-    for e in S.idempotents():
-        for f in S.idempotents():
-            rep.check(
-                f"1_ef = 1_e 1_f at ({S.name_of(e)},{S.name_of(f)})",
-                action.one[S.table[e][f]]
-                == A.mul(action.one[e], action.one[f]))
+    _check_each_element(action, rep)
+    try:
+        KSModule(action.monoid, A.field, A.dim, action.theta)
+    except ValueError as exc:
+        rep.check(f"T_s make A a left KS-module ({exc})", False)
+    else:
+        rep.check("T_s make A a left KS-module", True)
     return rep
 
 
@@ -318,9 +294,11 @@ def crossed_product(action):
     validate_action(action).refuse("action invalid")
     S = action.monoid
     cp = CrossedProduct(action)
+    # gamma_unit is the unit of an associative algebra, so the law on the
+    # generators gives gamma_s gamma_t = gamma_st by induction on t.
     for s in range(S.size):
-        for t in range(S.size):
-            if cp.algebra.mul(cp.gamma[s], cp.gamma[t]) != cp.gamma[S.table[s][t]]:
+        for g in S.generators:
+            if cp.algebra.mul(cp.gamma[s], cp.gamma[g]) != cp.gamma[S.table[s][g]]:
                 raise ValueError(
                     "induced multiplication ill-defined: gamma not multiplicative")
     return cp
@@ -328,19 +306,34 @@ def crossed_product(action):
 
 class PartialGroupAction(UnitalAction):
     """Partial action of a group: the domain D_g = 1_g A and theta_g stored
-    as T_g, checked against the partial action axioms on construction."""
+    as T_g.  theta_g theta_h is only contained in theta_gh, so the partial
+    action axioms are checked on every pair, on construction."""
 
     __slots__ = ()
 
     def __init__(self, group, algebra, domains, maps):
         super().__init__(group, algebra, domains, maps)
+        G, A = group, algebra
         rep = Report("partial group action")
-        _check_partial_action_axioms(self, rep)
+        _check_each_element(self, rep)
+        rep.check("1_unit = 1_A", domains[G.unit] == list(A.unit))
+        rep.check("T_unit = id", maps[G.unit].is_identity())
+        for g, h in itertools.product(range(G.size), repeat=2):
+            gh = G.table[g][h]
+            at = f"({G.name_of(g)},{G.name_of(h)})"
+            rep.check(f"theta_s(1_s^-1 1_t) = 1_s 1_st at {at}",
+                      maps[g].apply(A.mul(domains[G.inv[g]], domains[h]))
+                      == A.mul(domains[g], domains[gh]))
+            restrict = A.left_mult_matrix(
+                A.mul(domains[G.inv[h]], domains[G.inv[gh]]))
+            rep.check(f"T_s T_t = T_st on the composite domain at {at}",
+                      maps[g] @ maps[h] @ restrict == maps[gh] @ restrict)
         rep.refuse("partial action invalid")
 
 
 def _sum_ideal_unit(algebra, idempotents):
-    """Unit of sum(e_i A) for central idempotents, by inclusion-exclusion."""
+    """Unit of sum(e_i A) for central idempotents, by inclusion-exclusion
+    (a repeated e_i leaves it unchanged)."""
     F = algebra.field
     u = [F.zero] * algebra.dim
     for e in idempotents:
@@ -355,30 +348,20 @@ def induced_partial_action(action):
     S = action.monoid
     A = action.algebra
     F = A.field
-    gi = max_group_image(S)
-    G = gi.group
+    G = max_group_image(S).group
     classes = S.sigma_classes()
 
     domains = []
     maps = []
     for g in range(G.size):
         cls = classes[g]
-        seen = []
-        for s in cls:
-            if action.one[s] not in seen:
-                seen.append(action.one[s])
-        domains.append(_sum_ideal_unit(A, seen))
-        # orthogonal decomposition of D_{g^-1} over the inverse idempotents
-        inv_ones = []
-        reps = []
-        for s in cls:
-            e = action.one[S.inv[s]]
-            if e not in inv_ones:
-                inv_ones.append(e)
-                reps.append(s)
+        domains.append(_sum_ideal_unit(A, [action.one[s] for s in cls]))
+        # orthogonal decomposition of D_{g^-1} over the inverse idempotents;
+        # a repeated idempotent meets a complement that is already 0 on it
         m = Matrix.zeros(F, A.dim, A.dim)
         complement = list(A.unit)
-        for e, s in zip(inv_ones, reps):
+        for s in cls:
+            e = action.one[S.inv[s]]
             f = A.mul(complement, e)
             m = m + action.theta[s] @ A.left_mult_matrix(f)
             complement = A.mul(complement, vec_sub(F, A.unit, e))

@@ -46,8 +46,8 @@ class KSModule:
                 lhs = act[s] @ act[g] if side == "left" else act[g] @ act[s]
                 if lhs != act[sg]:
                     raise ValueError(
-                        f"not a {side} module: action law fails at ({s},{g})"
-                    )
+                        f"not a {side} module: action law fails at "
+                        f"({monoid.name_of(s)},{monoid.name_of(g)})")
         self.monoid = monoid
         self.field = field
         self.dim = dim
@@ -195,12 +195,24 @@ def _check_module(monoid, module):
         raise ValueError("not a left module")
 
 
+def check_degree(n, tuples, cap):
+    """Refuse degree n if it has more than cap tuples, or if n * n is above
+    cap: each face copies an n-tuple, whatever the summands' dimensions."""
+    if tuples > cap:
+        raise ValueError(f"size cap exceeded: degree {n} has {tuples} "
+                         f"tuples, more than {cap}")
+    if n * n > cap:
+        raise ValueError(f"size cap exceeded: degree {n} squared is more "
+                         f"than {cap}")
+
+
 def _degree_blocks(monoid, n, idempotent_of, module, cap):
     """Blocks of degree n by tuple, in lexicographic order by element index.
 
     A tuple's summand is the image of the action of its idempotent, so the
     blocks of one idempotent share one span, each at its own offset.
     """
+    check_degree(n, monoid.size ** n, cap)
     spans = {}
     blocks = {}
     offset = 0
@@ -354,6 +366,7 @@ def build_resolution(monoid, field, max_deg, cap=DEFAULT_COLUMN_CAP):
     bases = []
     index = []
     for n in range(max_deg + 1):
+        check_degree(n, monoid.size ** n, cap)
         basis = []
         if n == 0:
             for t in range(monoid.size):

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's complex builders: the rank oracle
 enumerates minors, the group (co)homology oracles build the textbook
-bar differentials over full tuple spaces with no projector machinery, and
-the crossed-product oracle multiplies dense vectors of L pair by pair.
+bar differentials over full tuple spaces with no projector machinery,
+the crossed-product oracle multiplies dense vectors of L pair by pair, and
+the unital-action oracle checks the action axioms pair by pair.
 """
 
 import itertools
@@ -324,3 +325,76 @@ def crossed_product_by_vectors(action):
                 raise ValueError("gamma not multiplicative")
     return {"dim_N": q.subspace_basis.cols, "subspace_basis": q.subspace_basis,
             "sc": sc, "unit": unit, "embed_A": embed, "gamma": gamma}
+
+
+def is_unital_action(action):
+    """Every check of the pairwise unital-action validator, on Matrix alone.
+
+    Per element s: 1_s is a central idempotent, and T_s kills the
+    complement of 1_s^-1 A, has image 1_s A, and is bijective and
+    multiplicative on 1_s^-1 A.  Then 1_unit = 1_A and T_unit = id; for
+    every pair (s, t), theta_s(1_s^-1 1_t) = 1_s 1_st and T_s T_t = T_st on
+    1_t^-1 1_(st)^-1 A; 1_s 1_t = 1_s for s <= t; 1_ss^-1 = 1_s; and
+    1_ef = 1_e 1_f for idempotents e, f.  Products come from the structure
+    constants, inverses and the natural order from the Cayley table, and
+    ranks from minors.
+    """
+    S = action.monoid
+    A = action.algebra
+    F = A.field
+    table = S.table
+    n = range(S.size)
+    d = range(A.dim)
+    one, theta = action.one, action.theta
+    inv = [next(x for x in n if table[table[s][x]][s] == s
+                and table[table[x][s]][x] == x) for s in n]
+    idems = [e for e in n if table[e][e] == e]
+    basis = [[F.one if i == j else F.zero for i in d] for j in d]
+
+    def mul(u, v):
+        out = [F.zero] * A.dim
+        for i in d:
+            for j in d:
+                c = F.mul(u[i], v[j])
+                if c:
+                    for k in d:
+                        out[k] = F.add(out[k], F.mul(c, A.sc[i][j][k]))
+        return out
+
+    def left(v):
+        return Matrix.from_cols(F, A.dim, [mul(v, b) for b in basis])
+
+    for s in n:
+        e = one[s]
+        if mul(e, e) != e or any(mul(e, b) != mul(b, e) for b in basis):
+            return False
+    if one[S.unit] != list(A.unit) or theta[S.unit] != Matrix.identity(F, A.dim):
+        return False
+    for s in n:
+        T, dom, img = theta[s], left(one[inv[s]]), left(one[s])
+        if T @ dom != T:
+            return False
+        r = rank_by_minors(T)
+        if not r == rank_by_minors(img) == rank_by_minors(T.hstack(img)):
+            return False
+        if r != rank_by_minors(dom):
+            return False
+        cols = [dom.col(j) for j in d]
+        if any(T.apply(mul(u, v)) != mul(T.apply(u), T.apply(v))
+               for u in cols for v in cols):
+            return False
+    for s in n:
+        for t in n:
+            st = table[s][t]
+            if theta[s].apply(mul(one[inv[s]], one[t])) != mul(one[s], one[st]):
+                return False
+            restrict = left(mul(one[inv[t]], one[inv[st]]))
+            if theta[s] @ theta[t] @ restrict != theta[st] @ restrict:
+                return False
+            if (any(table[e][t] == s for e in idems)
+                    and mul(one[s], one[t]) != one[s]):
+                return False
+        if one[table[s][inv[s]]] != one[s]:
+            return False
+    return all(one[table[e][f]] == mul(one[e], one[f])
+               for e in idems for f in idems)

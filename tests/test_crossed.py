@@ -501,3 +501,29 @@ def test_skew_products_follow_the_partial_action():
                             G.table[g][h], pa.theta[g].apply(inner))
                 checked += 1
     assert checked == 39
+
+
+def test_validate_action_agrees_with_exhaustive_oracle():
+    # Every candidate (1_s, T_s) for the two 2-element monoids acting on
+    # the two 2-dimensional F_2-algebras: 64 per element, 16,384 in all.
+    import itertools
+    from invhom.algebras import dual_numbers
+    from invhom.serialize import resolve_monoid
+    from oracles import is_unital_action
+    F2 = Field(2)
+    vecs = [list(v) for v in itertools.product(range(2), repeat=2)]
+    mats = [Matrix.from_rows(F2, [r[:2], r[2:]])
+            for r in itertools.product(range(2), repeat=4)]
+    per_element = list(itertools.product(vecs, mats))
+    seen = valid = 0
+    for spec in ("chain:2", "z:2"):
+        S = resolve_monoid(spec)
+        for A in (diagonal_algebra(F2, 2), dual_numbers(F2)):
+            for cand in itertools.product(per_element, repeat=S.size):
+                action = UnitalAction(S, A, [one for one, _ in cand],
+                                      [theta for _, theta in cand])
+                verdict = validate_action(action).ok
+                assert verdict == is_unital_action(action), (spec, cand)
+                seen += 1
+                valid += verdict
+    assert (seen, valid) == (16384, 9)

@@ -287,3 +287,45 @@ def test_bimodule_over_another_algebra_is_refused():
     for verify in (verify_steinberg_homology, verify_steinberg_cohomology):
         with pytest.raises(ValueError, match="not over"):
             verify(data, wrong, 1)
+
+
+def test_action_checks_make_generator_many_products(monkeypatch):
+    # The action law, the gamma check and the indicator check each run over
+    # |S| elements times the monoid's generators, not over all |S|^2 pairs.
+    import invhom.cli
+    import invhom.crossed as crossed
+    from invhom.algebras import Algebra
+    from invhom.linalg import Matrix
+    from invhom.reporting import Report
+    data = steinberg_data(pair_groupoid(3), Q)
+    S = data.bisection_monoid
+    action = data.crossed.action
+    A = action.algebra
+    assert (S.size, A.dim, len(S.generators)) == (34, 3, 3)
+    counts = {"matmul": 0, "mul": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        counting("matmul", Matrix.__matmul__))
+    monkeypatch.setattr(Algebra, "mul", counting("mul", Algebra.mul))
+    assert validate_action(action).ok
+    assert counts["matmul"] <= S.size * A.dim + S.size
+
+    # The gamma loop alone: the action check and the build are stubbed.
+    monkeypatch.setattr(crossed, "validate_action",
+                        lambda action: Report("unchecked"))
+    monkeypatch.setattr(crossed, "CrossedProduct", lambda action: data.crossed)
+    counts["mul"] = 0
+    assert crossed.crossed_product(action) is data.crossed
+    assert counts["mul"] == S.size * A.dim
+
+    monkeypatch.setattr(invhom.cli, "steinberg_data", lambda g, field: data)
+    counts["mul"] = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert invhom.cli.main(["steinberg", "--groupoid", "pair:3"]) == 0
+    assert counts["mul"] == S.size * len(S.generators)

@@ -534,3 +534,56 @@ def test_cli_json_loader_fuzz_exit_0_or_2(tmp_path):
                     assert len(lines) == 1 and lines[0].startswith("error:"), case
                 runs += 1
     assert runs == 7 + 11 * (4 + 5 + 4 + 4 + 3 + 7 + 8)
+
+
+def test_cli_action_law_failure_names_its_pair(tmp_path):
+    # Z/3 permuting the coordinates of Q^3, with T_g2 replaced by T_g1.  g2
+    # is not a generator and T_g1 passes every per-element check, so only
+    # the action law fails, first at (g1, g1): T_g1 T_g1 = T_g2 is refused.
+    from invhom.algebras import diagonal_algebra
+    from invhom.crossed import UnitalAction
+    from invhom.linalg import Matrix
+    z3 = resolve_monoid("z:3")
+    assert 2 not in z3.generators
+    algebra = diagonal_algebra(Q, 3)
+    shift = Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    theta = [Matrix.identity(Q, 3), shift, shift]
+    action = UnitalAction(z3, algebra, [list(algebra.unit)] * 3, theta)
+    (tmp_path / "alg.json").write_text(json.dumps(algebra_to_dict(algebra)))
+    (tmp_path / "act.json").write_text(json.dumps(action_to_dict(
+        action, monoid_ref="z:3", algebra_ref=f"file:{tmp_path}/alg.json")))
+    p = _run_cli("crossed-product", "--action", f"file:{tmp_path}/act.json",
+                 timeout=30)
+    _assert_one_error_line(p)
+    assert "action invalid: " in p.stderr
+    assert "action law fails at (g1,g1)" in p.stderr
+
+
+def test_max_degree_without_columns_is_refused_quickly(tmp_path):
+    # A trivial monoid or a 0-dimensional module puts next to no columns in
+    # a degree, but its tuples still cost time: degree n is refused once it
+    # has more tuples than the cap, or once n * n is above it.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(
+        {"monoid_ref": "z:2", "field": "q", "dim": 0, "act": [[], []]}))
+    jobs = (["homology", "--monoid", "trivial", "--max-degree", "2000"],
+            ["resolution-check", "--monoid", "trivial", "--max-degree", "2000"],
+            ["verify", "separable-homology", "--action", "trivial:trivial",
+             "--max-degree", "1000"],
+            ["homology", "--monoid", "z:2", "--module", f"file:{empty}",
+             "--max-degree", "18"])
+    for argv in jobs:
+        err = io.StringIO()
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 2, argv
+        assert time.monotonic() - start < 2.0, argv
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("error: size cap exceeded"), lines
+    from invhom.algebras import field_algebra, hochschild_homology
+    with pytest.raises(ValueError, match="size cap exceeded"):
+        hochschild_homology(field_algebra(Q),
+                            regular_bimodule(field_algebra(Q)), 1000)
