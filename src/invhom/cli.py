@@ -14,9 +14,9 @@ import sys
 import time
 
 from .algebras import field_algebra, regular_bimodule
-from .crossed import (crossed_product, is_compatible, ks_as_crossed_product,
-                      natural_ke_action, phi_map, trivial_action,
-                      verify_separable_collapse_cohomology,
+from .crossed import (IncompatibleAction, crossed_product,
+                      ks_as_crossed_product, natural_ke_action, phi_map,
+                      trivial_action, verify_separable_collapse_cohomology,
                       verify_separable_collapse_homology)
 from .groupoids import (steinberg_data, verify_steinberg_cohomology,
                         verify_steinberg_homology)
@@ -128,6 +128,11 @@ def _crossed_product_cmd(args):
     field = parse_field(args.field)
     action = _resolve_action(args.action, field)
     cp = crossed_product(action)
+    # phi needs the induced partial action, whose guard decides compatibility.
+    try:
+        phi = phi_map(cp)[1].as_dict()
+    except IncompatibleAction:
+        phi = None
     doc = {
         "command": "crossed-product",
         "action": args.action,
@@ -137,7 +142,7 @@ def _crossed_product_cmd(args):
         "dim_L": cp.l_dim,
         "dim_N": cp.n_space.subspace_basis.cols,
         "dim_crossed_product": cp.algebra.dim,
-        "compatible": is_compatible(action),
+        "compatible": phi is not None,
     }
     # relation-subspace sigma-class sum smoke test on seeded random vectors
     rng = random.Random(args.seed)
@@ -157,11 +162,10 @@ def _crossed_product_cmd(args):
         if any(not vec_is_zero(s) for s in cp.class_sums(vec)):
             sums_ok = False
     doc["sigma_class_sums_vanish"] = sums_ok
-    if doc["compatible"]:
-        _, rep = phi_map(cp)
-        doc["phi"] = rep.as_dict()
+    if phi is not None:
+        doc["phi"] = phi
     _emit(doc, args.format)
-    if not sums_ok or (doc["compatible"] and not doc["phi"]["pass"]):
+    if not sums_ok or (phi is not None and not phi["pass"]):
         return 1
     return 0
 
@@ -233,14 +237,14 @@ def _verify_cmd(args):
         fn = (verify_separable_collapse_homology
               if target == "separable-homology"
               else verify_separable_collapse_cohomology)
-        rep = fn(cp, module, args.max_degree)
+        rep = fn(cp, module, args.max_degree, args.cap_columns)
     elif target in ("steinberg-homology", "steinberg-cohomology"):
         data = steinberg_data(resolve_groupoid(_required(args, "groupoid")),
                               field)
         module = _resolve_bimodule(args.module, data.steinberg_algebra)
         fn = (verify_steinberg_homology if target == "steinberg-homology"
               else verify_steinberg_cohomology)
-        rep = fn(data, module, args.max_degree)
+        rep = fn(data, module, args.max_degree, args.cap_columns)
     elif target == "ks-crossed-product":
         monoid = resolve_monoid(_required(args, "monoid"))
         rep = ks_as_crossed_product(monoid, field)

@@ -18,13 +18,18 @@ import itertools
 from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
                        hochschild_homology, is_separable, product_checks,
                        table_algebra)
-from .homology import KSModule, cohomology, homology, trivial_module_ke
+from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
+                       trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, combination, image_basis,
                      induced_map, kernel_basis, mat_rank, quotient_space,
                      same_column_space, vec_add, vec_is_zero, vec_scale,
                      vec_sub)
 from .monoids import max_group_image
 from .reporting import Report
+
+
+class IncompatibleAction(ValueError):
+    """The action has no induced partial action of G(S)."""
 
 
 class UnitalAction:
@@ -344,7 +349,7 @@ def _sum_ideal_unit(algebra, idempotents):
 def induced_partial_action(action):
     """The partial action of G(S) induced by a compatible action of S."""
     if not is_compatible(action):
-        raise ValueError("action not compatible")
+        raise IncompatibleAction("action not compatible")
     S = action.monoid
     A = action.algebra
     F = A.field
@@ -525,25 +530,27 @@ def record_sides(rep, symbol, lhs, rhs):
         rep.check(f"{symbol}{n} agree", a == b, f"{a} vs {b}")
 
 
-def verify_separable_collapse_homology(crossed, bimodule, max_deg):
+def verify_separable_collapse_homology(crossed, bimodule, max_deg,
+                                       cap=DEFAULT_COLUMN_CAP):
     """H_n(S, M/[A,M]) vs Hochschild H_n(A x S, M), degreewise."""
     if not is_separable(crossed.action.algebra):
         raise ValueError("A not separable")
     rep = Report("separable collapse (homology)")
     _, co = coinvariants(bimodule, crossed)
-    record_sides(rep, "H_", homology(crossed.action.monoid, co, max_deg),
-                 hochschild_homology(crossed.algebra, bimodule, max_deg))
+    record_sides(rep, "H_", homology(crossed.action.monoid, co, max_deg, cap),
+                 hochschild_homology(crossed.algebra, bimodule, max_deg, cap))
     return rep
 
 
-def verify_separable_collapse_cohomology(crossed, bimodule, max_deg):
+def verify_separable_collapse_cohomology(crossed, bimodule, max_deg,
+                                         cap=DEFAULT_COLUMN_CAP):
     """H^n(S, M^A) vs Hochschild H^n(A x S, M), degreewise."""
     if not is_separable(crossed.action.algebra):
         raise ValueError("A not separable")
     rep = Report("separable collapse (cohomology)")
     inv = invariants_sub(bimodule, crossed)
-    record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg),
-                 hochschild_cohomology(crossed.algebra, bimodule, max_deg))
+    record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg, cap),
+                 hochschild_cohomology(crossed.algebra, bimodule, max_deg, cap))
     return rep
 
 

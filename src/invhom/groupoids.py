@@ -15,7 +15,7 @@ from .algebras import (Bimodule, check_over, diagonal_algebra,
                        table_algebra)
 from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, record_sides)
-from .homology import cohomology, homology
+from .homology import DEFAULT_COLUMN_CAP, cohomology, homology
 from .linalg import Matrix, mat_rank
 from .monoids import check_size, from_table
 from .reporting import Report
@@ -311,7 +311,7 @@ def _transport_bimodule(module, crossed, psi):
     return Bimodule(crossed.algebra, module.dim, left, right)
 
 
-def verify_steinberg_homology(data, module, max_deg):
+def verify_steinberg_homology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Hochschild homology of A_K(G) vs monoid homology of coinvariants."""
     ak = data.steinberg_algebra
     check_over(module, ak, "the convolution algebra")
@@ -320,12 +320,12 @@ def verify_steinberg_homology(data, module, max_deg):
     transported = _transport_bimodule(module, data.crossed, data.psi)
     _, co = coinvariants(transported, data.crossed)
     rep.data["coinvariants_dim"] = co.dim
-    record_sides(rep, "H_", homology(data.bisection_monoid, co, max_deg),
-                 hochschild_homology(ak, module, max_deg))
+    record_sides(rep, "H_", homology(data.bisection_monoid, co, max_deg, cap),
+                 hochschild_homology(ak, module, max_deg, cap))
     return rep
 
 
-def verify_steinberg_cohomology(data, module, max_deg):
+def verify_steinberg_cohomology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Cohomology mirror; also reports vanishing of H^q(L(X), M) for q >= 1.
 
     The function algebra on a finite unit space is separable, which is what
@@ -344,13 +344,13 @@ def verify_steinberg_cohomology(data, module, max_deg):
         lx, module.dim,
         [module.left_action(emb.col(x)) for x in range(g.n_objects)],
         [module.right_action(emb.col(x)) for x in range(g.n_objects)])
-    lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg)
+    lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg, cap)
     rep.data["lx_cohomology"] = lx_cohom
     for q in range(1, max_deg + 1):
         rep.check(f"H^{q}(L(X), M) = 0", lx_cohom[q] == 0, str(lx_cohom[q]))
     transported = _transport_bimodule(module, data.crossed, data.psi)
     inv = invariants_sub(transported, data.crossed)
     rep.data["invariants_dim"] = inv.dim
-    record_sides(rep, "H^", cohomology(data.bisection_monoid, inv, max_deg),
-                 hochschild_cohomology(ak, module, max_deg))
+    record_sides(rep, "H^", cohomology(data.bisection_monoid, inv, max_deg, cap),
+                 hochschild_cohomology(ak, module, max_deg, cap))
     return rep

@@ -9,8 +9,8 @@ term is coordinate-extracted through the target summand basis, which is an
 exact membership assertion for the containments the formulas rely on.
 
 A finite free resolution of the span of idempotents, together with its
-contracting homotopy, is built separately as a self-check that the
-homology complexes compute what they should.
+contracting homotopy, is built by the same ``assemble`` as a self-check
+that the homology complexes compute what they should.
 """
 
 from __future__ import annotations
@@ -311,121 +311,99 @@ class ResolutionComplex:
     """Free resolution of the span of idempotents, with homotopy maps.
 
     P_0 has basis {t()}; P_n has basis {t(s_1,...,s_n)} restricted by
-    d(t) <= r(s_1...s_n).  bases[n] lists (t, tuple) pairs in order.
-    boundary[0] maps P_0 onto the idempotent span; homotopy[-1..] are the
-    sigma maps (homotopy[0] is sigma_{-1}).
+    d(t) <= r(s_1...s_n).  ``complex`` is the augmented complex
+    KE(S) <- P_0 <- ... <- P_max, so its degree m is P_{m-1} and its
+    boundaries[1] is the augmentation d_0.  homotopy[m] is sigma_{m-1},
+    from degree m to m + 1 (homotopy[0] is sigma_{-1}).
     """
 
-    __slots__ = ("monoid", "field", "max_degree", "bases", "boundary",
-                 "homotopy")
+    __slots__ = ("complex", "homotopy")
 
-    def __init__(self, monoid, field, max_degree, bases, boundary, homotopy):
-        self.monoid = monoid
-        self.field = field
-        self.max_degree = max_degree
-        self.bases = bases
-        self.boundary = boundary
+    def __init__(self, augmented, homotopy):
+        self.complex = augmented
         self.homotopy = homotopy
 
     def dims(self):
-        return [len(b) for b in self.bases]
+        return self.complex.space_dims[1:]
 
     def verify_composites(self):
-        for n in range(2, self.max_degree + 1):
-            if not (self.boundary[n - 1] @ self.boundary[n]).is_zero():
-                return False
-        return True
+        return self.complex.check_composites()
 
     def verify_homotopy(self):
         """d_0 sigma_{-1} = id and d_{n+1} sigma_n + sigma_{n-1} d_n = id."""
-        k = len(self.monoid.idempotents())
-        if self.boundary[0] @ self.homotopy[0] != Matrix.identity(self.field, k):
-            return False
-        for n in range(self.max_degree):
-            lhs = self.boundary[n + 1] @ self.homotopy[n + 1]
-            if n == 0:
-                lhs = lhs + self.homotopy[0] @ self.boundary[0]
-            else:
-                lhs = lhs + self.homotopy[n] @ self.boundary[n]
-            if lhs != Matrix.identity(self.field, len(self.bases[n])):
+        d = self.complex.boundaries
+        for m, h in enumerate(self.homotopy):
+            total = d[m + 1].compose(h)
+            if m:
+                lower = self.homotopy[m - 1].compose(d[m])
+                for j, col in enumerate(lower.columns):
+                    for i, v in col.items():
+                        total.add_at(i, j, v)
+            one = total.field.one
+            if any(col != {j: one} for j, col in enumerate(total.columns)):
                 return False
         return True
 
 
 def build_resolution(monoid, field, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Free bases, boundary matrices and contracting homotopy, exactly.
+    """Free bases, boundary maps and contracting homotopy, exactly.
 
-    The identification t(s_1,...,s_n) = t*r(s_1...s_n)(s_1,...,s_n)
-    normalizes every symbol onto the restricted basis.
+    Every basis element is a rank-one block, so every map is written by
+    ``assemble``.  The identification t(s_1,...,s_n) = t*r(s_1...s_n)
+    (s_1,...,s_n) normalizes every symbol onto the restricted basis; with
+    r() = 1 it holds in degree 0 too.
     """
     if max_deg < 0:
         raise ValueError(f"max degree must be non-negative, got {max_deg}")
-    idems = monoid.idempotents()
-    epos = {e: i for i, e in enumerate(idems)}
-
+    table = monoid.table
+    line = ColumnSpan(Matrix.identity(field, 1))
+    ke = {e: Block(line, i) for i, e in enumerate(monoid.idempotents())}
+    rng = {}
     bases = []
-    index = []
     for n in range(max_deg + 1):
         check_degree(n, monoid.size ** n, cap)
-        basis = []
-        if n == 0:
+        basis = {}
+        for tup in itertools.product(range(monoid.size), repeat=n):
+            r = rng[tup] = monoid.rng(monoid.product(tup))
             for t in range(monoid.size):
-                basis.append((t, ()))
-        else:
-            for tup in itertools.product(range(monoid.size), repeat=n):
-                r = monoid.rng(monoid.product(tup))
-                for t in range(monoid.size):
-                    if monoid.table[t][r] == t:
-                        basis.append((t, tup))
+                if table[t][r] == t:
+                    basis[t, tup] = Block(line, len(basis))
         if len(basis) > cap:
             raise ValueError(
                 f"size cap exceeded: resolution degree {n} needs {len(basis)} basis elements"
             )
         bases.append(basis)
-        index.append({b: i for i, b in enumerate(basis)})
+    dims = [len(ke)] + [len(basis) for basis in bases]
 
-    def normalize(t, tup):
-        if not tup:
-            return (t, ())
-        r = monoid.rng(monoid.product(tup))
-        return (monoid.table[t][r], tup)
+    def symbol(t, tup):
+        return bases[len(tup)][table[t][rng[tup]], tup]
 
-    one = field.one
+    def faces(n):
+        if n == 0:
+            # the augmentation d_0 t() = r(t)
+            for (t, _), blk in bases[0].items():
+                yield blk, ke[monoid.rng(t)], None, 1
+            return
+        # d_n t(s_1..s_n) = (t s_1)(s_2..s_n)
+        #   + sum_i (-1)^i t(..s_i s_{i+1}..) + (-1)^n t(s_1..s_{n-1})
+        for (t, tup), blk in bases[n].items():
+            yield blk, symbol(table[t][tup[0]], tup[1:]), None, 1
+            for i in range(n - 1):
+                merged = tup[:i] + (table[tup[i]][tup[i + 1]],) + tup[i + 2:]
+                yield blk, symbol(t, merged), None, (-1) ** (i + 1)
+            yield blk, symbol(t, tup[:-1]), None, (-1) ** n
 
-    boundary = []
-    d0 = Matrix.zeros(field, len(idems), len(bases[0]))
-    for col, (t, _) in enumerate(bases[0]):
-        d0.data[epos[monoid.rng(t)]][col] = one
-    boundary.append(d0)
-    for n in range(1, max_deg + 1):
-        d = Matrix.zeros(field, len(bases[n - 1]), len(bases[n]))
-        for col, (t, tup) in enumerate(bases[n]):
-            terms = []
-            if n == 1:
-                terms.append((normalize(monoid.table[t][tup[0]], ()), 1))
-                terms.append(((t, ()), -1))
-            else:
-                terms.append((normalize(monoid.table[t][tup[0]], tup[1:]), 1))
-                for i in range(n - 1):
-                    merged = tup[:i] + (monoid.table[tup[i]][tup[i + 1]],) + tup[i + 2:]
-                    terms.append((normalize(t, merged), (-1) ** (i + 1)))
-                terms.append((normalize(t, tup[:-1]), (-1) ** n))
-            F = field
-            for target, sign in terms:
-                row = index[n - 1][target]
-                d.data[row][col] = F.add(d.data[row][col], F.of(sign))
-        boundary.append(d)
+    def sigma(n):
+        # sigma_{-1} e = e() and sigma_n t(s_1..s_n) = r(t)(t, s_1, .., s_n)
+        if n < 0:
+            return ((blk, symbol(e, ()), None, 1) for e, blk in ke.items())
+        return ((blk, symbol(monoid.rng(t), (t,) + tup), None, 1)
+                for (t, tup), blk in bases[n].items())
 
-    homotopy = []
-    s_minus1 = Matrix.zeros(field, len(bases[0]), len(idems))
-    for j, e in enumerate(idems):
-        s_minus1.data[index[0][(e, ())]][j] = one
-    homotopy.append(s_minus1)
-    for n in range(max_deg):
-        s = Matrix.zeros(field, len(bases[n + 1]), len(bases[n]))
-        for col, (t, tup) in enumerate(bases[n]):
-            target = normalize(monoid.rng(t), (t,) + tup)
-            s.data[index[n + 1][target]][col] = one
-        homotopy.append(s)
-
-    return ResolutionComplex(monoid, field, max_deg, bases, boundary, homotopy)
+    # Degree n + 1 of the augmented complex is P_n.
+    boundaries = [None] + [assemble(field, dims[n], dims[n + 1], faces(n))
+                           for n in range(max_deg + 1)]
+    homotopy = [assemble(field, dims[n + 2], dims[n + 1], sigma(n))
+                for n in range(-1, max_deg)]
+    return ResolutionComplex(ChainComplexData("chain", dims, boundaries),
+                             homotopy)

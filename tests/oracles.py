@@ -3,8 +3,9 @@
 These deliberately avoid the library's complex builders: the rank oracle
 enumerates minors, the group (co)homology oracles build the textbook
 bar differentials over full tuple spaces with no projector machinery,
-the crossed-product oracle multiplies dense vectors of L pair by pair, and
-the unital-action oracle checks the action axioms pair by pair.
+the crossed-product oracle multiplies dense vectors of L pair by pair,
+the unital-action oracle checks the action axioms pair by pair, and the
+resolution oracle fills dense boundary and homotopy matrices entry by entry.
 """
 
 import itertools
@@ -398,3 +399,78 @@ def is_unital_action(action):
             return False
     return all(one[table[e][f]] == mul(one[e], one[f])
                for e in idems for f in idems)
+
+
+def dense_resolution(monoid, field, max_deg):
+    """The free resolution of KE(S) and its homotopy as dense matrices.
+
+    Returns (bases, boundary, homotopy): bases[n] lists the (t, tuple)
+    pairs with t r(s_1...s_n) = t in order, boundary[0] is the
+    augmentation P_0 -> KE(S) and boundary[n] is d_n : P_n -> P_{n-1},
+    homotopy[0] is sigma_{-1} : KE(S) -> P_0 and homotopy[n + 1] is
+    sigma_n : P_n -> P_{n+1}.  Every entry is written into a zero matrix.
+    """
+    idems = monoid.idempotents()
+    epos = {e: i for i, e in enumerate(idems)}
+
+    bases = []
+    index = []
+    for n in range(max_deg + 1):
+        basis = []
+        if n == 0:
+            for t in range(monoid.size):
+                basis.append((t, ()))
+        else:
+            for tup in itertools.product(range(monoid.size), repeat=n):
+                r = monoid.rng(monoid.product(tup))
+                for t in range(monoid.size):
+                    if monoid.table[t][r] == t:
+                        basis.append((t, tup))
+        bases.append(basis)
+        index.append({b: i for i, b in enumerate(basis)})
+
+    def normalize(t, tup):
+        if not tup:
+            return (t, ())
+        r = monoid.rng(monoid.product(tup))
+        return (monoid.table[t][r], tup)
+
+    one = field.one
+
+    boundary = []
+    d0 = Matrix.zeros(field, len(idems), len(bases[0]))
+    for col, (t, _) in enumerate(bases[0]):
+        d0.data[epos[monoid.rng(t)]][col] = one
+    boundary.append(d0)
+    for n in range(1, max_deg + 1):
+        d = Matrix.zeros(field, len(bases[n - 1]), len(bases[n]))
+        for col, (t, tup) in enumerate(bases[n]):
+            terms = []
+            if n == 1:
+                terms.append((normalize(monoid.table[t][tup[0]], ()), 1))
+                terms.append(((t, ()), -1))
+            else:
+                terms.append((normalize(monoid.table[t][tup[0]], tup[1:]), 1))
+                for i in range(n - 1):
+                    merged = (tup[:i] + (monoid.table[tup[i]][tup[i + 1]],)
+                              + tup[i + 2:])
+                    terms.append((normalize(t, merged), (-1) ** (i + 1)))
+                terms.append((normalize(t, tup[:-1]), (-1) ** n))
+            for target, sign in terms:
+                row = index[n - 1][target]
+                d.data[row][col] = field.add(d.data[row][col], field.of(sign))
+        boundary.append(d)
+
+    homotopy = []
+    s_minus1 = Matrix.zeros(field, len(bases[0]), len(idems))
+    for j, e in enumerate(idems):
+        s_minus1.data[index[0][(e, ())]][j] = one
+    homotopy.append(s_minus1)
+    for n in range(max_deg):
+        s = Matrix.zeros(field, len(bases[n + 1]), len(bases[n]))
+        for col, (t, tup) in enumerate(bases[n]):
+            target = normalize(monoid.rng(t), (t,) + tup)
+            s.data[index[n + 1][target]][col] = one
+        homotopy.append(s)
+    return bases, boundary, homotopy
+

@@ -58,6 +58,11 @@ JOBS = [
       "--field", "fp:3", "--max-degree", "1"]),
     ("resolution-check-chain3",
      ["resolution-check", "--monoid", "chain:3", "--max-degree", "2"]),
+    ("resolution-check-i2-deg4",
+     ["resolution-check", "--monoid", "i:2", "--max-degree", "4"]),
+    ("resolution-check-i2-deg4-f2",
+     ["resolution-check", "--monoid", "i:2", "--max-degree", "4",
+      "--field", "fp:2"]),
     ("verify-ks-crossed-product-chain3",
      ["verify", "ks-crossed-product", "--monoid", "chain:3"]),
     ("verify-ks-crossed-product-z3-f3",

@@ -268,6 +268,19 @@ def test_one_build_per_steinberg_job(monkeypatch):
                           "validate_action": 1, "crossed_product": 1}, argv
 
 
+def test_crossed_product_checks_compatibility_once(monkeypatch):
+    # The CLI reads compatibility off the guard of induced_partial_action.
+    import invhom.cli
+    for spec in ("ke:prod:chain:2,z:2", "ke:i:2"):
+        with monkeypatch.context() as mp:
+            counts = _count_calls(mp, ["crossed:is_compatible"])
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert invhom.cli.main(["crossed-product", "--action",
+                                        spec]) == 0
+        assert counts == {"is_compatible": 1}, spec
+
+
 def test_bimodule_over_another_algebra_is_refused():
     from invhom.algebras import (diagonal_algebra, dual_numbers,
                                  hochschild_homology)

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,3 +319,64 @@ def test_resolution_cap():
     i2 = symmetric_inverse_monoid(2)
     with pytest.raises(ValueError, match="size cap exceeded"):
         build_resolution(i2, Q, 3, cap=50)
+
+
+def _densify(s):
+    m = Matrix.zeros(s.field, s.rows, s.cols)
+    for j, col in enumerate(s.columns):
+        for i, v in col.items():
+            m.data[i][j] = v
+    return m
+
+
+def _desk_monoids():
+    from invhom.serialize import resolve_monoid
+    specs = ("trivial", "chain:2", "chain:3", "chain:4", "z:2", "z:3", "z:4",
+             "i:1", "i:2", "prod:chain:2,z:2", "prod:z:2,z:2",
+             "file:tests/fixtures/monoid-1-e-ge.json")
+    root = Path(__file__).resolve().parent.parent
+    return [resolve_monoid(spec.replace("file:", f"file:{root}/"))
+            for spec in specs]
+
+
+def test_resolution_matches_dense_oracle():
+    from oracles import dense_resolution
+    for m in _desk_monoids():
+        for F in (Q, F2):
+            bases, boundary, homotopy = dense_resolution(m, F, 3)
+            res = build_resolution(m, F, 3)
+            assert res.dims() == [len(b) for b in bases]
+            d = res.complex.boundaries
+            assert d[0] is None and len(d) == len(boundary) + 1
+            assert [_densify(x) for x in d[1:]] == boundary
+            assert [_densify(h) for h in res.homotopy] == homotopy
+            assert res.verify_composites() and res.verify_homotopy()
+
+
+def test_resolution_checks_catch_one_corrupted_entry():
+    for m, F in ((symmetric_inverse_monoid(1), Q), (cyclic_group(2), F2),
+                 (symmetric_inverse_monoid(2), Q)):
+        res = build_resolution(m, F, 2)
+        # Each entry of each sigma in turn: scaled by 2 over Q, removed over
+        # F_2.  sigma_0 e() = e(e) is a cycle for an idempotent e, so a
+        # change there may leave a contracting homotopy; it is skipped.
+        idems = set(m.idempotents())
+        for k, h in enumerate(res.homotopy):
+            for j, col in enumerate(h.columns):
+                if k == 1 and j in idems:
+                    continue
+                for i, v in list(col.items()):
+                    col[i] = F.add(v, F.one)
+                    if not col[i]:
+                        del col[i]
+                    assert not res.verify_homotopy()
+                    assert res.verify_composites()
+                    col[i] = v
+        assert res.verify_homotopy()
+    # d_0 sends g() to r(g) = 1; doubled, d_0 d_1 (1(g)) = 2 - 1 is not 0.
+    z2 = cyclic_group(2)
+    res = build_resolution(z2, Q, 1)
+    g = next(s for s in range(z2.size) if s != z2.unit)
+    d0 = res.complex.boundaries[1]
+    d0.columns[g] = {i: Q.add(v, v) for i, v in d0.columns[g].items()}
+    assert not res.verify_composites()

@@ -587,3 +587,44 @@ def test_max_degree_without_columns_is_refused_quickly(tmp_path):
     with pytest.raises(ValueError, match="size cap exceeded"):
         hochschild_homology(field_algebra(Q),
                             regular_bimodule(field_algebra(Q)), 1000)
+
+
+def test_verify_honours_cap_columns():
+    # --cap-columns reaches the monoid and Hochschild complexes of every
+    # verifier, so a small cap refuses what the default admits.
+    jobs = (["verify", "steinberg-homology", "--groupoid", "pair:2",
+             "--max-degree", "1", "--cap-columns", "5"],
+            ["verify", "steinberg-cohomology", "--groupoid", "pair:2",
+             "--max-degree", "1", "--cap-columns", "5"],
+            ["verify", "separable-homology", "--action", "ke:chain:2",
+             "--max-degree", "1", "--cap-columns", "3"],
+            ["verify", "separable-cohomology", "--action", "ke:chain:2",
+             "--max-degree", "1", "--cap-columns", "3"])
+    for argv in jobs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 2, argv
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("error: size cap exceeded"), lines
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main(argv[:-2]) == 0, argv
+
+
+def test_large_resolution_checks_finish_in_bounded_time():
+    jobs = ((["--monoid", "i:2", "--max-degree", "5"],
+             [7, 27, 121, 615, 3457, 20967]),
+            (["--monoid", "chain:3", "--max-degree", "9"],
+             [3, 6, 14, 36, 98, 276, 794, 2316, 6818, 20196]))
+    for args, dims in jobs:
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["resolution-check", *args, "--format", "json"])
+        assert time.monotonic() - start < 30.0, args
+        doc = json.loads(out.getvalue())
+        assert code == 0 and doc["pass"] is True, args
+        assert doc["dims"] == dims
