@@ -5,23 +5,23 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, combination, mat_rank
+from .linalg import ColumnSpan, Matrix, combination, mat_rank, sparse_sum
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
 
 class Algebra:
-    """Unital associative algebra: b_i b_j = sum_k sc[i][j][k] b_k."""
+    """Unital associative algebra: b_i b_j = sum of c b_k over the sparse
+    sc[i][j] = {k: c}, which holds nonzero constants only."""
 
     __slots__ = ("field", "dim", "sc", "unit", "_left_mats", "_right_mats")
 
     def __init__(self, field, dim, sc, unit):
-        if len(sc) != dim or any(len(row) != dim for row in sc):
+        if len(sc) != dim or not all(
+                len(row) == dim and all(isinstance(vec, dict) and all(
+                    k in range(dim) and c for k, c in vec.items())
+                    for vec in row) for row in sc):
             raise ValueError("structure constants have wrong shape")
-        for row in sc:
-            for vec in row:
-                if len(vec) != dim:
-                    raise ValueError("structure constants have wrong shape")
         if len(unit) != dim:
             raise ValueError("unit vector has wrong length")
         self.field = field
@@ -33,15 +33,21 @@ class Algebra:
         self._validate()
 
     def _validate(self):
+        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, each side a
+        sparse sum over nonzero constants; then 1 b_i = b_i = b_i 1."""
         F = self.field
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul(self.sc[i][j], self.basis_vec(k))
-                    rhs = self.mul(self.basis_vec(i), self.sc[j][k])
+        sc = self.sc
+        n = range(self.dim)
+        for i in n:
+            for j in n:
+                ij = sc[i][j].items()
+                for k in n:
+                    lhs = sparse_sum(F, ((c, sc[m][k]) for m, c in ij))
+                    rhs = sparse_sum(F, ((c, sc[i][m])
+                                         for m, c in sc[j][k].items()))
                     if lhs != rhs:
                         raise ValueError(f"not associative at ({i},{j},{k})")
-        for i in range(self.dim):
+        for i in n:
             b = self.basis_vec(i)
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
                 raise ValueError(f"unit is not a two-sided identity at basis {i}")
@@ -62,9 +68,8 @@ class Algebra:
                 if not b:
                     continue
                 c = F.mul(a, b)
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] = F.add(out[k], F.mul(c, s))
+                for k, s in row[j].items():
+                    out[k] = F.add(out[k], F.mul(c, s))
         return out
 
     def left_mult_matrix(self, v):
@@ -116,10 +121,9 @@ def table_algebra(field, table, units):
     and diagonal algebras all take this form.
     """
     n = len(table)
-    z, one = field.zero, field.one
-    sc = [[[one if k == c else z for k in range(n)] for c in row]
-          for row in table]
-    unit = [z] * n
+    one = field.one
+    sc = [[{} if c is None else {c: one} for c in row] for row in table]
+    unit = [field.zero] * n
     for u in units:
         unit[u] = one
     return Algebra(field, n, sc, unit)
@@ -150,10 +154,10 @@ def matrix_algebra(field, n):
 
 def dual_numbers(field):
     """K[x]/(x^2), basis (1, x)."""
-    z, one = field.zero, field.one
-    sc = [[[one, z], [z, one]],
-          [[z, one], [z, z]]]
-    return Algebra(field, 2, sc, [one, z])
+    one = field.one
+    sc = [[{0: one}, {1: one}],
+          [{1: one}, {}]]
+    return Algebra(field, 2, sc, [one, field.zero])
 
 
 def semigroup_algebra(field, monoid):
@@ -182,17 +186,20 @@ class Bimodule:
     def _validate(self):
         A = self.algebra
         F = A.field
-        idm = Matrix.identity(F, self.dim)
+        d = self.dim
+        idm = Matrix.identity(F, d)
         if self.left_action(A.unit) != idm or self.right_action(A.unit) != idm:
             raise ValueError("bimodule axioms fail: unit does not act as identity")
         for i in range(A.dim):
             for j in range(A.dim):
-                prod = A.sc[i][j]
-                if self.left[i] @ self.left[j] != self.left_action(prod):
+                prod = A.sc[i][j].items()
+                if self.left[i] @ self.left[j] != combination(
+                        F, d, d, ((c, self.left[k]) for k, c in prod)):
                     raise ValueError(
                         f"bimodule axioms fail: left action at ({i},{j})"
                     )
-                if self.right[j] @ self.right[i] != self.right_action(prod):
+                if self.right[j] @ self.right[i] != combination(
+                        F, d, d, ((c, self.right[k]) for k, c in prod)):
                     raise ValueError(
                         f"bimodule axioms fail: right action at ({i},{j})"
                     )
@@ -202,12 +209,12 @@ class Bimodule:
                     )
 
     def left_action(self, vec):
-        return combination(self.algebra.field, self.dim, self.dim, vec,
-                           self.left)
+        return combination(self.algebra.field, self.dim, self.dim,
+                           zip(vec, self.left))
 
     def right_action(self, vec):
-        return combination(self.algebra.field, self.dim, self.dim, vec,
-                           self.right)
+        return combination(self.algebra.field, self.dim, self.dim,
+                           zip(vec, self.right))
 
 
 def check_over(module, algebra, what):
@@ -274,10 +281,9 @@ def _hochschild_chain_boundary(algebra, module, n):
         for tup, blk in upper.items():
             yield blk, lower[tup[1:]], module.right[tup[0]], 1
             for i in range(n - 1):
-                for k, c in enumerate(algebra.sc[tup[i]][tup[i + 1]]):
-                    if c:
-                        merged = tup[:i] + (k,) + tup[i + 2:]
-                        yield blk, lower[merged], None, (-1) ** (i + 1) * c
+                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
+                    merged = tup[:i] + (k,) + tup[i + 2:]
+                    yield blk, lower[merged], None, (-1) ** (i + 1) * c
             yield blk, lower[tup[:-1]], module.left[tup[-1]], (-1) ** n
 
     return assemble(algebra.field, len(lower) * module.dim,
@@ -298,10 +304,9 @@ def _hochschild_cochain_boundary(algebra, module, n):
         for tup, blk in upper.items():
             yield lower[tup[1:]], blk, module.left[tup[0]], 1
             for i in range(n):
-                for k, c in enumerate(algebra.sc[tup[i]][tup[i + 1]]):
-                    if c:
-                        merged = tup[:i] + (k,) + tup[i + 2:]
-                        yield lower[merged], blk, None, (-1) ** (i + 1) * c
+                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
+                    merged = tup[:i] + (k,) + tup[i + 2:]
+                    yield lower[merged], blk, None, (-1) ** (i + 1) * c
             yield lower[tup[:-1]], blk, module.right[tup[-1]], (-1) ** (n + 1)
 
     return assemble(algebra.field, len(upper) * module.dim,
@@ -312,8 +317,10 @@ def _hochschild_dims(algebra, module, top, cap):
     """Dimensions of degrees 0..top, after the bimodule and cap checks."""
     check_over(module, algebra, "the given algebra")
     check_degree(top, algebra.dim ** top, cap)
-    if algebra.dim ** top * module.dim > cap:
-        raise ValueError("size cap exceeded")
+    cols = algebra.dim ** top * module.dim
+    if cols > cap:
+        raise ValueError(f"size cap exceeded: Hochschild degree {top} needs "
+                         f"{cols} columns, more than {cap}")
     return [algebra.dim ** n * module.dim for n in range(top + 1)]
 
 
@@ -343,34 +350,29 @@ def is_separable(algebra):
     F = A.field
     d = A.dim
     nvar = d * d
-    rows = []
-    rhs = []
+    pairs = list(itertools.product(range(d), repeat=2))
     # mu(e) = 1
-    for k in range(d):
-        row = [F.zero] * nvar
-        for i in range(d):
-            for j in range(d):
-                c = A.sc[i][j][k]
-                if c:
-                    row[i * d + j] = F.add(row[i * d + j], c)
-        rows.append(row)
-        rhs.append(A.unit[k])
-    # (a_t (x) 1) e - (1 (x) a_t) e = 0 componentwise on basis b_p (x) b_q
+    rows = [[F.zero] * nvar for _ in range(d)]
+    for i, j in pairs:
+        for k, c in A.sc[i][j].items():
+            rows[k][i * d + j] = c
+    rhs = list(A.unit)
+    # (a_t (x) 1) e - (1 (x) a_t) e = 0 componentwise on basis b_p (x) b_q:
+    # (a (x) 1) (b_i (x) b_j) = a b_i (x) b_j, (1 (x) a) (b_i (x) b_j) =
+    # b_i (x) b_j a.  One row per (p, q) that some x_ij reaches.
     for t in range(d):
-        for p in range(d):
-            for q in range(d):
-                row = [F.zero] * nvar
-                for i in range(d):
-                    for j in range(d):
-                        c1 = A.sc[t][i][p] if q == j else F.zero
-                        # (1 (x) a) (b_i (x) b_j) = b_i (x) b_j a
-                        c2 = A.sc[j][t][q] if p == i else F.zero
-                        c = F.sub(c1, c2)
-                        if c:
-                            row[i * d + j] = F.add(row[i * d + j], c)
-                if any(row):
-                    rows.append(row)
-                    rhs.append(F.zero)
+        eqs = {}
+        for i, j in pairs:
+            for p, c in A.sc[t][i].items():
+                row = eqs.setdefault((p, j), [F.zero] * nvar)
+                row[i * d + j] = F.add(row[i * d + j], c)
+            for q, c in A.sc[j][t].items():
+                row = eqs.setdefault((i, q), [F.zero] * nvar)
+                row[i * d + j] = F.sub(row[i * d + j], c)
+        for key in sorted(eqs):
+            if any(eqs[key]):
+                rows.append(eqs[key])
+                rhs.append(F.zero)
     m = Matrix(F, len(rows), nvar, rows)
     aug = m.hstack(Matrix.from_cols(F, len(rows), [rhs]))
     return mat_rank(m) == mat_rank(aug)

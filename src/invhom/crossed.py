@@ -22,8 +22,8 @@ from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, combination, image_basis,
                      induced_map, kernel_basis, mat_rank, quotient_space,
-                     same_column_space, vec_add, vec_is_zero, vec_scale,
-                     vec_sub)
+                     same_column_space, sparse_sum, vec_add, vec_is_zero,
+                     vec_scale, vec_sub)
 from .monoids import max_group_image
 from .reporting import Report
 
@@ -153,15 +153,6 @@ def is_compatible(action):
     return True
 
 
-def _sparse_sum(field, terms):
-    """sum of c * v over pairs (c, v) of a scalar and a sparse vector {i: x}."""
-    out = {}
-    for c, vec in terms:
-        for i, x in vec.items():
-            out[i] = field.add(out.get(i, field.zero), field.mul(c, x))
-    return {i: x for i, x in out.items() if x}
-
-
 class CrossedProduct:
     """L(A,theta,S) / N with its induced algebra structure.
 
@@ -206,8 +197,8 @@ class CrossedProduct:
         table = {}
         for k1 in range(l_dim):
             for k2 in range(l_dim):
-                prod = _sparse_sum(F, ((c, proj[k]) for k, c in
-                                       self.l_mult(k1, k2).items()))
+                prod = sparse_sum(F, ((c, proj[k]) for k, c in
+                                      self.l_mult(k1, k2).items()))
                 if prod:
                     table[k1, k2] = prod
 
@@ -216,16 +207,15 @@ class CrossedProduct:
         for n in range(q.subspace_basis.cols):
             terms = [(m, c) for m, c in enumerate(q.subspace_basis.col(n)) if c]
             for k in range(l_dim):
-                left = _sparse_sum(F, ((c, table.get((k, m), {})) for m, c in terms))
-                right = _sparse_sum(F, ((c, table.get((m, k), {})) for m, c in terms))
+                left = sparse_sum(F, ((c, table.get((k, m), {})) for m, c in terms))
+                right = sparse_sum(F, ((c, table.get((m, k), {})) for m, c in terms))
                 if left or right:
                     raise ValueError("induced multiplication ill-defined")
 
-        # The section is standard vectors, so the quotient's structure
-        # constants are the table's entries at their coordinates.
+        # The section is standard vectors, so the quotient's constants are the
+        # table's entries there, copied so that the whole table can be freed.
         sec = [q.section.col(i).index(F.one) for i in range(q.dim)]
-        sc = [[[table.get((a, b), {}).get(i, F.zero) for i in range(q.dim)]
-               for b in sec] for a in sec]
+        sc = [[dict(table.get((a, b), {})) for b in sec] for a in sec]
         self.algebra = Algebra(F, q.dim, sc,
                                self.class_of(self.place(S.unit, list(A.unit))))
 
@@ -234,13 +224,11 @@ class CrossedProduct:
         self.embed_A = Matrix.from_cols(F, q.dim, embed_cols)
         if mat_rank(self.embed_A) != A.dim:
             raise ValueError("induced multiplication ill-defined: A does not embed")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = self.algebra.mul(self.embed_A.col(i), self.embed_A.col(j))
-                rhs = self.embed_A.apply(A.mul(A.basis_vec(i), A.basis_vec(j)))
-                if lhs != rhs:
-                    raise ValueError(
-                        "induced multiplication ill-defined: embedding not multiplicative")
+        if not product_checks(
+                self.embed_A, self.algebra, [A.basis_vec(i) for i in range(A.dim)],
+                lambda x, y: self.embed_A.apply(A.mul(x, y)), [])[0]:
+            raise ValueError(
+                "induced multiplication ill-defined: embedding not multiplicative")
         self.gamma = [self.class_of(self.place(s, action.one[s]))
                       for s in range(S.size)]
 
@@ -564,8 +552,8 @@ def bimodule_over_quotient(crossed, left_l, right_l):
     dim = left_l[0].rows
 
     def induced(vecs):
-        return ([combination(F, dim, dim, v, left_l) for v in vecs],
-                [combination(F, dim, dim, v, right_l) for v in vecs])
+        return ([combination(F, dim, dim, zip(v, left_l)) for v in vecs],
+                [combination(F, dim, dim, zip(v, right_l)) for v in vecs])
 
     n_basis = crossed.n_space.subspace_basis
     zl, zr = induced([n_basis.col(j) for j in range(n_basis.cols)])

@@ -256,10 +256,11 @@ class Matrix:
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
 
-def combination(field, rows, cols, coeffs, mats):
-    """The rows x cols matrix sum_k coeffs[k] * mats[k], summed in place."""
+def combination(field, rows, cols, terms):
+    """The rows x cols matrix sum of c * m over pairs (c, m) of a scalar and
+    a matrix, summed in place."""
     out = Matrix.zeros(field, rows, cols)
-    for c, m in zip(coeffs, mats):
+    for c, m in terms:
         if not c:
             continue
         for orow, mrow in zip(out.data, m.data):
@@ -267,6 +268,17 @@ def combination(field, rows, cols, coeffs, mats):
                 if a:
                     orow[j] = field.add(orow[j], field.mul(c, a))
     return out
+
+
+def sparse_sum(field, terms):
+    """sum of c * v over pairs (c, v) of a scalar and a sparse vector {i: x},
+    as a sparse vector that holds nonzero entries only."""
+    out = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            y = field.mul(c, x)
+            out[i] = field.add(out[i], y) if i in out else y
+    return {i: x for i, x in out.items() if x}
 
 
 def vec_add(field, u, v):

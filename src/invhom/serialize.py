@@ -155,10 +155,10 @@ def ks_module_from_dict(doc, monoid):
 
 
 def algebra_to_dict(a):
-    sc = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            sc.extend(a.field.to_token(v) for v in a.sc[i][j])
+    """The algebra with its structure constants written out dim^3 flat."""
+    zero = a.field.zero
+    sc = [a.field.to_token(prod.get(k, zero))
+          for row in a.sc for prod in row for k in range(a.dim)]
     return {
         "field": field_token(a.field),
         "dim": a.dim,
@@ -173,13 +173,10 @@ def algebra_from_dict(doc):
     flat = _list(doc["sc"], "sc")
     if len(flat) != d ** 3:
         raise ValueError(f"structure constants have {len(flat)} entries, expected {d ** 3}")
-    sc = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            base = (i * d + j) * d
-            row.append(_scalars_in(field, flat[base:base + d]))
-        sc.append(row)
+    vals = _scalars_in(field, flat)
+    prods = [{k: c for k, c in enumerate(vals[b * d:b * d + d]) if c}
+             for b in range(d * d)]
+    sc = [prods[i * d:i * d + d] for i in range(d)]
     return Algebra(field, d, sc, _scalars_in(field, doc["unit"]))
 
 

@@ -3,6 +3,7 @@
 These deliberately avoid the library's complex builders: the rank oracle
 enumerates minors, the group (co)homology oracles build the textbook
 bar differentials over full tuple spaces with no projector machinery,
+the algebra oracle checks associativity on dense structure constants,
 the crossed-product oracle multiplies dense vectors of L pair by pair,
 the unital-action oracle checks the action axioms pair by pair, and the
 resolution oracle fills dense boundary and homotopy matrices entry by entry.
@@ -191,6 +192,36 @@ def is_associative(table):
                for i in n for j in n for k in n)
 
 
+def dense_algebra_check(field, dim, sc, unit):
+    """The dim^3 associativity and unit check on dense structure constants,
+    b_i b_j = sum_k sc[i][j][k] b_k, with its own dense product.
+
+    Returns None for a unital associative algebra and otherwise the
+    message of the first failure, triples in lexicographic order.
+    """
+    n = range(dim)
+
+    def mul(u, v):
+        out = [field.zero] * dim
+        for i in n:
+            for j in n:
+                c = field.mul(u[i], v[j])
+                for k in n:
+                    out[k] = field.add(out[k], field.mul(c, sc[i][j][k]))
+        return out
+
+    basis = [[field.one if i == j else field.zero for i in n] for j in n]
+    for i in n:
+        for j in n:
+            for k in n:
+                if mul(sc[i][j], basis[k]) != mul(basis[i], sc[j][k]):
+                    return f"not associative at ({i},{j},{k})"
+    for i in n:
+        if mul(unit, basis[i]) != basis[i] or mul(basis[i], unit) != basis[i]:
+            return f"unit is not a two-sided identity at basis {i}"
+    return None
+
+
 def is_inverse_monoid(table):
     """Associative, unital, regular, with commuting idempotents.
 
@@ -306,7 +337,8 @@ def crossed_product_by_vectors(action):
                     and q.contains_in_subspace(l_mult(g, x))):
                 raise ValueError("induced multiplication ill-defined")
 
-    sc = [[q.projection.apply(l_mult(q.section.col(i), q.section.col(j)))
+    sc = [[{k: c for k, c in enumerate(q.projection.apply(
+               l_mult(q.section.col(i), q.section.col(j)))) if c}
            for j in range(q.dim)] for i in range(q.dim)]
     unit = q.projection.apply(place(S.unit, list(A.unit)))
     quotient = Algebra(F, q.dim, sc, unit)
@@ -359,7 +391,8 @@ def is_unital_action(action):
                 c = F.mul(u[i], v[j])
                 if c:
                     for k in d:
-                        out[k] = F.add(out[k], F.mul(c, A.sc[i][j][k]))
+                        out[k] = F.add(out[k], F.mul(
+                            c, A.sc[i][j].get(k, F.zero)))
         return out
 
     def left(v):

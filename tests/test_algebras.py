@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              dual_numbers, field_algebra,
@@ -9,7 +12,9 @@ from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
 from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
                               pair_groupoid, steinberg_algebra)
 from invhom.linalg import Field, Matrix
-from invhom.monoids import cyclic_group, symmetric_inverse_monoid
+from invhom.monoids import (chain_semilattice, cyclic_group,
+                            symmetric_inverse_monoid)
+from oracles import dense_algebra_check
 
 Q = Field(0)
 F2 = Field(2)
@@ -18,17 +23,101 @@ F2 = Field(2)
 def test_algebra_validation_catches_nonassociative():
     # (b1 b1) b1 = b0 b1 = b0 but b1 (b1 b1) = b1 b0 = b1
     z, one = Q.zero, Q.one
-    sc = [[[one, z], [one, z]],
-          [[z, one], [one, z]]]
+    sc = [[{0: one}, {0: one}],
+          [{1: one}, {0: one}]]
     with pytest.raises(ValueError, match="not associative"):
         Algebra(Q, 2, sc, [one, z])
 
 
 def test_algebra_validation_catches_bad_unit():
     z, one = Q.zero, Q.one
-    sc = [[[one, z], [z, one]], [[z, one], [z, z]]]
+    sc = [[{0: one}, {1: one}], [{1: one}, {}]]
     with pytest.raises(ValueError, match="unit"):
         Algebra(Q, 2, sc, [z, one])
+
+
+def test_algebra_refuses_non_canonical_structure_constants():
+    one = Q.one
+    good = [[{0: one}, {1: one}], [{1: one}, {}]]
+    Algebra(Q, 2, good, [one, Q.zero])
+    for bad in ([one, Q.zero], {2: one}, {0: Q.zero}):
+        sc = [[{0: one}, {1: one}], [{1: one}, bad]]
+        with pytest.raises(ValueError, match="wrong shape"):
+            Algebra(Q, 2, sc, [one, Q.zero])
+
+
+def _sparse(dense):
+    return [[{k: c for k, c in enumerate(vec) if c} for vec in row]
+            for row in dense]
+
+
+def _dense(alg):
+    return [[[prod.get(k, alg.field.zero) for k in range(alg.dim)]
+             for prod in row] for row in alg.sc]
+
+
+def _accepts_as_oracle_does(field, dim, dense, unit):
+    """Whether Algebra accepts these constants; it must refuse exactly
+    where the dense oracle does, with the oracle's message."""
+    expected = dense_algebra_check(field, dim, dense, unit)
+    try:
+        Algebra(field, dim, _sparse(dense), unit)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return False
+    assert expected is None
+    return True
+
+
+def test_algebra_check_agrees_with_dense_oracle_on_every_f2_plane():
+    # All 2^8 structure constants and 2^2 units of a 2-dimensional
+    # F_2-algebra.  12 are unital associative: an ordered basis of
+    # F_2 x F_2 (3), of F_4 (3) or of F_2[x]/(x^2) (6), 6/|Aut| each.
+    accepted = 0
+    for bits in itertools.product((F2.zero, F2.one), repeat=10):
+        dense = [[list(bits[0:2]), list(bits[2:4])],
+                 [list(bits[4:6]), list(bits[6:8])]]
+        accepted += _accepts_as_oracle_does(F2, 2, dense, list(bits[8:]))
+    assert accepted == 12
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_algebra_check_agrees_with_dense_oracle_on_drawn_tables(data):
+    F = data.draw(st.sampled_from([Field(3), Q]))
+    dim = data.draw(st.integers(3, 4))
+    scalar = st.sampled_from([0, 0, 0, 1, 1, -1, 2]).map(F.of)
+    dense = [[[data.draw(scalar) for _ in range(dim)] for _ in range(dim)]
+             for _ in range(dim)]
+    unit = [data.draw(scalar) for _ in range(dim)]
+    _accepts_as_oracle_does(F, dim, dense, unit)
+
+
+def test_algebra_check_agrees_with_dense_oracle_on_corrupted_tables():
+    # Each unital associative algebra, then each copy of it with one
+    # structure constant or one unit coordinate moved by 1.
+    refused = 0
+    for F in (Field(3), Q):
+        truncated = table_algebra(F, [[0, 1, 2], [1, 2, None],
+                                      [2, None, None]], [0])
+        algebras = [dual_numbers(F), truncated, matrix_algebra(F, 2),
+                    semigroup_algebra(F, chain_semilattice(3)),
+                    semigroup_algebra(F, cyclic_group(3)),
+                    semigroup_algebra(F, symmetric_inverse_monoid(1))]
+        for alg in algebras:
+            dense = _dense(alg)
+            assert _accepts_as_oracle_does(F, alg.dim, dense, alg.unit)
+            for i, j, k in itertools.product(range(alg.dim), repeat=3):
+                bad = [[list(vec) for vec in row] for row in dense]
+                bad[i][j][k] = F.add(bad[i][j][k], F.one)
+                refused += not _accepts_as_oracle_does(F, alg.dim, bad,
+                                                       alg.unit)
+            for u in range(alg.dim):
+                bad_unit = list(alg.unit)
+                bad_unit[u] = F.add(bad_unit[u], F.one)
+                refused += not _accepts_as_oracle_does(F, alg.dim, dense,
+                                                       bad_unit)
+    assert refused
 
 
 def test_matrix_algebra_is_matrix_units():

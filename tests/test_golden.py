@@ -78,6 +78,15 @@ JOBS = [
      ["crossed-product", "--action", f"ke:file:{FIXTURE}"]),
     ("verify-ks-crossed-product-1-e-ge",
      ["verify", "ks-crossed-product", "--monoid", f"file:{FIXTURE}"]),
+    ("verify-ks-crossed-product-chain4-z8-f2",
+     ["verify", "ks-crossed-product", "--monoid", "prod:chain:4,z:8",
+      "--field", "fp:2"]),
+    # The trivial action of z:2 on the dual numbers over F_3, whose
+    # structure constants are read from the flat dim^3 JSON format.
+    ("crossed-product-file-z2-dual-f3",
+     ["crossed-product", "--action",
+      "file:tests/fixtures/action-z2-trivial-dual-f3.json",
+      "--field", "fp:3"]),
 ]
 
 FORMATS = ("text", "json")

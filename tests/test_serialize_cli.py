@@ -614,6 +614,24 @@ def test_verify_honours_cap_columns():
             assert cli_main(argv[:-2]) == 0, argv
 
 
+def test_hochschild_cap_names_degree_and_columns():
+    # Both jobs pass the degree cap and stop at the Hochschild column cap.
+    jobs = ((["verify", "steinberg-cohomology", "--groupoid", "pair:2",
+              "--max-degree", "1", "--cap-columns", "5"],
+             "Hochschild degree 2 needs 16 columns, more than 5"),
+            (["verify", "separable-homology", "--action", "ke:chain:2",
+              "--max-degree", "3", "--cap-columns", "20"],
+             "Hochschild degree 4 needs 32 columns, more than 20"))
+    for argv, message in jobs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            assert cli_main(argv) == 2, argv
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines() == [
+            f"error: size cap exceeded: {message}"]
+
+
 def test_large_resolution_checks_finish_in_bounded_time():
     jobs = ((["--monoid", "i:2", "--max-degree", "5"],
              [7, 27, 121, 615, 3457, 20967]),
