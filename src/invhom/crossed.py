@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import (Algebra, Bimodule, check_over, hochschild_cohomology,
+from .algebras import (Algebra, check_over, hochschild_cohomology,
                        hochschild_homology, is_separable, product_checks,
                        table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        trivial_module_ke)
-from .linalg import (ColumnSpan, Matrix, combination, image_basis,
-                     induced_map, kernel_basis, mat_rank, quotient_space,
-                     same_column_space, sparse_sum, vec_add, vec_is_zero,
-                     vec_scale, vec_sub)
+from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
+                     kernel_basis, mat_rank, quotient_space, same_column_space,
+                     sparse_sum, vec_add, vec_is_zero, vec_scale, vec_sub)
 from .monoids import max_group_image
 from .reporting import Report
 
@@ -540,25 +539,3 @@ def verify_separable_collapse_cohomology(crossed, bimodule, max_deg,
     record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg, cap),
                  hochschild_cohomology(crossed.algebra, bimodule, max_deg, cap))
     return rep
-
-
-def bimodule_over_quotient(crossed, left_l, right_l):
-    """Induce a bimodule given by L-actions, checking N acts by zero.
-
-    left_l / right_l give one matrix per L-coordinate; linear combinations
-    along the quotient section define the induced actions.
-    """
-    F = crossed.action.algebra.field
-    dim = left_l[0].rows
-
-    def induced(vecs):
-        return ([combination(F, dim, dim, zip(v, left_l)) for v in vecs],
-                [combination(F, dim, dim, zip(v, right_l)) for v in vecs])
-
-    n_basis = crossed.n_space.subspace_basis
-    zl, zr = induced([n_basis.col(j) for j in range(n_basis.cols)])
-    if not all(z.is_zero() for z in zl + zr):
-        raise ValueError("relation subspace does not act by zero")
-    section = crossed.n_space.section
-    left, right = induced([section.col(i) for i in range(section.cols)])
-    return Bimodule(crossed.algebra, dim, left, right)

@@ -143,20 +143,16 @@ class ChainComplexData:
 
     For chains, boundaries[n] is delta'_n : C_n -> C_{n-1} (n >= 1).
     For cochains, boundaries[n] is delta^n : C^n -> C^{n+1} (n >= 0).
-    Boundaries are stored column-sparse.  block_index labels each column
-    of a degree by (tuple, position in its summand) when the builder
-    supplies it.
+    Boundaries are stored column-sparse.
     """
 
-    __slots__ = ("direction", "max_degree", "space_dims", "boundaries",
-                 "block_index")
+    __slots__ = ("direction", "max_degree", "space_dims", "boundaries")
 
-    def __init__(self, direction, space_dims, boundaries, block_index=None):
+    def __init__(self, direction, space_dims, boundaries):
         self.direction = direction
         self.max_degree = len(space_dims) - 1
         self.space_dims = space_dims
         self.boundaries = boundaries
-        self.block_index = block_index
 
     def check_composites(self):
         """Exact check that consecutive composites vanish."""
@@ -230,14 +226,6 @@ def _degree_blocks(monoid, n, idempotent_of, module, cap):
     return blocks, offset
 
 
-def _complex(direction, degrees, boundaries):
-    labels = [[(tup, j) for tup, blk in blocks.items()
-               for j in range(blk.span.dim)]
-              for blocks, _ in degrees]
-    return ChainComplexData(direction, [dim for _, dim in degrees],
-                            boundaries, labels)
-
-
 def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """The chain complex C'_n(S, V) with the alternating-sum boundary.
 
@@ -267,7 +255,7 @@ def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     boundaries = [None] + [
         assemble(module.field, degrees[n - 1][1], degrees[n][1], faces(n))
         for n in range(1, max_deg + 1)]
-    return _complex("chain", degrees, boundaries)
+    return ChainComplexData("chain", [d for _, d in degrees], boundaries)
 
 
 def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
@@ -294,7 +282,7 @@ def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     boundaries = [
         assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))
         for n in range(max_deg + 1)]
-    return _complex("cochain", degrees, boundaries)
+    return ChainComplexData("cochain", [d for _, d in degrees], boundaries)
 
 
 def homology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):

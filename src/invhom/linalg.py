@@ -67,10 +67,13 @@ class Field:
 
     def of(self, v):
         """Coerce an int / Fraction / 'p/q' string into the field."""
+        if isinstance(v, str):
+            try:
+                v = Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"{v} has a zero denominator") from None
         if self.char == 0:
             return Fraction(v)
-        if isinstance(v, str):
-            v = Fraction(v)
         if isinstance(v, Fraction):
             if v.denominator % self.char == 0:
                 raise ValueError(f"{v} has no image in F_{self.char}")

@@ -27,8 +27,22 @@ def check_size(size):
 
 
 class InverseMonoid:
+    """A validated inverse monoid with its order and congruence in closed form.
+
+    Natural order: s <= t iff s = ss^-1 t.  If s = et with e idempotent,
+    then ss^-1 = e tt^-1 e, so ss^-1 t = e tt^-1 t = et = s.
+
+    Minimum group congruence: s sigma t iff es = et for some idempotent e.
+    The product z of all idempotents is the least one, so s sigma t iff
+    zs = zt: from es = et multiply by z = ze; conversely take e = z.  The
+    sigma-classes are the fibres of s -> zs, numbered by least member.
+
+    E-unitary: e <= s with e idempotent means e = es, so s sigma 1; hence S
+    is E-unitary iff the sigma-class of 1 is E(S).
+    """
+
     __slots__ = ("size", "table", "inv", "unit", "names", "generators",
-                 "_idempotents", "_sigma", "_leq")
+                 "_idempotents", "_sigma")
 
     def __init__(self, size, table, inv, unit, generators, names=None):
         self.size = size
@@ -40,7 +54,6 @@ class InverseMonoid:
         self.generators = generators
         self._idempotents = None
         self._sigma = None
-        self._leq = None
 
     def product(self, elts, default=None):
         """Product of a sequence, left to right; unit for the empty one."""
@@ -72,70 +85,40 @@ class InverseMonoid:
         return self.table[s][self.inv[s]]
 
     def natural_leq(self, s, t):
-        """s <= t iff s = e t for some idempotent e (exhaustive search)."""
-        if self._leq is None:
-            self._compute_leq()
-        return self._leq[s][t]
+        """s <= t iff s = ss^-1 t."""
+        return self.table[self.rng(s)][t] == s
 
-    def _compute_leq(self):
-        idems = self.idempotents()
-        leq = [[False] * self.size for _ in range(self.size)]
-        for t in range(self.size):
-            for e in idems:
-                leq[self.table[e][t]][t] = True
-        self._leq = leq
+    def _sigma_pass(self):
+        """(classes, index): the fibres of s -> zs in one pass over s."""
+        if self._sigma is None:
+            zs = self.table[self.product(self.idempotents())]
+            first, classes, index = {}, [], []
+            for s in range(self.size):
+                if zs[s] not in first:
+                    first[zs[s]] = len(classes)
+                    classes.append([])
+                k = first[zs[s]]
+                classes[k].append(s)
+                index.append(k)
+            self._sigma = classes, index
+        return self._sigma
 
     def sigma_classes(self):
-        """Partition of S by the minimum group congruence.
-
-        Computed as the equivalence closure of the natural partial order;
-        classes are numbered by their least member.
-        """
-        if self._sigma is not None:
-            return self._sigma
-        parent = list(range(self.size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in range(self.size):
-            for t in range(self.size):
-                if self.natural_leq(s, t):
-                    rs, rt = find(s), find(t)
-                    if rs != rt:
-                        parent[max(rs, rt)] = min(rs, rt)
-        roots = {}
-        classes = []
-        for s in range(self.size):
-            r = find(s)
-            if r not in roots:
-                roots[r] = len(classes)
-                classes.append([])
-            classes[roots[r]].append(s)
-        self._sigma = classes
-        return classes
+        """Partition of S by the minimum group congruence, classes numbered
+        by their least member."""
+        return self._sigma_pass()[0]
 
     def sigma_class_index(self):
         """Element -> index of its sigma-class."""
-        proj = [0] * self.size
-        for k, cls in enumerate(self.sigma_classes()):
-            for s in cls:
-                proj[s] = k
-        return proj
+        return self._sigma_pass()[1][:]
 
     def is_group(self):
         return len(self.idempotents()) == 1
 
     def is_e_unitary(self):
         """True iff e <= s with e idempotent forces s idempotent."""
-        for e in self.idempotents():
-            for s in range(self.size):
-                if self.natural_leq(e, s) and not self.is_idempotent(s):
-                    return False
-        return True
+        classes, index = self._sigma_pass()
+        return all(self.is_idempotent(s) for s in classes[index[self.unit]])
 
     def __repr__(self):
         return f"InverseMonoid(size={self.size})"
@@ -235,54 +218,40 @@ def chain_semilattice(n):
     return from_table(table, unit=0, names=[f"e{i}" for i in range(n)])
 
 
-def _partial_bijections(n):
-    """All partial bijections of {1..n}: by domain bitmask, then image tuple."""
-    elems = []
-    points = list(range(1, n + 1))
-    for mask in range(1 << n):
-        dom = [p for p in points if mask >> (p - 1) & 1]
-        rest = [p for p in points]
-        for img in itertools.permutations(rest, len(dom)):
-            elems.append((tuple(dom), img))
-    elems.sort(key=lambda di: (sum(1 << (p - 1) for p in di[0]),
-                               di[1]))
-    return elems
-
-
-def _pb_compose(f, g):
-    """f after g, on the largest domain where it makes sense."""
-    gdom, gimg = g
-    fdom, fimg = f
-    fmap = dict(zip(fdom, fimg))
-    dom, img = [], []
-    for x, gx in zip(gdom, gimg):
-        if gx in fmap:
-            dom.append(x)
-            img.append(fmap[gx])
-    return tuple(dom), tuple(img)
-
-
 def symmetric_inverse_monoid(n):
-    """All partial bijections of {1..n} under composition."""
+    """All partial bijections of {1..n} under composition.
+
+    A partial bijection is its image tuple m: m[x] is the image of x + 1,
+    or 0 where it is undefined.  Elements are listed by domain bitmask,
+    then by the images of the domain in lexicographic order.
+    """
     if n < 0:
         raise ValueError("symmetric_inverse_monoid needs n >= 0")
-    # a rank-k partial bijection: a domain, an image, a bijection between
-    check_size(sum(math.comb(n, k) ** 2 * math.factorial(k)
-                   for k in range(n + 1)))
-    elems = _partial_bijections(n)
-    index = {e: i for i, e in enumerate(elems)}
-    size = len(elems)
-    table = [[index[_pb_compose(elems[i], elems[j])] for j in range(size)]
-             for i in range(size)]
-    unit = index[(tuple(range(1, n + 1)), tuple(range(1, n + 1)))]
-    names = []
-    for dom, img in elems:
-        if not dom:
-            names.append("[]")
-        else:
-            names.append("[%s->%s]" % ("".join(map(str, dom)),
-                                       "".join(map(str, img))))
-    return from_table(table, unit=unit, names=names)
+    # a rank-k partial bijection: a domain, an image, a bijection between;
+    # the count stops as soon as it passes the cap, so every n is refused
+    # at once
+    size = 0
+    for k in range(n + 1):
+        size += math.comb(n, k) ** 2 * math.factorial(k)
+        if size > MONOID_SIZE_CAP:
+            raise ValueError(f"size cap exceeded: I_{n} has more than "
+                             f"{MONOID_SIZE_CAP} elements")
+    elems = []
+    for mask in range(1 << n):
+        dom = [x for x in range(n) if mask >> x & 1]
+        for img in itertools.permutations(range(1, n + 1), len(dom)):
+            m = [0] * n
+            for x, y in zip(dom, img):
+                m[x] = y
+            elems.append(tuple(m))
+    index = {m: i for i, m in enumerate(elems)}
+    # f after g, defined where g is and f is defined at g's image
+    table = [[index[tuple(f[y - 1] if y else 0 for y in g)] for g in elems]
+             for f in elems]
+    names = ["[%s->%s]" % ("".join(str(x + 1) for x in range(n) if m[x]),
+                           "".join(str(y) for y in m if y)) if any(m) else "[]"
+             for m in elems]
+    return from_table(table, unit=index[tuple(range(1, n + 1))], names=names)
 
 
 def direct_product(s, t):
@@ -315,20 +284,17 @@ class GroupImage:
 
 
 def max_group_image(s):
-    """Group on the sigma-classes, with the class map as projection."""
+    """Group on the sigma-classes, with the class map as projection.
+
+    With z the least idempotent, s -> zs is a homomorphism: s z s^-1 is
+    idempotent, so zs zt = z(s z s^-1)st = zst.  Its fibres are the
+    sigma-classes, so entry (i, j) is read off one member of each class.
+    """
     classes = s.sigma_classes()
     proj = s.sigma_class_index()
-    k = len(classes)
-    table = [[0] * k for _ in range(k)]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            prods = {proj[s.table[a][b]] for a in ci for b in cj}
-            if len(prods) != 1:
-                raise ValueError(
-                    f"induced table ill-defined on classes ({i},{j})"
-                )
-            table[i][j] = prods.pop()
-    names = [f"[{s.name_of(cls[0])}]" for cls in classes]
+    reps = [cls[0] for cls in classes]
+    table = [[proj[s.table[a][b]] for b in reps] for a in reps]
+    names = [f"[{s.name_of(a)}]" for a in reps]
     group = from_table(table, unit=proj[s.unit], names=names)
     if not group.is_group():
         raise ValueError("induced table ill-defined: quotient is not a group")

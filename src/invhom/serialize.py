@@ -271,7 +271,10 @@ def groupoid_from_dict(doc):
 def _load_json(path):
     """The JSON object in a file; any other document is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(
             f"{path}: expected a JSON object, got {type(doc).__name__}")

@@ -5,8 +5,10 @@ enumerates minors, the group (co)homology oracles build the textbook
 bar differentials over full tuple spaces with no projector machinery,
 the algebra oracle checks associativity on dense structure constants,
 the crossed-product oracle multiplies dense vectors of L pair by pair,
-the unital-action oracle checks the action axioms pair by pair, and the
-resolution oracle fills dense boundary and homotopy matrices entry by entry.
+the unital-action oracle checks the action axioms pair by pair, the
+resolution oracle fills dense boundary and homotopy matrices entry by entry,
+and the inverse-monoid oracles find the natural order, sigma, E-unitarity
+and the table of G(S) by search.
 """
 
 import itertools
@@ -238,6 +240,76 @@ def is_inverse_monoid(table):
         return False
     idems = [e for e in n if table[e][e] == e]
     return all(table[e][f] == table[f][e] for e in idems for f in idems)
+
+
+def natural_order_by_search(monoid):
+    """leq[s][t] iff s = e t for some idempotent e."""
+    idems = monoid.idempotents()
+    leq = [[False] * monoid.size for _ in range(monoid.size)]
+    for t in range(monoid.size):
+        for e in idems:
+            leq[monoid.table[e][t]][t] = True
+    return leq
+
+
+def sigma_classes_by_union_find(monoid):
+    """The equivalence closure of the natural partial order, by union-find
+    over all ordered pairs; classes are numbered by their least member."""
+    leq = natural_order_by_search(monoid)
+    parent = list(range(monoid.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in range(monoid.size):
+        for t in range(monoid.size):
+            if leq[s][t]:
+                rs, rt = find(s), find(t)
+                if rs != rt:
+                    parent[max(rs, rt)] = min(rs, rt)
+    roots = {}
+    classes = []
+    for s in range(monoid.size):
+        r = find(s)
+        if r not in roots:
+            roots[r] = len(classes)
+            classes.append([])
+        classes[roots[r]].append(s)
+    return classes
+
+
+def is_e_unitary_by_scan(monoid):
+    """True iff e <= s with e idempotent forces s idempotent, over E x S."""
+    leq = natural_order_by_search(monoid)
+    for e in monoid.idempotents():
+        for s in range(monoid.size):
+            if leq[e][s] and not monoid.is_idempotent(s):
+                return False
+    return True
+
+
+def group_image_table_by_scan(monoid):
+    """The table of S/sigma from every product of two members of two classes;
+    raises ValueError unless all of them fall in one class."""
+    classes = sigma_classes_by_union_find(monoid)
+    proj = [0] * monoid.size
+    for k, cls in enumerate(classes):
+        for s in cls:
+            proj[s] = k
+    k = len(classes)
+    table = [[0] * k for _ in range(k)]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            prods = {proj[monoid.table[a][b]] for a in ci for b in cj}
+            if len(prods) != 1:
+                raise ValueError(
+                    f"induced table ill-defined on classes ({i},{j})"
+                )
+            table[i][j] = prods.pop()
+    return table
 
 
 def _matmul(char, a, b):

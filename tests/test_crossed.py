@@ -4,7 +4,7 @@ import pytest
 
 from invhom.algebras import (diagonal_algebra, field_algebra, matrix_algebra,
                              regular_bimodule)
-from invhom.crossed import (UnitalAction, bimodule_over_quotient, coinvariants,
+from invhom.crossed import (UnitalAction, coinvariants,
                             crossed_product, induced_partial_action,
                             invariants_sub, is_compatible,
                             ks_as_crossed_product, module_as_ks,
@@ -319,26 +319,6 @@ def test_collapse_requires_separable():
     with pytest.raises(ValueError, match="not separable"):
         verify_separable_collapse_homology(cp, regular_bimodule(cp.algebra),
                                            1)
-
-
-def test_bimodule_over_quotient_lift():
-    # lift the regular bimodule of the quotient through L-coordinates
-    act = i1_on_k2()
-    cp = crossed_product(act)
-    dim = cp.algebra.dim
-    left_l = []
-    right_l = []
-    for k in range(cp.l_dim):
-        e = [Q.zero] * cp.l_dim
-        e[k] = Q.one
-        cls = cp.class_of(e)
-        left_l.append(cp.algebra.left_mult_matrix(cls))
-        right_l.append(cp.algebra.right_mult_matrix(cls))
-    m = bimodule_over_quotient(cp, left_l, right_l)
-    reg = regular_bimodule(cp.algebra)
-    assert m.left_action(cp.algebra.unit).is_identity()
-    for i in range(dim):
-        assert m.left[i] == reg.left[i] and m.right[i] == reg.right[i]
 
 
 def test_zero_bimodule_has_zero_coinvariants():

@@ -218,15 +218,6 @@ def test_complex_shape_field_independent():
     assert dims_q == dims_2
 
 
-def test_block_index_labels():
-    c2 = chain_semilattice(2)
-    v = trivial_module_ke(c2, Q)
-    cx = homology_complex(c2, v, 1)
-    assert cx.block_index[0] == [((), 0), ((), 1)]
-    labels = cx.block_index[1]
-    assert labels[0][0] == (0,) and labels[-1][0] == (1,)
-
-
 def test_degree_blocks_share_one_span_per_idempotent(monkeypatch):
     i2 = symmetric_inverse_monoid(2)
     v = trivial_module_ke(i2, Q)

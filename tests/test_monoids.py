@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,10 @@ from invhom.linalg import Field, Matrix
 from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
                             direct_product, from_table, max_group_image,
                             symmetric_inverse_monoid, trivial_monoid)
-from oracles import is_associative, is_inverse_monoid
+from invhom.serialize import resolve_groupoid, resolve_monoid
+from oracles import (group_image_table_by_scan, is_associative,
+                     is_e_unitary_by_scan, is_inverse_monoid,
+                     natural_order_by_search, sigma_classes_by_union_find)
 
 
 def test_trivial_monoid():
@@ -330,3 +336,89 @@ def tables_of_order_4_or_5(draw):
 def test_light_test_agrees_with_exhaustive_check_orders_4_and_5(table):
     ours, oracle = _verdicts(table)
     assert ours == oracle
+
+
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "monoid-1-e-ge.json"
+
+# Built-in monoids for the closed forms: I_n, chains, cyclic groups,
+# products, {1, e, ge} and four bisection monoids.
+_SPECS = ["i:0", "i:1", "i:2", "i:3", "i:4", "chain:2", "chain:5", "z:1",
+          "z:3", "z:6", "prod:chain:2,z:2", "prod:chain:2,z:3",
+          "prod:i:2,z:3", "prod:chain:3,z:2,z:2", "prod:chain:8,z:16",
+          f"file:{FIXTURE}"]
+_GROUPOIDS = ["pair:2", "pair:3", "group:z:3", "discrete:3"]
+
+
+def _assert_closed_forms_match_search(m):
+    leq = natural_order_by_search(m)
+    for s in range(m.size):
+        for t in range(m.size):
+            assert m.natural_leq(s, t) == leq[s][t], (s, t)
+    classes = sigma_classes_by_union_find(m)
+    assert m.sigma_classes() == classes
+    assert m.sigma_class_index() == [
+        next(k for k, cls in enumerate(classes) if s in cls)
+        for s in range(m.size)]
+    assert m.is_e_unitary() == is_e_unitary_by_scan(m)
+    assert max_group_image(m).group.table == group_image_table_by_scan(m)
+
+
+def test_closed_forms_match_search_on_builtin_monoids():
+    monoids = [resolve_monoid(spec) for spec in _SPECS]
+    monoids += [bisections(resolve_groupoid(spec)) for spec in _GROUPOIDS]
+    assert len(monoids) == 20
+    verdicts = [m.is_e_unitary() for m in monoids]
+    assert True in verdicts and False in verdicts
+    for m in monoids:
+        _assert_closed_forms_match_search(m)
+
+
+@st.composite
+def inverse_submonoids_of_i3_or_i4(draw):
+    """The inverse submonoid of I_3 or I_4 generated by a few drawn
+    elements, relabelled by a drawn permutation through from_table."""
+    big = symmetric_inverse_monoid(draw(st.sampled_from([3, 4])))
+    gens = draw(st.lists(st.integers(0, big.size - 1), min_size=1,
+                         max_size=3))
+    elems = {big.unit} | set(gens) | {big.inv[g] for g in gens}
+    frontier = list(elems)
+    # closure under products of a set closed under inverses is inverse
+    while frontier:
+        x = frontier.pop()
+        for y in list(elems):
+            for z in (big.table[x][y], big.table[y][x]):
+                if z not in elems:
+                    elems.add(z)
+                    frontier.append(z)
+    elems = sorted(elems)
+    perm = draw(st.permutations(range(len(elems))))
+    label = {e: perm[i] for i, e in enumerate(elems)}
+    table = [[0] * len(elems) for _ in elems]
+    for a in elems:
+        for b in elems:
+            table[label[a]][label[b]] = label[big.table[a][b]]
+    return from_table(table, unit=label[big.unit])
+
+
+@settings(deadline=None, max_examples=60)
+@given(inverse_submonoids_of_i3_or_i4())
+def test_closed_forms_match_search_on_random_inverse_submonoids(m):
+    _assert_closed_forms_match_search(m)
+
+
+# sha256 of the JSON of [table, unit, names] of I_0 .. I_4, recorded from
+# the (domain, image)-pair construction that the image tuples replaced.
+_I_N_FINGERPRINTS = [
+    "bf023efad04300dcdb5de40f0e85965f471760b41797e61b438396024eb50ee7",
+    "1a9a21778510b5a32464a81f80cc5cad65f0edb64de7bf54df612541193155ef",
+    "7c70321af097dae6c48e5972649e3af3ae2e47f296854433290b245ba21557c9",
+    "643c2b37e38f7e83ed9cf615ba4c5fdcb4cf0301f592fcaba3c11aa71875f4e5",
+    "5356c75e240eaa5f065f2d8fecc03541b9244210ae0b47aa7d7117b011979101",
+]
+
+
+def test_symmetric_inverse_monoid_fingerprints():
+    for n, expected in enumerate(_I_N_FINGERPRINTS):
+        m = symmetric_inverse_monoid(n)
+        doc = json.dumps([m.table, m.unit, m.names]).encode()
+        assert hashlib.sha256(doc).hexdigest() == expected, n

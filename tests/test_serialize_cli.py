@@ -225,6 +225,8 @@ def test_cli_monoid_size_cap_exit_2_quickly():
     # The refusal itself is timed in-process, so interpreter start-up does
     # not count; the subprocess timeout fails a CLI that hangs instead.
     refusals = (lambda: resolve_monoid("i:5"),
+                lambda: resolve_monoid("i:2000"),
+                lambda: resolve_monoid("i:20000"),
                 lambda: resolve_monoid("z:100000"),
                 lambda: bisections_with_masks(resolve_groupoid("discrete:12")))
     for refuse in refusals:
@@ -233,6 +235,8 @@ def test_cli_monoid_size_cap_exit_2_quickly():
             refuse()
         assert time.monotonic() - start < 2.0
     for job in (("homology", "--monoid", "i:5"),
+                ("homology", "--monoid", "i:2000"),
+                ("homology", "--monoid", "i:20000"),
                 ("homology", "--monoid", "z:100000"),
                 ("steinberg", "--groupoid", "discrete:12")):
         p = _run_cli(*job, timeout=10)
@@ -354,6 +358,25 @@ def test_cli_json_document_not_an_object_exit_2(tmp_path):
         p = _run_cli(*job, timeout=30)
         _assert_one_error_line(p)
         assert "expected a JSON object" in p.stderr, name
+
+
+def test_cli_zero_denominator_exit_2(tmp_path):
+    for field in ("q", "fp:3"):
+        module = tmp_path / f"module-{field[:2]}.json"
+        module.write_text(json.dumps(
+            {"field": field, "dim": 1, "act": [["1/0"], ["1"]]}))
+        p = _run_cli("homology", "--monoid", "z:2", "--field", field,
+                     "--module", f"file:{module}", timeout=30)
+        _assert_one_error_line(p)
+        assert "zero denominator" in p.stderr, field
+
+
+def test_cli_deeply_nested_json_exit_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"size": ' + "[" * 100000 + "]" * 100000 + "}")
+    p = _run_cli("homology", "--monoid", f"file:{deep}", timeout=30)
+    _assert_one_error_line(p)
+    assert "nested too deeply" in p.stderr
 
 
 def test_cli_loader_field_types_exit_2(tmp_path):
