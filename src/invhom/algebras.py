@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, combination, mat_rank, sparse_sum
+from .linalg import ColumnSpan, Matrix, sparse_sum
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
@@ -73,14 +73,18 @@ class Algebra:
         return out
 
     def left_mult_matrix(self, v):
-        """Matrix of x -> v*x."""
-        cols = [self.mul(v, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, self.dim, cols)
+        """Matrix of x -> v*x: column j is v b_j, a sum of constants."""
+        terms = [(i, a) for i, a in enumerate(v) if a]
+        return Matrix(self.field, self.dim, self.dim, [
+            sparse_sum(self.field, ((a, self.sc[i][j]) for i, a in terms))
+            for j in range(self.dim)])
 
     def right_mult_matrix(self, v):
-        """Matrix of x -> x*v."""
-        cols = [self.mul(self.basis_vec(j), v) for j in range(self.dim)]
-        return Matrix.from_cols(self.field, self.dim, cols)
+        """Matrix of x -> x*v: column j is b_j v, a sum of constants."""
+        terms = [(i, a) for i, a in enumerate(v) if a]
+        return Matrix(self.field, self.dim, self.dim, [
+            sparse_sum(self.field, ((a, self.sc[j][i]) for i, a in terms))
+            for j in range(self.dim)])
 
     def basis_left_mats(self):
         if self._left_mats is None:
@@ -185,21 +189,18 @@ class Bimodule:
 
     def _validate(self):
         A = self.algebra
-        F = A.field
-        d = self.dim
-        idm = Matrix.identity(F, d)
+        idm = Matrix.identity(A.field, self.dim)
         if self.left_action(A.unit) != idm or self.right_action(A.unit) != idm:
             raise ValueError("bimodule axioms fail: unit does not act as identity")
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = A.sc[i][j].items()
-                if self.left[i] @ self.left[j] != combination(
-                        F, d, d, ((c, self.left[k]) for k, c in prod)):
+                if self.left[i] @ self.left[j] != self._sum(self.left, prod):
                     raise ValueError(
                         f"bimodule axioms fail: left action at ({i},{j})"
                     )
-                if self.right[j] @ self.right[i] != combination(
-                        F, d, d, ((c, self.right[k]) for k, c in prod)):
+                if self.right[j] @ self.right[i] != self._sum(self.right,
+                                                              prod):
                     raise ValueError(
                         f"bimodule axioms fail: right action at ({i},{j})"
                     )
@@ -208,13 +209,19 @@ class Bimodule:
                         f"bimodule axioms fail: actions do not commute at ({i},{j})"
                     )
 
+    def _sum(self, mats, coeffs):
+        """sum of c * mats[k] over pairs (k, c), column by column."""
+        F = self.algebra.field
+        terms = [(c, mats[k]) for k, c in coeffs if c]
+        return Matrix(F, self.dim, self.dim, [
+            sparse_sum(F, ((c, m.columns[j]) for c, m in terms))
+            for j in range(self.dim)])
+
     def left_action(self, vec):
-        return combination(self.algebra.field, self.dim, self.dim,
-                           zip(vec, self.left))
+        return self._sum(self.left, enumerate(vec))
 
     def right_action(self, vec):
-        return combination(self.algebra.field, self.dim, self.dim,
-                           zip(vec, self.right))
+        return self._sum(self.right, enumerate(vec))
 
 
 def check_over(module, algebra, what):
@@ -316,7 +323,7 @@ def _hochschild_cochain_boundary(algebra, module, n):
 def _hochschild_dims(algebra, module, top, cap):
     """Dimensions of degrees 0..top, after the bimodule and cap checks."""
     check_over(module, algebra, "the given algebra")
-    check_degree(top, algebra.dim ** top, cap)
+    check_degree(top, algebra.dim, cap)
     cols = algebra.dim ** top * module.dim
     if cols > cap:
         raise ValueError(f"size cap exceeded: Hochschild degree {top} needs "
@@ -350,29 +357,22 @@ def is_separable(algebra):
     F = A.field
     d = A.dim
     nvar = d * d
-    pairs = list(itertools.product(range(d), repeat=2))
-    # mu(e) = 1
-    rows = [[F.zero] * nvar for _ in range(d)]
-    for i, j in pairs:
+    # The augmented system, right-hand side last.  Row k is the b_k
+    # coefficient of mu(e) = 1.  Row d + (t d + p) d + q is the b_p (x) b_q
+    # coefficient of (a_t (x) 1) e - (1 (x) a_t) e = 0, where
+    # (a (x) 1) (b_i (x) b_j) = a b_i (x) b_j and
+    # (1 (x) a) (b_i (x) b_j) = b_i (x) b_j a.
+    system = Matrix(F, d + d ** 3, nvar + 1)
+    for i, j in itertools.product(range(d), repeat=2):
+        x = i * d + j
         for k, c in A.sc[i][j].items():
-            rows[k][i * d + j] = c
-    rhs = list(A.unit)
-    # (a_t (x) 1) e - (1 (x) a_t) e = 0 componentwise on basis b_p (x) b_q:
-    # (a (x) 1) (b_i (x) b_j) = a b_i (x) b_j, (1 (x) a) (b_i (x) b_j) =
-    # b_i (x) b_j a.  One row per (p, q) that some x_ij reaches.
-    for t in range(d):
-        eqs = {}
-        for i, j in pairs:
+            system.add_at(k, x, c)
+        for t in range(d):
             for p, c in A.sc[t][i].items():
-                row = eqs.setdefault((p, j), [F.zero] * nvar)
-                row[i * d + j] = F.add(row[i * d + j], c)
+                system.add_at(d + (t * d + p) * d + j, x, c)
             for q, c in A.sc[j][t].items():
-                row = eqs.setdefault((i, q), [F.zero] * nvar)
-                row[i * d + j] = F.sub(row[i * d + j], c)
-        for key in sorted(eqs):
-            if any(eqs[key]):
-                rows.append(eqs[key])
-                rhs.append(F.zero)
-    m = Matrix(F, len(rows), nvar, rows)
-    aug = m.hstack(Matrix.from_cols(F, len(rows), [rhs]))
-    return mat_rank(m) == mat_rank(aug)
+                system.add_at(d + (t * d + i) * d + q, x, F.neg(c))
+    for k, c in enumerate(A.unit):
+        system.add_at(k, nvar, c)
+    coeffs = Matrix(F, system.rows, nvar, system.columns[:nvar])
+    return coeffs.rank() == system.rank()

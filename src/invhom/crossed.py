@@ -21,8 +21,8 @@ from .algebras import (Algebra, check_over, hochschild_cohomology,
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
-                     kernel_basis, mat_rank, quotient_space, same_column_space,
-                     sparse_sum, vec_add, vec_is_zero, vec_scale, vec_sub)
+                     kernel_basis, quotient_space, sparse_sum, vec_add,
+                     vec_is_zero, vec_scale, vec_sub)
 from .monoids import max_group_image
 from .reporting import Report
 
@@ -78,7 +78,12 @@ def natural_ke_action(monoid, field):
 def _check_each_element(action, rep):
     """Record the axioms on one element at a time: 1_s is a central
     idempotent, and T_s kills the complement of its domain 1_s^-1 A, maps
-    it onto 1_s A, and is bijective and multiplicative on it."""
+    it onto 1_s A, and is bijective and multiplicative on it.
+
+    1_s is idempotent, so image(T_s) lies in 1_s A iff L_{1_s} T_s = T_s,
+    read column by column as 1_s T_s(b_j) = T_s(b_j); then it is all of
+    1_s A iff rank T_s is its dimension.
+    """
     S = action.monoid
     A = action.algebra
 
@@ -87,7 +92,7 @@ def _check_each_element(action, rep):
                   A.is_central_idempotent(action.one[s]))
 
     left_of = [A.left_mult_matrix(action.one[s]) for s in range(S.size)]
-    ideal_dim = [mat_rank(m) for m in left_of]
+    ideal_dim = [m.rank() for m in left_of]
 
     for s in range(S.size):
         T = action.theta[s]
@@ -95,9 +100,11 @@ def _check_each_element(action, rep):
         name = S.name_of(s)
         rep.check(f"T_{name} kills the complement of its domain",
                   T @ left_of[si] == T)
-        rank_T = mat_rank(T)
+        rank_T = T.rank()
         rep.check(f"image(T_{name}) = 1_{name}A",
-                  same_column_space(T, left_of[s]),
+                  all(A.mul(action.one[s], x) == x
+                      for x in map(T.col, range(A.dim)))
+                  and rank_T == ideal_dim[s],
                   f"rank {rank_T} vs ideal dim {ideal_dim[s]}")
         rep.check(f"T_{name} bijective on its domain",
                   rank_T == ideal_dim[si])
@@ -178,21 +185,25 @@ class CrossedProduct:
             self.labels.extend((s, j) for j in range(span.dim))
         l_dim = self.l_dim
 
+        # a d_s - a d_t for a the j-th basis vector of 1_s A: label j of
+        # block s minus a's coordinates in block t.
         gens = []
         for s in range(S.size):
             for t in range(S.size):
                 if s != t and S.natural_leq(s, t):
-                    for j in range(self.ideal_spans[s].dim):
-                        a_vec = self.ideal_spans[s].basis.col(j)
-                        gens.append(vec_sub(F, self.place(s, a_vec),
-                                            self.place(t, a_vec)))
+                    off_s, off_t = self.block_offset[s], self.block_offset[t]
+                    span_t = self.ideal_spans[t]
+                    for j, a in enumerate(self.ideal_spans[s].basis.columns):
+                        gen = {off_s + j: F.one}
+                        for i, c in span_t.sparse_coords(a).items():
+                            gen[off_t + i] = F.neg(c)
+                        gens.append(gen)
         q = self.n_space = quotient_space(
-            F, l_dim, Matrix.from_cols(F, l_dim, gens))
+            F, l_dim, Matrix(F, l_dim, len(gens), gens))
 
         # The products of all pairs of L basis labels, projected through N
         # and kept only where nonzero.
-        proj = [{i: c for i, c in enumerate(q.projection.col(k)) if c}
-                for k in range(l_dim)]
+        proj = q.projection.columns
         table = {}
         for k1 in range(l_dim):
             for k2 in range(l_dim):
@@ -203,8 +214,8 @@ class CrossedProduct:
 
         # N must be a two-sided ideal: every L basis element times every
         # basis vector of N, on either side, projects to zero.
-        for n in range(q.subspace_basis.cols):
-            terms = [(m, c) for m, c in enumerate(q.subspace_basis.col(n)) if c]
+        for col in q.subspace_basis.columns:
+            terms = col.items()
             for k in range(l_dim):
                 left = sparse_sum(F, ((c, table.get((k, m), {})) for m, c in terms))
                 right = sparse_sum(F, ((c, table.get((m, k), {})) for m, c in terms))
@@ -213,7 +224,7 @@ class CrossedProduct:
 
         # The section is standard vectors, so the quotient's constants are the
         # table's entries there, copied so that the whole table can be freed.
-        sec = [q.section.col(i).index(F.one) for i in range(q.dim)]
+        sec = [i for col in q.section.columns for i in col]
         sc = [[dict(table.get((a, b), {})) for b in sec] for a in sec]
         self.algebra = Algebra(F, q.dim, sc,
                                self.class_of(self.place(S.unit, list(A.unit))))
@@ -221,7 +232,7 @@ class CrossedProduct:
         embed_cols = [self.class_of(self.place(S.unit, A.basis_vec(i)))
                       for i in range(A.dim)]
         self.embed_A = Matrix.from_cols(F, q.dim, embed_cols)
-        if mat_rank(self.embed_A) != A.dim:
+        if self.embed_A.rank() != A.dim:
             raise ValueError("induced multiplication ill-defined: A does not embed")
         if not product_checks(
                 self.embed_A, self.algebra, [A.basis_vec(i) for i in range(A.dim)],
@@ -399,7 +410,7 @@ def phi_map(crossed):
         [(crossed.embed_A.col(i), skew.embed_A.col(i)) for i in range(A.dim)])
     rep.check("phi is an algebra homomorphism",
               phi.apply(Q.unit) == skew.algebra.unit and mult)
-    rank = mat_rank(phi)
+    rank = phi.rank()
     rep.check("phi surjective", rank == skew.algebra.dim)
     rep.check("phi is an A-bimodule map", bimod)
     bijective = rank == Q.dim == skew.algebra.dim
@@ -433,7 +444,7 @@ def ks_as_crossed_product(monoid, field):
                            [skew.place(proj[s], action.one[s])
                             for s in range(S.size)])
     rep.check("phi bijective",
-              S.size == skew.algebra.dim and mat_rank(phi) == S.size)
+              S.size == skew.algebra.dim and phi.rank() == S.size)
     # KS is held as its Cayley table: phi(st) is the column of S.table[s][t].
     mult, bimod = product_checks(
         phi, skew.algebra, range(S.size),
@@ -456,7 +467,7 @@ def module_as_ks(bimodule, crossed):
         gsi = bimodule.right_action(crossed.gamma[S.inv[s]])
         act.append(gs @ gsi)
     try:
-        return KSModule(S, F, bimodule.dim, act, side="left")
+        return KSModule(S, F, bimodule.dim, act)
     except ValueError as exc:
         raise ValueError(f"bimodule axioms fail: {exc}") from exc
 
@@ -470,18 +481,12 @@ def coinvariants(bimodule, crossed):
     gens = []
     for i in range(A.dim):
         a = crossed.embed_A.col(i)
-        la = bimodule.left_action(a)
-        ra = bimodule.right_action(a)
-        diff = la - ra
-        for j in range(bimodule.dim):
-            col = diff.col(j)
-            if not vec_is_zero(col):
-                gens.append(col)
-    span = Matrix.from_cols(F, bimodule.dim, gens)
-    q = quotient_space(F, bimodule.dim, span)
+        diff = bimodule.left_action(a) - bimodule.right_action(a)
+        gens.extend(col for col in diff.columns if col)
+    q = quotient_space(F, bimodule.dim,
+                       Matrix(F, bimodule.dim, len(gens), gens))
     act = [induced_map(ks.act[s], q, q) for s in range(S.size)]
-    module = KSModule(S, F, q.dim, act, side="left")
-    return q, module
+    return q, KSModule(S, F, q.dim, act)
 
 
 def invariants_sub(bimodule, crossed):
@@ -490,23 +495,22 @@ def invariants_sub(bimodule, crossed):
     S = crossed.action.monoid
     A = crossed.action.algebra
     F = A.field
-    stacked_rows = []
+    # The kernel of every a x - x a at once: the maps stacked, row block i
+    # for the i-th basis vector of A.
+    d = bimodule.dim
+    stacked = Matrix(F, A.dim * d, d)
     for i in range(A.dim):
         a = crossed.embed_A.col(i)
         diff = bimodule.left_action(a) - bimodule.right_action(a)
-        stacked_rows.extend(diff.data)
-    if stacked_rows:
-        big = Matrix(F, len(stacked_rows), bimodule.dim, stacked_rows)
-        basis = kernel_basis(big)
-    else:
-        basis = Matrix.identity(F, bimodule.dim)
+        for col, dcol in zip(stacked.columns, diff.columns):
+            col.update((i * d + r, v) for r, v in dcol.items())
+    basis = kernel_basis(stacked)
     span = ColumnSpan(basis)
-    act = []
-    for s in range(S.size):
-        moved = ks.act[s] @ basis
-        cols = [span.coords(moved.col(j)) for j in range(basis.cols)]
-        act.append(Matrix.from_cols(F, basis.cols, cols))
-    return KSModule(S, F, basis.cols, act, side="left")
+    act = [Matrix(F, basis.cols, basis.cols,
+                  [span.sparse_coords(col)
+                   for col in (ks.act[s] @ basis).columns])
+           for s in range(S.size)]
+    return KSModule(S, F, basis.cols, act)
 
 
 def record_sides(rep, symbol, lhs, rhs):

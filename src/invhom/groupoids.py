@@ -16,7 +16,7 @@ from .algebras import (Bimodule, check_over, diagonal_algebra,
 from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, record_sides)
 from .homology import DEFAULT_COLUMN_CAP, cohomology, homology
-from .linalg import Matrix, mat_rank
+from .linalg import Matrix
 from .monoids import check_size, from_table
 from .reporting import Report
 
@@ -200,12 +200,12 @@ def induced_action_hat(g, field, monoid, masks):
     one = []
     theta = []
     for m in masks:
-        arrows = [a for a in range(g.n_arrows) if m >> a & 1]
         v = [F.zero] * g.n_objects
-        t = Matrix.zeros(F, g.n_objects, g.n_objects)
-        for a in arrows:
-            v[g.rng[a]] = F.one
-            t.data[g.rng[a]][g.src[a]] = F.one
+        t = Matrix(F, g.n_objects, g.n_objects)
+        for a in range(g.n_arrows):
+            if m >> a & 1:
+                v[g.rng[a]] = F.one
+                t.add_at(g.rng[a], g.src[a], F.one)
         one.append(v)
         theta.append(t)
     lx = diagonal_algebra(field, g.n_objects)
@@ -219,10 +219,8 @@ def steinberg_algebra(g, field):
 
 def lx_embedding(g, field):
     """Matrix of L(X) -> A_K(G), indicator of x -> point mass at unit arrow."""
-    m = Matrix.zeros(field, g.n_arrows, g.n_objects)
-    for x in range(g.n_objects):
-        m.data[g.unit_of[x]][x] = field.one
-    return m
+    return Matrix(field, g.n_arrows, g.n_objects,
+                  [{u: field.one} for u in g.unit_of])
 
 
 def psi_map(g, masks, crossed, ak):
@@ -256,7 +254,7 @@ def psi_map(g, masks, crossed, ak):
     rep.check("psi kills the relation subspace",
               (psi_l @ crossed.n_space.subspace_basis).is_zero())
     psi = psi_l @ crossed.n_space.section
-    rep.check("psi bijective", mat_rank(psi) == ak.dim)
+    rep.check("psi bijective", psi.rank() == ak.dim)
     rep.check("psi(1) = 1", psi.apply(Q.unit) == list(ak.unit))
     emb = lx_embedding(g, F)
     mult, bimod = product_checks(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, SparseCols, image_basis, vec_is_zero
+from .linalg import ColumnSpan, Matrix, image_basis
 
 DEFAULT_COLUMN_CAP = 50_000
 
@@ -25,65 +25,50 @@ DEFAULT_COLUMN_CAP = 50_000
 class KSModule:
     """Finite-dimensional module over KS: one action matrix per element."""
 
-    __slots__ = ("monoid", "field", "dim", "act", "side")
+    __slots__ = ("monoid", "field", "dim", "act")
 
-    def __init__(self, monoid, field, dim, act, side="left"):
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def __init__(self, monoid, field, dim, act):
         if len(act) != monoid.size:
             raise ValueError("module/monoid mismatch: need one matrix per element")
         for s, m in enumerate(act):
             if m.rows != dim or m.cols != dim or m.field != field:
                 raise ValueError(f"action matrix for element {s} has wrong shape")
         if not act[monoid.unit].is_identity():
-            raise ValueError(f"not a {side} module: unit does not act as identity")
+            raise ValueError("not a left module: unit does not act as identity")
         # Each t is a left-to-right product of generators, so by induction
         # on its length and associativity of S, the law for every (s, g)
         # with g a generator gives it for every (s, t).
         for s in range(monoid.size):
             for g in monoid.generators:
-                sg = monoid.table[s][g]
-                lhs = act[s] @ act[g] if side == "left" else act[g] @ act[s]
-                if lhs != act[sg]:
+                if act[s] @ act[g] != act[monoid.table[s][g]]:
                     raise ValueError(
-                        f"not a {side} module: action law fails at "
+                        "not a left module: action law fails at "
                         f"({monoid.name_of(s)},{monoid.name_of(g)})")
         self.monoid = monoid
         self.field = field
         self.dim = dim
         self.act = act
-        self.side = side
 
 
-def trivial_module_ke(monoid, field, side="left"):
-    """KE(S) with s.e = s e s^-1 (left) or e.s = s^-1 e s (right)."""
+def trivial_module_ke(monoid, field):
+    """KE(S) with s.e = s e s^-1."""
     idems = monoid.idempotents()
     pos = {e: i for i, e in enumerate(idems)}
-    dim = len(idems)
-    act = []
-    for s in range(monoid.size):
-        si = monoid.inv[s]
-        m = Matrix.zeros(field, dim, dim)
-        for j, e in enumerate(idems):
-            if side == "left":
-                img = monoid.table[monoid.table[s][e]][si]
-            else:
-                img = monoid.table[monoid.table[si][e]][s]
-            m.data[pos[img]][j] = field.one
-        act.append(m)
-    return KSModule(monoid, field, dim, act, side=side)
+    t = monoid.table
+    one = field.one
+    act = [Matrix(field, len(idems), len(idems),
+                  [{pos[t[t[s][e]][monoid.inv[s]]]: one} for e in idems])
+           for s in range(monoid.size)]
+    return KSModule(monoid, field, len(idems), act)
 
 
 def regular_ks_module(monoid, field):
     """KS as a left module over itself: s acts by left multiplication."""
-    dim = monoid.size
-    act = []
-    for s in range(monoid.size):
-        m = Matrix.zeros(field, dim, dim)
-        for t in range(dim):
-            m.data[monoid.table[s][t]][t] = field.one
-        act.append(m)
-    return KSModule(monoid, field, dim, act, side="left")
+    n = monoid.size
+    one = field.one
+    act = [Matrix(field, n, n, [{monoid.table[s][t]: one} for t in range(n)])
+           for s in range(n)]
+    return KSModule(monoid, field, n, act)
 
 
 class Block:
@@ -107,7 +92,7 @@ def assemble(field, rows, cols, terms):
     are computed once per (source span, target span, op) and written at
     the offsets of every term that shares them.
     """
-    d = SparseCols(field, rows, cols)
+    d = Matrix(field, rows, cols)
     memo = {}
     for source, target, op, coeff in terms:
         # Spans hash by identity; op is keyed by id() and kept alive in the
@@ -117,25 +102,19 @@ def assemble(field, rows, cols, terms):
             memo[key] = (op, _images(source.span, target.span, op))
         c = field.of(coeff)
         for j, image in enumerate(memo[key][1], source.offset):
-            for i, x in image:
+            for i, x in image.items():
                 d.add_at(target.offset + i, j, field.mul(c, x))
     return d
 
 
 def _images(source, target, op):
-    """op(v) in target's basis, for each basis vector v of source.
-
-    Each image is a list of (row, value) pairs; ``coords`` checks exact
-    membership of every vector.
-    """
-    columns = zip(*source.basis.data)
+    """op(v) in target's basis, as {row: value}, for each basis vector v of
+    source; ``sparse_coords`` checks exact membership of every vector."""
+    images = source.basis
     if op is not None:
         # On an identity basis op(e_j) is column j of op, read directly.
-        columns = (zip(*op.data) if source.is_identity
-                   else map(op.apply, columns))
-    return [[] if vec_is_zero(w) else
-            [(i, x) for i, x in enumerate(target.coords(w)) if x]
-            for w in columns]
+        images = op if source.is_identity else op @ source.basis
+    return [target.sparse_coords(col) for col in images.columns]
 
 
 class ChainComplexData:
@@ -158,16 +137,16 @@ class ChainComplexData:
         """Exact check that consecutive composites vanish."""
         if self.direction == "chain":
             for n in range(2, self.max_degree + 1):
-                if not self.boundaries[n - 1].compose(self.boundaries[n]).is_zero():
+                if not (self.boundaries[n - 1] @ self.boundaries[n]).is_zero():
                     return False
         else:
             for n in range(1, self.max_degree):
-                if not self.boundaries[n].compose(self.boundaries[n - 1]).is_zero():
+                if not (self.boundaries[n] @ self.boundaries[n - 1]).is_zero():
                     return False
         return True
 
     def betti(self, max_deg):
-        """Betti numbers b_0 .. b_max_deg, every rank by SparseCols.rank.
+        """Betti numbers b_0 .. b_max_deg, every rank by Matrix.rank.
 
         The complex must reach degree max_deg + 1.
         """
@@ -187,19 +166,20 @@ def _check_module(monoid, module):
             module.monoid.size != monoid.size
             or module.monoid.table != monoid.table):
         raise ValueError("module/monoid mismatch")
-    if module.side != "left":
-        raise ValueError("not a left module")
 
 
-def check_degree(n, tuples, cap):
-    """Refuse degree n if it has more than cap tuples, or if n * n is above
-    cap: each face copies an n-tuple, whatever the summands' dimensions."""
-    if tuples > cap:
-        raise ValueError(f"size cap exceeded: degree {n} has {tuples} "
-                         f"tuples, more than {cap}")
+def check_degree(n, letters, cap):
+    """Refuse degree n if n * n is above cap, or if it has more than cap
+    n-tuples of letters: each face copies an n-tuple, whatever the
+    summands' dimensions.  n * n comes first, so the tuple count is never
+    computed for a degree that large."""
     if n * n > cap:
         raise ValueError(f"size cap exceeded: degree {n} squared is more "
                          f"than {cap}")
+    tuples = letters ** n
+    if tuples > cap:
+        raise ValueError(f"size cap exceeded: degree {n} has {tuples} "
+                         f"tuples, more than {cap}")
 
 
 def _degree_blocks(monoid, n, idempotent_of, module, cap):
@@ -208,7 +188,7 @@ def _degree_blocks(monoid, n, idempotent_of, module, cap):
     A tuple's summand is the image of the action of its idempotent, so the
     blocks of one idempotent share one span, each at its own offset.
     """
-    check_degree(n, monoid.size ** n, cap)
+    check_degree(n, monoid.size, cap)
     spans = {}
     blocks = {}
     offset = 0
@@ -321,14 +301,10 @@ class ResolutionComplex:
         """d_0 sigma_{-1} = id and d_{n+1} sigma_n + sigma_{n-1} d_n = id."""
         d = self.complex.boundaries
         for m, h in enumerate(self.homotopy):
-            total = d[m + 1].compose(h)
+            total = d[m + 1] @ h
             if m:
-                lower = self.homotopy[m - 1].compose(d[m])
-                for j, col in enumerate(lower.columns):
-                    for i, v in col.items():
-                        total.add_at(i, j, v)
-            one = total.field.one
-            if any(col != {j: one} for j, col in enumerate(total.columns)):
+                total = total + self.homotopy[m - 1] @ d[m]
+            if not total.is_identity():
                 return False
         return True
 
@@ -349,7 +325,7 @@ def build_resolution(monoid, field, max_deg, cap=DEFAULT_COLUMN_CAP):
     rng = {}
     bases = []
     for n in range(max_deg + 1):
-        check_degree(n, monoid.size ** n, cap)
+        check_degree(n, monoid.size, cap)
         basis = {}
         for tup in itertools.product(range(monoid.size), repeat=n):
             r = rng[tup] = monoid.rng(monoid.product(tup))

@@ -4,6 +4,8 @@ Everything here is arbitrary-precision exact: rationals are
 ``fractions.Fraction``, F_p scalars are ints in ``range(p)``.  No floats
 anywhere.
 
+One matrix class, ``Matrix``, holds every linear map column-sparse:
+``columns[j]`` maps a row to a nonzero scalar.  Vectors are dense lists.
 One sparse elimination loop, ``_reduce``, serves rank, rref, spans,
 kernels and quotients.  Every basis it yields is fixed by definition, not
 by the order of elimination: an image basis is the leftmost independent
@@ -119,77 +121,89 @@ class Field:
 
 
 class Matrix:
-    """Dense matrix with rows stored as lists of field scalars."""
+    """Column-sparse matrix: columns[j] maps a row to its entry in column j,
+    and holds nonzero entries only, so equal matrices have equal columns."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "columns")
 
-    def __init__(self, field, rows, cols, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
+    def __init__(self, field, rows, cols, columns=None):
+        if columns is None:
+            columns = [{} for _ in range(cols)]
+        elif len(columns) != cols:
             raise ValueError(
                 f"dimension mismatch: declared {rows}x{cols}, "
-                f"got {len(data)} rows"
+                f"got {len(columns)} columns"
             )
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.columns = columns
 
     @staticmethod
     def zeros(field, rows, cols):
-        z = field.zero
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return Matrix(field, rows, cols)
 
     @staticmethod
     def identity(field, n):
-        m = Matrix.zeros(field, n, n)
         one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return Matrix(field, n, n, [{j: one} for j in range(n)])
 
     @staticmethod
     def from_rows(field, rows_data):
         rows = len(rows_data)
         cols = len(rows_data[0]) if rows else 0
-        data = [[field.of(v) for v in row] for row in rows_data]
-        return Matrix(field, rows, cols, data)
+        if any(len(row) != cols for row in rows_data):
+            raise ValueError("dimension mismatch in row data")
+        m = Matrix(field, rows, cols)
+        for i, row in enumerate(rows_data):
+            for j, v in enumerate(row):
+                m.add_at(i, j, field.of(v))
+        return m
 
     @staticmethod
     def from_cols(field, ambient_dim, cols_data):
-        m = Matrix.zeros(field, ambient_dim, len(cols_data))
-        for j, col in enumerate(cols_data):
+        columns = []
+        for col in cols_data:
             if len(col) != ambient_dim:
                 raise ValueError("dimension mismatch in column data")
-            for i, v in enumerate(col):
-                m.data[i][j] = field.of(v)
-        return m
+            columns.append({i: x for i, x in enumerate(map(field.of, col))
+                            if x})
+        return Matrix(field, ambient_dim, len(columns), columns)
 
     def col(self, j):
-        return [row[j] for row in self.data]
+        """Column j as a dense list."""
+        out = [self.field.zero] * self.rows
+        for i, v in self.columns[j].items():
+            out[i] = v
+        return out
+
+    def add_at(self, i, j, v):
+        if not v:
+            return
+        col = self.columns[j]
+        old = col.get(i)
+        c = v if old is None else self.field.add(old, v)
+        if c:
+            col[i] = c
+        else:
+            del col[i]
+
+    def nnz(self):
+        return sum(len(col) for col in self.columns)
 
     def is_zero(self):
-        return all(not v for row in self.data for v in row)
+        return not any(self.columns)
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
         one = self.field.one
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if i == j:
-                    if v != one:
-                        return False
-                elif v:
-                    return False
-        return True
+        return self.rows == self.cols and all(
+            col == {j: one} for j, col in enumerate(self.columns))
 
     def hstack(self, other):
         if other.rows != self.rows or other.field != self.field:
             raise ValueError("dimension mismatch in hstack")
-        return Matrix(
-            self.field, self.rows, self.cols + other.cols,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-        )
+        return Matrix(self.field, self.rows, self.cols + other.cols,
+                      [dict(col) for col in self.columns + other.columns])
 
     def __matmul__(self, other):
         if self.cols != other.rows or self.field != other.field:
@@ -197,19 +211,21 @@ class Matrix:
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        F = self.field
-        out = Matrix.zeros(F, self.rows, other.cols)
-        # Accumulate over nonzero entries of `other` only; boundary matrices
-        # downstream are sparse and this keeps composites cheap.
-        for k, orow in enumerate(other.data):
-            for j, v in enumerate(orow):
-                if not v:
-                    continue
-                for i in range(self.rows):
-                    a = self.data[i][k]
-                    if a:
-                        out.data[i][j] = F.add(out.data[i][j], F.mul(a, v))
-        return out
+        # Column j of the product sums a column of self per nonzero entry of
+        # column j of other; over F_p the sums are reduced once, at the end.
+        p = self.field.char
+        out = []
+        for ocol in other.columns:
+            acc = {}
+            for k, v in ocol.items():
+                for i, a in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + a * v
+            if p:
+                acc = {i: x % p for i, x in acc.items() if x % p}
+            else:
+                acc = {i: x for i, x in acc.items() if x}
+            out.append(acc)
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
@@ -218,33 +234,27 @@ class Matrix:
         F = self.field
         out = [F.zero] * self.rows
         for k, v in enumerate(vec):
-            if not v:
-                continue
-            for i in range(self.rows):
-                a = self.data[i][k]
-                if a:
+            if v:
+                for i, a in self.columns[k].items():
                     out[i] = F.add(out[i], F.mul(a, v))
         return out
 
-    def __add__(self, other):
+    def _plus(self, other, sign, what):
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in sum")
+            raise ValueError(f"dimension mismatch in {what}")
         F = self.field
-        return Matrix(
-            F, self.rows, self.cols,
-            [[F.add(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.data, other.data)],
-        )
+        out = Matrix(F, self.rows, self.cols,
+                     [dict(col) for col in self.columns])
+        for j, col in enumerate(other.columns):
+            for i, v in col.items():
+                out.add_at(i, j, F.mul(sign, v))
+        return out
+
+    def __add__(self, other):
+        return self._plus(other, self.field.one, "sum")
 
     def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in difference")
-        F = self.field
-        return Matrix(
-            F, self.rows, self.cols,
-            [[F.sub(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.data, other.data)],
-        )
+        return self._plus(other, self.field.neg(self.field.one), "difference")
 
     def __eq__(self, other):
         return (
@@ -252,25 +262,26 @@ class Matrix:
             and self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.columns == other.columns
         )
+
+    def rank(self):
+        """Rank by exact sparse column elimination over the field.
+
+        Columns are inserted shortest first to limit fill-in, and carry no
+        combination.
+        """
+        pivots = {}
+        for col in sorted(self.columns, key=len):
+            _insert(self.field, pivots, dict(col))
+        return len(pivots)
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
 
 
-def combination(field, rows, cols, terms):
-    """The rows x cols matrix sum of c * m over pairs (c, m) of a scalar and
-    a matrix, summed in place."""
-    out = Matrix.zeros(field, rows, cols)
-    for c, m in terms:
-        if not c:
-            continue
-        for orow, mrow in zip(out.data, m.data):
-            for j, a in enumerate(mrow):
-                if a:
-                    orow[j] = field.add(orow[j], field.mul(c, a))
-    return out
+# perfbench/tracing.py times the rank under this name; it is the same class.
+SparseCols = Matrix
 
 
 def sparse_sum(field, terms):
@@ -340,23 +351,21 @@ def _insert(field, pivots, v):
     return top
 
 
-def _tagged(field, vec, k):
-    """The dense column vec, sparse, entering as input column k."""
-    v = {i: a for i, a in enumerate(vec) if a}
+def _tagged(field, col, k):
+    """A copy of the sparse column col, entering as input column k."""
+    v = dict(col)
     v[-1 - k] = field.one
     return v
 
 
-def _coords(field, pivots, v, n):
-    """Coordinates of the sparse column v on the n tagged input columns
-    that built pivots, or None when v is outside their span."""
+def _coords(field, pivots, v):
+    """Coordinates {input column: nonzero coefficient} of the sparse column
+    v on the tagged input columns that built pivots, or None when v is
+    outside their span."""
     if _reduce(field, pivots, v) is not None:
         return None
     # v now holds only combination keys, and the input equals minus them.
-    x = [field.zero] * n
-    for k, a in v.items():
-        x[-1 - k] = field.neg(a)
-    return x
+    return {-1 - k: field.neg(a) for k, a in v.items()}
 
 
 def rref(m):
@@ -369,32 +378,22 @@ def rref(m):
     F = m.field
     pivots = {}
     pcols = []
-    r = Matrix.zeros(F, m.rows, m.cols)
-    for j in range(m.cols):
-        v = _tagged(F, m.col(j), j)
+    r = Matrix(F, m.rows, m.cols)
+    for j, col in enumerate(m.columns):
+        v = _tagged(F, col, j)
         if _insert(F, pivots, v) is not None:
-            r.data[len(pcols)][j] = F.one
+            r.columns[j] = {len(pcols): F.one}
             pcols.append(j)
             continue
-        for i, p in enumerate(pcols):
-            r.data[i][j] = F.neg(v.get(-1 - p, F.zero))
+        r.columns[j] = {i: F.neg(v[-1 - p]) for i, p in enumerate(pcols)
+                        if -1 - p in v}
     return r, pcols
 
 
 def mat_rank(m):
-    """Rank over the declared field, by the sparse kernel of SparseCols."""
-    s = SparseCols(m.field, m.rows, m.cols)
-    for i, row in enumerate(m.data):
-        for j, v in enumerate(row):
-            if v:
-                s.columns[j][i] = v
-    return s.rank()
-
-
-def same_column_space(a, b):
-    """Whether the columns of a and of b span the same subspace."""
-    r = mat_rank(a)
-    return r == mat_rank(b) == mat_rank(a.hstack(b))
+    """Rank over the declared field (perfbench/tracing.py times it by this
+    name)."""
+    return m.rank()
 
 
 def kernel_basis(m):
@@ -406,15 +405,15 @@ def kernel_basis(m):
     F = m.field
     r, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     cols = []
-    for f in free:
-        col = [F.zero] * m.cols
-        col[f] = F.one
-        for i, p in enumerate(pivots):
-            col[p] = F.neg(r.data[i][f])
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        col = {f: F.one}
+        for i, a in r.columns[f].items():
+            col[pivots[i]] = F.neg(a)
         cols.append(col)
-    return Matrix.from_cols(F, m.cols, cols)
+    return Matrix(F, m.cols, len(cols), cols)
 
 
 class ColumnSpan:
@@ -433,24 +432,33 @@ class ColumnSpan:
         if self.is_identity:
             return
         F = basis.field
-        for j in range(basis.cols):
-            if _insert(F, self.pivots, _tagged(F, basis.col(j), j)) is None:
+        for j, col in enumerate(basis.columns):
+            if _insert(F, self.pivots, _tagged(F, col, j)) is None:
                 raise ValueError("basis columns are linearly dependent")
 
     @property
     def dim(self):
         return self.basis.cols
 
+    def sparse_coords(self, col):
+        """coords of the sparse column col, as {basis column: coefficient}."""
+        if self.is_identity:
+            return dict(col)
+        x = _coords(self.basis.field, self.pivots, dict(col))
+        if x is None:
+            raise ValueError("vector not in column span")
+        return x
+
     def coords(self, vec):
         if len(vec) != self.basis.rows:
             raise ValueError("dimension mismatch in coords")
         if self.is_identity:
             return list(vec)
-        x = _coords(self.basis.field, self.pivots,
-                    {i: a for i, a in enumerate(vec) if a}, self.basis.cols)
-        if x is None:
-            raise ValueError("vector not in column span")
-        return x
+        out = [self.basis.field.zero] * self.dim
+        for k, a in self.sparse_coords(
+                {i: a for i, a in enumerate(vec) if a}).items():
+            out[k] = a
+        return out
 
     def contains(self, vec):
         try:
@@ -463,7 +471,8 @@ class ColumnSpan:
 def image_basis(m):
     """The leftmost independent columns of m, as a matrix."""
     _, pivots = rref(m)
-    return Matrix.from_cols(m.field, m.rows, [m.col(j) for j in pivots])
+    return Matrix(m.field, m.rows, len(pivots),
+                  [dict(m.columns[j]) for j in pivots])
 
 
 class QuotientSpace:
@@ -504,23 +513,23 @@ def quotient_space(field, ambient_dim, span):
     pivots = {}
     basis = []
 
-    def extend(vecs):
+    def extend(cols):
         # A column that does not insert is dropped, so the next one may
         # take its tag.
-        for vec in vecs:
-            v = _tagged(field, vec, len(basis))
-            if _insert(field, pivots, v) is not None:
-                basis.append(vec)
+        for col in cols:
+            if _insert(field, pivots, _tagged(field, col, len(basis))) \
+                    is not None:
+                basis.append(dict(col))
 
-    extend(span.col(j) for j in range(span.cols))
+    extend(span.columns)
     r = len(basis)
-    extend(Matrix.identity(field, ambient_dim).data)
-    sub = Matrix.from_cols(field, ambient_dim, basis[:r])
-    section = Matrix.from_cols(field, ambient_dim, basis[r:])
-    coords = [_coords(field, pivots, {i: field.one}, ambient_dim)[r:]
-              for i in range(ambient_dim)]
-    projection = Matrix(field, ambient_dim - r, ambient_dim,
-                        [list(row) for row in zip(*coords)])
+    extend({i: field.one} for i in range(ambient_dim))
+    sub = Matrix(field, ambient_dim, r, basis[:r])
+    section = Matrix(field, ambient_dim, ambient_dim - r, basis[r:])
+    projection = Matrix(field, ambient_dim - r, ambient_dim, [
+        {k - r: a for k, a in _coords(field, pivots, {i: field.one}).items()
+         if k >= r}
+        for i in range(ambient_dim)])
     q = QuotientSpace(ambient_dim, sub, projection, section)
     # The defining identities are cheap; verify them outright.
     assert (projection @ section).is_identity() or projection.rows == 0
@@ -542,65 +551,3 @@ def induced_map(f, dom, cod):
     g = cod.projection @ f @ dom.section
     assert g @ dom.projection == cod.projection @ f
     return g
-
-
-class SparseCols:
-    """Column-sparse matrix used for the large boundary operators.
-
-    Each column is a dict row->scalar.  Rank, composites and zero tests
-    all stay sparse.
-    """
-
-    __slots__ = ("field", "rows", "cols", "columns")
-
-    def __init__(self, field, rows, cols):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.columns = [dict() for _ in range(cols)]
-
-    def add_at(self, i, j, v):
-        if not v:
-            return
-        col = self.columns[j]
-        old = col.get(i)
-        c = v if old is None else self.field.add(old, v)
-        if c:
-            col[i] = c
-        else:
-            del col[i]
-
-    def is_zero(self):
-        return all(not col for col in self.columns)
-
-    def nnz(self):
-        return sum(len(col) for col in self.columns)
-
-    def compose(self, other):
-        """self @ other, both column-sparse."""
-        if self.cols != other.rows or self.field != other.field:
-            raise ValueError("dimension mismatch in sparse product")
-        out = SparseCols(self.field, self.rows, other.cols)
-        F = self.field
-        for j, ocol in enumerate(other.columns):
-            acc = {}
-            for k, v in ocol.items():
-                for i, a in self.columns[k].items():
-                    c = F.add(acc.get(i, F.zero), F.mul(a, v))
-                    if c:
-                        acc[i] = c
-                    elif i in acc:
-                        del acc[i]
-            out.columns[j] = acc
-        return out
-
-    def rank(self):
-        """Rank by exact sparse column elimination over the field.
-
-        Columns are inserted shortest first to limit fill-in, and carry no
-        combination.
-        """
-        pivots = {}
-        for col in sorted(self.columns, key=len):
-            _insert(self.field, pivots, dict(col))
-        return len(pivots)

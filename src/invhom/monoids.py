@@ -55,9 +55,9 @@ class InverseMonoid:
         self._idempotents = None
         self._sigma = None
 
-    def product(self, elts, default=None):
+    def product(self, elts):
         """Product of a sequence, left to right; unit for the empty one."""
-        acc = self.unit if default is None else default
+        acc = self.unit
         for x in elts:
             acc = self.table[acc][x]
         return acc

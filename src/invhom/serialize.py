@@ -86,10 +86,10 @@ def _scalars_in(field, seq):
 
 
 def _matrix_out(m):
-    flat = []
-    for row in m.data:
-        flat.extend(m.field.to_token(v) for v in row)
-    return flat
+    """The entries of m, row-major."""
+    zero = m.field.zero
+    return [m.field.to_token(m.columns[j].get(i, zero))
+            for i in range(m.rows) for j in range(m.cols)]
 
 
 def _matrix_in(field, rows, cols, data):
@@ -98,8 +98,10 @@ def _matrix_in(field, rows, cols, data):
     flat = _scalars_in(field, data)
     if len(flat) != rows * cols:
         raise ValueError(f"matrix data has {len(flat)} entries, expected {rows * cols}")
-    return Matrix(field, rows, cols,
-                  [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+    m = Matrix(field, rows, cols)
+    for k, v in enumerate(flat):
+        m.add_at(k // cols, k % cols, v)
+    return m
 
 
 def monoid_to_dict(m):
@@ -143,15 +145,19 @@ def ks_module_to_dict(module, monoid_ref="file:inline"):
         "field": field_token(module.field),
         "dim": module.dim,
         "act": [_matrix_out(m) for m in module.act],
-        "side": module.side,
+        "side": "left",
     }
 
 
 def ks_module_from_dict(doc, monoid):
+    """A left KS-module; "side" may be "left" or left out."""
+    side = doc.get("side", "left")
+    if side != "left":
+        raise InputError(f"not a left module: side is {side!r:.40}")
     field = parse_field(doc["field"])
     dim = _count(doc, "dim")
     act = [_matrix_in(field, dim, dim, m) for m in _list(doc["act"], "act")]
-    return KSModule(monoid, field, dim, act, side=doc.get("side", "left"))
+    return KSModule(monoid, field, dim, act)
 
 
 def algebra_to_dict(a):

@@ -8,7 +8,8 @@ the crossed-product oracle multiplies dense vectors of L pair by pair,
 the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
-and the table of G(S) by search.
+and the table of G(S) by search.  DenseMatrix is the dense row-list matrix
+arithmetic that the column-sparse Matrix replaced, kept as its reference.
 """
 
 import itertools
@@ -16,6 +17,161 @@ import itertools
 from invhom.algebras import Algebra
 from invhom.linalg import (ColumnSpan, Matrix, image_basis, mat_rank,
                            quotient_space, vec_is_zero, vec_sub)
+
+
+class DenseMatrix:
+    """Dense matrix with rows stored as lists of field scalars: the reference
+    arithmetic that the column-sparse ``Matrix`` must agree with."""
+
+    __slots__ = ("field", "rows", "cols", "data")
+
+    def __init__(self, field, rows, cols, data):
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError(
+                f"dimension mismatch: declared {rows}x{cols}, "
+                f"got {len(data)} rows"
+            )
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @staticmethod
+    def zeros(field, rows, cols):
+        z = field.zero
+        return DenseMatrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+
+    @staticmethod
+    def identity(field, n):
+        m = DenseMatrix.zeros(field, n, n)
+        one = field.one
+        for i in range(n):
+            m.data[i][i] = one
+        return m
+
+    @staticmethod
+    def from_rows(field, rows_data):
+        rows = len(rows_data)
+        cols = len(rows_data[0]) if rows else 0
+        data = [[field.of(v) for v in row] for row in rows_data]
+        return DenseMatrix(field, rows, cols, data)
+
+    @staticmethod
+    def from_cols(field, ambient_dim, cols_data):
+        m = DenseMatrix.zeros(field, ambient_dim, len(cols_data))
+        for j, col in enumerate(cols_data):
+            if len(col) != ambient_dim:
+                raise ValueError("dimension mismatch in column data")
+            for i, v in enumerate(col):
+                m.data[i][j] = field.of(v)
+        return m
+
+    def col(self, j):
+        return [row[j] for row in self.data]
+
+    def is_zero(self):
+        return all(not v for row in self.data for v in row)
+
+    def is_identity(self):
+        if self.rows != self.cols:
+            return False
+        one = self.field.one
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if i == j:
+                    if v != one:
+                        return False
+                elif v:
+                    return False
+        return True
+
+    def hstack(self, other):
+        if other.rows != self.rows or other.field != self.field:
+            raise ValueError("dimension mismatch in hstack")
+        return DenseMatrix(
+            self.field, self.rows, self.cols + other.cols,
+            [self.data[i] + other.data[i] for i in range(self.rows)],
+        )
+
+    def __matmul__(self, other):
+        if self.cols != other.rows or self.field != other.field:
+            raise ValueError(
+                f"dimension mismatch in product: {self.rows}x{self.cols} @ "
+                f"{other.rows}x{other.cols}"
+            )
+        F = self.field
+        out = DenseMatrix.zeros(F, self.rows, other.cols)
+        # Accumulate over nonzero entries of `other` only; boundary matrices
+        # downstream are sparse and this keeps composites cheap.
+        for k, orow in enumerate(other.data):
+            for j, v in enumerate(orow):
+                if not v:
+                    continue
+                for i in range(self.rows):
+                    a = self.data[i][k]
+                    if a:
+                        out.data[i][j] = F.add(out.data[i][j], F.mul(a, v))
+        return out
+
+    def apply(self, vec):
+        """Matrix times column vector (a plain list)."""
+        if len(vec) != self.cols:
+            raise ValueError("dimension mismatch in apply")
+        F = self.field
+        out = [F.zero] * self.rows
+        for k, v in enumerate(vec):
+            if not v:
+                continue
+            for i in range(self.rows):
+                a = self.data[i][k]
+                if a:
+                    out[i] = F.add(out[i], F.mul(a, v))
+        return out
+
+    def __add__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in sum")
+        F = self.field
+        return DenseMatrix(
+            F, self.rows, self.cols,
+            [[F.add(a, b) for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
+        )
+
+    def __sub__(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in difference")
+        F = self.field
+        return DenseMatrix(
+            F, self.rows, self.cols,
+            [[F.sub(a, b) for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.data, other.data)],
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseMatrix)
+            and self.field == other.field
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.data == other.data
+        )
+
+    def __repr__(self):
+        return f"DenseMatrix({self.field}, {self.rows}x{self.cols})"
+
+
+def dense(m):
+    """The column-sparse Matrix m as a DenseMatrix."""
+    zero = m.field.zero
+    return DenseMatrix(m.field, m.rows, m.cols,
+                       [[m.columns[j].get(i, zero) for j in range(m.cols)]
+                        for i in range(m.rows)])
+
+
+def sparse(d):
+    """The DenseMatrix d as a column-sparse Matrix."""
+    return Matrix.from_cols(d.field, d.rows, [d.col(j) for j in range(d.cols)])
 
 
 def det(field, rows):
@@ -80,7 +236,7 @@ def gauss_jordan(m):
             if k != r and c:
                 a[k] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[k], a[r])]
         pivots.append(j)
-    return Matrix(F, m.rows, m.cols, a), pivots
+    return DenseMatrix(F, m.rows, m.cols, a), pivots
 
 
 def _act_vec(module, s, v):
@@ -108,7 +264,7 @@ def bar_group_homology(group, module, max_deg):
         return idx
 
     def boundary(n):
-        d = Matrix.zeros(F, dim_c(n - 1), dim_c(n))
+        d = DenseMatrix.zeros(F, dim_c(n - 1), dim_c(n))
         for tup in itertools.product(range(n_elts), repeat=n):
             base = tuple_index(tup) * dV
             for j in range(dV):
@@ -130,7 +286,7 @@ def bar_group_homology(group, module, max_deg):
                                               F.of((-1) ** n))
         return d
 
-    ranks = [mat_rank(boundary(n)) for n in range(1, max_deg + 2)]
+    ranks = [mat_rank(sparse(boundary(n))) for n in range(1, max_deg + 2)]
     betti = [dim_c(0) - ranks[0]]
     for n in range(1, max_deg + 1):
         betti.append(dim_c(n) - ranks[n - 1] - ranks[n])
@@ -154,7 +310,7 @@ def bar_group_cohomology(group, module, max_deg):
         return idx
 
     def coboundary(n):
-        d = Matrix.zeros(F, dim_c(n + 1), dim_c(n))
+        d = DenseMatrix.zeros(F, dim_c(n + 1), dim_c(n))
         for tup in itertools.product(range(n_elts), repeat=n + 1):
             base = tuple_index(tup) * dV
             src = tuple_index(tup[1:]) * dV
@@ -180,7 +336,7 @@ def bar_group_cohomology(group, module, max_deg):
                                                    sgn)
         return d
 
-    ranks = [mat_rank(coboundary(n)) for n in range(max_deg + 1)]
+    ranks = [mat_rank(sparse(coboundary(n))) for n in range(max_deg + 1)]
     betti = [dim_c(0) - ranks[0]]
     for n in range(1, max_deg + 1):
         betti.append(dim_c(n) - ranks[n] - ranks[n - 1])
@@ -325,11 +481,11 @@ def _matmul(char, a, b):
     return out
 
 
-def is_module(table, unit, char, act, side):
-    """act[unit] is the identity and the action law holds for every (s, t).
+def is_module(table, unit, char, act):
+    """act[unit] is the identity and the left action law
+    act[st] = act[s] act[t] holds for every (s, t).
 
-    ``act`` holds one square entry list per element; the law is
-    act[st] = act[s] act[t] on the left and act[t] act[s] on the right.
+    ``act`` holds one square entry list per element.
     """
     n = range(len(table))
     dim = len(act[unit])
@@ -337,8 +493,7 @@ def is_module(table, unit, char, act, side):
         return False
     for s in n:
         for t in n:
-            a, b = (act[s], act[t]) if side == "left" else (act[t], act[s])
-            if _matmul(char, a, b) != act[table[s][t]]:
+            if _matmul(char, act[s], act[t]) != act[table[s][t]]:
                 return False
     return True
 
@@ -433,7 +588,8 @@ def crossed_product_by_vectors(action):
 
 
 def is_unital_action(action):
-    """Every check of the pairwise unital-action validator, on Matrix alone.
+    """Every check of the pairwise unital-action validator, on DenseMatrix
+    alone.
 
     Per element s: 1_s is a central idempotent, and T_s kills the
     complement of 1_s^-1 A, has image 1_s A, and is bijective and
@@ -450,7 +606,7 @@ def is_unital_action(action):
     table = S.table
     n = range(S.size)
     d = range(A.dim)
-    one, theta = action.one, action.theta
+    one, theta = action.one, [dense(t) for t in action.theta]
     inv = [next(x for x in n if table[table[s][x]][s] == s
                 and table[table[x][s]][x] == x) for s in n]
     idems = [e for e in n if table[e][e] == e]
@@ -468,13 +624,14 @@ def is_unital_action(action):
         return out
 
     def left(v):
-        return Matrix.from_cols(F, A.dim, [mul(v, b) for b in basis])
+        return DenseMatrix.from_cols(F, A.dim, [mul(v, b) for b in basis])
 
     for s in n:
         e = one[s]
         if mul(e, e) != e or any(mul(e, b) != mul(b, e) for b in basis):
             return False
-    if one[S.unit] != list(A.unit) or theta[S.unit] != Matrix.identity(F, A.dim):
+    if (one[S.unit] != list(A.unit)
+            or theta[S.unit] != DenseMatrix.identity(F, A.dim)):
         return False
     for s in n:
         T, dom, img = theta[s], left(one[inv[s]]), left(one[s])
@@ -543,12 +700,12 @@ def dense_resolution(monoid, field, max_deg):
     one = field.one
 
     boundary = []
-    d0 = Matrix.zeros(field, len(idems), len(bases[0]))
+    d0 = DenseMatrix.zeros(field, len(idems), len(bases[0]))
     for col, (t, _) in enumerate(bases[0]):
         d0.data[epos[monoid.rng(t)]][col] = one
     boundary.append(d0)
     for n in range(1, max_deg + 1):
-        d = Matrix.zeros(field, len(bases[n - 1]), len(bases[n]))
+        d = DenseMatrix.zeros(field, len(bases[n - 1]), len(bases[n]))
         for col, (t, tup) in enumerate(bases[n]):
             terms = []
             if n == 1:
@@ -567,12 +724,12 @@ def dense_resolution(monoid, field, max_deg):
         boundary.append(d)
 
     homotopy = []
-    s_minus1 = Matrix.zeros(field, len(bases[0]), len(idems))
+    s_minus1 = DenseMatrix.zeros(field, len(bases[0]), len(idems))
     for j, e in enumerate(idems):
         s_minus1.data[index[0][(e, ())]][j] = one
     homotopy.append(s_minus1)
     for n in range(max_deg):
-        s = Matrix.zeros(field, len(bases[n + 1]), len(bases[n]))
+        s = DenseMatrix.zeros(field, len(bases[n + 1]), len(bases[n]))
         for col, (t, tup) in enumerate(bases[n]):
             target = normalize(monoid.rng(t), (t,) + tup)
             s.data[index[n + 1][target]][col] = one

@@ -157,7 +157,7 @@ def test_criterion_5_crossed_product_structure():
                     cp.ideal_spans[s].basis.col(j)[coord]
                     if proj[s] == c else Q.zero
                     for (s, j) in cp.labels])
-        ker = kernel_basis(Matrix(Q, len(rows), cp.l_dim, rows))
+        ker = kernel_basis(Matrix.from_rows(Q, rows))
         ok = ok and ker.cols == cp.n_space.subspace_basis.cols
         for _ in range(12):
             vec = [Q.zero] * cp.l_dim

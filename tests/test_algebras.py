@@ -258,10 +258,10 @@ def test_hochschild_boundary_squares_to_zero():
         for n in (2, 3):
             b_low = _hochschild_chain_boundary(alg, m, n - 1)
             b_high = _hochschild_chain_boundary(alg, m, n)
-            assert b_low.compose(b_high).is_zero()
+            assert (b_low @ b_high).is_zero()
             d_low = _hochschild_cochain_boundary(alg, m, n - 2)
             d_high = _hochschild_cochain_boundary(alg, m, n - 1)
-            assert d_high.compose(d_low).is_zero()
+            assert (d_high @ d_low).is_zero()
 
 
 def test_hochschild_size_cap():

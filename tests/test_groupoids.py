@@ -104,7 +104,7 @@ def test_induced_action_hat_moves_coordinates():
     # U = {arrow 1 -> 2}: arrow index (rng=1, src=0) -> a = 1*2+0 = 2
     u_idx = masks.index(1 << 2)
     assert act.one[u_idx] == [Q.zero, Q.one]
-    assert act.theta[u_idx].data[1][0] == Q.one
+    assert act.theta[u_idx].col(0)[1] == Q.one
     # empty bisection: everything zero
     e_idx = masks.index(0)
     assert act.one[e_idx] == [Q.zero, Q.zero]

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invhom.linalg import (ColumnSpan, Field, Matrix, SparseCols,
-                           image_basis, induced_map, kernel_basis, mat_rank,
-                           quotient_space, rref, same_column_space)
-from oracles import gauss_jordan, rank_by_minors
+from invhom.linalg import (ColumnSpan, Field, Matrix, image_basis,
+                           induced_map, kernel_basis, mat_rank, quotient_space,
+                           rref)
+from invhom.serialize import _matrix_in, _matrix_out
+from oracles import DenseMatrix, dense, gauss_jordan, rank_by_minors, sparse
 
 Q = Field(0)
 F2 = Field(2)
@@ -66,7 +67,7 @@ def test_rank_matches_minor_oracle():
         data = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         for field in (Q, Field(3)):
             m = Matrix.from_rows(field, data)
-            assert mat_rank(m) == rank_by_minors(m)
+            assert mat_rank(m) == rank_by_minors(dense(m))
 
 
 @st.composite
@@ -98,13 +99,14 @@ REPEATED_COLUMN = (4, 4, [[1, 1, 0, 2], [2, 2, 1, 0], [0, 0, 3, 1],
 def test_sparse_rank_matches_minor_oracle(case):
     rows, cols, data = case
     for field in (Q, F2, Field(3), Field(2 ** 61 - 1)):
-        m = Matrix(field, rows, cols, [[field.of(v) for v in row]
-                                        for row in data])
-        s = SparseCols(field, rows, cols)
-        for i, row in enumerate(m.data):
+        d = DenseMatrix(field, rows, cols, [[field.of(v) for v in row]
+                                            for row in data])
+        m = sparse(d)
+        s = Matrix(field, rows, cols)
+        for i, row in enumerate(d.data):
             for j, v in enumerate(row):
                 s.add_at(i, j, v)
-        expected = rank_by_minors(m)
+        expected = rank_by_minors(d)
         assert s.rank() == expected
         assert mat_rank(m) == expected
 
@@ -130,7 +132,7 @@ def _oracle_kernel(m, r, pivots):
 def _oracle_coords(basis, vec):
     """x with basis x = vec from the RREF of [basis | vec], or None."""
     aug = basis.hstack(Matrix.from_cols(basis.field, basis.rows, [vec]))
-    r, pivots = gauss_jordan(aug)
+    r, pivots = gauss_jordan(dense(aug))
     if basis.cols in pivots:
         return None
     return [r.data[i][basis.cols] for i in range(basis.cols)]
@@ -145,10 +147,11 @@ def _oracle_quotient(field, n, sub):
     """
     r = sub.cols
     ident = Matrix.identity(field, n)
-    _, pivots = gauss_jordan(sub.hstack(ident))
+    _, pivots = gauss_jordan(dense(sub.hstack(ident)))
     section = Matrix.from_cols(field, n, [ident.col(p - r) for p in pivots[r:]])
-    inv, _ = gauss_jordan(sub.hstack(section).hstack(ident))
-    return section, Matrix(field, n - r, n, [row[n:] for row in inv.data[r:]])
+    inv, _ = gauss_jordan(dense(sub.hstack(section).hstack(ident)))
+    return section, sparse(DenseMatrix(field, n - r, n,
+                                       [row[n:] for row in inv.data[r:]]))
 
 
 @settings(deadline=None)
@@ -160,10 +163,11 @@ def _oracle_quotient(field, n, sub):
 def test_elimination_matches_gauss_jordan_oracle(case):
     rows, cols, data = case
     for field in FIELDS:
-        m = Matrix(field, rows, cols, [[field.of(v) for v in row]
-                                        for row in data])
-        r, pivots = gauss_jordan(m)
-        assert rref(m) == (r, pivots)
+        d = DenseMatrix(field, rows, cols, [[field.of(v) for v in row]
+                                            for row in data])
+        m = sparse(d)
+        r, pivots = gauss_jordan(d)
+        assert rref(m) == (sparse(r), pivots)
         image = Matrix.from_cols(field, rows, [m.col(j) for j in pivots])
         assert image_basis(m) == image
         assert kernel_basis(m) == _oracle_kernel(m, r, pivots)
@@ -171,7 +175,7 @@ def test_elimination_matches_gauss_jordan_oracle(case):
         span = ColumnSpan(image)
         total = [field.of(sum(row)) for row in data]
         for vec in [m.col(j) for j in range(cols)] + [total] + \
-                Matrix.identity(field, rows).data:
+                DenseMatrix.identity(field, rows).data:
             expected = _oracle_coords(image, vec)
             assert span.contains(vec) == (expected is not None)
             if expected is not None:
@@ -185,16 +189,6 @@ def test_elimination_matches_gauss_jordan_oracle(case):
         assert q.subspace_basis == image
         assert q.section == section
         assert q.projection == projection
-
-
-def test_same_column_space():
-    a = Matrix.from_cols(Q, 3, [[1, 1, 0], [0, 1, 1]])
-    b = Matrix.from_cols(Q, 3, [[1, 2, 1], [1, 0, -1], [2, 2, 0]])
-    assert same_column_space(a, b)
-    assert not same_column_space(a, Matrix.from_cols(Q, 3, [[1, 1, 0]]))
-    assert not same_column_space(a, Matrix.from_cols(Q, 3, [[1, 0, 0],
-                                                            [0, 0, 1]]))
-    assert same_column_space(Matrix.zeros(Q, 3, 2), Matrix.zeros(Q, 3, 0))
 
 
 def test_kernel_identity_empty():
@@ -274,7 +268,7 @@ def test_induced_map_swap_is_minus_one():
     q = quotient_space(Q, 2, Matrix.from_cols(Q, 2, [[1, 1]]))
     f = Matrix.from_rows(Q, [[0, 1], [1, 0]])
     g = induced_map(f, q, q)
-    assert g.data == [[Q.of(-1)]]
+    assert dense(g).data == [[Q.of(-1)]]
 
 
 def test_induced_map_rejects_unpreserved_subspace():
@@ -319,8 +313,81 @@ def test_column_span_membership():
 
 def test_matrix_shape_errors():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Matrix(Q, 2, 2, [[Q.zero, Q.zero]])
+        Matrix(Q, 2, 2, [{}])
     a = Matrix.zeros(Q, 2, 3)
     b = Matrix.zeros(Q, 2, 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         a @ b
+
+
+@st.composite
+def dense_cases(draw, max_dim=4):
+    """A field and DenseMatrix operands for every Matrix operation: a and c
+    of one shape, b composable with a, a vector for a, and a square x."""
+    field = draw(st.sampled_from((Q, F2, Field(3))))
+    rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+
+    def grid(r, c):
+        data = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return DenseMatrix(field, r, c,
+                           [[field.of(v) for v in row] for row in data])
+
+    a = grid(rows, inner)
+    if rows == inner and draw(st.booleans()):
+        a = DenseMatrix.identity(field, rows)
+    c = a if draw(st.booleans()) else grid(rows, inner)
+    vec = [field.of(v) for v in draw(st.lists(entry, min_size=inner,
+                                              max_size=inner))]
+    return field, a, grid(inner, cols), c, vec, grid(rows, rows)
+
+
+def _grid_case(field, rows, inner, cols):
+    def grid(r, c):
+        return DenseMatrix(field, r, c, [[field.of((i + 2 * j) % 3 - 1)
+                                          for j in range(c)]
+                                         for i in range(r)])
+    return (field, grid(rows, inner), grid(inner, cols), grid(rows, inner),
+            [field.one] * inner, grid(rows, rows))
+
+
+@settings(deadline=None)
+@given(dense_cases())
+@example(_grid_case(Q, 0, 3, 2))
+@example(_grid_case(F2, 3, 0, 2))
+@example(_grid_case(Field(3), 2, 3, 0))
+@example(_grid_case(Q, 0, 0, 0))
+def test_matrix_agrees_with_dense_reference(case):
+    field, a, b, c, vec, x = case
+    A, B, C = sparse(a), sparse(b), sparse(c)
+    assert dense(A) == a
+    assert dense(A @ B) == a @ b
+    assert dense(A + C) == a + c
+    assert dense(A - C) == a - c
+    assert A.apply(vec) == a.apply(vec)
+    assert [A.col(j) for j in range(A.cols)] == [a.col(j)
+                                                 for j in range(a.cols)]
+    assert (A == C) == (a == c)
+    assert A.is_zero() == a.is_zero()
+    assert A.is_identity() == a.is_identity()
+
+    r, pivots = gauss_jordan(a)
+    assert A.rank() == mat_rank(A) == len(pivots)
+    assert rref(A) == (sparse(r), pivots)
+    assert kernel_basis(A) == _oracle_kernel(a, r, pivots)
+    image = Matrix.from_cols(field, a.rows, [a.col(j) for j in pivots])
+    assert image_basis(A) == image
+
+    q = quotient_space(field, a.rows, A)
+    section, projection = _oracle_quotient(field, a.rows, image)
+    assert (q.subspace_basis, q.section, q.projection) == (
+        image, section, projection)
+    # 1 + x s p fixes the subspace, so it induces p (1 + x s p) s.
+    s, p = dense(section), dense(projection)
+    f = DenseMatrix.identity(field, a.rows) + x @ s @ p
+    assert dense(induced_map(sparse(f), q, q)) == p @ f @ s
+
+    flat = [field.to_token(v) for row in a.data for v in row]
+    assert _matrix_out(A) == flat
+    assert _matrix_in(field, a.rows, a.cols, flat) == A

@@ -594,7 +594,13 @@ def test_max_degree_without_columns_is_refused_quickly(tmp_path):
             ["verify", "separable-homology", "--action", "trivial:trivial",
              "--max-degree", "1000"],
             ["homology", "--monoid", "z:2", "--module", f"file:{empty}",
-             "--max-degree", "18"])
+             "--max-degree", "18"],
+            # The Hochschild side runs first here; its degree is refused
+            # before dim^degree is formed.
+            ["verify", "steinberg-cohomology", "--groupoid", "pair:3",
+             "--max-degree", "10000000"],
+            ["verify", "steinberg-cohomology", "--groupoid", "pair:3",
+             "--max-degree", "100000000"])
     for argv in jobs:
         err = io.StringIO()
         start = time.monotonic()
@@ -610,6 +616,26 @@ def test_max_degree_without_columns_is_refused_quickly(tmp_path):
     with pytest.raises(ValueError, match="size cap exceeded"):
         hochschild_homology(field_algebra(Q),
                             regular_bimodule(field_algebra(Q)), 1000)
+
+
+def test_right_module_file_is_refused(tmp_path):
+    # Homology and cohomology take left modules only, so a module file may
+    # say "side": "left" or leave it out, and any other side is refused.
+    doc = {"monoid_ref": "z:2", "field": "q", "dim": 1, "act": [[1], [1]]}
+    path = tmp_path / "module.json"
+    argv = ["homology", "--monoid", "z:2", "--module", f"file:{path}",
+            "--max-degree", "1"]
+    for side, code in ((None, 0), ("left", 0), ("right", 2)):
+        path.write_text(json.dumps(doc if side is None
+                                   else {**doc, "side": side}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            assert cli_main(argv) == code, side
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines() == [
+                "error: not a left module: side is 'right'"]
 
 
 def test_verify_honours_cap_columns():
