@@ -312,6 +312,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
+        if args.cap_columns < 1:
+            raise InputError("--cap-columns must be a positive integer, "
+                             f"got {args.cap_columns}")
         if args.command in ("homology", "cohomology"):
             code = _betti_cmd(args, args.command)
         elif args.command == "crossed-product":

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q and prime fields F_p.
 
-Everything here is arbitrary-precision exact: rationals are
-``fractions.Fraction``, F_p scalars are ints in ``range(p)``.  No floats
-anywhere.
+Everything here is arbitrary-precision exact.  A rational that is an
+integer is a Python ``int``, any other rational a ``fractions.Fraction``;
+F_p scalars are ints in ``range(p)``.  No floats anywhere.
 
 One matrix class, ``Matrix``, holds every linear map column-sparse:
 ``columns[j]`` maps a row to a nonzero scalar.  Vectors are dense lists.
@@ -46,8 +46,20 @@ def _is_prime(p):
     return True
 
 
+def _narrow(q):
+    """The Fraction q, as an int when it is one."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
-    """The coefficient field: Q (char 0) or F_p (char a prime)."""
+    """The coefficient field: Q (char 0) or F_p (char a prime).
+
+    Over Q, ``zero``, ``one``, ``of`` and ``inv`` give an integral value as
+    an ``int`` and any other as a ``Fraction``; the two mix freely in
+    arithmetic, and no scalar is ever a float.  So the many 0 and ±1
+    entries of a boundary stay ints, and a ``Fraction`` only appears where
+    a pivot is not ±1.
+    """
 
     __slots__ = ("char",)
 
@@ -61,11 +73,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.char == 0 else 1
+        return 1
 
     def of(self, v):
         """Coerce an int / Fraction / 'p/q' string into the field."""
@@ -75,7 +87,7 @@ class Field:
             except ZeroDivisionError:
                 raise ValueError(f"{v} has a zero denominator") from None
         if self.char == 0:
-            return Fraction(v)
+            return _narrow(Fraction(v))
         if isinstance(v, Fraction):
             if v.denominator % self.char == 0:
                 raise ValueError(f"{v} has no image in F_{self.char}")
@@ -101,7 +113,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.char == 0:
-            return 1 / a
+            return _narrow(Fraction(1) / a)
         return pow(a, -1, self.char)
 
     def to_token(self, a):

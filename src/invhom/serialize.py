@@ -31,8 +31,12 @@ def parse_field(token):
         raise InputError(f"field must be a string, got {token!r:.40}")
     if token in ("q", "Q", "rationals"):
         return Field(0)
-    if token.startswith("fp:"):
-        return Field(int(token[3:]))
+    digits = token[3:]
+    if token.startswith("fp:") and digits.isascii() and digits.isdigit():
+        p = int(digits)
+        if p < 2:
+            raise InputError(f"characteristic must be a prime, got {p}")
+        return Field(p)
     raise ValueError(f"unknown field spec {token!r}; use q or fp:<p>")
 
 

@@ -10,13 +10,91 @@ resolution oracle fills dense boundary and homotopy matrices entry by entry,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  DenseMatrix is the dense row-list matrix
 arithmetic that the column-sparse Matrix replaced, kept as its reference.
+FractionField is the scalar arithmetic that keeps every rational a
+Fraction, kept as the reference for Field, which keeps integral
+rationals as ints.
 """
 
 import itertools
+from fractions import Fraction
 
 from invhom.algebras import Algebra
-from invhom.linalg import (ColumnSpan, Matrix, image_basis, mat_rank,
-                           quotient_space, vec_is_zero, vec_sub)
+from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
+                           mat_rank, quotient_space, vec_is_zero, vec_sub)
+
+
+class FractionField:
+    """The coefficient field: Q (char 0) or F_p (char a prime)."""
+
+    __slots__ = ("char",)
+
+    def __init__(self, char=0):
+        if char >= 1 << 64:
+            raise ValueError(
+                f"characteristic must be below 2^64, got {char}")
+        if char != 0 and not _is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+        self.char = char
+
+    @property
+    def zero(self):
+        return Fraction(0) if self.char == 0 else 0
+
+    @property
+    def one(self):
+        return Fraction(1) if self.char == 0 else 1
+
+    def of(self, v):
+        """Coerce an int / Fraction / 'p/q' string into the field."""
+        if isinstance(v, str):
+            try:
+                v = Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"{v} has a zero denominator") from None
+        if self.char == 0:
+            return Fraction(v)
+        if isinstance(v, Fraction):
+            if v.denominator % self.char == 0:
+                raise ValueError(f"{v} has no image in F_{self.char}")
+            return (v.numerator * pow(v.denominator, -1, self.char)) % self.char
+        return int(v) % self.char
+
+    def add(self, a, b):
+        c = a + b
+        return c if self.char == 0 else c % self.char
+
+    def sub(self, a, b):
+        c = a - b
+        return c if self.char == 0 else c % self.char
+
+    def mul(self, a, b):
+        c = a * b
+        return c if self.char == 0 else c % self.char
+
+    def neg(self, a):
+        return -a if self.char == 0 else (-a) % self.char
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        if self.char == 0:
+            return 1 / a
+        return pow(a, -1, self.char)
+
+    def to_token(self, a):
+        """Serialize a scalar: exact 'p/q' string over Q, int over F_p."""
+        if self.char == 0:
+            return f"{a.numerator}/{a.denominator}"
+        return int(a)
+
+    def __eq__(self, other):
+        return isinstance(other, FractionField) and self.char == other.char
+
+    def __hash__(self):
+        return hash(("Field", self.char))
+
+    def __repr__(self):
+        return "Q" if self.char == 0 else f"F{self.char}"
 
 
 class DenseMatrix:

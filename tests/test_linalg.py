@@ -1,13 +1,18 @@
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import invhom
 from invhom.linalg import (ColumnSpan, Field, Matrix, image_basis,
                            induced_map, kernel_basis, mat_rank, quotient_space,
                            rref)
 from invhom.serialize import _matrix_in, _matrix_out
-from oracles import DenseMatrix, dense, gauss_jordan, rank_by_minors, sparse
+from oracles import (DenseMatrix, FractionField, dense, gauss_jordan,
+                     rank_by_minors, sparse)
 
 Q = Field(0)
 F2 = Field(2)
@@ -47,6 +52,50 @@ def test_field_arithmetic():
     assert f5.of(7) == 2
     assert f5.inv(2) == 3
     assert f5.of("1/2") == 3  # 2 * 3 = 1 mod 5
+    assert type(Q.zero) is int and type(Q.one) is int
+
+
+def rationals():
+    """Q operands in every form ``of`` takes: ints, Fractions, 'p/q'."""
+    num = st.one_of(st.integers(-12, 12), st.integers())
+    den = st.integers(1, 8)
+    return st.one_of(num, st.builds(Fraction, num, den),
+                     st.builds("{}/{}".format, num, den))
+
+
+def _exact(x, narrowed):
+    """x is an int or a Fraction, never a float; when narrowed, an int
+    exactly when it is integral."""
+    assert type(x) in (int, Fraction)
+    if narrowed:
+        assert type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@settings(deadline=None)
+@given(rationals(), rationals())
+@example(0, "4/2")
+@example(Fraction(-1, 2), "-2")
+@example(3, Fraction(1, 3))
+def test_rational_scalars_agree_with_fraction_reference(a, b):
+    ref = FractionField(0)
+    x, y = Q.of(a), Q.of(b)
+    rx, ry = ref.of(a), ref.of(b)
+    assert (x, y) == (rx, ry)
+    _exact(x, True)
+    _exact(y, True)
+    for got, want in ((Q.add(x, y), ref.add(rx, ry)),
+                      (Q.sub(x, y), ref.sub(rx, ry)),
+                      (Q.mul(x, y), ref.mul(rx, ry)),
+                      (Q.neg(x), ref.neg(rx))):
+        assert got == want
+        _exact(got, False)
+    for v, rv in ((x, rx), (y, ry)):
+        if v:
+            assert Q.inv(v) == ref.inv(rv)
+            _exact(Q.inv(v), True)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                Q.inv(v)
 
 
 def test_rank_identity_and_zero():
@@ -320,13 +369,19 @@ def test_matrix_shape_errors():
         a @ b
 
 
+SMALL_INTS = st.one_of(st.just(0), st.integers(-3, 3))
+# Entries whose pivots are not units of Z, so elimination over Q scales
+# by 1/2 and 1/3 and the Fraction values appear.
+NON_UNITS = st.one_of(st.just(0),
+                      st.sampled_from(("1/2", "-1/2", 2, -2, 3, -3)))
+
+
 @st.composite
-def dense_cases(draw, max_dim=4):
+def dense_cases(draw, max_dim=4, fields=(Q, F2, Field(3)), entry=SMALL_INTS):
     """A field and DenseMatrix operands for every Matrix operation: a and c
     of one shape, b composable with a, a vector for a, and a square x."""
-    field = draw(st.sampled_from((Q, F2, Field(3))))
+    field = draw(st.sampled_from(fields))
     rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
-    entry = st.one_of(st.just(0), st.integers(-3, 3))
 
     def grid(r, c):
         data = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
@@ -343,9 +398,9 @@ def dense_cases(draw, max_dim=4):
     return field, a, grid(inner, cols), c, vec, grid(rows, rows)
 
 
-def _grid_case(field, rows, inner, cols):
+def _grid_case(field, rows, inner, cols, entries=(-1, 0, 1)):
     def grid(r, c):
-        return DenseMatrix(field, r, c, [[field.of((i + 2 * j) % 3 - 1)
+        return DenseMatrix(field, r, c, [[field.of(entries[(i + 2 * j) % 3])
                                           for j in range(c)]
                                          for i in range(r)])
     return (field, grid(rows, inner), grid(inner, cols), grid(rows, inner),
@@ -359,6 +414,18 @@ def _grid_case(field, rows, inner, cols):
 @example(_grid_case(Field(3), 2, 3, 0))
 @example(_grid_case(Q, 0, 0, 0))
 def test_matrix_agrees_with_dense_reference(case):
+    _check_against_dense(case)
+
+
+@settings(deadline=None)
+@given(dense_cases(fields=(Q,), entry=NON_UNITS))
+@example(_grid_case(Q, 3, 3, 3, ("1/2", 2, -3)))
+@example(_grid_case(Q, 4, 2, 3, (3, "-1/2", -2)))
+def test_matrix_agrees_with_dense_reference_over_fractions(case):
+    _check_against_dense(case)
+
+
+def _check_against_dense(case):
     field, a, b, c, vec, x = case
     A, B, C = sparse(a), sparse(b), sparse(c)
     assert dense(A) == a
@@ -391,3 +458,25 @@ def test_matrix_agrees_with_dense_reference(case):
     flat = [field.to_token(v) for row in a.data for v in row]
     assert _matrix_out(A) == flat
     assert _matrix_in(field, a.rows, a.cols, flat) == A
+
+
+def _true_divisions(node, scope=()):
+    """The enclosing class and function names of every `/` under node."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+            isinstance(node.op, ast.Div):
+        yield scope
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                         ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _true_divisions(child, scope)
+
+
+def test_only_true_division_is_in_field_inv():
+    # `/` on two ints is a float; the one place that divides starts from
+    # Fraction(1), so no scalar in the package can become a float.
+    found = []
+    for path in sorted(Path(invhom.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, scope) for scope in _true_divisions(tree)]
+    assert found == [("linalg.py", ("Field", "inv"))]

@@ -26,13 +26,30 @@ from invhom.serialize import (action_from_dict, action_to_dict,
 Q = Field(0)
 
 
+def _unknown(spec):
+    return f"unknown field spec {spec!r}; use q or fp:<p>"
+
+
+# Field specs that are not q or fp: and ASCII decimal digits naming a prime.
+BAD_FIELD_SPECS = (
+    ("fp:0", "characteristic must be a prime, got 0"),
+    ("fp:00", "characteristic must be a prime, got 0"),
+    ("fp:1", "characteristic must be a prime, got 1"),
+    ("fp:6", "characteristic must be 0 or a prime, got 6"),
+    *((spec, _unknown(spec)) for spec in (
+        "r", "fp:", "fp:1_1", "fp: 3", "fp:3 ", "fp:+3", "fp:-3", "fp:abc",
+        "fp:\u0663", "fp:3.0")),
+)
+
+
 def test_parse_field():
     assert parse_field("q").char == 0
     assert parse_field("fp:5").char == 5
-    with pytest.raises(ValueError):
-        parse_field("fp:6")
-    with pytest.raises(ValueError):
-        parse_field("r")
+    assert parse_field("fp:011").char == 11
+    for spec, message in BAD_FIELD_SPECS:
+        with pytest.raises(ValueError) as exc:
+            parse_field(spec)
+        assert str(exc.value) == message
 
 
 def test_monoid_roundtrip():
@@ -174,6 +191,29 @@ def _assert_one_error_line(p):
     assert p.stdout == ""
     lines = p.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), p.stderr
+
+
+def _cli_error_lines(argv):
+    """Run the CLI in-process on argv, which must fail with exit 2 and no
+    stdout; return its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert (code, out.getvalue()) == (2, ""), argv
+    return err.getvalue().splitlines()
+
+
+def test_cli_bad_field_spec_exit_2(tmp_path):
+    # fp:0 would be Q, and fp:1_1 F_11, under a report naming the spec.
+    for k, (spec, message) in enumerate(BAD_FIELD_SPECS):
+        assert _cli_error_lines(["homology", "--monoid", "z:2",
+                                 "--field", spec]) == [f"error: {message}"]
+        module = tmp_path / f"module{k}.json"
+        module.write_text(json.dumps(
+            {"field": spec, "dim": 1, "act": [["1"], ["1"]]}))
+        assert _cli_error_lines(["homology", "--monoid", "z:2", "--module",
+                                 f"file:{module}"]) == [f"error: {message}"]
 
 
 def test_cli_large_prime_field():
@@ -661,6 +701,18 @@ def test_verify_honours_cap_columns():
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli_main(argv[:-2]) == 0, argv
+
+
+def test_cap_columns_below_one_is_refused_before_any_work():
+    # The unknown monoid and groupoid show that nothing else is read first.
+    jobs = (["homology", "--monoid", "bogus:7"],
+            ["resolution-check", "--monoid", "i:2"],
+            ["crossed-product", "--action", "ke:chain:2"],
+            ["verify", "steinberg-homology", "--groupoid", "bogus:7"])
+    for cap in ("-5", "0"):
+        for argv in jobs:
+            assert _cli_error_lines(argv + ["--cap-columns", cap]) == [
+                f"error: --cap-columns must be a positive integer, got {cap}"]
 
 
 def test_hochschild_cap_names_degree_and_columns():
