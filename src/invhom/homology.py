@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import ColumnSpan, Matrix, image_basis
+from .monoids import from_table
 
 DEFAULT_COLUMN_CAP = 50_000
 
@@ -265,14 +266,84 @@ def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     return ChainComplexData("cochain", [d for _, d in degrees], boundaries)
 
 
+def d_class_summands(monoid, module):
+    """(G_e, W_e) for each D-class of S: e is the class's least-index
+    idempotent, G_e its maximal subgroup (the H-class of e), and W_e the
+    K G_e-module [e]V, the image of act([e]).
+
+    Over a field, s -> sum_{t <= s} [t] is an isomorphism of KS onto the
+    algebra K𝒢 of the underlying groupoid 𝒢 of S, with objects E(S) and
+    arrows s : d(s) -> r(s) (Steinberg, "Möbius functions and semigroup
+    representation theory", JCTA 2006); its inverse sends [s] to
+    sum_{t <= s} mu(t, s) t.  It carries KE(S) onto K𝒢^(0), so
+    H_n(S, V) = Tor_n^KS(KE(S), V) is Tor_n^K𝒢(K𝒢^(0), V), and likewise
+    for Ext.  The components of 𝒢 are the D-classes.  One [e] per
+    component sum to a full idempotent, [e] K𝒢 [e] = K G_e, and [e] cuts
+    K𝒢^(0) down to K, so by Morita invariance H_n(S, V) is the sum over
+    the D-classes of H_n(G_e; [e]V), and the same for cohomology.  For g
+    in G_e, [g] = [e] g and g [e] g^-1 = [e], so g acts on W_e as [g] does.
+
+    In K𝒢^(0) an idempotent f is the indicator of its down-set, so [e] is
+    that of e less the down-sets of its lower covers c:
+    [e] = e prod_c (1 - c), which is act(e) prod_c (I - act(c)) on V.
+    Each g is restricted to W_e through ``sparse_coords``, an exact check
+    that g keeps W_e.
+    """
+    _check_module(monoid, module)
+    table, act = monoid.table, module.act
+    ranges, groups = {}, {}
+    for s in range(monoid.size):
+        d, r = monoid.dom(s), monoid.rng(s)
+        ranges.setdefault(d, set()).add(r)
+        if d == r:
+            groups.setdefault(d, []).append(s)
+    idems = monoid.idempotents()
+    seen = set()
+    for e in idems:
+        if e in seen:
+            continue
+        # The D-class of e is {r(s) : d(s) = e}.
+        seen |= ranges[e]
+        # The maximal elements of the idempotents below e: each f either
+        # sits under a cover already kept, or replaces those under it.
+        covers = []
+        for f in idems:
+            if f == e or table[e][f] != f or any(
+                    table[c][f] == f for c in covers):
+                continue
+            covers = [c for c in covers if table[f][c] != c] + [f]
+        eps = act[e]
+        for c in covers:
+            eps = eps - act[c] @ eps
+        w = ColumnSpan(image_basis(eps))
+        h = groups[e]
+        index = {s: i for i, s in enumerate(h)}
+        group = from_table([[index[table[a][b]] for b in h] for a in h],
+                           unit=index[e],
+                           names=[monoid.name_of(s) for s in h])
+        restricted = [Matrix(module.field, w.dim, w.dim,
+                             [w.sparse_coords(col)
+                              for col in (act[g] @ w.basis).columns])
+                      for g in h]
+        yield group, KSModule(group, module.field, w.dim, restricted)
+
+
+def _betti_sum(bettis):
+    return [sum(b) for b in zip(*bettis)]
+
+
 def homology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of H_0 .. H_max_deg of S with coefficients in module."""
-    return homology_complex(monoid, module, max_deg + 1, cap).betti(max_deg)
+    """Betti numbers of H_0 .. H_max_deg of S with coefficients in module,
+    summed over the D-classes (see ``d_class_summands``); ``cap`` bounds
+    each summand's complex."""
+    return _betti_sum(homology_complex(g, w, max_deg + 1, cap).betti(max_deg)
+                      for g, w in d_class_summands(monoid, module))
 
 
 def cohomology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of H^0 .. H^max_deg."""
-    return cohomology_complex(monoid, module, max_deg, cap).betti(max_deg)
+    """Betti numbers of H^0 .. H^max_deg, summed over the D-classes."""
+    return _betti_sum(cohomology_complex(g, w, max_deg, cap).betti(max_deg)
+                      for g, w in d_class_summands(monoid, module))
 
 
 class ResolutionComplex:

@@ -47,7 +47,7 @@ def _is_prime(p):
 
 
 def _narrow(q):
-    """The Fraction q, as an int when it is one."""
+    """The Fraction (or int) q, as an int when it is one."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -359,8 +359,18 @@ def _insert(field, pivots, v):
     top = _reduce(field, pivots, v)
     if top is not None:
         inv = field.inv(v[top])
-        pivots[top] = {i: field.mul(a, inv) for i, a in v.items()}
+        pivots[top] = _leaving(
+            field, {i: field.mul(a, inv) for i, a in v.items()})
     return top
+
+
+def _leaving(field, vec):
+    """vec as it leaves the elimination: over Q, a Fraction that is an
+    integer becomes an int, so later reductions and products see ints.
+    ``_reduce`` does not narrow, since its inner loop is the hot one."""
+    if field.char:
+        return vec
+    return {i: _narrow(a) for i, a in vec.items()}
 
 
 def _tagged(field, col, k):
@@ -377,7 +387,7 @@ def _coords(field, pivots, v):
     if _reduce(field, pivots, v) is not None:
         return None
     # v now holds only combination keys, and the input equals minus them.
-    return {-1 - k: field.neg(a) for k, a in v.items()}
+    return _leaving(field, {-1 - k: field.neg(a) for k, a in v.items()})
 
 
 def rref(m):
@@ -397,8 +407,9 @@ def rref(m):
             r.columns[j] = {len(pcols): F.one}
             pcols.append(j)
             continue
-        r.columns[j] = {i: F.neg(v[-1 - p]) for i, p in enumerate(pcols)
-                        if -1 - p in v}
+        r.columns[j] = _leaving(F, {i: F.neg(v[-1 - p])
+                                    for i, p in enumerate(pcols)
+                                    if -1 - p in v})
     return r, pcols
 
 

@@ -33,6 +33,11 @@ def parse_field(token):
         return Field(0)
     digits = token[3:]
     if token.startswith("fp:") and digits.isascii() and digits.isdigit():
+        # 2^64 has 20 digits; a longer number is refused unread, so int()
+        # never meets a spec of thousands of digits.
+        if len(digits.lstrip("0")) > 20:
+            raise InputError("characteristic must be below 2^64, got a "
+                             "number of more than 20 digits")
         p = int(digits)
         if p < 2:
             raise InputError(f"characteristic must be a prime, got {p}")

@@ -10,8 +10,11 @@ To record the files again from the current tree:
 """
 
 import contextlib
+import importlib.util
 import io
+import json
 import os
+import time
 from pathlib import Path
 
 from invhom.cli import main
@@ -89,6 +92,24 @@ JOBS = [
       "--field", "fp:3"]),
 ]
 
+# Jobs that the undivided |S|^n complex refused at the default cap and the
+# D-class split finishes in well under a second or two each.  Their Betti
+# numbers are also checked against perfbench/answers.py::monoid_betti,
+# which computes them without invhom: [4, 2, 2, 2], [5, 3, 4] and
+# [4, 0, 0, 0, 0].
+D_CLASS_JOBS = [
+    ("homology-i3-trivial-ke-f2-deg3",
+     ["homology", "--monoid", "i:3", "--field", "fp:2", "--max-degree", "3"],
+     (3, "trivial-ke", 2, 3)),
+    ("homology-i4-trivial-ke-f2-deg2",
+     ["homology", "--monoid", "i:4", "--field", "fp:2", "--max-degree", "2"],
+     (4, "trivial-ke", 2, 2)),
+    ("homology-i3-trivial-ke-deg4",
+     ["homology", "--monoid", "i:3", "--max-degree", "4"],
+     (3, "trivial-ke", 0, 4)),
+]
+D_CLASS_SECONDS = 10.0
+
 FORMATS = ("text", "json")
 
 
@@ -114,8 +135,32 @@ def test_cli_stdout_matches_golden_files():
             assert text == path.read_text(encoding="utf-8"), (name, fmt)
 
 
+def _monoid_betti():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_answers", ROOT / "perfbench" / "answers.py")
+    answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(answers)
+    return answers.monoid_betti
+
+
+def test_jobs_past_the_old_cap_match_golden_files_in_bounded_time():
+    monoid_betti = _monoid_betti()
+    for name, argv, answer in D_CLASS_JOBS:
+        for fmt in FORMATS:
+            start = time.monotonic()
+            code, text = _stdout([*argv, "--format", fmt])
+            assert time.monotonic() - start < D_CLASS_SECONDS, (name, fmt)
+            assert code == 0, (name, fmt)
+            path = GOLDEN / f"{name}.{fmt}.txt"
+            assert text == path.read_text(encoding="utf-8"), (name, fmt)
+            if fmt == "json":
+                assert json.loads(text)["betti"] == monoid_betti(*answer)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    for name, argv, _ in D_CLASS_JOBS:
+        JOBS.append((name, argv))
     for name, argv in JOBS:
         for fmt in FORMATS:
             code, text = _stdout([*argv, "--format", fmt])

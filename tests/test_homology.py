@@ -1,18 +1,21 @@
 import importlib
+import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invhom.homology import (Block, KSModule, assemble, build_resolution,
-                             cohomology, cohomology_complex, homology,
-                             homology_complex, regular_ks_module,
+                             cohomology, cohomology_complex, d_class_summands,
+                             homology, homology_complex, regular_ks_module,
                              trivial_module_ke)
 from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
-                            symmetric_inverse_monoid, trivial_monoid)
+                            from_table, symmetric_inverse_monoid,
+                            trivial_monoid)
 from oracles import (bar_group_cohomology, bar_group_homology, dense,
                      is_module)
+from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
 F2 = Field(2)
@@ -355,3 +358,160 @@ def test_resolution_checks_catch_one_corrupted_entry():
     d0 = res.complex.boundaries[1]
     d0.columns[g] = {i: Q.add(v, v) for i, v in d0.columns[g].items()}
     assert not res.verify_composites()
+
+
+# --- the D-class split against the undivided complex ----------------------
+
+@st.composite
+def embedded_submonoids_of_i3_or_i4(draw):
+    """(S, images, n): the inverse submonoid S of I_n (n = 3 or 4) that a
+    few drawn elements generate, relabelled by a drawn permutation, with
+    images[s] the image tuple of s (entry x is the image of x + 1, or 0)."""
+    n = draw(st.sampled_from([3, 4]))
+    big = symmetric_inverse_monoid(n)
+    gens = draw(st.lists(st.integers(0, big.size - 1), min_size=1,
+                         max_size=3))
+    elems = {big.unit} | set(gens) | {big.inv[g] for g in gens}
+    frontier = list(elems)
+    while frontier:
+        x = frontier.pop()
+        for y in list(elems):
+            for z in (big.table[x][y], big.table[y][x]):
+                if z not in elems:
+                    elems.add(z)
+                    frontier.append(z)
+    elems = sorted(elems)
+    perm = draw(st.permutations(range(len(elems))))
+    table = [[0] * len(elems) for _ in elems]
+    images = [None] * len(elems)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            table[perm[i]][perm[j]] = perm[elems.index(big.table[a][b])]
+        images[perm[i]] = _image_tuple(big.names[a], n)
+    return from_table(table, unit=perm[elems.index(big.unit)]), images, n
+
+
+def _image_tuple(name, n):
+    """The image tuple of the partial bijection named "[12->21]"."""
+    out = [0] * n
+    if name != "[]":
+        dom, img = name[1:-1].split("->")
+        for x, y in zip(dom, img):
+            out[int(x) - 1] = int(y)
+    return out
+
+
+def exterior_module(monoid, images, n, k, field):
+    """Λ^k K^n, each s acting on e_x1 ^ .. ^ e_xk as e_s(x1) ^ .. ^ e_s(xk)
+    where s is defined at every x_i, and as 0 elsewhere; Λ^1 K^n is the
+    natural partial-permutation module K^n."""
+    subsets = list(itertools.combinations(range(n), k))
+    pos = {xs: i for i, xs in enumerate(subsets)}
+    act = []
+    for s in range(monoid.size):
+        cols = []
+        for xs in subsets:
+            ys = [images[s][x] - 1 for x in xs]
+            if min(ys) < 0:
+                cols.append({})
+                continue
+            inversions = sum(a > b for a, b in itertools.combinations(ys, 2))
+            cols.append({pos[tuple(sorted(ys))]: field.of((-1) ** inversions)})
+        act.append(Matrix(field, len(subsets), len(subsets), cols))
+    return KSModule(monoid, field, len(subsets), act)
+
+
+def direct_sum(a, b):
+    dim = a.dim + b.dim
+    act = [Matrix(a.field, dim, dim,
+                  [dict(col) for col in x.columns]
+                  + [{i + a.dim: v for i, v in col.items()}
+                     for col in y.columns])
+           for x, y in zip(a.act, b.act)]
+    return KSModule(a.monoid, a.field, dim, act)
+
+
+_MODULES = {
+    "trivial-ke": lambda m, images, n, F: trivial_module_ke(m, F),
+    "regular-ks": lambda m, images, n, F: regular_ks_module(m, F),
+    "natural": lambda m, images, n, F: exterior_module(m, images, n, 1, F),
+    "wedge2": lambda m, images, n, F: exterior_module(m, images, n, 2, F),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(embedded_submonoids_of_i3_or_i4(), st.data())
+def test_d_class_split_equals_undivided_complex(drawn, data):
+    m, images, n = drawn
+    field = data.draw(st.sampled_from([Q, F2, F3]))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_MODULES)),
+                               min_size=1, max_size=2))
+    modules = [_MODULES[kind](m, images, n, field) for kind in kinds]
+    module = modules[0] if len(modules) == 1 else direct_sum(*modules)
+    # The undivided complex has |S|^(deg + 1) tuples in its top degree.
+    budget = 2000
+    assume(m.size * module.dim <= budget)
+    deg = max(d for d in (0, 1, 2) if m.size ** (d + 1) * module.dim <= budget)
+    assert homology(m, module, deg) == \
+        homology_complex(m, module, deg + 1).betti(deg)
+    assert cohomology(m, module, deg) == \
+        cohomology_complex(m, module, deg).betti(deg)
+
+
+def test_d_class_summands_of_i3():
+    # I_3 has one D-class per rank, with maximal subgroups S_3, S_2, S_1 and
+    # S_0, and KE(I_3) = K𝒢^(0) puts one line in each summand.
+    i3 = symmetric_inverse_monoid(3)
+    summands = list(d_class_summands(i3, trivial_module_ke(i3, F2)))
+    assert sorted(g.size for g, _ in summands) == [1, 1, 2, 6]
+    assert all(g.is_group() and w.dim == 1 for g, w in summands)
+    # [e]KS is spanned by the arrows that end at e, the R-class of e: for
+    # e of rank r it has C(3, r) r! elements.
+    summands = list(d_class_summands(i3, regular_ks_module(i3, F2)))
+    assert sorted(w.dim for _, w in summands) == [1, 3, 6, 6]
+
+
+def _relabelled(m, perm):
+    table = [[0] * m.size for _ in range(m.size)]
+    for a in range(m.size):
+        for b in range(m.size):
+            table[perm[a]][perm[b]] = perm[m.table[a][b]]
+    return from_table(table, unit=perm[m.unit])
+
+
+def _split_degree(m):
+    """A degree the D-class split reaches quickly at the default cap: the
+    largest maximal subgroup G has at most 250 tuples in the top degree,
+    so S_3 goes to degree 2, D_4 and A_4 to degree 1, and S_4 to 0."""
+    largest = max(sum(m.dom(s) == e == m.rng(s) for s in range(m.size))
+                  for e in m.idempotents())
+    return max(d for d in (0, 1, 2) if largest ** (d + 1) <= 250)
+
+
+@settings(deadline=None, max_examples=25)
+@given(inverse_submonoids_of_i3_or_i4(), st.data())
+def test_betti_numbers_do_not_depend_on_labels(m, data):
+    # Relabelling moves the least-index idempotent of a D-class, so the
+    # split picks another representative e and another G_e.
+    other = _relabelled(m, data.draw(st.permutations(range(m.size))))
+    deg = _split_degree(m)
+    for field in (F2, F3):
+        for build in (trivial_module_ke, regular_ks_module):
+            v, w = build(m, field), build(other, field)
+            assert homology(m, v, deg) == homology(other, w, deg)
+            assert cohomology(m, v, deg) == cohomology(other, w, deg)
+
+
+@settings(deadline=None, max_examples=25)
+@given(embedded_submonoids_of_i3_or_i4(),
+       st.sampled_from(["trivial-ke", "regular-ks", "natural"]))
+def test_rational_betti_numbers_are_at_most_modular_ones(drawn, kind):
+    # An integral module V_Z has V_Q and V_Z / p: by universal coefficients
+    # b_n over Q is the free rank of H_n(V_Z), which H_n(V_Z / p) bounds.
+    m, images, n = drawn
+    deg = _split_degree(m)
+    for fn in (homology, cohomology):
+        betti = {F.char: fn(m, _MODULES[kind](m, images, n, F), deg)
+                 for F in (Q, F2, F3)}
+        for p in (2, 3):
+            assert all(q <= b for q, b in zip(betti[0], betti[p])), betti

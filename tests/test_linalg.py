@@ -480,3 +480,35 @@ def test_only_true_division_is_in_field_inv():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [(path.name, scope) for scope in _true_divisions(tree)]
     assert found == [("linalg.py", ("Field", "inv"))]
+
+
+def _no_integral_fraction(m):
+    return all(not isinstance(v, Fraction) or v.denominator != 1
+               for col in m.columns for v in col.values())
+
+
+def test_quotient_projection_holds_ints_not_integral_fractions():
+    # The pivot 3 scales its column by 1/3; an entry that comes back to an
+    # integer leaves the elimination as an int.
+    A = sparse(_grid_case(Q, 4, 2, 3, (3, "-1/2", -2))[1])
+    q = quotient_space(Q, 4, A)
+    assert q.projection.columns[3][0] == -1
+    assert type(q.projection.columns[3][0]) is int
+    assert _no_integral_fraction(q.projection)
+
+
+@settings(deadline=None)
+@given(dense_cases(fields=(Q,), entry=NON_UNITS))
+def test_elimination_results_hold_no_integral_fraction(case):
+    _, a, _, _, _, _ = case
+    A = sparse(a)
+    r, _ = rref(A)
+    image = image_basis(A)
+    span = ColumnSpan(image)
+    q = quotient_space(Q, A.rows, A)
+    for m in (r, kernel_basis(A), q.projection):
+        assert _no_integral_fraction(m)
+    coords = Matrix(Q, image.cols, A.cols,
+                    [span.sparse_coords(col) for col in A.columns])
+    assert _no_integral_fraction(coords)
+    assert image @ coords == A

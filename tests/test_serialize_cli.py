@@ -216,6 +216,28 @@ def test_cli_bad_field_spec_exit_2(tmp_path):
                                  f"file:{module}"]) == [f"error: {message}"]
 
 
+def test_cli_long_field_spec_is_refused_unread(tmp_path):
+    # More than 20 digits is at least 10^20 > 2^64, refused before int()
+    # runs, in one line that neither echoes the number nor names Python's
+    # integer-conversion limit; leading zeros do not count.
+    message = ("error: characteristic must be below 2^64, got a number of "
+               "more than 20 digits")
+    for digits in ("1" * 21, "9" * 5000):
+        spec = f"fp:{digits}"
+        start = time.monotonic()
+        lines = _cli_error_lines(["homology", "--monoid", "z:2",
+                                  "--field", spec])
+        assert time.monotonic() - start < 2.0
+        assert lines == [message]
+        assert "set_int_max_str_digits" not in lines[0]
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps(
+            {"field": spec, "dim": 1, "act": [["1"], ["1"]]}))
+        assert _cli_error_lines(["homology", "--monoid", "z:2", "--module",
+                                 f"file:{module}"]) == [message]
+    assert parse_field("fp:" + "0" * 30 + "5").char == 5
+
+
 def test_cli_large_prime_field():
     p = _run_cli("homology", "--monoid", "z:2", "--field",
                  "fp:2305843009213693951", "--max-degree", "1",
