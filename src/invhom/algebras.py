@@ -12,7 +12,8 @@ from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
 
 class Algebra:
     """Unital associative algebra: b_i b_j = sum of c b_k over the sparse
-    sc[i][j] = {k: c}, which holds nonzero constants only."""
+    sc[i][j] = {k: c}, which holds nonzero constants only.  Elements, the
+    unit among them, are sparse vectors {i: x} on the basis."""
 
     __slots__ = ("field", "dim", "sc", "unit", "_left_mats", "_right_mats")
 
@@ -22,8 +23,8 @@ class Algebra:
                     k in range(dim) and c for k, c in vec.items())
                     for vec in row) for row in sc):
             raise ValueError("structure constants have wrong shape")
-        if len(unit) != dim:
-            raise ValueError("unit vector has wrong length")
+        if not all(i in range(dim) and x for i, x in unit.items()):
+            raise ValueError("unit vector has wrong shape")
         self.field = field
         self.dim = dim
         self.sc = sc
@@ -53,37 +54,25 @@ class Algebra:
                 raise ValueError(f"unit is not a two-sided identity at basis {i}")
 
     def basis_vec(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
+        return {i: self.field.one}
 
     def mul(self, u, v):
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.sc[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = F.mul(a, b)
-                for k, s in row[j].items():
-                    out[k] = F.add(out[k], F.mul(c, s))
-        return out
+        """uv, a sum of constants over the nonzeros of u times those of v."""
+        sc = self.sc
+        return sparse_sum(self.field, ((a * b, sc[i][j])
+                                       for i, a in u.items()
+                                       for j, b in v.items()))
 
     def left_mult_matrix(self, v):
         """Matrix of x -> v*x: column j is v b_j, a sum of constants."""
-        terms = [(i, a) for i, a in enumerate(v) if a]
         return Matrix(self.field, self.dim, self.dim, [
-            sparse_sum(self.field, ((a, self.sc[i][j]) for i, a in terms))
+            sparse_sum(self.field, ((a, self.sc[i][j]) for i, a in v.items()))
             for j in range(self.dim)])
 
     def right_mult_matrix(self, v):
         """Matrix of x -> x*v: column j is b_j v, a sum of constants."""
-        terms = [(i, a) for i, a in enumerate(v) if a]
         return Matrix(self.field, self.dim, self.dim, [
-            sparse_sum(self.field, ((a, self.sc[j][i]) for i, a in terms))
+            sparse_sum(self.field, ((a, self.sc[j][i]) for i, a in v.items()))
             for j in range(self.dim)])
 
     def basis_left_mats(self):
@@ -127,10 +116,7 @@ def table_algebra(field, table, units):
     n = len(table)
     one = field.one
     sc = [[{} if c is None else {c: one} for c in row] for row in table]
-    unit = [field.zero] * n
-    for u in units:
-        unit[u] = one
-    return Algebra(field, n, sc, unit)
+    return Algebra(field, n, sc, {u: one for u in units})
 
 
 def field_algebra(field):
@@ -161,7 +147,7 @@ def dual_numbers(field):
     one = field.one
     sc = [[{0: one}, {1: one}],
           [{1: one}, {}]]
-    return Algebra(field, 2, sc, [one, field.zero])
+    return Algebra(field, 2, sc, {0: one})
 
 
 def semigroup_algebra(field, monoid):
@@ -218,10 +204,10 @@ class Bimodule:
             for j in range(self.dim)])
 
     def left_action(self, vec):
-        return self._sum(self.left, enumerate(vec))
+        return self._sum(self.left, vec.items())
 
     def right_action(self, vec):
-        return self._sum(self.right, enumerate(vec))
+        return self._sum(self.right, vec.items())
 
 
 def check_over(module, algebra, what):
@@ -237,12 +223,11 @@ def product_checks(f, target, basis, image_of_product, sub):
     """(multiplicative, bimodule map) for a linear map f into target.
 
     basis lists the source basis in whatever form the caller holds it, with
-    f.col(k) the image of basis[k]; image_of_product(x, y) is f(xy) for x, y
-    in that form.  sub lists (a, f(a)) for generators a of the subalgebra
-    over which f must be a bimodule map.
+    f.columns[k] the image of basis[k]; image_of_product(x, y) is f(xy) for
+    x, y in that form.  sub lists (a, f(a)) for generators a of the
+    subalgebra over which f must be a bimodule map.
     """
-    images = [f.col(k) for k in range(len(basis))]
-    pairs = list(zip(basis, images))
+    pairs = list(zip(basis, f.columns))
     mult = all(image_of_product(x, y) == target.mul(fx, fy)
                for x, fx in pairs for y, fy in pairs)
     bimod = all(image_of_product(a, x) == target.mul(fa, fx)
@@ -372,7 +357,7 @@ def is_separable(algebra):
                 system.add_at(d + (t * d + p) * d + j, x, c)
             for q, c in A.sc[j][t].items():
                 system.add_at(d + (t * d + i) * d + q, x, F.neg(c))
-    for k, c in enumerate(A.unit):
+    for k, c in A.unit.items():
         system.add_at(k, nvar, c)
     coeffs = Matrix(F, system.rows, nvar, system.columns[:nvar])
     return coeffs.rank() == system.rank()

@@ -23,7 +23,7 @@ from .groupoids import (steinberg_data, verify_steinberg_cohomology,
 from .homology import (build_resolution, cohomology, homology,
                        regular_ks_module, trivial_module_ke,
                        DEFAULT_COLUMN_CAP)
-from .linalg import vec_is_zero
+from .linalg import sparse_sum
 from .serialize import (InputError, action_from_dict, algebra_from_dict,
                         bimodule_from_dict, field_token, parse_field,
                         resolve_groupoid, resolve_monoid, _load_json, _string)
@@ -152,14 +152,9 @@ def _crossed_product_cmd(args):
     for _ in range(8):
         if n_basis.cols == 0:
             break
-        vec = [F.zero] * cp.l_dim
-        for j in range(n_basis.cols):
-            c = F.of(rng.randint(-5, 5))
-            col = n_basis.col(j)
-            for i in range(cp.l_dim):
-                if col[i]:
-                    vec[i] = F.add(vec[i], F.mul(c, col[i]))
-        if any(not vec_is_zero(s) for s in cp.class_sums(vec)):
+        vec = sparse_sum(F, [(F.of(rng.randint(-5, 5)), col)
+                             for col in n_basis.columns])
+        if any(cp.class_sums(vec)):
             sums_ok = False
     doc["sigma_class_sums_vanish"] = sums_ok
     if phi is not None:
@@ -197,7 +192,7 @@ def _steinberg_cmd(args):
 
 
 def _indicator(field, n, mask):
-    return [field.one if mask >> a & 1 else field.zero for a in range(n)]
+    return {a: field.one for a in range(n) if mask >> a & 1}
 
 
 def _resolution_cmd(args):

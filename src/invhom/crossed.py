@@ -21,8 +21,7 @@ from .algebras import (Algebra, check_over, hochschild_cohomology,
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
-                     kernel_basis, quotient_space, sparse_sum, vec_add,
-                     vec_is_zero, vec_scale, vec_sub)
+                     kernel_basis, quotient_space, sparse_sum)
 from .monoids import max_group_image
 from .reporting import Report
 
@@ -32,16 +31,17 @@ class IncompatibleAction(ValueError):
 
 
 class UnitalAction:
-    """Action data: one central idempotent 1_s and one total matrix T_s per s."""
+    """Action data: one central idempotent 1_s (a sparse vector of A) and
+    one total matrix T_s per s."""
 
     __slots__ = ("monoid", "algebra", "one", "theta")
 
     def __init__(self, monoid, algebra, one, theta):
         if len(one) != monoid.size or len(theta) != monoid.size:
             raise ValueError("action needs one idempotent and one matrix per element")
-        for v in one:
-            if len(v) != algebra.dim:
-                raise ValueError("idempotent vector has wrong length")
+        if not all(i in range(algebra.dim) and x
+                   for v in one for i, x in v.items()):
+            raise ValueError("idempotent vector has wrong shape")
         for m in theta:
             if m.rows != algebra.dim or m.cols != algebra.dim:
                 raise ValueError("theta matrix has wrong shape")
@@ -55,7 +55,7 @@ def trivial_action(monoid, algebra):
     """Every 1_s = 1_A and theta_s = id: the trivial (global) action."""
     idm = Matrix.identity(algebra.field, algebra.dim)
     return UnitalAction(monoid, algebra,
-                        [list(algebra.unit) for _ in range(monoid.size)],
+                        [dict(algebra.unit) for _ in range(monoid.size)],
                         [idm for _ in range(monoid.size)])
 
 
@@ -102,14 +102,12 @@ def _check_each_element(action, rep):
                   T @ left_of[si] == T)
         rank_T = T.rank()
         rep.check(f"image(T_{name}) = 1_{name}A",
-                  all(A.mul(action.one[s], x) == x
-                      for x in map(T.col, range(A.dim)))
+                  all(A.mul(action.one[s], x) == x for x in T.columns)
                   and rank_T == ideal_dim[s],
                   f"rank {rank_T} vs ideal dim {ideal_dim[s]}")
         rep.check(f"T_{name} bijective on its domain",
                   rank_T == ideal_dim[si])
-        basis = image_basis(left_of[si])
-        dom = [basis.col(j) for j in range(basis.cols)]
+        dom = image_basis(left_of[si]).columns
         rep.check(f"T_{name} multiplicative on its domain",
                   all(T.apply(A.mul(u, v)) == A.mul(T.apply(u), T.apply(v))
                       for u in dom for v in dom))
@@ -195,7 +193,7 @@ class CrossedProduct:
                     span_t = self.ideal_spans[t]
                     for j, a in enumerate(self.ideal_spans[s].basis.columns):
                         gen = {off_s + j: F.one}
-                        for i, c in span_t.sparse_coords(a).items():
+                        for i, c in span_t.coords(a).items():
                             gen[off_t + i] = F.neg(c)
                         gens.append(gen)
         q = self.n_space = quotient_space(
@@ -203,12 +201,10 @@ class CrossedProduct:
 
         # The products of all pairs of L basis labels, projected through N
         # and kept only where nonzero.
-        proj = q.projection.columns
         table = {}
         for k1 in range(l_dim):
             for k2 in range(l_dim):
-                prod = sparse_sum(F, ((c, proj[k]) for k, c in
-                                      self.l_mult(k1, k2).items()))
+                prod = self.class_of(self.l_mult(k1, k2))
                 if prod:
                     table[k1, k2] = prod
 
@@ -227,11 +223,11 @@ class CrossedProduct:
         sec = [i for col in q.section.columns for i in col]
         sc = [[dict(table.get((a, b), {})) for b in sec] for a in sec]
         self.algebra = Algebra(F, q.dim, sc,
-                               self.class_of(self.place(S.unit, list(A.unit))))
+                               self.class_of(self.place(S.unit, A.unit)))
 
-        embed_cols = [self.class_of(self.place(S.unit, A.basis_vec(i)))
-                      for i in range(A.dim)]
-        self.embed_A = Matrix.from_cols(F, q.dim, embed_cols)
+        self.embed_A = Matrix(F, q.dim, A.dim, [
+            self.class_of(self.place(S.unit, A.basis_vec(i)))
+            for i in range(A.dim)])
         if self.embed_A.rank() != A.dim:
             raise ValueError("induced multiplication ill-defined: A does not embed")
         if not product_checks(
@@ -248,28 +244,19 @@ class CrossedProduct:
 
     def place(self, s, a_vec):
         """The element a delta_s in L-coordinates (a must lie in 1_s A)."""
-        span = self.ideal_spans[s]
-        out = [span.basis.field.zero] * self.l_dim
         off = self.block_offset[s]
-        for i, c in enumerate(span.coords(a_vec)):
-            out[off + i] = c
-        return out
+        return {off + i: c
+                for i, c in self.ideal_spans[s].coords(a_vec).items()}
 
     def l_mult(self, k1, k2):
         """The product of two L basis labels, a d_s * b d_t = a T_s(b) d_st,
-        as a sparse vector {L-coordinate: coefficient}."""
-        S = self.action.monoid
-        A = self.action.algebra
+        in L-coordinates."""
         s, j1 = self.labels[k1]
         t, j2 = self.labels[k2]
-        w = A.mul(self.ideal_spans[s].basis.col(j1),
-                  self.action.theta[s].apply(self.ideal_spans[t].basis.col(j2)))
-        if vec_is_zero(w):
-            return {}
-        st = S.table[s][t]
-        off = self.block_offset[st]
-        return {off + i: c
-                for i, c in enumerate(self.ideal_spans[st].coords(w)) if c}
+        w = self.action.algebra.mul(
+            self.ideal_spans[s].basis.columns[j1],
+            self.action.theta[s].apply(self.ideal_spans[t].basis.columns[j2]))
+        return self.place(self.action.monoid.table[s][t], w) if w else {}
 
     def class_of(self, l_vec):
         """Image of an element of L in the quotient A x S."""
@@ -278,17 +265,12 @@ class CrossedProduct:
     def class_sums(self, l_vec):
         """Per sigma-class sums of the A-coefficients of an element of L."""
         S = self.action.monoid
-        A = self.action.algebra
-        F = A.field
-        sums = [[F.zero] * A.dim for _ in S.sigma_classes()]
         proj = S.sigma_class_index()
-        for k, c in enumerate(l_vec):
-            if not c:
-                continue
+        terms = [[] for _ in S.sigma_classes()]
+        for k, c in l_vec.items():
             s, j = self.labels[k]
-            vec = self.ideal_spans[s].basis.col(j)
-            sums[proj[s]] = vec_add(F, sums[proj[s]], vec_scale(F, c, vec))
-        return sums
+            terms[proj[s]].append((c, self.ideal_spans[s].basis.columns[j]))
+        return [sparse_sum(self.action.algebra.field, t) for t in terms]
 
 
 def crossed_product(action):
@@ -319,7 +301,7 @@ class PartialGroupAction(UnitalAction):
         G, A = group, algebra
         rep = Report("partial group action")
         _check_each_element(self, rep)
-        rep.check("1_unit = 1_A", domains[G.unit] == list(A.unit))
+        rep.check("1_unit = 1_A", domains[G.unit] == A.unit)
         rep.check("T_unit = id", maps[G.unit].is_identity())
         for g, h in itertools.product(range(G.size), repeat=2):
             gh = G.table[g][h]
@@ -337,10 +319,9 @@ class PartialGroupAction(UnitalAction):
 def _sum_ideal_unit(algebra, idempotents):
     """Unit of sum(e_i A) for central idempotents, by inclusion-exclusion
     (a repeated e_i leaves it unchanged)."""
-    F = algebra.field
-    u = [F.zero] * algebra.dim
+    u = {}
     for e in idempotents:
-        u = vec_sub(F, vec_add(F, u, e), algebra.mul(u, e))
+        u = sparse_sum(algebra.field, ((1, u), (1, e), (-1, algebra.mul(u, e))))
     return u
 
 
@@ -361,13 +342,13 @@ def induced_partial_action(action):
         domains.append(_sum_ideal_unit(A, [action.one[s] for s in cls]))
         # orthogonal decomposition of D_{g^-1} over the inverse idempotents;
         # a repeated idempotent meets a complement that is already 0 on it
-        m = Matrix.zeros(F, A.dim, A.dim)
-        complement = list(A.unit)
+        m = Matrix(F, A.dim, A.dim)
+        complement = A.unit
         for s in cls:
             e = action.one[S.inv[s]]
             f = A.mul(complement, e)
             m = m + action.theta[s] @ A.left_mult_matrix(f)
-            complement = A.mul(complement, vec_sub(F, A.unit, e))
+            complement = sparse_sum(F, ((1, complement), (-1, f)))
         maps.append(m)
     return PartialGroupAction(G, A, domains, maps)
 
@@ -386,15 +367,12 @@ def phi_map(crossed):
     action = crossed.action
     skew = skew_group_algebra(induced_partial_action(action))
     S = action.monoid
-    A = action.algebra
-    F = A.field
+    F = action.algebra.field
     proj = S.sigma_class_index()
 
-    phi_l_cols = []
-    for s, j in crossed.labels:
-        a_vec = crossed.ideal_spans[s].basis.col(j)
-        phi_l_cols.append(skew.place(proj[s], a_vec))
-    phi_l = Matrix.from_cols(F, skew.algebra.dim, phi_l_cols)
+    phi_l = Matrix(F, skew.algebra.dim, crossed.l_dim, [
+        skew.place(proj[s], crossed.ideal_spans[s].basis.columns[j])
+        for s, j in crossed.labels])
 
     rep = Report("phi: crossed product -> skew group algebra")
     rep.check("phi kills the relation subspace",
@@ -407,7 +385,7 @@ def phi_map(crossed):
     mult, bimod = product_checks(
         phi, skew.algebra, [Q.basis_vec(i) for i in range(Q.dim)],
         lambda x, y: phi.apply(Q.mul(x, y)),
-        [(crossed.embed_A.col(i), skew.embed_A.col(i)) for i in range(A.dim)])
+        list(zip(crossed.embed_A.columns, skew.embed_A.columns)))
     rep.check("phi is an algebra homomorphism",
               phi.apply(Q.unit) == skew.algebra.unit and mult)
     rank = phi.rank()
@@ -440,18 +418,17 @@ def ks_as_crossed_product(monoid, field):
     rep.data["dim_skew"] = skew.algebra.dim
     rep.data["domain_dims"] = [span.dim for span in skew.ideal_spans]
 
-    phi = Matrix.from_cols(field, skew.algebra.dim,
-                           [skew.place(proj[s], action.one[s])
-                            for s in range(S.size)])
+    phi = Matrix(field, skew.algebra.dim, S.size,
+                 [skew.place(proj[s], action.one[s]) for s in range(S.size)])
     rep.check("phi bijective",
               S.size == skew.algebra.dim and phi.rank() == S.size)
     # KS is held as its Cayley table: phi(st) is the column of S.table[s][t].
     mult, bimod = product_checks(
         phi, skew.algebra, range(S.size),
-        lambda s, t: phi.col(S.table[s][t]),
-        [(e, skew.embed_A.col(k)) for k, e in enumerate(S.idempotents())])
+        lambda s, t: phi.columns[S.table[s][t]],
+        list(zip(S.idempotents(), skew.embed_A.columns)))
     rep.check("phi is an algebra homomorphism", mult)
-    rep.check("phi(1) = 1", phi.col(S.unit) == skew.algebra.unit)
+    rep.check("phi(1) = 1", phi.columns[S.unit] == skew.algebra.unit)
     rep.check("phi is a KE(S)-bimodule map", bimod)
     return rep
 
@@ -476,11 +453,9 @@ def coinvariants(bimodule, crossed):
     """(M/[A,M], induced KS-action); A acts through its embedding."""
     ks = module_as_ks(bimodule, crossed)
     S = crossed.action.monoid
-    A = crossed.action.algebra
-    F = A.field
+    F = crossed.action.algebra.field
     gens = []
-    for i in range(A.dim):
-        a = crossed.embed_A.col(i)
+    for a in crossed.embed_A.columns:
         diff = bimodule.left_action(a) - bimodule.right_action(a)
         gens.extend(col for col in diff.columns if col)
     q = quotient_space(F, bimodule.dim,
@@ -499,15 +474,14 @@ def invariants_sub(bimodule, crossed):
     # for the i-th basis vector of A.
     d = bimodule.dim
     stacked = Matrix(F, A.dim * d, d)
-    for i in range(A.dim):
-        a = crossed.embed_A.col(i)
+    for i, a in enumerate(crossed.embed_A.columns):
         diff = bimodule.left_action(a) - bimodule.right_action(a)
         for col, dcol in zip(stacked.columns, diff.columns):
             col.update((i * d + r, v) for r, v in dcol.items())
     basis = kernel_basis(stacked)
     span = ColumnSpan(basis)
     act = [Matrix(F, basis.cols, basis.cols,
-                  [span.sparse_coords(col)
+                  [span.coords(col)
                    for col in (ks.act[s] @ basis).columns])
            for s in range(S.size)]
     return KSModule(S, F, basis.cols, act)

@@ -200,7 +200,7 @@ def induced_action_hat(g, field, monoid, masks):
     one = []
     theta = []
     for m in masks:
-        v = [F.zero] * g.n_objects
+        v = {}
         t = Matrix(F, g.n_objects, g.n_objects)
         for a in range(g.n_arrows):
             if m >> a & 1:
@@ -234,14 +234,10 @@ def psi_map(g, masks, crossed, ak):
     F = ak.field
     cols = []
     for s, j in crossed.labels:
-        phi = crossed.ideal_spans[s].basis.col(j)
-        vec = [F.zero] * g.n_arrows
-        m = masks[s]
-        for a in range(g.n_arrows):
-            if m >> a & 1:
-                vec[a] = phi[g.rng[a]]
-        cols.append(vec)
-    psi_l = Matrix.from_cols(F, g.n_arrows, cols)
+        phi = crossed.ideal_spans[s].basis.columns[j]
+        cols.append({a: phi[g.rng[a]] for a in range(g.n_arrows)
+                     if masks[s] >> a & 1 and g.rng[a] in phi})
+    psi_l = Matrix(F, g.n_arrows, len(cols), cols)
 
     Q = crossed.algebra
     rep = Report("psi: crossed product -> convolution algebra")
@@ -255,12 +251,12 @@ def psi_map(g, masks, crossed, ak):
               (psi_l @ crossed.n_space.subspace_basis).is_zero())
     psi = psi_l @ crossed.n_space.section
     rep.check("psi bijective", psi.rank() == ak.dim)
-    rep.check("psi(1) = 1", psi.apply(Q.unit) == list(ak.unit))
+    rep.check("psi(1) = 1", psi.apply(Q.unit) == ak.unit)
     emb = lx_embedding(g, F)
     mult, bimod = product_checks(
         psi, ak, [Q.basis_vec(i) for i in range(Q.dim)],
         lambda x, y: psi.apply(Q.mul(x, y)),
-        [(crossed.embed_A.col(x), emb.col(x)) for x in range(g.n_objects)])
+        list(zip(crossed.embed_A.columns, emb.columns)))
     rep.check("psi multiplicative", mult)
     rep.check("psi is an L(X)-bimodule map", bimod)
     return psi, rep
@@ -302,8 +298,7 @@ def _transport_bimodule(module, crossed, psi):
     """Pull an A_K(G)-bimodule back along psi to the crossed product."""
     left = []
     right = []
-    for k in range(crossed.algebra.dim):
-        img = psi.col(k)
+    for img in psi.columns:
         left.append(module.left_action(img))
         right.append(module.right_action(img))
     return Bimodule(crossed.algebra, module.dim, left, right)
@@ -340,8 +335,8 @@ def verify_steinberg_cohomology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     emb = lx_embedding(g, ak.field)
     lx_mod = Bimodule(
         lx, module.dim,
-        [module.left_action(emb.col(x)) for x in range(g.n_objects)],
-        [module.right_action(emb.col(x)) for x in range(g.n_objects)])
+        [module.left_action(col) for col in emb.columns],
+        [module.right_action(col) for col in emb.columns])
     lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg, cap)
     rep.data["lx_cohomology"] = lx_cohom
     for q in range(1, max_deg + 1):

@@ -110,12 +110,12 @@ def assemble(field, rows, cols, terms):
 
 def _images(source, target, op):
     """op(v) in target's basis, as {row: value}, for each basis vector v of
-    source; ``sparse_coords`` checks exact membership of every vector."""
+    source; ``coords`` checks exact membership of every vector."""
     images = source.basis
     if op is not None:
         # On an identity basis op(e_j) is column j of op, read directly.
         images = op if source.is_identity else op @ source.basis
-    return [target.sparse_coords(col) for col in images.columns]
+    return [target.coords(col) for col in images.columns]
 
 
 class ChainComplexData:
@@ -286,7 +286,7 @@ def d_class_summands(monoid, module):
     In K𝒢^(0) an idempotent f is the indicator of its down-set, so [e] is
     that of e less the down-sets of its lower covers c:
     [e] = e prod_c (1 - c), which is act(e) prod_c (I - act(c)) on V.
-    Each g is restricted to W_e through ``sparse_coords``, an exact check
+    Each g is restricted to W_e through ``coords``, an exact check
     that g keeps W_e.
     """
     _check_module(monoid, module)
@@ -322,7 +322,7 @@ def d_class_summands(monoid, module):
                            unit=index[e],
                            names=[monoid.name_of(s) for s in h])
         restricted = [Matrix(module.field, w.dim, w.dim,
-                             [w.sparse_coords(col)
+                             [w.coords(col)
                               for col in (act[g] @ w.basis).columns])
                       for g in h]
         yield group, KSModule(group, module.field, w.dim, restricted)

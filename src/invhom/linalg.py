@@ -5,7 +5,9 @@ integer is a Python ``int``, any other rational a ``fractions.Fraction``;
 F_p scalars are ints in ``range(p)``.  No floats anywhere.
 
 One matrix class, ``Matrix``, holds every linear map column-sparse:
-``columns[j]`` maps a row to a nonzero scalar.  Vectors are dense lists.
+``columns[j]`` maps a row to a nonzero scalar.  A vector has the same
+form as a column, a dict ``{i: x}`` of its nonzero entries, so the zero
+vector is ``{}`` and ``not v`` tests for it.
 One sparse elimination loop, ``_reduce``, serves rank, rref, spans,
 kernels and quotients.  Every basis it yields is fixed by definition, not
 by the order of elimination: an image basis is the leftmost independent
@@ -152,10 +154,6 @@ class Matrix:
         self.columns = columns
 
     @staticmethod
-    def zeros(field, rows, cols):
-        return Matrix(field, rows, cols)
-
-    @staticmethod
     def identity(field, n):
         one = field.one
         return Matrix(field, n, n, [{j: one} for j in range(n)])
@@ -181,13 +179,6 @@ class Matrix:
             columns.append({i: x for i, x in enumerate(map(field.of, col))
                             if x})
         return Matrix(field, ambient_dim, len(columns), columns)
-
-    def col(self, j):
-        """Column j as a dense list."""
-        out = [self.field.zero] * self.rows
-        for i, v in self.columns[j].items():
-            out[i] = v
-        return out
 
     def add_at(self, i, j, v):
         if not v:
@@ -223,8 +214,9 @@ class Matrix:
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}"
             )
-        # Column j of the product sums a column of self per nonzero entry of
-        # column j of other; over F_p the sums are reduced once, at the end.
+        # Column j of the product is self applied to column j of other,
+        # summed here in place: a product has many short columns, and a
+        # call per column would cost more than the sum.
         p = self.field.char
         out = []
         for ocol in other.columns:
@@ -240,33 +232,22 @@ class Matrix:
         return Matrix(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in apply")
-        F = self.field
-        out = [F.zero] * self.rows
-        for k, v in enumerate(vec):
-            if v:
-                for i, a in self.columns[k].items():
-                    out[i] = F.add(out[i], F.mul(a, v))
-        return out
+        """Matrix times the sparse vector vec: a sum of columns."""
+        columns = self.columns
+        return sparse_sum(self.field, ((v, columns[k]) for k, v in vec.items()))
 
     def _plus(self, other, sign, what):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"dimension mismatch in {what}")
-        F = self.field
-        out = Matrix(F, self.rows, self.cols,
-                     [dict(col) for col in self.columns])
-        for j, col in enumerate(other.columns):
-            for i, v in col.items():
-                out.add_at(i, j, F.mul(sign, v))
-        return out
+        return Matrix(self.field, self.rows, self.cols, [
+            sparse_sum(self.field, ((1, a), (sign, b)))
+            for a, b in zip(self.columns, other.columns)])
 
     def __add__(self, other):
-        return self._plus(other, self.field.one, "sum")
+        return self._plus(other, 1, "sum")
 
     def __sub__(self, other):
-        return self._plus(other, self.field.neg(self.field.one), "difference")
+        return self._plus(other, -1, "difference")
 
     def __eq__(self, other):
         return (
@@ -298,26 +279,16 @@ SparseCols = Matrix
 
 def sparse_sum(field, terms):
     """sum of c * v over pairs (c, v) of a scalar and a sparse vector {i: x},
-    as a sparse vector that holds nonzero entries only."""
+    as a sparse vector that holds nonzero entries only.  Over F_p the sums
+    are reduced once, at the end."""
     out = {}
     for c, vec in terms:
         for i, x in vec.items():
-            y = field.mul(c, x)
-            out[i] = field.add(out[i], y) if i in out else y
+            out[i] = out.get(i, 0) + c * x
+    p = field.char
+    if p:
+        return {i: x % p for i, x in out.items() if x % p}
     return {i: x for i, x in out.items() if x}
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-def vec_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
-
-def vec_is_zero(u):
-    return all(not a for a in u)
 
 
 def _reduce(field, pivots, v):
@@ -463,32 +434,14 @@ class ColumnSpan:
     def dim(self):
         return self.basis.cols
 
-    def sparse_coords(self, col):
-        """coords of the sparse column col, as {basis column: coefficient}."""
-        if self.is_identity:
-            return dict(col)
-        x = _coords(self.basis.field, self.pivots, dict(col))
+    def coords(self, vec):
+        """x with B x = vec, both sparse: {basis column: coefficient}."""
+        if self.is_identity and (not vec or max(vec) < self.dim):
+            return dict(vec)
+        x = _coords(self.basis.field, self.pivots, dict(vec))
         if x is None:
             raise ValueError("vector not in column span")
         return x
-
-    def coords(self, vec):
-        if len(vec) != self.basis.rows:
-            raise ValueError("dimension mismatch in coords")
-        if self.is_identity:
-            return list(vec)
-        out = [self.basis.field.zero] * self.dim
-        for k, a in self.sparse_coords(
-                {i: a for i, a in enumerate(vec) if a}).items():
-            out[k] = a
-        return out
-
-    def contains(self, vec):
-        try:
-            self.coords(vec)
-            return True
-        except ValueError:
-            return False
 
 
 def image_basis(m):
@@ -512,9 +465,6 @@ class QuotientSpace:
     @property
     def dim(self):
         return self.projection.rows
-
-    def contains_in_subspace(self, vec):
-        return vec_is_zero(self.projection.apply(vec))
 
 
 def quotient_space(field, ambient_dim, span):

@@ -2,9 +2,11 @@
 
 Scalars are exact: rationals as "p/q" strings, prime-field elements as
 integers 0..p-1.  Matrices and tables are flat row-major arrays (nested
-row lists are accepted on input).  References inside documents and on the
-command line are either builtin shorthands (i:2, chain:3, z:2,
-prod:chain:2,z:2, pair:2, group:z2, discrete:3) or file:PATH.
+row lists are accepted on input).  Vectors are dense lists, read into and
+written from the sparse {i: x} form that the library holds.  References
+inside documents and on the command line are either builtin shorthands
+(i:2, chain:3, z:2, prod:chain:2,z:2, pair:2, group:z2, discrete:3) or
+file:PATH.
 """
 
 from __future__ import annotations
@@ -49,8 +51,10 @@ def field_token(field):
     return "q" if field.char == 0 else f"fp:{field.char}"
 
 
-def _scalars_out(field, vec):
-    return [field.to_token(v) for v in vec]
+def _scalars_out(field, vec, dim):
+    """The sparse vector vec as a dense list of dim tokens."""
+    zero = field.zero
+    return [field.to_token(vec.get(i, zero)) for i in range(dim)]
 
 
 def _is_int(v):
@@ -92,6 +96,14 @@ def _scalars_in(field, seq):
             raise InputError(
                 f"scalar must be an integer or a 'p/q' string, got {v!r:.40}")
     return [field.of(v) for v in seq]
+
+
+def _vector_in(field, seq, dim, what):
+    """A dense vector of dim scalars, in the sparse form {i: x}."""
+    vec = _scalars_in(field, seq)
+    if len(vec) != dim:
+        raise ValueError(f"{what} vector has wrong length")
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 def _matrix_out(m):
@@ -178,7 +190,7 @@ def algebra_to_dict(a):
         "field": field_token(a.field),
         "dim": a.dim,
         "sc": sc,
-        "unit": _scalars_out(a.field, a.unit),
+        "unit": _scalars_out(a.field, a.unit, a.dim),
     }
 
 
@@ -192,7 +204,7 @@ def algebra_from_dict(doc):
     prods = [{k: c for k, c in enumerate(vals[b * d:b * d + d]) if c}
              for b in range(d * d)]
     sc = [prods[i * d:i * d + d] for i in range(d)]
-    return Algebra(field, d, sc, _scalars_in(field, doc["unit"]))
+    return Algebra(field, d, sc, _vector_in(field, doc["unit"], d, "unit"))
 
 
 def action_to_dict(action, monoid_ref="file:inline", algebra_ref="file:inline"):
@@ -200,14 +212,15 @@ def action_to_dict(action, monoid_ref="file:inline", algebra_ref="file:inline"):
     return {
         "monoid_ref": monoid_ref,
         "algebra_ref": algebra_ref,
-        "one": [_scalars_out(F, v) for v in action.one],
+        "one": [_scalars_out(F, v, action.algebra.dim) for v in action.one],
         "theta": [_matrix_out(m) for m in action.theta],
     }
 
 
 def action_from_dict(doc, monoid, algebra):
     F = algebra.field
-    one = [_scalars_in(F, v) for v in _list(doc["one"], "one")]
+    one = [_vector_in(F, v, algebra.dim, "idempotent")
+           for v in _list(doc["one"], "one")]
     theta = [_matrix_in(F, algebra.dim, algebra.dim, m)
              for m in _list(doc["theta"], "theta")]
     return UnitalAction(monoid, algebra, one, theta)

@@ -10,7 +10,10 @@ resolution oracle fills dense boundary and homotopy matrices entry by entry,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  DenseMatrix is the dense row-list matrix
 arithmetic that the column-sparse Matrix replaced, kept as its reference.
-FractionField is the scalar arithmetic that keeps every rational a
+The dense vector helpers (``vec_sub``, ``vec_is_zero``, ``dense_mul``,
+``dense_left_mult``, ``dense_apply``, ``dense_coords``) are the list-vector
+arithmetic that the sparse {i: x} vectors replaced, kept as their
+reference; ``dense_coords`` solves by textbook Gauss-Jordan.  FractionField is the scalar arithmetic that keeps every rational a
 Fraction, kept as the reference for Field, which keeps integral
 rationals as ints.
 """
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from invhom.algebras import Algebra
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
-                           mat_rank, quotient_space, vec_is_zero, vec_sub)
+                           mat_rank, quotient_space)
 
 
 class FractionField:
@@ -252,6 +255,84 @@ def sparse(d):
     return Matrix.from_cols(d.field, d.rows, [d.col(j) for j in range(d.cols)])
 
 
+def vec_sub(field, u, v):
+    return [field.sub(a, b) for a, b in zip(u, v)]
+
+
+def vec_is_zero(u):
+    return all(not a for a in u)
+
+
+def dense_vec(vec, n):
+    """The sparse vector vec as a list of n entries."""
+    return [vec.get(i, 0) for i in range(n)]
+
+
+def sparse_vec(vec):
+    """The list vec as a sparse vector of its nonzero entries."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense_basis(field, n, i):
+    return [field.one if k == i else field.zero for k in range(n)]
+
+
+def dense_col(m, j):
+    """Column j of the column-sparse Matrix m as a list."""
+    return dense_vec(m.columns[j], m.rows)
+
+
+def dense_mul(algebra, u, v):
+    """uv for list vectors u, v of the algebra, entry by entry."""
+    F = algebra.field
+    out = [F.zero] * algebra.dim
+    for i, a in enumerate(u):
+        if not a:
+            continue
+        row = algebra.sc[i]
+        for j, b in enumerate(v):
+            if not b:
+                continue
+            c = F.mul(a, b)
+            for k, s in row[j].items():
+                out[k] = F.add(out[k], F.mul(c, s))
+    return out
+
+
+def dense_left_mult(algebra, v):
+    """Matrix of x -> v*x for a list vector v: column j is v b_j."""
+    F, d = algebra.field, algebra.dim
+    return Matrix.from_cols(F, d, [dense_mul(algebra, v, dense_basis(F, d, j))
+                                   for j in range(d)])
+
+
+def dense_apply(m, vec):
+    """The column-sparse Matrix m times the list vector vec."""
+    if len(vec) != m.cols:
+        raise ValueError("dimension mismatch in apply")
+    F = m.field
+    out = [F.zero] * m.rows
+    for k, v in enumerate(vec):
+        if v:
+            for i, a in m.columns[k].items():
+                out[i] = F.add(out[i], F.mul(a, v))
+    return out
+
+
+def dense_coords(B, vec):
+    """x with B x = vec for the full-column-rank Matrix B and the list
+    vector vec, by Gauss-Jordan on [B | vec]; ValueError outside its span."""
+    if len(vec) != B.rows:
+        raise ValueError("dimension mismatch in coords")
+    F = B.field
+    rows = [[B.columns[j].get(i, F.zero) for j in range(B.cols)] + [vec[i]]
+            for i in range(B.rows)]
+    r, pivots = gauss_jordan(DenseMatrix(F, B.rows, B.cols + 1, rows))
+    if B.cols in pivots:
+        raise ValueError("vector not in column span")
+    return [r.data[k][B.cols] for k in range(B.cols)]
+
+
 def det(field, rows):
     """Determinant by Laplace expansion (tiny matrices only)."""
     n = len(rows)
@@ -317,10 +398,6 @@ def gauss_jordan(m):
     return DenseMatrix(F, m.rows, m.cols, a), pivots
 
 
-def _act_vec(module, s, v):
-    return module.act[s].apply(v)
-
-
 def bar_group_homology(group, module, max_deg):
     """Group homology of a left module via the inhomogeneous bar complex.
 
@@ -349,7 +426,7 @@ def bar_group_homology(group, module, max_deg):
                 col = base + j
                 v = [F.zero] * dV
                 v[j] = F.one
-                gv = _act_vec(module, tup[-1], v)
+                gv = dense_apply(module.act[tup[-1]], v)
                 row0 = tuple_index(tup[:-1]) * dV
                 for i, c in enumerate(gv):
                     if c:
@@ -395,7 +472,7 @@ def bar_group_cohomology(group, module, max_deg):
             for j in range(dV):
                 v = [F.zero] * dV
                 v[j] = F.one
-                gv = _act_vec(module, tup[0], v)
+                gv = dense_apply(module.act[tup[0]], v)
                 for i, c in enumerate(gv):
                     if c:
                         d.data[base + i][src + j] = F.add(
@@ -585,14 +662,15 @@ def crossed_product_by_vectors(action):
     both sides, and each product must lie in N; the structure constants
     are the products of the section vectors.  Raises ValueError where the
     quotient is ill-defined; returns dim_N, the basis of N, sc, the unit,
-    embed_A and gamma.
+    embed_A and gamma, the vectors among them sparse.
     """
     S = action.monoid
     A = action.algebra
     F = A.field
+    d = A.dim
     labels, spans, offset = [], [], []
     for s, e in enumerate(action.one):
-        span = ColumnSpan(image_basis(A.left_mult_matrix(e)))
+        span = ColumnSpan(image_basis(dense_left_mult(A, dense_vec(e, d))))
         spans.append(span)
         offset.append(len(labels))
         labels.extend((s, j) for j in range(span.dim))
@@ -600,7 +678,7 @@ def crossed_product_by_vectors(action):
 
     def place(s, a_vec):
         out = [F.zero] * l_dim
-        for i, c in enumerate(spans[s].coords(a_vec)):
+        for i, c in enumerate(dense_coords(spans[s].basis, a_vec)):
             out[offset[s] + i] = c
         return out
 
@@ -610,17 +688,18 @@ def crossed_product_by_vectors(action):
             if not c1:
                 continue
             s, j1 = labels[k1]
-            a_vec = spans[s].basis.col(j1)
+            a_vec = dense_col(spans[s].basis, j1)
             for k2, c2 in enumerate(v):
                 if not c2:
                     continue
                 t, j2 = labels[k2]
-                w = A.mul(a_vec, action.theta[s].apply(spans[t].basis.col(j2)))
+                w = dense_mul(A, a_vec, dense_apply(
+                    action.theta[s], dense_col(spans[t].basis, j2)))
                 if vec_is_zero(w):
                     continue
                 st = S.table[s][t]
                 c = F.mul(c1, c2)
-                for i, cc in enumerate(spans[st].coords(w)):
+                for i, cc in enumerate(dense_coords(spans[st].basis, w)):
                     if cc:
                         k = offset[st] + i
                         out[k] = F.add(out[k], F.mul(c, cc))
@@ -631,38 +710,45 @@ def crossed_product_by_vectors(action):
         for t in range(S.size):
             if s != t and S.natural_leq(s, t):
                 for j in range(spans[s].dim):
-                    a_vec = spans[s].basis.col(j)
+                    a_vec = dense_col(spans[s].basis, j)
                     gens.append(vec_sub(F, place(s, a_vec), place(t, a_vec)))
     q = quotient_space(F, l_dim, Matrix.from_cols(F, l_dim, gens))
-    basis_elts = [[F.one if i == k else F.zero for i in range(l_dim)]
-                  for k in range(l_dim)]
+
+    def project(v):
+        return dense_apply(q.projection, v)
+
+    basis_elts = [dense_basis(F, l_dim, k) for k in range(l_dim)]
     for g in gens:
         for x in basis_elts:
-            if not (q.contains_in_subspace(l_mult(x, g))
-                    and q.contains_in_subspace(l_mult(g, x))):
+            if not (vec_is_zero(project(l_mult(x, g)))
+                    and vec_is_zero(project(l_mult(g, x)))):
                 raise ValueError("induced multiplication ill-defined")
 
-    sc = [[{k: c for k, c in enumerate(q.projection.apply(
-               l_mult(q.section.col(i), q.section.col(j)))) if c}
-           for j in range(q.dim)] for i in range(q.dim)]
-    unit = q.projection.apply(place(S.unit, list(A.unit)))
-    quotient = Algebra(F, q.dim, sc, unit)
+    section = [dense_col(q.section, i) for i in range(q.dim)]
+    sc = [[sparse_vec(project(l_mult(u, v))) for v in section]
+          for u in section]
+    unit = project(place(S.unit, dense_vec(A.unit, d)))
+    quotient = Algebra(F, q.dim, sc, sparse_vec(unit))
+    basis_A = [dense_basis(F, d, i) for i in range(d)]
     embed = Matrix.from_cols(F, q.dim, [
-        q.projection.apply(place(S.unit, A.basis_vec(i))) for i in range(A.dim)])
-    if mat_rank(embed) != A.dim:
+        project(place(S.unit, b)) for b in basis_A])
+    if mat_rank(embed) != d:
         raise ValueError("A does not embed")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if (quotient.mul(embed.col(i), embed.col(j))
-                    != embed.apply(A.mul(A.basis_vec(i), A.basis_vec(j)))):
+    for i in range(d):
+        for j in range(d):
+            if (dense_mul(quotient, dense_col(embed, i), dense_col(embed, j))
+                    != dense_apply(embed, dense_mul(A, basis_A[i],
+                                                    basis_A[j]))):
                 raise ValueError("embedding not multiplicative")
-    gamma = [q.projection.apply(place(s, action.one[s])) for s in range(S.size)]
+    gamma = [project(place(s, dense_vec(action.one[s], d)))
+             for s in range(S.size)]
     for s in range(S.size):
         for t in range(S.size):
-            if quotient.mul(gamma[s], gamma[t]) != gamma[S.table[s][t]]:
+            if dense_mul(quotient, gamma[s], gamma[t]) != gamma[S.table[s][t]]:
                 raise ValueError("gamma not multiplicative")
     return {"dim_N": q.subspace_basis.cols, "subspace_basis": q.subspace_basis,
-            "sc": sc, "unit": unit, "embed_A": embed, "gamma": gamma}
+            "sc": sc, "unit": sparse_vec(unit), "embed_A": embed,
+            "gamma": [sparse_vec(g) for g in gamma]}
 
 
 def is_unital_action(action):
@@ -684,7 +770,8 @@ def is_unital_action(action):
     table = S.table
     n = range(S.size)
     d = range(A.dim)
-    one, theta = action.one, [dense(t) for t in action.theta]
+    one = [dense_vec(v, A.dim) for v in action.one]
+    theta = [dense(t) for t in action.theta]
     inv = [next(x for x in n if table[table[s][x]][s] == s
                 and table[table[x][s]][x] == x) for s in n]
     idems = [e for e in n if table[e][e] == e]
@@ -708,7 +795,7 @@ def is_unital_action(action):
         e = one[s]
         if mul(e, e) != e or any(mul(e, b) != mul(b, e) for b in basis):
             return False
-    if (one[S.unit] != list(A.unit)
+    if (one[S.unit] != dense_vec(A.unit, A.dim)
             or theta[S.unit] != DenseMatrix.identity(F, A.dim)):
         return False
     for s in n:

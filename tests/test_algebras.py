@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
-from oracles import dense_algebra_check
+from oracles import (dense_algebra_check, dense_left_mult, dense_mul,
+                     dense_vec, sparse_vec)
 
 Q = Field(0)
 F2 = Field(2)
@@ -22,28 +24,28 @@ F2 = Field(2)
 
 def test_algebra_validation_catches_nonassociative():
     # (b1 b1) b1 = b0 b1 = b0 but b1 (b1 b1) = b1 b0 = b1
-    z, one = Q.zero, Q.one
+    one = Q.one
     sc = [[{0: one}, {0: one}],
           [{1: one}, {0: one}]]
     with pytest.raises(ValueError, match="not associative"):
-        Algebra(Q, 2, sc, [one, z])
+        Algebra(Q, 2, sc, {0: one})
 
 
 def test_algebra_validation_catches_bad_unit():
-    z, one = Q.zero, Q.one
+    one = Q.one
     sc = [[{0: one}, {1: one}], [{1: one}, {}]]
     with pytest.raises(ValueError, match="unit"):
-        Algebra(Q, 2, sc, [z, one])
+        Algebra(Q, 2, sc, {1: one})
 
 
 def test_algebra_refuses_non_canonical_structure_constants():
     one = Q.one
     good = [[{0: one}, {1: one}], [{1: one}, {}]]
-    Algebra(Q, 2, good, [one, Q.zero])
+    Algebra(Q, 2, good, {0: one})
     for bad in ([one, Q.zero], {2: one}, {0: Q.zero}):
         sc = [[{0: one}, {1: one}], [{1: one}, bad]]
         with pytest.raises(ValueError, match="wrong shape"):
-            Algebra(Q, 2, sc, [one, Q.zero])
+            Algebra(Q, 2, sc, {0: one})
 
 
 def _sparse(dense):
@@ -61,7 +63,7 @@ def _accepts_as_oracle_does(field, dim, dense, unit):
     where the dense oracle does, with the oracle's message."""
     expected = dense_algebra_check(field, dim, dense, unit)
     try:
-        Algebra(field, dim, _sparse(dense), unit)
+        Algebra(field, dim, _sparse(dense), sparse_vec(unit))
     except ValueError as exc:
         assert str(exc) == expected
         return False
@@ -106,14 +108,15 @@ def test_algebra_check_agrees_with_dense_oracle_on_corrupted_tables():
                     semigroup_algebra(F, symmetric_inverse_monoid(1))]
         for alg in algebras:
             dense = _dense(alg)
-            assert _accepts_as_oracle_does(F, alg.dim, dense, alg.unit)
+            unit = dense_vec(alg.unit, alg.dim)
+            assert _accepts_as_oracle_does(F, alg.dim, dense, unit)
             for i, j, k in itertools.product(range(alg.dim), repeat=3):
                 bad = [[list(vec) for vec in row] for row in dense]
                 bad[i][j][k] = F.add(bad[i][j][k], F.one)
                 refused += not _accepts_as_oracle_does(F, alg.dim, bad,
-                                                       alg.unit)
+                                                       unit)
             for u in range(alg.dim):
-                bad_unit = list(alg.unit)
+                bad_unit = list(unit)
                 bad_unit[u] = F.add(bad_unit[u], F.one)
                 refused += not _accepts_as_oracle_does(F, alg.dim, dense,
                                                        bad_unit)
@@ -125,7 +128,7 @@ def test_matrix_algebra_is_matrix_units():
     # e_01 * e_10 = e_00, e_01 * e_01 = 0
     e01, e10 = m2.basis_vec(1), m2.basis_vec(2)
     assert m2.mul(e01, e10) == m2.basis_vec(0)
-    assert m2.mul(e01, e01) == [Q.zero] * 4
+    assert m2.mul(e01, e01) == {}
     assert not m2.is_commutative()
 
 
@@ -151,13 +154,12 @@ def test_table_algebras_multiply_by_their_table():
                   for g in (pair_groupoid(2),
                             group_as_groupoid(cyclic_group(3)))]
         for alg, table, units in cases:
-            zero = [F.zero] * alg.dim
+            zero = {}
             for i, row in enumerate(table):
                 for j, k in enumerate(row):
                     want = zero if k is None else alg.basis_vec(k)
                     assert alg.mul(alg.basis_vec(i), alg.basis_vec(j)) == want
-            assert alg.unit == [F.one if k in units else F.zero
-                                for k in range(alg.dim)]
+            assert alg.unit == {k: F.one for k in units}
 
 
 def test_groupoid_algebras_are_matrix_and_diagonal_algebras():
@@ -205,8 +207,36 @@ def test_product_checks_catch_a_non_homomorphism():
     for g_image, expected in (([1, -1], (True, True)), ([1, 0], (False, True))):
         f = Matrix.from_cols(Q, 2, [[Q.one, Q.one], [Q.of(v) for v in g_image]])
         assert product_checks(f, diag, range(2),
-                              lambda s, t: f.col(z2.table[s][t]),
-                              [(z2.unit, f.col(z2.unit))]) == expected
+                              lambda s, t: f.columns[z2.table[s][t]],
+                              [(z2.unit, f.columns[z2.unit])]) == expected
+
+
+def _vector_entries(field):
+    """Over Q the scalars 0, +-1/2, +-2, +-3; over F_p all of F_p."""
+    if field.char:
+        return st.integers(0, field.char - 1)
+    return st.sampled_from((0, Fraction(1, 2), Fraction(-1, 2), 2, -2, 3, -3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_sparse_products_agree_with_dense_helpers(data):
+    # mul and left_mult_matrix on {i: x} vectors against the list-vector
+    # helpers, with the zero vector on either side.
+    F = data.draw(st.sampled_from((Q, F2, Field(3))))
+    alg = data.draw(st.sampled_from((
+        dual_numbers, lambda F: matrix_algebra(F, 2),
+        lambda F: semigroup_algebra(F, symmetric_inverse_monoid(2)),
+        lambda F: semigroup_algebra(F, cyclic_group(3)))))(F)
+    vector = st.lists(_vector_entries(F).map(F.of), min_size=alg.dim,
+                      max_size=alg.dim)
+    u, v = data.draw(vector), data.draw(vector)
+    zero = [F.zero] * alg.dim
+    for x, y in ((u, v), (v, u), (u, zero), (zero, v)):
+        assert alg.mul(sparse_vec(x), sparse_vec(y)) == \
+            sparse_vec(dense_mul(alg, x, y))
+    for x in (u, zero):
+        assert alg.left_mult_matrix(sparse_vec(x)) == dense_left_mult(alg, x)
 
 
 def test_hochschild_base_field():

@@ -103,11 +103,11 @@ def test_induced_action_hat_moves_coordinates():
     assert validate_action(act).ok
     # U = {arrow 1 -> 2}: arrow index (rng=1, src=0) -> a = 1*2+0 = 2
     u_idx = masks.index(1 << 2)
-    assert act.one[u_idx] == [Q.zero, Q.one]
-    assert act.theta[u_idx].col(0)[1] == Q.one
+    assert act.one[u_idx] == {1: Q.one}
+    assert act.theta[u_idx].columns[0][1] == Q.one
     # empty bisection: everything zero
     e_idx = masks.index(0)
-    assert act.one[e_idx] == [Q.zero, Q.zero]
+    assert act.one[e_idx] == {}
     assert act.theta[e_idx].is_zero()
 
 
@@ -145,8 +145,7 @@ def test_indicator_convolution_identity_exhaustive():
         monoid, masks = bisections_with_masks(g)
 
         def indicator(mask):
-            return [Q.one if mask >> a & 1 else Q.zero
-                    for a in range(g.n_arrows)]
+            return {a: Q.one for a in range(g.n_arrows) if mask >> a & 1}
 
         for i in range(monoid.size):
             for j in range(monoid.size):
@@ -179,8 +178,8 @@ def test_lx_embedding_is_unital():
     g = pair_groupoid(2)
     ak = steinberg_algebra(g, Q)
     emb = lx_embedding(g, Q)
-    unit = [Q.one] * g.n_objects
-    assert emb.apply(unit) == list(ak.unit)
+    unit = {x: Q.one for x in range(g.n_objects)}
+    assert emb.apply(unit) == ak.unit
 
 
 def test_steinberg_homology_pair2():

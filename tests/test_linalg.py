@@ -11,8 +11,9 @@ from invhom.linalg import (ColumnSpan, Field, Matrix, image_basis,
                            induced_map, kernel_basis, mat_rank, quotient_space,
                            rref)
 from invhom.serialize import _matrix_in, _matrix_out
-from oracles import (DenseMatrix, FractionField, dense, gauss_jordan,
-                     rank_by_minors, sparse)
+from oracles import (DenseMatrix, FractionField, dense, dense_apply,
+                     dense_col, dense_coords, gauss_jordan, rank_by_minors,
+                     sparse, sparse_vec)
 
 Q = Field(0)
 F2 = Field(2)
@@ -100,7 +101,7 @@ def test_rational_scalars_agree_with_fraction_reference(a, b):
 
 def test_rank_identity_and_zero():
     assert mat_rank(Matrix.identity(Q, 2)) == 2
-    assert mat_rank(Matrix.zeros(Q, 3, 4)) == 0
+    assert mat_rank(Matrix(Q, 3, 4)) == 0
 
 
 def test_rank_dependent_rows_both_fields():
@@ -178,15 +179,6 @@ def _oracle_kernel(m, r, pivots):
     return Matrix.from_cols(F, m.cols, cols)
 
 
-def _oracle_coords(basis, vec):
-    """x with basis x = vec from the RREF of [basis | vec], or None."""
-    aug = basis.hstack(Matrix.from_cols(basis.field, basis.rows, [vec]))
-    r, pivots = gauss_jordan(dense(aug))
-    if basis.cols in pivots:
-        return None
-    return [r.data[i][basis.cols] for i in range(basis.cols)]
-
-
 def _oracle_quotient(field, n, sub):
     """Section and projection for the span of the independent columns sub.
 
@@ -197,7 +189,8 @@ def _oracle_quotient(field, n, sub):
     r = sub.cols
     ident = Matrix.identity(field, n)
     _, pivots = gauss_jordan(dense(sub.hstack(ident)))
-    section = Matrix.from_cols(field, n, [ident.col(p - r) for p in pivots[r:]])
+    section = Matrix.from_cols(field, n, [dense_col(ident, p - r)
+                                          for p in pivots[r:]])
     inv, _ = gauss_jordan(dense(sub.hstack(section).hstack(ident)))
     return section, sparse(DenseMatrix(field, n - r, n,
                                        [row[n:] for row in inv.data[r:]]))
@@ -217,18 +210,22 @@ def test_elimination_matches_gauss_jordan_oracle(case):
         m = sparse(d)
         r, pivots = gauss_jordan(d)
         assert rref(m) == (sparse(r), pivots)
-        image = Matrix.from_cols(field, rows, [m.col(j) for j in pivots])
+        image = Matrix.from_cols(field, rows, [dense_col(m, j)
+                                               for j in pivots])
         assert image_basis(m) == image
         assert kernel_basis(m) == _oracle_kernel(m, r, pivots)
 
         span = ColumnSpan(image)
         total = [field.of(sum(row)) for row in data]
-        for vec in [m.col(j) for j in range(cols)] + [total] + \
+        for vec in [dense_col(m, j) for j in range(cols)] + [total] + \
                 DenseMatrix.identity(field, rows).data:
-            expected = _oracle_coords(image, vec)
-            assert span.contains(vec) == (expected is not None)
-            if expected is not None:
-                assert span.coords(vec) == expected
+            try:
+                expected = dense_coords(image, vec)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    span.coords(sparse_vec(vec))
+            else:
+                assert span.coords(sparse_vec(vec)) == sparse_vec(expected)
         if len(pivots) < cols:
             with pytest.raises(ValueError, match="linearly dependent"):
                 ColumnSpan(m)
@@ -246,7 +243,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_matrix_full():
-    k = kernel_basis(Matrix.zeros(Q, 2, 3))
+    k = kernel_basis(Matrix(Q, 2, 3))
     assert k.cols == 3
     assert k.is_identity()
 
@@ -254,7 +251,7 @@ def test_kernel_zero_matrix_full():
 def test_kernel_one_relation():
     k = kernel_basis(Matrix.from_rows(Q, [[1, 1]]))
     assert k.cols == 1
-    a, b = k.col(0)
+    a, b = dense_col(k, 0)
     assert a == -b != 0
 
 
@@ -267,14 +264,14 @@ def test_rank_nullity_random():
         m = Matrix.from_rows(
             field,
             [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)],
-        ) if rows else Matrix.zeros(field, 0, cols)
+        ) if rows else Matrix(field, 0, cols)
         k = kernel_basis(m)
         assert mat_rank(m) + k.cols == cols
         assert (m @ k).is_zero()
 
 
 def test_quotient_trivial_span():
-    q = quotient_space(Q, 3, Matrix.zeros(Q, 3, 0))
+    q = quotient_space(Q, 3, Matrix(Q, 3, 0))
     assert q.dim == 3
     assert q.projection.is_identity()
 
@@ -288,7 +285,7 @@ def test_quotient_line_in_plane():
     q = quotient_space(Q, 2, Matrix.from_cols(Q, 2, [[1, 1]]))
     assert q.dim == 1
     # deterministic complement: earliest standard vector not in the span
-    assert q.section.col(0) == [Q.one, Q.zero]
+    assert q.section.columns[0] == {0: Q.one}
 
 
 def test_quotient_invariants_random():
@@ -299,7 +296,7 @@ def test_quotient_invariants_random():
         field = rng.choice([Q, F2])
         span = Matrix.from_rows(
             field, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
-        ) if k else Matrix.zeros(field, n, 0)
+        ) if k else Matrix(field, n, 0)
         q = quotient_space(field, n, span)
         assert q.dim == n - mat_rank(span)
         if q.dim:
@@ -310,7 +307,7 @@ def test_quotient_invariants_random():
 def test_induced_map_identity_and_zero():
     q = quotient_space(Q, 2, Matrix.from_cols(Q, 2, [[1, 1]]))
     assert induced_map(Matrix.identity(Q, 2), q, q).is_identity()
-    assert induced_map(Matrix.zeros(Q, 2, 2), q, q).is_zero()
+    assert induced_map(Matrix(Q, 2, 2), q, q).is_zero()
 
 
 def test_induced_map_swap_is_minus_one():
@@ -334,7 +331,7 @@ def test_induced_map_commutes_randomly():
         span_cols = rng.randint(0, n)
         span = Matrix.from_rows(
             Q, [[rng.randint(-2, 2) for _ in range(span_cols)] for _ in range(n)]
-        ) if span_cols else Matrix.zeros(Q, n, 0)
+        ) if span_cols else Matrix(Q, n, 0)
         q = quotient_space(Q, n, span)
         # maps preserving the subspace: s*c + arbitrary on a complement is
         # hard to sample directly, so use p*f with f arbitrary: the
@@ -349,13 +346,17 @@ def test_induced_map_commutes_randomly():
 def test_column_span_membership():
     b = Matrix.from_cols(Q, 3, [[1, 1, 0], [0, 1, 1]])
     span = ColumnSpan(b)
-    assert span.coords([1, 2, 1]) == [Q.one, Q.one]
-    assert not span.contains([1, 0, 1])
+    assert span.coords({0: 1, 1: 2, 2: 1}) == {0: Q.one, 1: Q.one}
+    with pytest.raises(ValueError):
+        span.coords({0: 1, 2: 1})
+    # a vector with an entry past the ambient space lies in no span of it
     for s in (span, ColumnSpan(Matrix.identity(Q, 3))):
-        assert not s.contains([1, 2]) and not s.contains([1, 2, 1, 0])
+        for vec in ({3: 1}, {0: 1, 1: 2, 3: 1}):
+            with pytest.raises(ValueError):
+                s.coords(vec)
     # the first row starts with a zero, so elimination must swap rows
     b = Matrix.from_cols(Q, 3, [[0, 1, 1], [2, 0, 1]])
-    assert ColumnSpan(b).coords([2, 3, 4]) == [Q.of(3), Q.one]
+    assert ColumnSpan(b).coords({0: 2, 1: 3, 2: 4}) == {0: Q.of(3), 1: Q.one}
     with pytest.raises(ValueError, match="linearly dependent"):
         ColumnSpan(Matrix.from_cols(Q, 3, [[1, 2, 3], [2, 4, 6]]))
 
@@ -363,8 +364,8 @@ def test_column_span_membership():
 def test_matrix_shape_errors():
     with pytest.raises(ValueError, match="dimension mismatch"):
         Matrix(Q, 2, 2, [{}])
-    a = Matrix.zeros(Q, 2, 3)
-    b = Matrix.zeros(Q, 2, 2)
+    a = Matrix(Q, 2, 3)
+    b = Matrix(Q, 2, 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         a @ b
 
@@ -432,9 +433,8 @@ def _check_against_dense(case):
     assert dense(A @ B) == a @ b
     assert dense(A + C) == a + c
     assert dense(A - C) == a - c
-    assert A.apply(vec) == a.apply(vec)
-    assert [A.col(j) for j in range(A.cols)] == [a.col(j)
-                                                 for j in range(a.cols)]
+    assert A.apply(sparse_vec(vec)) == sparse_vec(a.apply(vec))
+    assert A.columns == [sparse_vec(a.col(j)) for j in range(a.cols)]
     assert (A == C) == (a == c)
     assert A.is_zero() == a.is_zero()
     assert A.is_identity() == a.is_identity()
@@ -458,6 +458,59 @@ def _check_against_dense(case):
     flat = [field.to_token(v) for row in a.data for v in row]
     assert _matrix_out(A) == flat
     assert _matrix_in(field, a.rows, a.cols, flat) == A
+
+
+@settings(deadline=None)
+@given(st.one_of(dense_cases(fields=(Q,), entry=NON_UNITS),
+                 dense_cases(fields=(F2, Field(3)))))
+@example(_grid_case(Q, 3, 2, 1, ("1/2", 0, -3)))
+@example(_grid_case(F2, 3, 3, 1))
+@example(_grid_case(Field(3), 0, 2, 1))
+def test_sparse_vectors_agree_with_dense_helpers(case):
+    # apply and coords on {i: x} vectors against the list-vector helpers,
+    # on the zero vector too; a vector outside the span is refused by both.
+    field, a, _, _, vec, _ = case
+    A = sparse(a)
+    for v in (vec, [field.zero] * A.cols):
+        assert A.apply(sparse_vec(v)) == sparse_vec(dense_apply(A, v))
+    targets = [dense_apply(A, vec), [field.zero] * A.rows]
+    targets += [dense_col(A, j) for j in range(A.cols)]
+    targets += DenseMatrix.identity(field, A.rows).data
+    for span in (ColumnSpan(image_basis(A)),
+                 ColumnSpan(Matrix.identity(field, A.rows))):
+        for target in targets:
+            try:
+                want = dense_coords(span.basis, target)
+            except ValueError:
+                with pytest.raises(ValueError, match="not in column span"):
+                    span.coords(sparse_vec(target))
+            else:
+                assert span.coords(sparse_vec(target)) == sparse_vec(want)
+
+
+def _dense_vector_code(path):
+    """Lines of path that allocate a `[<x>.zero] * n` list, or name a
+    `vec_*` helper."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.left, ast.List)
+                and any(isinstance(e, ast.Attribute) and e.attr == "zero"
+                        for e in node.left.elts)):
+            yield node.lineno, "[zero] * n"
+        name = getattr(node, "name", None) or getattr(node, "id", None) \
+            or getattr(node, "attr", None)
+        if isinstance(name, str) and name.startswith("vec_"):
+            yield node.lineno, name
+
+
+def test_vectors_are_sparse_outside_serialize():
+    # A vector is {i: x}; only the JSON boundary lays one out as a list.
+    found = []
+    for path in sorted(Path(invhom.__file__).parent.rglob("*.py")):
+        if path.name != "serialize.py":
+            found += [(path.name, *hit) for hit in _dense_vector_code(path)]
+    assert found == []
 
 
 def _true_divisions(node, scope=()):
@@ -509,6 +562,6 @@ def test_elimination_results_hold_no_integral_fraction(case):
     for m in (r, kernel_basis(A), q.projection):
         assert _no_integral_fraction(m)
     coords = Matrix(Q, image.cols, A.cols,
-                    [span.sparse_coords(col) for col in A.columns])
+                    [span.coords(col) for col in A.columns])
     assert _no_integral_fraction(coords)
     assert image @ coords == A

@@ -633,7 +633,7 @@ def test_cli_action_law_failure_names_its_pair(tmp_path):
     algebra = diagonal_algebra(Q, 3)
     shift = Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     theta = [Matrix.identity(Q, 3), shift, shift]
-    action = UnitalAction(z3, algebra, [list(algebra.unit)] * 3, theta)
+    action = UnitalAction(z3, algebra, [dict(algebra.unit)] * 3, theta)
     (tmp_path / "alg.json").write_text(json.dumps(algebra_to_dict(algebra)))
     (tmp_path / "act.json").write_text(json.dumps(action_to_dict(
         action, monoid_ref="z:3", algebra_ref=f"file:{tmp_path}/alg.json")))
@@ -642,6 +642,29 @@ def test_cli_action_law_failure_names_its_pair(tmp_path):
     _assert_one_error_line(p)
     assert "action invalid: " in p.stderr
     assert "action law fails at (g1,g1)" in p.stderr
+
+
+def test_vector_of_wrong_length_in_a_file_exit_2(tmp_path):
+    # A JSON vector is a dense list of dim scalars; a unit or an idempotent
+    # 1_s of another length is refused with one line, whether too long or
+    # too short.  The algebra is K^2 with pointwise product.
+    algebra = tmp_path / "algebra.json"
+    action = tmp_path / "action.json"
+    algebra_doc = {"field": "q", "dim": 2, "sc": [1, 0, 0, 0, 0, 0, 0, 1],
+                   "unit": [1, 1]}
+    action_doc = {"monoid_ref": "trivial", "algebra_ref": f"file:{algebra}",
+                  "one": [[1, 1]], "theta": [[1, 0, 0, 1]]}
+    cases = [({"unit": [1, 1, 0]}, {}, "unit vector has wrong length"),
+             ({"unit": [1]}, {}, "unit vector has wrong length"),
+             ({}, {"one": [[1, 1, 0]]}, "idempotent vector has wrong length"),
+             ({}, {"one": [[1]]}, "idempotent vector has wrong length")]
+    for algebra_change, action_change, message in cases:
+        algebra.write_text(json.dumps({**algebra_doc, **algebra_change}))
+        action.write_text(json.dumps({**action_doc, **action_change}))
+        p = _run_cli("crossed-product", "--action", f"file:{action}",
+                     timeout=30)
+        _assert_one_error_line(p)
+        assert message in p.stderr and "Traceback" not in p.stderr
 
 
 def test_max_degree_without_columns_is_refused_quickly(tmp_path):
