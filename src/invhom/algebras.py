@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, sparse_sum
+from .linalg import ColumnSpan, Matrix, _insert, _reduce, sparse_sum
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
@@ -13,9 +13,11 @@ from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
 class Algebra:
     """Unital associative algebra: b_i b_j = sum of c b_k over the sparse
     sc[i][j] = {k: c}, which holds nonzero constants only.  Elements, the
-    unit among them, are sparse vectors {i: x} on the basis."""
+    unit among them, are sparse vectors {i: x} on the basis.  The unit and
+    its left-to-right products with the basis vectors of generators span."""
 
-    __slots__ = ("field", "dim", "sc", "unit", "_left_mats", "_right_mats")
+    __slots__ = ("field", "dim", "sc", "unit", "generators", "_left_mats",
+                 "_right_mats")
 
     def __init__(self, field, dim, sc, unit):
         if len(sc) != dim or not all(
@@ -31,27 +33,52 @@ class Algebra:
         self.unit = unit
         self._left_mats = None
         self._right_mats = None
+        self.generators = self._generators()
         self._validate()
 
+    def _generators(self):
+        """b_i in turn when outside the closure of the unit under right
+        multiplication by the generators so far, which grows incrementally."""
+        F = self.field
+        pivots, closure, gens, frontier = {}, [], [], [self.unit]
+        for i in range(self.dim):
+            while frontier and len(closure) < self.dim:
+                v = frontier.pop()
+                if _insert(F, pivots, dict(v)) is not None:
+                    closure.append(v)
+                    frontier.extend(self.mul(v, {g: F.one}) for g in gens)
+            if _reduce(F, pivots, {i: F.one}) is not None:
+                gens.append(i)
+                frontier = [self.mul(v, {i: F.one}) for v in closure]
+        return gens
+
     def _validate(self):
-        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, each side a
-        sparse sum over nonzero constants; then 1 b_i = b_i = b_i 1."""
+        """Light's test: given the unit law, the z with (xy)z = x(yz) for all
+        x, y hold 1 and are closed under products, (xy)(zz') = (x(yz))z' =
+        x(y(zz')), so generators suffice.  A failure reruns every triple."""
+        if self._failure(self.generators):
+            raise ValueError(self._failure(range(self.dim)))
+
+    def _failure(self, ks):
+        """The first failure of (b_i b_j) b_k = b_i (b_j b_k), k in ks, each
+        side a sparse sum, then of the unit; None if there is none."""
         F = self.field
         sc = self.sc
         n = range(self.dim)
         for i in n:
             for j in n:
                 ij = sc[i][j].items()
-                for k in n:
+                for k in ks:
                     lhs = sparse_sum(F, ((c, sc[m][k]) for m, c in ij))
                     rhs = sparse_sum(F, ((c, sc[i][m])
                                          for m, c in sc[j][k].items()))
                     if lhs != rhs:
-                        raise ValueError(f"not associative at ({i},{j},{k})")
+                        return f"not associative at ({i},{j},{k})"
         for i in n:
             b = self.basis_vec(i)
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
-                raise ValueError(f"unit is not a two-sided identity at basis {i}")
+                return f"unit is not a two-sided identity at basis {i}"
+        return None
 
     def basis_vec(self, i):
         return {i: self.field.one}
@@ -174,26 +201,31 @@ class Bimodule:
             self._validate()
 
     def _validate(self):
+        """The laws at (i, g) for g in algebra.generators: the z with L_x L_z
+        = L(xz) for all x hold 1 and are closed under products, L_x L(zz') =
+        L(xz) L_z' = L(x(zz')); so are those with R_z R_x = R(xz), and then,
+        as R(zz') = R_z' R_z, those with L_x R_z = R_z L_x.  A failure reruns
+        every pair."""
+        if self._failure(self.algebra.generators):
+            raise ValueError(self._failure(range(self.algebra.dim)))
+
+    def _failure(self, js):
+        """The first failed law at (i, j), j in js, or None."""
         A = self.algebra
         idm = Matrix.identity(A.field, self.dim)
         if self.left_action(A.unit) != idm or self.right_action(A.unit) != idm:
-            raise ValueError("bimodule axioms fail: unit does not act as identity")
+            return "bimodule axioms fail: unit does not act as identity"
         for i in range(A.dim):
-            for j in range(A.dim):
+            for j in js:
                 prod = A.sc[i][j].items()
                 if self.left[i] @ self.left[j] != self._sum(self.left, prod):
-                    raise ValueError(
-                        f"bimodule axioms fail: left action at ({i},{j})"
-                    )
-                if self.right[j] @ self.right[i] != self._sum(self.right,
-                                                              prod):
-                    raise ValueError(
-                        f"bimodule axioms fail: right action at ({i},{j})"
-                    )
+                    return f"bimodule axioms fail: left action at ({i},{j})"
+                if self.right[j] @ self.right[i] != self._sum(self.right, prod):
+                    return f"bimodule axioms fail: right action at ({i},{j})"
                 if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
-                    raise ValueError(
-                        f"bimodule axioms fail: actions do not commute at ({i},{j})"
-                    )
+                    return ("bimodule axioms fail: actions do not commute "
+                            f"at ({i},{j})")
+        return None
 
     def _sum(self, mats, coeffs):
         """sum of c * mats[k] over pairs (k, c), column by column."""
@@ -219,21 +251,29 @@ def check_over(module, algebra, what):
         raise ValueError(f"bimodule is not over {what}")
 
 
-def product_checks(f, target, basis, image_of_product, sub):
+def product_checks(f, target, basis, image_of_product, sub, gens=None):
     """(multiplicative, bimodule map) for a linear map f into target.
 
     basis lists the source basis in whatever form the caller holds it, with
     f.columns[k] the image of basis[k]; image_of_product(x, y) is f(xy) for
     x, y in that form.  sub lists (a, f(a)) for generators a of the
-    subalgebra over which f must be a bimodule map.
+    subalgebra over which f must be a bimodule map.  gens lists (g, f(g))
+    for the unit and the generators of the source, or None for the basis:
+    the z with f(xz) = f(x)f(z) for all x are closed under products.
     """
     pairs = list(zip(basis, f.columns))
-    mult = all(image_of_product(x, y) == target.mul(fx, fy)
-               for x, fx in pairs for y, fy in pairs)
+    mult = all(image_of_product(x, g) == target.mul(fx, fg)
+               for x, fx in pairs for g, fg in gens or pairs)
     bimod = all(image_of_product(a, x) == target.mul(fa, fx)
                 and image_of_product(x, a) == target.mul(fx, fa)
                 for a, fa in sub for x, fx in pairs)
     return mult, bimod
+
+
+def generator_images(algebra, f):
+    """product_checks' gens for a map f from algebra."""
+    return [(x, f.apply(x)) for x in
+            [algebra.unit, *map(algebra.basis_vec, algebra.generators)]]
 
 
 def regular_bimodule(algebra):

@@ -4,20 +4,21 @@ partial actions of the maximum group image, and the collapse verifiers.
 The maps theta_s are stored as total matrices T_s (x -> theta_s(1_{s^-1} x),
 zero off the domain ideal), so all of the action axioms become checkable
 matrix identities.  The relation subspace N of L(A,theta,S) is spanned by
-the generators a delta_s - a delta_t over the natural-order pairs s <= t;
-that span is already an ideal, which CrossedProduct re-verifies on its
-table of basis products before inducing the quotient multiplication.  The
-skew group algebra of a partial group action is the same construction,
-with N = 0.
+the a delta_s - a delta_t over the natural-order pairs s <= t (Exel and
+Vieira, J. Math. Anal. Appl. 363 (2010)).  For a valid action N is an ideal,
+so CrossedProduct reads the quotient from section x section products; for
+a in 1_s A and s <= t, with c = b T_u(a) in 1_us A, us <= ut and su <= tu:
+b d_u (a d_s - a d_t) = c d_us - c d_ut, and a T_s(b) = a 1_s T_t(b) =
+a T_t(b) as T_s = T_ss^-1 T_t.  For a partial group action N = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebras import (Algebra, check_over, hochschild_cohomology,
-                       hochschild_homology, is_separable, product_checks,
-                       table_algebra)
+from .algebras import (Algebra, check_over, generator_images,
+                       hochschild_cohomology, hochschild_homology,
+                       is_separable, product_checks, table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
@@ -32,9 +33,9 @@ class IncompatibleAction(ValueError):
 
 class UnitalAction:
     """Action data: one central idempotent 1_s (a sparse vector of A) and
-    one total matrix T_s per s."""
+    one total matrix T_s per s; checked is validate_action's last report."""
 
-    __slots__ = ("monoid", "algebra", "one", "theta")
+    __slots__ = ("monoid", "algebra", "one", "theta", "checked")
 
     def __init__(self, monoid, algebra, one, theta):
         if len(one) != monoid.size or len(theta) != monoid.size:
@@ -49,6 +50,7 @@ class UnitalAction:
         self.algebra = algebra
         self.one = one
         self.theta = theta
+        self.checked = None
 
 
 def trivial_action(monoid, algebra):
@@ -141,6 +143,7 @@ def validate_action(action):
         rep.check(f"T_s make A a left KS-module ({exc})", False)
     else:
         rep.check("T_s make A a left KS-module", True)
+    action.checked = rep
     return rep
 
 
@@ -198,30 +201,23 @@ class CrossedProduct:
                         gens.append(gen)
         q = self.n_space = quotient_space(
             F, l_dim, Matrix(F, l_dim, len(gens), gens))
+        # N is an ideal for an action that passed validate_action (see the
+        # module docstring).  Any other action must show that every L basis
+        # label times every basis vector of N, on either side, lies in N.
+        if q.subspace_basis.cols and not (action.checked and action.checked.ok):
+            for col in q.subspace_basis.columns:
+                for k in range(l_dim):
+                    left = sparse_sum(F, ((c, self.l_mult(k, m))
+                                          for m, c in col.items()))
+                    right = sparse_sum(F, ((c, self.l_mult(m, k))
+                                           for m, c in col.items()))
+                    if self.class_of(left) or self.class_of(right):
+                        raise ValueError("induced multiplication ill-defined")
 
-        # The products of all pairs of L basis labels, projected through N
-        # and kept only where nonzero.
-        table = {}
-        for k1 in range(l_dim):
-            for k2 in range(l_dim):
-                prod = self.class_of(self.l_mult(k1, k2))
-                if prod:
-                    table[k1, k2] = prod
-
-        # N must be a two-sided ideal: every L basis element times every
-        # basis vector of N, on either side, projects to zero.
-        for col in q.subspace_basis.columns:
-            terms = col.items()
-            for k in range(l_dim):
-                left = sparse_sum(F, ((c, table.get((k, m), {})) for m, c in terms))
-                right = sparse_sum(F, ((c, table.get((m, k), {})) for m, c in terms))
-                if left or right:
-                    raise ValueError("induced multiplication ill-defined")
-
-        # The section is standard vectors, so the quotient's constants are the
-        # table's entries there, copied so that the whole table can be freed.
+        # The section is standard vectors, so the quotient's constants are
+        # the classes of the label products there.
         sec = [i for col in q.section.columns for i in col]
-        sc = [[dict(table.get((a, b), {})) for b in sec] for a in sec]
+        sc = [[self.class_of(self.l_mult(a, b)) for b in sec] for a in sec]
         self.algebra = Algebra(F, q.dim, sc,
                                self.class_of(self.place(S.unit, A.unit)))
 
@@ -232,7 +228,8 @@ class CrossedProduct:
             raise ValueError("induced multiplication ill-defined: A does not embed")
         if not product_checks(
                 self.embed_A, self.algebra, [A.basis_vec(i) for i in range(A.dim)],
-                lambda x, y: self.embed_A.apply(A.mul(x, y)), [])[0]:
+                lambda x, y: self.embed_A.apply(A.mul(x, y)), [],
+                generator_images(A, self.embed_A))[0]:
             raise ValueError(
                 "induced multiplication ill-defined: embedding not multiplicative")
         self.gamma = [self.class_of(self.place(s, action.one[s]))
@@ -385,7 +382,8 @@ def phi_map(crossed):
     mult, bimod = product_checks(
         phi, skew.algebra, [Q.basis_vec(i) for i in range(Q.dim)],
         lambda x, y: phi.apply(Q.mul(x, y)),
-        list(zip(crossed.embed_A.columns, skew.embed_A.columns)))
+        list(zip(crossed.embed_A.columns, skew.embed_A.columns)),
+        generator_images(Q, phi))
     rep.check("phi is an algebra homomorphism",
               phi.apply(Q.unit) == skew.algebra.unit and mult)
     rank = phi.rank()
@@ -426,7 +424,8 @@ def ks_as_crossed_product(monoid, field):
     mult, bimod = product_checks(
         phi, skew.algebra, range(S.size),
         lambda s, t: phi.columns[S.table[s][t]],
-        list(zip(S.idempotents(), skew.embed_A.columns)))
+        list(zip(S.idempotents(), skew.embed_A.columns)),
+        [(g, phi.columns[g]) for g in (S.unit, *S.generators)])
     rep.check("phi is an algebra homomorphism", mult)
     rep.check("phi(1) = 1", phi.columns[S.unit] == skew.algebra.unit)
     rep.check("phi is a KE(S)-bimodule map", bimod)

@@ -10,9 +10,9 @@ algebra is spanned by all point masses on arrows.
 from __future__ import annotations
 
 from .algebras import (Bimodule, check_over, diagonal_algebra,
-                       hochschild_cohomology, hochschild_homology,
-                       is_separable, matrix_unit_table, product_checks,
-                       table_algebra)
+                       generator_images, hochschild_cohomology,
+                       hochschild_homology, is_separable, matrix_unit_table,
+                       product_checks, table_algebra)
 from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, record_sides)
 from .homology import DEFAULT_COLUMN_CAP, cohomology, homology
@@ -256,7 +256,8 @@ def psi_map(g, masks, crossed, ak):
     mult, bimod = product_checks(
         psi, ak, [Q.basis_vec(i) for i in range(Q.dim)],
         lambda x, y: psi.apply(Q.mul(x, y)),
-        list(zip(crossed.embed_A.columns, emb.columns)))
+        list(zip(crossed.embed_A.columns, emb.columns)),
+        generator_images(Q, psi))
     rep.check("psi multiplicative", mult)
     rep.check("psi is an L(X)-bimodule map", bimod)
     return psi, rep

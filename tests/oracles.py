@@ -4,6 +4,8 @@ These deliberately avoid the library's complex builders: the rank oracle
 enumerates minors, the group (co)homology oracles build the textbook
 bar differentials over full tuple spaces with no projector machinery,
 the algebra oracle checks associativity on dense structure constants,
+the bimodule oracle checks the bimodule laws on every pair of basis
+elements with dense matrices,
 the crossed-product oracle multiplies dense vectors of L pair by pair,
 the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
@@ -532,6 +534,41 @@ def dense_algebra_check(field, dim, sc, unit):
     for i in n:
         if mul(unit, basis[i]) != basis[i] or mul(basis[i], unit) != basis[i]:
             return f"unit is not a two-sided identity at basis {i}"
+    return None
+
+
+def dense_bimodule_check(algebra, dim, left, right):
+    """The dim^2 bimodule check on dense action matrices: the unit acts as
+    the identity on both sides, then the left law, the right law and the
+    commutation of the two actions at every basis pair (i, j).
+
+    Returns None for a bimodule and otherwise the message of the first
+    failure, pairs in lexicographic order.
+    """
+    F = algebra.field
+    left = [dense(m) for m in left]
+    right = [dense(m) for m in right]
+
+    def action(mats, vec):
+        out = DenseMatrix.zeros(F, dim, dim)
+        for k, c in vec.items():
+            out = out + DenseMatrix(F, dim, dim, [[F.mul(c, a) for a in row]
+                                                  for row in mats[k].data])
+        return out
+
+    idm = DenseMatrix.identity(F, dim)
+    if action(left, algebra.unit) != idm or action(right, algebra.unit) != idm:
+        return "bimodule axioms fail: unit does not act as identity"
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            prod = algebra.sc[i][j]
+            if left[i] @ left[j] != action(left, prod):
+                return f"bimodule axioms fail: left action at ({i},{j})"
+            if right[j] @ right[i] != action(right, prod):
+                return f"bimodule axioms fail: right action at ({i},{j})"
+            if left[i] @ right[j] != right[j] @ left[i]:
+                return ("bimodule axioms fail: actions do not commute "
+                        f"at ({i},{j})")
     return None
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
-                             dual_numbers, field_algebra,
+                             dual_numbers, field_algebra, generator_images,
                              hochschild_cohomology, hochschild_homology,
                              is_separable, matrix_algebra, product_checks,
                              regular_bimodule, semigroup_algebra,
@@ -15,8 +15,9 @@ from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
-from oracles import (dense_algebra_check, dense_left_mult, dense_mul,
-                     dense_vec, sparse_vec)
+from oracles import (dense_algebra_check, dense_bimodule_check,
+                     dense_left_mult, dense_mul, dense_vec, sparse_vec)
+from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
 F2 = Field(2)
@@ -123,6 +124,40 @@ def test_algebra_check_agrees_with_dense_oracle_on_corrupted_tables():
     assert refused
 
 
+def test_light_test_refuses_corruption_away_from_the_generators():
+    # b_i b_j with neither b_i nor b_j a generator: Light's test must still
+    # refuse each corrupted constant there, with the dense oracle's message.
+    for alg in (semigroup_algebra(Q, chain_semilattice(4)),
+                matrix_algebra(Field(3), 2)):
+        F = alg.field
+        dense = _dense(alg)
+        unit = dense_vec(alg.unit, alg.dim)
+        off = [i for i in range(alg.dim) if i not in alg.generators]
+        assert off
+        for i, j in itertools.product(off, repeat=2):
+            for k in range(alg.dim):
+                bad = [[list(vec) for vec in row] for row in dense]
+                bad[i][j][k] = F.add(bad[i][j][k], F.one)
+                assert not _accepts_as_oracle_does(F, alg.dim, bad, unit)
+
+
+@settings(deadline=None, max_examples=40)
+@given(inverse_submonoids_of_i3_or_i4())
+def test_generators_right_closure_spans_ks(m):
+    # The unit and its left-to-right products with Algebra.generators span
+    # KS: the premise of Light's test, checked with an exact rank.
+    ks = semigroup_algebra(Q, m)
+    seen, closure, frontier = set(), [], [ks.unit]
+    while frontier:
+        v = frontier.pop()
+        key = tuple(sorted(v.items()))
+        if key not in seen:
+            seen.add(key)
+            closure.append(v)
+            frontier.extend(ks.mul(v, ks.basis_vec(g)) for g in ks.generators)
+    assert Matrix(Q, ks.dim, len(closure), closure).rank() == ks.dim
+
+
 def test_matrix_algebra_is_matrix_units():
     m2 = matrix_algebra(Q, 2)
     # e_01 * e_10 = e_00, e_01 * e_01 = 0
@@ -190,6 +225,44 @@ def test_bimodule_validation():
         Bimodule(k, 1, twisted, [Matrix.identity(Q, 1)])
 
 
+def _corrupted_bimodules(bimodule):
+    """Copies of a bimodule with one left or one right matrix set to zero
+    or the identity, doubled, or swapped for another basis element's."""
+    F = bimodule.algebra.field
+    n = bimodule.dim
+    for side in (0, 1):
+        mats = (bimodule.left, bimodule.right)[side]
+        for k, m in enumerate(mats):
+            for new in (Matrix(F, n, n), Matrix.identity(F, n), m + m,
+                        *(mats[:k] + mats[k + 1:])):
+                sides = [list(bimodule.left), list(bimodule.right)]
+                sides[side][k] = new
+                yield sides
+
+
+def test_bimodule_check_agrees_with_dense_oracle_on_corrupted_bimodules():
+    refused = seen = 0
+    for F in (Q, F2, Field(3)):
+        for alg in (semigroup_algebra(F, symmetric_inverse_monoid(2)),
+                    matrix_algebra(F, 2), dual_numbers(F),
+                    diagonal_algebra(F, 3)):
+            reg = regular_bimodule(alg)
+            assert dense_bimodule_check(alg, alg.dim, reg.left,
+                                        reg.right) is None
+            Bimodule(alg, alg.dim, reg.left, reg.right)
+            for left, right in _corrupted_bimodules(reg):
+                expected = dense_bimodule_check(alg, alg.dim, left, right)
+                seen += 1
+                try:
+                    Bimodule(alg, alg.dim, left, right)
+                except ValueError as exc:
+                    assert str(exc) == expected
+                    refused += 1
+                else:
+                    assert expected is None
+    assert (seen, refused) == (660, 636)
+
+
 def test_product_checks_catch_a_non_homomorphism():
     # the identity on coordinates is an algebra map from K^2 to itself, but
     # not from the dual numbers K[x]/(x^2) to K^2: f(x x) = 0, f(x)^2 = f(x)
@@ -201,6 +274,10 @@ def test_product_checks_catch_a_non_homomorphism():
         assert product_checks(idm, diag, basis,
                               lambda u, v: idm.apply(src.mul(u, v)),
                               [(x, x)]) == expected
+        # the same verdicts from the unit and the generators alone
+        assert product_checks(idm, diag, basis,
+                              lambda u, v: idm.apply(src.mul(u, v)),
+                              [(x, x)], generator_images(src, idm)) == expected
     # a source held as its Cayley table: K[Z/2] -> K^2 by the two
     # characters is an algebra map; sending g to (1, 0) is not
     z2 = cyclic_group(2)
@@ -209,6 +286,11 @@ def test_product_checks_catch_a_non_homomorphism():
         assert product_checks(f, diag, range(2),
                               lambda s, t: f.columns[z2.table[s][t]],
                               [(z2.unit, f.columns[z2.unit])]) == expected
+        assert product_checks(f, diag, range(2),
+                              lambda s, t: f.columns[z2.table[s][t]],
+                              [(z2.unit, f.columns[z2.unit])],
+                              [(g, f.columns[g]) for g in
+                               (z2.unit, *z2.generators)]) == expected
 
 
 def _vector_entries(field):

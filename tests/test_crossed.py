@@ -394,6 +394,59 @@ def test_crossed_product_matches_vector_oracle():
     assert n == 40
 
 
+def _l_mult_calls(monkeypatch):
+    """A list that gains one entry per CrossedProduct.l_mult call."""
+    from invhom.crossed import CrossedProduct
+    calls = []
+    l_mult = CrossedProduct.l_mult
+    monkeypatch.setattr(CrossedProduct, "l_mult",
+                        lambda cp, k1, k2: calls.append(1) or l_mult(cp, k1, k2))
+    return calls
+
+
+def test_crossed_product_paths_agree(monkeypatch):
+    # With the premise of the section-only build forced false, every desk
+    # action goes through the ideal scan, and must give the same crossed
+    # product.
+    import invhom.crossed as crossed
+    from invhom.reporting import Report
+    refused = Report("forced")
+    refused.check("forced", False)
+    calls = _l_mult_calls(monkeypatch)
+    n = 0
+    for action in _desk_actions():
+        fast = crossed_product(action)
+        with monkeypatch.context() as mp:
+            mp.setattr(action, "checked", refused)
+            calls.clear()
+            slow = crossed.CrossedProduct(action)
+        # the ideal scan runs exactly when N is not zero
+        q = slow.n_space
+        assert (len(calls) > q.dim ** 2) == bool(q.subspace_basis.cols)
+        _assert_matches_oracle(slow, {
+            "dim_N": fast.n_space.subspace_basis.cols,
+            "subspace_basis": fast.n_space.subspace_basis,
+            "sc": fast.algebra.sc, "unit": fast.algebra.unit,
+            "embed_A": fast.embed_A, "gamma": fast.gamma})
+        n += 1
+    assert n == 40
+
+
+def test_crossed_product_forms_section_label_products_only(monkeypatch):
+    # q.dim^2 label products in place of l_dim^2: 9^2 of 63^2 for the
+    # bisection action of pair:3, 7^2 of 17^2 for the natural action of i:2.
+    from invhom.groupoids import bisections_with_masks, induced_action_hat
+    from invhom.serialize import resolve_groupoid, resolve_monoid
+    calls = _l_mult_calls(monkeypatch)
+    g = resolve_groupoid("pair:3")
+    for action, expected in (
+            (induced_action_hat(g, Q, *bisections_with_masks(g)), (81, 63)),
+            (natural_ke_action(resolve_monoid("i:2"), Q), (49, 17))):
+        calls.clear()
+        cp = crossed_product(action)
+        assert (len(calls), cp.l_dim) == expected
+
+
 def _corrupted_actions(action):
     """Copies of a valid action with one 1_s or one T_s replaced (some of
     them are still valid actions)."""
