@@ -19,8 +19,8 @@ from .crossed import (CrossedProduct, PartialGroupAction, UnitalAction,
                       coinvariants, crossed_product,
                       induced_partial_action, invariants_sub, is_compatible,
                       ks_as_crossed_product, module_as_ks, natural_ke_action,
-                      phi_map, skew_group_algebra, trivial_action,
-                      validate_action, verify_separable_collapse_cohomology,
+                      phi_map, trivial_action, validate_action,
+                      verify_separable_collapse_cohomology,
                       verify_separable_collapse_homology)
 from .groupoids import (FiniteGroupoid, SteinbergData, bisections,
                         discrete_groupoid, disjoint_union, group_as_groupoid,

@@ -16,8 +16,7 @@ class Algebra:
     unit among them, are sparse vectors {i: x} on the basis.  The unit and
     its left-to-right products with the basis vectors of generators span."""
 
-    __slots__ = ("field", "dim", "sc", "unit", "generators", "_left_mats",
-                 "_right_mats")
+    __slots__ = ("field", "dim", "sc", "unit", "generators")
 
     def __init__(self, field, dim, sc, unit):
         if len(sc) != dim or not all(
@@ -31,8 +30,6 @@ class Algebra:
         self.dim = dim
         self.sc = sc
         self.unit = unit
-        self._left_mats = None
-        self._right_mats = None
         self.generators = self._generators()
         self._validate()
 
@@ -101,18 +98,6 @@ class Algebra:
         return Matrix(self.field, self.dim, self.dim, [
             sparse_sum(self.field, ((a, self.sc[j][i]) for i, a in v.items()))
             for j in range(self.dim)])
-
-    def basis_left_mats(self):
-        if self._left_mats is None:
-            self._left_mats = [self.left_mult_matrix(self.basis_vec(i))
-                               for i in range(self.dim)]
-        return self._left_mats
-
-    def basis_right_mats(self):
-        if self._right_mats is None:
-            self._right_mats = [self.right_mult_matrix(self.basis_vec(i))
-                                for i in range(self.dim)]
-        return self._right_mats
 
     def is_commutative(self):
         for i in range(self.dim):
@@ -251,19 +236,19 @@ def check_over(module, algebra, what):
         raise ValueError(f"bimodule is not over {what}")
 
 
-def product_checks(f, target, basis, image_of_product, sub, gens=None):
+def product_checks(f, target, basis, image_of_product, sub, gens):
     """(multiplicative, bimodule map) for a linear map f into target.
 
     basis lists the source basis in whatever form the caller holds it, with
     f.columns[k] the image of basis[k]; image_of_product(x, y) is f(xy) for
     x, y in that form.  sub lists (a, f(a)) for generators a of the
     subalgebra over which f must be a bimodule map.  gens lists (g, f(g))
-    for the unit and the generators of the source, or None for the basis:
+    for the unit and the generators of the source (or for the whole basis):
     the z with f(xz) = f(x)f(z) for all x are closed under products.
     """
     pairs = list(zip(basis, f.columns))
     mult = all(image_of_product(x, g) == target.mul(fx, fg)
-               for x, fx in pairs for g, fg in gens or pairs)
+               for x, fx in pairs for g, fg in gens)
     bimod = all(image_of_product(a, x) == target.mul(fa, fx)
                 and image_of_product(x, a) == target.mul(fx, fa)
                 for a, fa in sub for x, fx in pairs)
@@ -278,12 +263,11 @@ def generator_images(algebra, f):
 
 def regular_bimodule(algebra):
     """The algebra as a bimodule over itself."""
-    return Bimodule(
-        algebra, algebra.dim,
-        algebra.basis_left_mats(),
-        algebra.basis_right_mats(),
-        validate=False,
-    )
+    basis = [algebra.basis_vec(i) for i in range(algebra.dim)]
+    return Bimodule(algebra, algebra.dim,
+                    [algebra.left_mult_matrix(b) for b in basis],
+                    [algebra.right_mult_matrix(b) for b in basis],
+                    validate=False)
 
 
 def _hochschild_degree(algebra, n, span):

@@ -5,9 +5,10 @@ The maps theta_s are stored as total matrices T_s (x -> theta_s(1_{s^-1} x),
 zero off the domain ideal), so all of the action axioms become checkable
 matrix identities.  The relation subspace N of L(A,theta,S) is spanned by
 the a delta_s - a delta_t over the natural-order pairs s <= t (Exel and
-Vieira, J. Math. Anal. Appl. 363 (2010)).  For a valid action N is an ideal,
-so CrossedProduct reads the quotient from section x section products; for
-a in 1_s A and s <= t, with c = b T_u(a) in 1_us A, us <= ut and su <= tu:
+Vieira, J. Math. Anal. Appl. 363 (2010)).  CrossedProduct accepts only a
+valid action, for which N is an ideal, so it reads the quotient from
+section x section products; for a in 1_s A and s <= t, with c = b T_u(a)
+in 1_us A, us <= ut and su <= tu:
 b d_u (a d_s - a d_t) = c d_us - c d_ut, and a T_s(b) = a 1_s T_t(b) =
 a T_t(b) as T_s = T_ss^-1 T_t.  For a partial group action N = 0.
 """
@@ -33,9 +34,9 @@ class IncompatibleAction(ValueError):
 
 class UnitalAction:
     """Action data: one central idempotent 1_s (a sparse vector of A) and
-    one total matrix T_s per s; checked is validate_action's last report."""
+    one total matrix T_s per s."""
 
-    __slots__ = ("monoid", "algebra", "one", "theta", "checked")
+    __slots__ = ("monoid", "algebra", "one", "theta")
 
     def __init__(self, monoid, algebra, one, theta):
         if len(one) != monoid.size or len(theta) != monoid.size:
@@ -50,7 +51,6 @@ class UnitalAction:
         self.algebra = algebra
         self.one = one
         self.theta = theta
-        self.checked = None
 
 
 def trivial_action(monoid, algebra):
@@ -143,7 +143,6 @@ def validate_action(action):
         rep.check(f"T_s make A a left KS-module ({exc})", False)
     else:
         rep.check("T_s make A a left KS-module", True)
-    action.checked = rep
     return rep
 
 
@@ -163,6 +162,8 @@ def is_compatible(action):
 class CrossedProduct:
     """L(A,theta,S) / N with its induced algebra structure.
 
+    validate_action runs first, and a failing action is refused as "action
+    invalid: ..."; a PartialGroupAction passed its own axioms on construction.
     labels[k] = (s, j): the k-th coordinate of L is the j-th basis vector of
     the ideal 1_s A placed in the delta_s slot.  For a partial group action
     the natural order is equality, so N = 0: A x G is the same construction.
@@ -172,6 +173,8 @@ class CrossedProduct:
                  "n_space", "algebra", "embed_A", "gamma")
 
     def __init__(self, action):
+        if not isinstance(action, PartialGroupAction):
+            validate_action(action).refuse("action invalid")
         S = action.monoid
         A = action.algebra
         F = A.field
@@ -201,19 +204,6 @@ class CrossedProduct:
                         gens.append(gen)
         q = self.n_space = quotient_space(
             F, l_dim, Matrix(F, l_dim, len(gens), gens))
-        # N is an ideal for an action that passed validate_action (see the
-        # module docstring).  Any other action must show that every L basis
-        # label times every basis vector of N, on either side, lies in N.
-        if q.subspace_basis.cols and not (action.checked and action.checked.ok):
-            for col in q.subspace_basis.columns:
-                for k in range(l_dim):
-                    left = sparse_sum(F, ((c, self.l_mult(k, m))
-                                          for m, c in col.items()))
-                    right = sparse_sum(F, ((c, self.l_mult(m, k))
-                                           for m, c in col.items()))
-                    if self.class_of(left) or self.class_of(right):
-                        raise ValueError("induced multiplication ill-defined")
-
         # The section is standard vectors, so the quotient's constants are
         # the classes of the label products there.
         sec = [i for col in q.section.columns for i in col]
@@ -271,9 +261,8 @@ class CrossedProduct:
 
 
 def crossed_product(action):
-    """Validate the action, then build A x_theta S: L, the relation span N,
-    and the quotient algebra."""
-    validate_action(action).refuse("action invalid")
+    """A x_theta S as CrossedProduct builds it, refused unless gamma_s
+    gamma_t = gamma_st."""
     S = action.monoid
     cp = CrossedProduct(action)
     # gamma_unit is the unit of an associative algebra, so the law on the
@@ -350,11 +339,6 @@ def induced_partial_action(action):
     return PartialGroupAction(G, A, domains, maps)
 
 
-def skew_group_algebra(partial):
-    """A x G for a unital partial group action: sum of D_g delta_g, N = 0."""
-    return CrossedProduct(partial)
-
-
 def phi_map(crossed):
     """Phi: A x_theta S -> A x_induced G(S), a delta_s + N -> a delta_[s].
 
@@ -362,7 +346,7 @@ def phi_map(crossed):
     homomorphism property, the A-bimodule property, and bijectivity.
     """
     action = crossed.action
-    skew = skew_group_algebra(induced_partial_action(action))
+    skew = CrossedProduct(induced_partial_action(action))
     S = action.monoid
     F = action.algebra.field
     proj = S.sigma_class_index()
@@ -408,7 +392,7 @@ def ks_as_crossed_product(monoid, field):
         raise ValueError("not E-unitary")
     S = monoid
     action = natural_ke_action(S, field)
-    skew = skew_group_algebra(induced_partial_action(action))
+    skew = CrossedProduct(induced_partial_action(action))
     proj = S.sigma_class_index()
 
     rep = Report("KS as crossed product over G(S)")

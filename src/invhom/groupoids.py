@@ -194,7 +194,7 @@ def induced_action_hat(g, field, monoid, masks):
     function algebra L(X) = K^objects.
 
     1_U is the indicator of r(U) and T_U moves the coordinate at src of
-    each arrow of U to its range.  crossed_product validates it.
+    each arrow of U to its range.  CrossedProduct validates it.
     """
     F = field
     one = []

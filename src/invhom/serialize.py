@@ -15,13 +15,13 @@ import json
 
 from .algebras import Algebra, Bimodule
 from .crossed import UnitalAction
-from .groupoids import (FiniteGroupoid, check_arrow_cap, discrete_groupoid,
-                        group_as_groupoid, pair_groupoid)
+from .groupoids import (BISECTION_ARROW_CAP, FiniteGroupoid, check_arrow_cap,
+                        discrete_groupoid, group_as_groupoid, pair_groupoid)
 from .homology import KSModule
 from .linalg import Field, Matrix
-from .monoids import (InverseMonoid, chain_semilattice, cyclic_group,
-                      direct_product, from_table, symmetric_inverse_monoid,
-                      trivial_monoid)
+from .monoids import (MONOID_SIZE_CAP, InverseMonoid, chain_semilattice,
+                      cyclic_group, direct_product, from_table,
+                      symmetric_inverse_monoid, trivial_monoid)
 
 
 class InputError(ValueError):
@@ -309,18 +309,34 @@ def _load_json(path):
     return doc
 
 
+# A shorthand number of more digits than the largest cap is past every cap
+# of what it would build, so it is refused before int() reads it.
+_SPEC_DIGITS = len(str(max(MONOID_SIZE_CAP, BISECTION_ARROW_CAP)))
+
+
+def _spec_count(spec, prefix, kind):
+    """The number after prefix in a shorthand spec, in ASCII digits as for
+    fp:<p>."""
+    digits = spec[len(prefix):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise InputError(f"unknown {kind} spec {spec!r}")
+    width = len(digits.lstrip("0"))
+    if width > _SPEC_DIGITS:
+        raise InputError(f"size cap exceeded: {prefix}N with a {width}-digit "
+                         "N is past every cap")
+    return int(digits)
+
+
 def resolve_monoid(spec):
     """Builtin shorthand or file:PATH -> InverseMonoid."""
     if spec.startswith("file:"):
         return monoid_from_dict(_load_json(spec[5:]))
     if spec == "trivial":
         return trivial_monoid()
-    if spec.startswith("i:"):
-        return symmetric_inverse_monoid(int(spec[2:]))
-    if spec.startswith("chain:"):
-        return chain_semilattice(int(spec[6:]))
-    if spec.startswith("z:"):
-        return cyclic_group(int(spec[2:]))
+    for prefix, build in (("i:", symmetric_inverse_monoid),
+                          ("chain:", chain_semilattice), ("z:", cyclic_group)):
+        if spec.startswith(prefix):
+            return build(_spec_count(spec, prefix, "monoid"))
     if spec.startswith("prod:"):
         parts = spec[5:].split(",")
         if len(parts) < 2:
@@ -341,15 +357,15 @@ def resolve_groupoid(spec):
     if spec.startswith("file:"):
         return groupoid_from_dict(_load_json(spec[5:]))
     if spec.startswith("pair:"):
-        n = int(spec[5:])
-        check_arrow_cap(max(n, 0) ** 2)
+        n = _spec_count(spec, "pair:", "groupoid")
+        check_arrow_cap(n ** 2)
         return pair_groupoid(n)
     if spec.startswith("group:"):
         group = resolve_monoid(spec[6:])
         check_arrow_cap(group.size)
         return group_as_groupoid(group)
     if spec.startswith("discrete:"):
-        n = int(spec[9:])
+        n = _spec_count(spec, "discrete:", "groupoid")
         check_arrow_cap(n)
         return discrete_groupoid(n)
     raise ValueError(f"unknown groupoid spec {spec!r}")

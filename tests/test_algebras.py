@@ -271,9 +271,11 @@ def test_product_checks_catch_a_non_homomorphism():
     for src, expected in ((diag, (True, True)), (dual, (False, False))):
         basis = [src.basis_vec(i) for i in range(2)]
         x = src.basis_vec(1)
+        # every basis pair
         assert product_checks(idm, diag, basis,
                               lambda u, v: idm.apply(src.mul(u, v)),
-                              [(x, x)]) == expected
+                              [(x, x)],
+                              list(zip(basis, idm.columns))) == expected
         # the same verdicts from the unit and the generators alone
         assert product_checks(idm, diag, basis,
                               lambda u, v: idm.apply(src.mul(u, v)),
@@ -285,7 +287,8 @@ def test_product_checks_catch_a_non_homomorphism():
         f = Matrix.from_cols(Q, 2, [[Q.one, Q.one], [Q.of(v) for v in g_image]])
         assert product_checks(f, diag, range(2),
                               lambda s, t: f.columns[z2.table[s][t]],
-                              [(z2.unit, f.columns[z2.unit])]) == expected
+                              [(z2.unit, f.columns[z2.unit])],
+                              list(zip(range(2), f.columns))) == expected
         assert product_checks(f, diag, range(2),
                               lambda s, t: f.columns[z2.table[s][t]],
                               [(z2.unit, f.columns[z2.unit])],

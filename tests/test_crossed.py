@@ -4,12 +4,12 @@ import pytest
 
 from invhom.algebras import (diagonal_algebra, field_algebra, matrix_algebra,
                              regular_bimodule)
-from invhom.crossed import (UnitalAction, coinvariants,
+from invhom.crossed import (CrossedProduct, UnitalAction, coinvariants,
                             crossed_product, induced_partial_action,
                             invariants_sub, is_compatible,
                             ks_as_crossed_product, module_as_ks,
-                            natural_ke_action, phi_map, skew_group_algebra,
-                            trivial_action, validate_action,
+                            natural_ke_action, phi_map, trivial_action,
+                            validate_action,
                             verify_separable_collapse_cohomology,
                             verify_separable_collapse_homology)
 from invhom.linalg import Field, Matrix
@@ -185,7 +185,7 @@ def test_induced_partial_action_chain2_z2():
 
 def test_skew_group_algebra_dimensions():
     z2 = cyclic_group(2)
-    sk = skew_group_algebra(induced_partial_action(
+    sk = CrossedProduct(induced_partial_action(
         trivial_action(z2, field_algebra(Q))))
     assert sk.algebra.dim == 2
     # partial Z/2-action on K x K with D_g = first component
@@ -194,7 +194,7 @@ def test_skew_group_algebra_dimensions():
     dom = [{0: Q.one, 1: Q.one}, {0: Q.one}]
     maps = [Matrix.identity(Q, 2), Matrix.from_rows(Q, [[1, 0], [0, 0]])]
     pa = PartialGroupAction(z2, a, dom, maps)
-    sk = skew_group_algebra(pa)
+    sk = CrossedProduct(pa)
     assert sk.algebra.dim == 3
 
 
@@ -396,40 +396,11 @@ def test_crossed_product_matches_vector_oracle():
 
 def _l_mult_calls(monkeypatch):
     """A list that gains one entry per CrossedProduct.l_mult call."""
-    from invhom.crossed import CrossedProduct
     calls = []
     l_mult = CrossedProduct.l_mult
     monkeypatch.setattr(CrossedProduct, "l_mult",
                         lambda cp, k1, k2: calls.append(1) or l_mult(cp, k1, k2))
     return calls
-
-
-def test_crossed_product_paths_agree(monkeypatch):
-    # With the premise of the section-only build forced false, every desk
-    # action goes through the ideal scan, and must give the same crossed
-    # product.
-    import invhom.crossed as crossed
-    from invhom.reporting import Report
-    refused = Report("forced")
-    refused.check("forced", False)
-    calls = _l_mult_calls(monkeypatch)
-    n = 0
-    for action in _desk_actions():
-        fast = crossed_product(action)
-        with monkeypatch.context() as mp:
-            mp.setattr(action, "checked", refused)
-            calls.clear()
-            slow = crossed.CrossedProduct(action)
-        # the ideal scan runs exactly when N is not zero
-        q = slow.n_space
-        assert (len(calls) > q.dim ** 2) == bool(q.subspace_basis.cols)
-        _assert_matches_oracle(slow, {
-            "dim_N": fast.n_space.subspace_basis.cols,
-            "subspace_basis": fast.n_space.subspace_basis,
-            "sc": fast.algebra.sc, "unit": fast.algebra.unit,
-            "embed_A": fast.embed_A, "gamma": fast.gamma})
-        n += 1
-    assert n == 40
 
 
 def test_crossed_product_forms_section_label_products_only(monkeypatch):
@@ -467,31 +438,28 @@ def _corrupted_actions(action):
             yield UnitalAction(S, A, one, action.theta)
 
 
-def test_crossed_product_refuses_what_the_vector_oracle_refuses(monkeypatch):
-    # With the action check switched off, the construction itself must
-    # refuse every corrupted action that the oracle refuses, and agree with
-    # it on every other one.
-    import invhom.crossed as crossed
-    from invhom.reporting import Report
+def test_crossed_product_refuses_exactly_the_invalid_actions():
+    # Both constructors refuse every corrupted action that validate_action
+    # refuses, with its report, and agree with the oracle on every other one.
     from oracles import crossed_product_by_vectors
-    monkeypatch.setattr(crossed, "validate_action",
-                        lambda action: Report("unchecked"))
     bases = [i1_on_k2(), natural_ke_action(chain_semilattice(2), Q),
              natural_ke_action(direct_product(chain_semilattice(2),
                                               cyclic_group(2)), Q)]
-    refused = 0
-    corrupted = [bad for base in bases for bad in _corrupted_actions(base)
-                 if not validate_action(bad).ok]
-    for bad in corrupted:
-        try:
-            expected = crossed_product_by_vectors(bad)
-        except ValueError:
-            with pytest.raises(ValueError):
-                crossed.crossed_product(bad)
-            refused += 1
+    seen = refused = 0
+    for bad in (bad for base in bases for bad in _corrupted_actions(base)):
+        seen += 1
+        rep = validate_action(bad)
+        if rep.ok:
+            _assert_matches_oracle(crossed_product(bad),
+                                   crossed_product_by_vectors(bad))
             continue
-        _assert_matches_oracle(crossed.crossed_product(bad), expected)
-    assert (len(corrupted), refused) == (56, 44)
+        refused += 1
+        message = "action invalid: " + "; ".join(n for n, _ in rep.failures())
+        for build in (CrossedProduct, crossed_product):
+            with pytest.raises(ValueError) as exc:
+                build(bad)
+            assert str(exc.value) == message
+    assert (seen, refused) == (96, 56)
 
 
 def test_partial_action_axioms():
@@ -527,7 +495,7 @@ def test_skew_products_follow_the_partial_action():
                 if not is_compatible(action):
                     continue
                 pa = induced_partial_action(action)
-                skew = skew_group_algebra(pa)
+                skew = CrossedProduct(pa)
                 G, A = pa.monoid, pa.algebra
                 for k1, (g, j1) in enumerate(skew.labels):
                     a_vec = skew.ideal_spans[g].basis.columns[j1]

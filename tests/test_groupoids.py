@@ -268,16 +268,18 @@ def test_one_build_per_steinberg_job(monkeypatch):
 
 
 def test_crossed_product_checks_compatibility_once(monkeypatch):
-    # The CLI reads compatibility off the guard of induced_partial_action.
+    # The CLI reads compatibility off the guard of induced_partial_action,
+    # and the action is validated once, inside CrossedProduct.
     import invhom.cli
     for spec in ("ke:prod:chain:2,z:2", "ke:i:2"):
         with monkeypatch.context() as mp:
-            counts = _count_calls(mp, ["crossed:is_compatible"])
+            counts = _count_calls(mp, ["crossed:is_compatible",
+                                       "crossed:validate_action"])
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert invhom.cli.main(["crossed-product", "--action",
                                         spec]) == 0
-        assert counts == {"is_compatible": 1}, spec
+        assert counts == {"is_compatible": 1, "validate_action": 1}, spec
 
 
 def test_bimodule_over_another_algebra_is_refused():
@@ -308,7 +310,6 @@ def test_action_checks_make_generator_many_products(monkeypatch):
     import invhom.crossed as crossed
     from invhom.algebras import Algebra
     from invhom.linalg import Matrix
-    from invhom.reporting import Report
     data = steinberg_data(pair_groupoid(3), Q)
     S = data.bisection_monoid
     action = data.crossed.action
@@ -328,9 +329,7 @@ def test_action_checks_make_generator_many_products(monkeypatch):
     assert validate_action(action).ok
     assert counts["matmul"] <= S.size * A.dim + S.size
 
-    # The gamma loop alone: the action check and the build are stubbed.
-    monkeypatch.setattr(crossed, "validate_action",
-                        lambda action: Report("unchecked"))
+    # The gamma loop alone: the build, action check included, is stubbed.
     monkeypatch.setattr(crossed, "CrossedProduct", lambda action: data.crossed)
     counts["mul"] = 0
     assert crossed.crossed_product(action) is data.crossed

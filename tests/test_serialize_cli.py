@@ -52,6 +52,35 @@ def test_parse_field():
         assert str(exc.value) == message
 
 
+def _unknown_spec(kind, spec):
+    return f"unknown {kind} spec {spec!r}"
+
+
+# Shorthand numbers follow fp:<p>: ASCII decimal digits and nothing else.
+BAD_SHORTHAND_SPECS = (
+    *(("monoid", spec, _unknown_spec("monoid", spec)) for spec in (
+        "i:", "i: 2", "i:-1", "chain:2 ", "chain:1_0", "z:+2", "z:\u0663",
+        "z:2.0")),
+    ("monoid", "prod:z:2,z:+2", _unknown_spec("monoid", "z:+2")),
+    *(("groupoid", spec, _unknown_spec("groupoid", spec)) for spec in (
+        "pair:_4", "pair:+2", "pair:-1", "discrete:+2", "discrete:\u0663")),
+    ("groupoid", "group:z:+3", _unknown_spec("monoid", "z:+3")),
+)
+
+
+def test_resolve_refuses_malformed_shorthand_numbers():
+    assert resolve_monoid("z:002").size == 2
+    for kind, spec, message in BAD_SHORTHAND_SPECS:
+        resolve, argv = {
+            "monoid": (resolve_monoid, ["homology", "--monoid", spec]),
+            "groupoid": (resolve_groupoid, ["steinberg", "--groupoid", spec]),
+        }[kind]
+        with pytest.raises(ValueError) as exc:
+            resolve(spec)
+        assert str(exc.value) == message
+        assert _cli_error_lines(argv) == [f"error: {message}"]
+
+
 def test_monoid_roundtrip():
     m = symmetric_inverse_monoid(2)
     doc = json.loads(json.dumps(monoid_to_dict(m)))
@@ -304,6 +333,24 @@ def test_cli_monoid_size_cap_exit_2_quickly():
         p = _run_cli(*job, timeout=10)
         _assert_one_error_line(p)
         assert "size cap exceeded" in p.stderr
+
+
+def test_cli_long_shorthand_number_is_refused_unread():
+    # More digits than the largest cap (256) is past every cap, refused
+    # before int() runs, in one line that names neither the number nor
+    # Python's integer-conversion limit; leading zeros do not count.
+    for job, prefix in (("homology --monoid", "i:"),
+                        ("homology --monoid", "chain:"),
+                        ("homology --monoid", "z:"),
+                        ("steinberg --groupoid", "pair:"),
+                        ("steinberg --groupoid", "discrete:")):
+        for digits, width in (("1000", 4), ("0" * 9 + "1000", 4),
+                              ("9" * 5000, 5000)):
+            start = time.monotonic()
+            lines = _cli_error_lines([*job.split(), prefix + digits])
+            assert time.monotonic() - start < 2.0
+            assert lines == [f"error: size cap exceeded: {prefix}N with a "
+                             f"{width}-digit N is past every cap"]
 
 
 def test_arrow_cap_refuses_before_building(tmp_path):
