@@ -35,10 +35,13 @@ class Algebra:
 
     def _generators(self):
         """b_i in turn when outside the closure of the unit under right
-        multiplication by the generators so far, which grows incrementally."""
+        multiplication by the generators so far, which grows incrementally.
+        Candidates come by decreasing support of b_i A, then by index."""
         F = self.field
         pivots, closure, gens, frontier = {}, [], [], [self.unit]
-        for i in range(self.dim):
+        order = sorted(range(self.dim),
+                       key=lambda i: (-len(set().union(*self.sc[i])), i))
+        for i in order:
             while frontier and len(closure) < self.dim:
                 v = frontier.pop()
                 if _insert(F, pivots, dict(v)) is not None:

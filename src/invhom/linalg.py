@@ -158,28 +158,6 @@ class Matrix:
         one = field.one
         return Matrix(field, n, n, [{j: one} for j in range(n)])
 
-    @staticmethod
-    def from_rows(field, rows_data):
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        if any(len(row) != cols for row in rows_data):
-            raise ValueError("dimension mismatch in row data")
-        m = Matrix(field, rows, cols)
-        for i, row in enumerate(rows_data):
-            for j, v in enumerate(row):
-                m.add_at(i, j, field.of(v))
-        return m
-
-    @staticmethod
-    def from_cols(field, ambient_dim, cols_data):
-        columns = []
-        for col in cols_data:
-            if len(col) != ambient_dim:
-                raise ValueError("dimension mismatch in column data")
-            columns.append({i: x for i, x in enumerate(map(field.of, col))
-                            if x})
-        return Matrix(field, ambient_dim, len(columns), columns)
-
     def add_at(self, i, j, v):
         if not v:
             return
@@ -216,10 +194,16 @@ class Matrix:
             )
         # Column j of the product is self applied to column j of other,
         # summed here in place: a product has many short columns, and a
-        # call per column would cost more than the sum.
+        # call per column would cost more than the sum.  A column that is a
+        # single 1 at k, as in every partial permutation, picks column k.
         p = self.field.char
         out = []
         for ocol in other.columns:
+            if len(ocol) == 1:
+                (k, v), = ocol.items()
+                if v == 1:
+                    out.append(dict(self.columns[k]))
+                    continue
             acc = {}
             for k, v in ocol.items():
                 for i, a in self.columns[k].items():

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 
-# Light's test costs |S|^2 |A| steps for a generating set A: 0.015 s for
-# i:4 (|A| = 5) and 0.7 s for a 256-element chain (A = S) on one Xeon core.
-# Building the table of i:5 (1,546 elements) is the wall, so every
-# constructor refuses a larger monoid before building its table.
+# Light's test costs 2|S|^2 |A| lookups for a generating set A, a row at a
+# time: from_table takes about 0.017 s for i:4 (|A| = 5) and 0.6-0.9 s for
+# a 256-element chain (A = S) on one Xeon core, and I_4's table builds in
+# 0.005 s.  I_5 (1,546 elements) would take 0.1-0.4 s to build and 0.8-1.0 s
+# to validate, so every constructor refuses a larger monoid before building
+# its table.
 MONOID_SIZE_CAP = 256
 
 
@@ -136,15 +139,21 @@ def from_table(table, unit=None, names=None):
                 raise ValueError(f"table entry {v} out of range")
     gens = _generators(table)
     # Light's test: the k with (ij)k = i(jk) for all i, j are closed under
-    # products, so testing the generators covers every k.
-    for i in range(n):
-        row = table[i]
-        for j in range(n):
-            tij = table[row[j]]
-            tj = table[j]
-            for k in gens:
-                if tij[k] != row[tj[k]]:
-                    raise ValueError(f"not associative at ({i},{j},{k})")
+    # products, so testing the generators covers every k.  Row i is tested
+    # whole: column k read at row i is (ij)k, row i read at column k is
+    # i(jk).  A failing row is scanned again for its first (j, k).
+    cols = [[row[k] for row in table] for k in gens]
+    col_getters = [itemgetter(*col) for col in cols]
+    for i, row in enumerate(table):
+        row_getter = itemgetter(*row)
+        if any(row_getter(col) != get(row)
+               for col, get in zip(cols, col_getters)):
+            for j in range(n):
+                tij = table[row[j]]
+                tj = table[j]
+                for k in gens:
+                    if tij[k] != row[tj[k]]:
+                        raise ValueError(f"not associative at ({i},{j},{k})")
     units = [e for e in range(n)
              if all(table[e][x] == x and table[x][e] == x for x in range(n))]
     if not units:
@@ -154,9 +163,9 @@ def from_table(table, unit=None, names=None):
     elif unit not in units:
         raise ValueError(f"element {unit} is not a two-sided identity")
     inv = [None] * n
-    for s in range(n):
-        cands = [x for x in range(n)
-                 if table[table[s][x]][s] == s and table[table[x][s]][x] == x]
+    for s, row in enumerate(table):
+        cands = [x for x, sx in enumerate(row)
+                 if table[sx][s] == s and table[table[x][s]][x] == x]
         if not cands:
             raise ValueError(f"inverse missing for element {s}")
         if len(cands) > 1:
@@ -245,13 +254,39 @@ def symmetric_inverse_monoid(n):
                 m[x] = y
             elems.append(tuple(m))
     index = {m: i for i, m in enumerate(elems)}
-    # f after g, defined where g is and f is defined at g's image
-    table = [[index[tuple(f[y - 1] if y else 0 for y in g)] for g in elems]
-             for f in elems]
+    size = len(elems)
+
+    def after(f, g):
+        """f after g, defined where g is and f is defined at g's image."""
+        return index[tuple(f[y - 1] if y else 0 for y in g)]
+
+    # S_n and one rank-(n-1) idempotent generate I_n (Ganyushkin and
+    # Mazorchuk 2009): here the adjacent transpositions and the identity on
+    # {2..n}.  Only their rows are composed.  Row p.a is row p read at row
+    # a, so a breadth-first walk of the right Cayley graph from the unit,
+    # whose edge p -> p.a is entry a of row p, fills each row in one call.
+    ident = tuple(range(1, n + 1))
+    gens = [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
+    gens += [(0,) + ident[1:]] if n else []
+    getters = [(index[a], itemgetter(*[after(a, g) for g in elems]))
+               for a in gens]
+    unit = index[ident]
+    table = [None] * size
+    table[unit] = list(range(size))
+    walk = [unit]
+    for p in walk:
+        row = table[p]
+        for a, get in getters:
+            g = row[a]
+            if table[g] is None:
+                table[g] = list(get(row))
+                walk.append(g)
+    if len(walk) != size:
+        raise ValueError(f"I_{n} walk reached {len(walk)} of {size} elements")
     names = ["[%s->%s]" % ("".join(str(x + 1) for x in range(n) if m[x]),
                            "".join(str(y) for y in m if y)) if any(m) else "[]"
              for m in elems]
-    return from_table(table, unit=index[tuple(range(1, n + 1))], names=names)
+    return from_table(table, unit=unit, names=names)
 
 
 def direct_product(s, t):

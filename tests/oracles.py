@@ -10,9 +10,12 @@ the crossed-product oracle multiplies dense vectors of L pair by pair,
 the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
-and the table of G(S) by search.  DenseMatrix is the dense row-list matrix
-arithmetic that the column-sparse Matrix replaced, kept as its reference.
-The dense vector helpers (``vec_sub``, ``vec_is_zero``, ``dense_mul``,
+and the table of G(S) by search.  The monoid-table oracles compose every
+pair of partial bijections of I_n and run from_table's checks one entry at
+a time.  DenseMatrix is the dense row-list matrix arithmetic that the
+column-sparse Matrix replaced, kept as its reference; ``from_rows`` and
+``from_cols`` write a column-sparse Matrix from nested lists.  The dense
+vector helpers (``vec_sub``, ``vec_is_zero``, ``dense_mul``,
 ``dense_left_mult``, ``dense_apply``, ``dense_coords``) are the list-vector
 arithmetic that the sparse {i: x} vectors replaced, kept as their
 reference; ``dense_coords`` solves by textbook Gauss-Jordan.  FractionField is the scalar arithmetic that keeps every rational a
@@ -26,6 +29,7 @@ from fractions import Fraction
 from invhom.algebras import Algebra
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
                            mat_rank, quotient_space)
+from invhom.monoids import MONOID_SIZE_CAP, _generators
 
 
 class FractionField:
@@ -244,6 +248,29 @@ class DenseMatrix:
         return f"DenseMatrix({self.field}, {self.rows}x{self.cols})"
 
 
+def from_rows(field, rows_data):
+    """The column-sparse Matrix with the given rows of field values."""
+    rows = len(rows_data)
+    cols = len(rows_data[0]) if rows else 0
+    if any(len(row) != cols for row in rows_data):
+        raise ValueError("dimension mismatch in row data")
+    m = Matrix(field, rows, cols)
+    for i, row in enumerate(rows_data):
+        for j, v in enumerate(row):
+            m.add_at(i, j, field.of(v))
+    return m
+
+
+def from_cols(field, ambient_dim, cols_data):
+    """The column-sparse Matrix with the given columns of field values."""
+    columns = []
+    for col in cols_data:
+        if len(col) != ambient_dim:
+            raise ValueError("dimension mismatch in column data")
+        columns.append({i: x for i, x in enumerate(map(field.of, col)) if x})
+    return Matrix(field, ambient_dim, len(columns), columns)
+
+
 def dense(m):
     """The column-sparse Matrix m as a DenseMatrix."""
     zero = m.field.zero
@@ -254,7 +281,7 @@ def dense(m):
 
 def sparse(d):
     """The DenseMatrix d as a column-sparse Matrix."""
-    return Matrix.from_cols(d.field, d.rows, [d.col(j) for j in range(d.cols)])
+    return from_cols(d.field, d.rows, [d.col(j) for j in range(d.cols)])
 
 
 def vec_sub(field, u, v):
@@ -304,8 +331,8 @@ def dense_mul(algebra, u, v):
 def dense_left_mult(algebra, v):
     """Matrix of x -> v*x for a list vector v: column j is v b_j."""
     F, d = algebra.field, algebra.dim
-    return Matrix.from_cols(F, d, [dense_mul(algebra, v, dense_basis(F, d, j))
-                                   for j in range(d)])
+    return from_cols(F, d, [dense_mul(algebra, v, dense_basis(F, d, j))
+                            for j in range(d)])
 
 
 def dense_apply(m, vec):
@@ -590,6 +617,65 @@ def is_inverse_monoid(table):
     return all(table[e][f] == table[f][e] for e in idems for f in idems)
 
 
+def symmetric_inverse_table_by_composition(n):
+    """(table, unit) of I_n with each of the |I_n|^2 products composed as
+    partial bijections, elements in symmetric_inverse_monoid's order."""
+    elems = []
+    for mask in range(1 << n):
+        dom = [x for x in range(n) if mask >> x & 1]
+        for img in itertools.permutations(range(1, n + 1), len(dom)):
+            m = [0] * n
+            for x, y in zip(dom, img):
+                m[x] = y
+            elems.append(tuple(m))
+    index = {m: i for i, m in enumerate(elems)}
+    # f after g, defined where g is and f is defined at g's image
+    table = [[index[tuple(f[y - 1] if y else 0 for y in g)] for g in elems]
+             for f in elems]
+    return table, index[tuple(range(1, n + 1))]
+
+
+def from_table_failure(table, unit=None):
+    """The message from_table refuses table with, or None: its checks one
+    entry at a time, Light's test as a scan over (i, j, k) and the inverse
+    search over every candidate x."""
+    n = len(table)
+    if n > MONOID_SIZE_CAP:
+        return (f"size cap exceeded: monoid would have {n} elements, "
+                f"more than {MONOID_SIZE_CAP}")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return f"table row {i} has length {len(row)}, expected {n}"
+        for v in row:
+            if not (0 <= v < n):
+                return f"table entry {v} out of range"
+    gens = _generators(table)
+    for i in range(n):
+        for j in range(n):
+            for k in gens:
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return f"not associative at ({i},{j},{k})"
+    units = [e for e in range(n)
+             if all(table[e][x] == x and table[x][e] == x for x in range(n))]
+    if not units:
+        return "no identity"
+    if unit is not None and unit not in units:
+        return f"element {unit} is not a two-sided identity"
+    for s in range(n):
+        cands = [x for x in range(n)
+                 if table[table[s][x]][s] == s and table[table[x][s]][x] == x]
+        if not cands:
+            return f"inverse missing for element {s}"
+        if len(cands) > 1:
+            return f"inverse not unique for element {s}: candidates {cands}"
+    idems = [e for e in range(n) if table[e][e] == e]
+    for e in idems:
+        for f in idems:
+            if table[e][f] != table[f][e]:
+                return f"idempotents {e} and {f} do not commute"
+    return None
+
+
 def natural_order_by_search(monoid):
     """leq[s][t] iff s = e t for some idempotent e."""
     idems = monoid.idempotents()
@@ -749,7 +835,7 @@ def crossed_product_by_vectors(action):
                 for j in range(spans[s].dim):
                     a_vec = dense_col(spans[s].basis, j)
                     gens.append(vec_sub(F, place(s, a_vec), place(t, a_vec)))
-    q = quotient_space(F, l_dim, Matrix.from_cols(F, l_dim, gens))
+    q = quotient_space(F, l_dim, from_cols(F, l_dim, gens))
 
     def project(v):
         return dense_apply(q.projection, v)
@@ -767,7 +853,7 @@ def crossed_product_by_vectors(action):
     unit = project(place(S.unit, dense_vec(A.unit, d)))
     quotient = Algebra(F, q.dim, sc, sparse_vec(unit))
     basis_A = [dense_basis(F, d, i) for i in range(d)]
-    embed = Matrix.from_cols(F, q.dim, [
+    embed = from_cols(F, q.dim, [
         project(place(S.unit, b)) for b in basis_A])
     if mat_rank(embed) != d:
         raise ValueError("A does not embed")

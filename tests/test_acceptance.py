@@ -28,7 +28,7 @@ from invhom.linalg import Field, Matrix, kernel_basis
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
 from oracles import (bar_group_cohomology, bar_group_homology, dense_col,
-                     sparse_vec)
+                     from_rows, sparse_vec)
 
 Q = Field(0)
 F2 = Field(2)
@@ -118,7 +118,7 @@ def _i1_on_k2():
     i1 = symmetric_inverse_monoid(1)
     a = diagonal_algebra(Q, 2)
     one = [{0: Q.one}, {0: Q.one, 1: Q.one}]
-    theta = [Matrix.from_rows(Q, [[1, 0], [0, 0]]), Matrix.identity(Q, 2)]
+    theta = [from_rows(Q, [[1, 0], [0, 0]]), Matrix.identity(Q, 2)]
     return UnitalAction(i1, a, one, theta)
 
 
@@ -158,7 +158,7 @@ def test_criterion_5_crossed_product_structure():
                     cp.ideal_spans[s].basis.columns[j].get(coord, Q.zero)
                     if proj[s] == c else Q.zero
                     for (s, j) in cp.labels])
-        ker = kernel_basis(Matrix.from_rows(Q, rows))
+        ker = kernel_basis(from_rows(Q, rows))
         ok = ok and ker.cols == cp.n_space.subspace_basis.cols
         for _ in range(12):
             vec = [Q.zero] * cp.l_dim

@@ -15,8 +15,10 @@ from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
+from invhom.serialize import resolve_monoid
 from oracles import (dense_algebra_check, dense_bimodule_check,
-                     dense_left_mult, dense_mul, dense_vec, sparse_vec)
+                     dense_left_mult, dense_mul, dense_vec, from_cols,
+                     from_rows, sparse_vec)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
@@ -158,6 +160,16 @@ def test_generators_right_closure_spans_ks(m):
     assert Matrix(Q, ks.dim, len(closure), closure).rank() == ks.dim
 
 
+def test_ks_needs_no_more_generators_than_its_monoid():
+    # Taking b_i by decreasing support of b_i KS finds a generating set no
+    # larger than the monoid's own, which is chosen by right-ideal size.
+    for spec in ("i:2", "i:3", "prod:i:2,z:3"):
+        m = resolve_monoid(spec)
+        for F in (Q, F2):
+            assert len(semigroup_algebra(F, m).generators) <= len(
+                m.generators), (spec, F)
+
+
 def test_matrix_algebra_is_matrix_units():
     m2 = matrix_algebra(Q, 2)
     # e_01 * e_10 = e_00, e_01 * e_01 = 0
@@ -220,7 +232,7 @@ def test_bimodule_validation():
     k = field_algebra(Q)
     good = Bimodule(k, 1, [Matrix.identity(Q, 1)], [Matrix.identity(Q, 1)])
     assert good.dim == 1
-    twisted = [Matrix.from_rows(Q, [[2]])]
+    twisted = [from_rows(Q, [[2]])]
     with pytest.raises(ValueError, match="bimodule axioms fail"):
         Bimodule(k, 1, twisted, [Matrix.identity(Q, 1)])
 
@@ -284,7 +296,7 @@ def test_product_checks_catch_a_non_homomorphism():
     # characters is an algebra map; sending g to (1, 0) is not
     z2 = cyclic_group(2)
     for g_image, expected in (([1, -1], (True, True)), ([1, 0], (False, True))):
-        f = Matrix.from_cols(Q, 2, [[Q.one, Q.one], [Q.of(v) for v in g_image]])
+        f = from_cols(Q, 2, [[Q.one, Q.one], [Q.of(v) for v in g_image]])
         assert product_checks(f, diag, range(2),
                               lambda s, t: f.columns[z2.table[s][t]],
                               [(z2.unit, f.columns[z2.unit])],

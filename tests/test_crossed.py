@@ -15,7 +15,7 @@ from invhom.crossed import (CrossedProduct, UnitalAction, coinvariants,
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
-from oracles import dense_col, sparse_vec
+from oracles import dense_col, from_cols, from_rows, sparse_vec
 
 Q = Field(0)
 
@@ -25,7 +25,7 @@ def i1_on_k2():
     i1 = symmetric_inverse_monoid(1)
     a = diagonal_algebra(Q, 2)
     one = [{0: Q.one}, {0: Q.one, 1: Q.one}]
-    theta = [Matrix.from_rows(Q, [[1, 0], [0, 0]]), Matrix.identity(Q, 2)]
+    theta = [from_rows(Q, [[1, 0], [0, 0]]), Matrix.identity(Q, 2)]
     return UnitalAction(i1, a, one, theta)
 
 
@@ -129,7 +129,7 @@ def test_n_sigma_class_sums_vanish_on_random_elements():
 
 def test_e_unitary_converse_membership():
     # E-unitary: vanishing class sums characterize membership in N
-    from invhom.linalg import Matrix as M, kernel_basis
+    from invhom.linalg import kernel_basis
     rng = random.Random(1)
     p = direct_product(chain_semilattice(2), cyclic_group(2))
     action = natural_ke_action(p, Q)
@@ -147,7 +147,7 @@ def test_e_unitary_converse_membership():
                 vec = dense_col(cp.ideal_spans[s].basis, j)
                 row.append(vec[coord] if proj[s] == c else Q.zero)
             rows.append(row)
-    sums_mat = M.from_rows(Q, rows)
+    sums_mat = from_rows(Q, rows)
     ker = kernel_basis(sums_mat)
     assert ker.cols == cp.n_space.subspace_basis.cols
     for _ in range(10):
@@ -192,7 +192,7 @@ def test_skew_group_algebra_dimensions():
     a = diagonal_algebra(Q, 2)
     from invhom.crossed import PartialGroupAction
     dom = [{0: Q.one, 1: Q.one}, {0: Q.one}]
-    maps = [Matrix.identity(Q, 2), Matrix.from_rows(Q, [[1, 0], [0, 0]])]
+    maps = [Matrix.identity(Q, 2), from_rows(Q, [[1, 0], [0, 0]])]
     pa = PartialGroupAction(z2, a, dom, maps)
     sk = CrossedProduct(pa)
     assert sk.algebra.dim == 3
@@ -341,7 +341,7 @@ def test_hochschild_degree_zero_is_commutator_quotient_and_centralizer():
     # H_0(A, M) = M/[A,M] and H^0(A, M) = M^A, computed directly
     from invhom.algebras import (dual_numbers, hochschild_cohomology,
                                  hochschild_homology)
-    from invhom.linalg import Matrix as M, kernel_basis, mat_rank
+    from invhom.linalg import kernel_basis, mat_rank
     from oracles import dense
     algebras = [matrix_algebra(Q, 2), dual_numbers(Q), diagonal_algebra(Q, 3),
                 crossed_product(i1_on_k2()).algebra]
@@ -354,9 +354,9 @@ def test_hochschild_degree_zero_is_commutator_quotient_and_centralizer():
             stacked.extend(dense(diff).data)
             for j in range(m.dim):
                 comm_cols.append(dense_col(diff, j))
-        span = M.from_cols(Q, m.dim, comm_cols)
+        span = from_cols(Q, m.dim, comm_cols)
         assert hochschild_homology(a, m, 0)[0] == m.dim - mat_rank(span)
-        centralizer = kernel_basis(M.from_rows(Q, stacked))
+        centralizer = kernel_basis(from_rows(Q, stacked))
         assert hochschild_cohomology(a, m, 0)[0] == centralizer.cols
 
 
@@ -468,14 +468,14 @@ def test_partial_action_axioms():
     a = diagonal_algebra(Q, 2)
     # An involution of K^2 that is not an algebra map: it fixes (1, 0) and
     # sends (0, 1) to (1, -1), whose square is (1, 1).
-    flip = Matrix.from_rows(Q, [[1, 1], [0, -1]])
+    flip = from_rows(Q, [[1, 1], [0, -1]])
     with pytest.raises(ValueError, match="partial action invalid: .*multiplicative"):
         PartialGroupAction(z2, a, [{0: Q.one, 1: Q.one}] * 2,
                            [Matrix.identity(Q, 2), flip])
     # The proper partial action with D_g = K x 0 is accepted.
     pa = PartialGroupAction(z2, a, [{0: Q.one, 1: Q.one}, {0: Q.one}],
                             [Matrix.identity(Q, 2),
-                             Matrix.from_rows(Q, [[1, 0], [0, 0]])])
+                             from_rows(Q, [[1, 0], [0, 0]])])
     assert pa.one[1] == {0: Q.one}
 
 
@@ -518,7 +518,7 @@ def test_validate_action_agrees_with_exhaustive_oracle():
     from oracles import is_unital_action
     F2 = Field(2)
     vecs = [sparse_vec(v) for v in itertools.product(range(2), repeat=2)]
-    mats = [Matrix.from_rows(F2, [r[:2], r[2:]])
+    mats = [from_rows(F2, [r[:2], r[2:]])
             for r in itertools.product(range(2), repeat=4)]
     per_element = list(itertools.product(vecs, mats))
     seen = valid = 0

@@ -14,7 +14,7 @@ from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             from_table, symmetric_inverse_monoid,
                             trivial_monoid)
 from oracles import (bar_group_cohomology, bar_group_homology, dense,
-                     is_module)
+                     from_cols, from_rows, is_module)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
@@ -53,7 +53,7 @@ def test_trivial_module_ke_chain():
 
 def test_ks_module_rejects_bad_action():
     z2 = cyclic_group(2)
-    bad = [Matrix.identity(Q, 2), Matrix.from_rows(Q, [[1, 0], [1, 0]])]
+    bad = [Matrix.identity(Q, 2), from_rows(Q, [[1, 0], [1, 0]])]
     with pytest.raises(ValueError, match="not a left module"):
         KSModule(z2, Q, 2, bad)
 
@@ -235,9 +235,9 @@ def test_degree_blocks_share_one_span_per_idempotent(monkeypatch):
 
 def test_assemble_memo_keeps_membership_check():
     plane = ColumnSpan(Matrix.identity(Q, 2))
-    line = ColumnSpan(Matrix.from_cols(Q, 2, [[1, 0]]))
-    onto_line = Matrix.from_rows(Q, [[1, 0], [0, 0]])
-    swap = Matrix.from_rows(Q, [[0, 1], [1, 0]])
+    line = ColumnSpan(from_cols(Q, 2, [[1, 0]]))
+    onto_line = from_rows(Q, [[1, 0], [0, 0]])
+    swap = from_rows(Q, [[0, 1], [1, 0]])
     first, second, target = Block(plane, 0), Block(plane, 2), Block(line, 0)
     d = assemble(Q, 1, 4, [(first, target, onto_line, 1),
                            (second, target, onto_line, -1)])

@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invhom.groupoids import bisections, pair_groupoid
 from invhom.homology import trivial_module_ke
@@ -13,9 +14,10 @@ from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
                             direct_product, from_table, max_group_image,
                             symmetric_inverse_monoid, trivial_monoid)
 from invhom.serialize import resolve_groupoid, resolve_monoid
-from oracles import (group_image_table_by_scan, is_associative,
-                     is_e_unitary_by_scan, is_inverse_monoid,
-                     natural_order_by_search, sigma_classes_by_union_find)
+from oracles import (from_table_failure, group_image_table_by_scan,
+                     is_associative, is_e_unitary_by_scan, is_inverse_monoid,
+                     natural_order_by_search, sigma_classes_by_union_find,
+                     symmetric_inverse_table_by_composition)
 
 
 def test_trivial_monoid():
@@ -422,3 +424,57 @@ def test_symmetric_inverse_monoid_fingerprints():
         m = symmetric_inverse_monoid(n)
         doc = json.dumps([m.table, m.unit, m.names]).encode()
         assert hashlib.sha256(doc).hexdigest() == expected, n
+
+
+def test_symmetric_inverse_monoid_matches_pairwise_composition():
+    for n in range(5):
+        m = symmetric_inverse_monoid(n)
+        assert (m.table, m.unit) == symmetric_inverse_table_by_composition(n)
+
+
+# Desk tables of sizes 1, 2, 5, 7 and 34: from_table reads whole rows and
+# columns through itemgetter, which returns a bare entry, not a tuple, when
+# it is given one index.
+_DESK_SPECS = ["z:1", "z:2", "z:5", "chain:1", "chain:2", "chain:5", "i:1",
+               "i:2", "i:3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _desk_table(spec):
+    m = resolve_monoid(spec)
+    return m.table, m.unit
+
+
+@st.composite
+def corrupted_desk_tables(draw):
+    """A desk table with one entry changed, possibly out of range, or two
+    rows swapped, and either its unit or no unit."""
+    table, unit = _desk_table(draw(st.sampled_from(_DESK_SPECS)))
+    n = len(table)
+    table = [row[:] for row in table]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        table[i][j] = draw(st.integers(-1, n))
+    else:
+        table[i], table[j] = table[j], table[i]
+    return table, draw(st.sampled_from([None, unit]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(corrupted_desk_tables())
+@example(([[0]], None))
+@example(([[1]], None))
+@example(([[0]], 0))
+@example(([[1, 1], [1, 1]], None))
+@example(([[0, 1], [1, 1]], 1))
+@example(([[1, 0], [0, 1]], None))
+@example(([[0, 0, 0], [1, 1, 1], [0, 1, 2]], 2))
+def test_from_table_refuses_with_the_scalar_checks_first_message(case):
+    table, unit = case
+    expected = from_table_failure(table, unit)
+    if expected is None:
+        assert from_table(table, unit=unit).table == table
+    else:
+        with pytest.raises(ValueError) as exc:
+            from_table(table, unit=unit)
+        assert str(exc.value) == expected

@@ -675,10 +675,11 @@ def test_cli_action_law_failure_names_its_pair(tmp_path):
     from invhom.algebras import diagonal_algebra
     from invhom.crossed import UnitalAction
     from invhom.linalg import Matrix
+    from oracles import from_rows
     z3 = resolve_monoid("z:3")
     assert 2 not in z3.generators
     algebra = diagonal_algebra(Q, 3)
-    shift = Matrix.from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    shift = from_rows(Q, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     theta = [Matrix.identity(Q, 3), shift, shift]
     action = UnitalAction(z3, algebra, [dict(algebra.unit)] * 3, theta)
     (tmp_path / "alg.json").write_text(json.dumps(algebra_to_dict(algebra)))
