@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, _insert, _reduce, sparse_sum
+from .linalg import (ColumnSpan, Matrix, _insert, _reduce, image_basis,
+                     sparse_sum)
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
@@ -273,90 +274,129 @@ def regular_bimodule(algebra):
                     validate=False)
 
 
-def _hochschild_degree(algebra, n, span):
-    """Degree n as blocks: one copy of M per n-tuple of basis indices.
+class RelativeBar:
+    """The normalized Hochschild complex of B with values in M relative to
+    E = K e_1 + ... + K e_m, for e_i orthogonal idempotents summing to 1.
 
-    The tuple with mixed-radix index k sits at offset k * dim M, and every
-    block shares the identity span of M.
+    E is separable, so HH_*(B, M) = HH_*(B | E, M) (Hochschild, "Relative
+    homological algebra", 1956), computed by the normalized relative complex
+    (Loday, Cyclic Homology, 1.1).  The letters from i to j are a basis of
+    e_i (B/E) e_j: the basis of the image of x -> e_i x e_j, taken with e_i
+    first when i = j, less e_i.  Degree n has one block per key (j_0, a_1,
+    .., a_n, j_n) of composable letters, with span spans[j_0][j_n]: e_{j_n} M
+    e_{j_0} for chains, e_{j_0} M e_{j_n} for cochains.  With T[i][j] letters
+    from i to j, degree n has sum T^n[j_0][j_n] keys; for every degree, keys
+    and columns are counted and capped, after top squared, before any block
+    is listed.
     """
-    tuples = itertools.product(range(algebra.dim), repeat=n)
-    return {tup: Block(span, k * span.dim)
-            for k, tup in enumerate(tuples)}
+
+    __slots__ = ("algebra", "spans", "blocks", "letters", "ends", "sides",
+                 "dims", "degrees", "_merged")
+
+    def __init__(self, algebra, module, idempotents, chains, top, cap):
+        check_over(module, algebra, "the given algebra")
+        A, F = algebra, algebra.field
+        fam = [A.unit] if idempotents is None else list(idempotents)
+        for (i, e), (j, f) in itertools.product(enumerate(fam), repeat=2):
+            if not e or A.mul(e, f) != (e if i == j else {}):
+                raise ValueError(f"idempotent family: member {i} is " + (
+                    "zero" if not e else "not idempotent" if i == j
+                    else f"not orthogonal to {j}"))
+        if sparse_sum(F, ((1, e) for e in fam)) != A.unit:
+            raise ValueError("idempotent family does not sum to the unit")
+        self.algebra, m = algebra, range(len(fam))
+        acts = [(module.left_action(e), module.right_action(e)) for e in fam]
+        peirce = [[ColumnSpan(image_basis(left @ right)) for _, right in acts]
+                  for left, _ in acts]
+        self.spans = [list(s) for s in zip(*peirce)] if chains else peirce
+        self.blocks, self.letters, self.ends = {}, [], []
+        left, right = ([mult(e) for e in fam] for mult in (
+            A.left_mult_matrix, A.right_mult_matrix))
+        for i, j in itertools.product(m, m):
+            d = int(i == j)
+            cols = [fam[i]] * d + (left[i] @ right[j]).columns
+            span = ColumnSpan(image_basis(Matrix(F, A.dim, len(cols), cols)))
+            self.blocks[i, j] = (span, len(self.letters) - d, d)
+            self.letters += span.basis.columns[d:]
+            self.ends += [(i, j)] * (span.dim - d)
+        right, left = ([act(a) for a in self.letters]
+                       for act in (module.right_action, module.left_action))
+        # (first, last): a_1 acts on the right of chains, the left of cochains
+        self.sides = (right, left) if chains else (left, right)
+        check_degree(top, 1, cap)
+        power, self.dims = [[int(i == j) for j in m] for i in m], []
+        for n in range(top + 1):
+            self.dims.append(sum(power[a][b] * self.spans[a][b].dim
+                                 for a in m for b in m))
+            if self.dims[n] > cap:
+                raise ValueError(f"size cap exceeded: Hochschild degree {n} "
+                                 f"needs {self.dims[n]} columns, more than {cap}")
+            if sum(map(sum, power)) > cap:
+                raise ValueError(f"size cap exceeded: degree {n} has "
+                                 f"{sum(map(sum, power))} tuples, more than {cap}")
+            power = [[sum(row[k] * self.ends.count((k, b)) for k in m)
+                      for b in m] for row in power]
+        self.degrees, self._merged = [], {}
+        for n in range(top + 1):
+            keys = [(j, j) for j in m] if n == 0 else [
+                key[:-1] + (p, j) for key in self.degrees[-1]
+                for p, (i, j) in enumerate(self.ends) if i == key[-1]]
+            spans = [self.spans[key[0]][key[-1]] for key in keys]
+            offsets = itertools.accumulate([0] + [s.dim for s in spans])
+            self.degrees.append({key: Block(span, offset) for key, span, offset
+                                 in zip(keys, spans, offsets)})
+
+    def faces(self, key):
+        """(face key, op, coefficient) per face of a key: a_1 acts on M (on
+        the right for chains), each a_i a_{i+1} goes to B/E with sign (-1)^i,
+        a_n acts on the other side with sign (-1)^n; ``coords`` checks it."""
+        n, (first, last) = len(key) - 2, self.sides
+        yield (self.ends[key[1]][1],) + key[2:], first[key[1]], 1
+        for i in range(1, n):
+            p, q = key[i], key[i + 1]
+            if (p, q) not in self._merged:
+                span, base, d = self.blocks[self.ends[p][0], self.ends[q][1]]
+                x = span.coords(self.algebra.mul(self.letters[p],
+                                                 self.letters[q]))
+                self._merged[p, q] = [(base + k, c) for k, c in x.items()
+                                      if k >= d]
+            for r, c in self._merged[p, q]:
+                yield key[:i] + (r,) + key[i + 2:], None, (-1) ** i * c
+        yield key[:-2] + (self.ends[key[-2]][0],), last[key[-2]], (-1) ** n
 
 
-def _hochschild_chain_boundary(algebra, module, n):
-    """b_n : A^{(x)n} (x) M -> A^{(x)(n-1)} (x) M, column-sparse.
-
-    Faces of a_1 (x) ... (x) a_n (x) x: the first wraps a_1 onto the right
-    of x, the middle ones multiply a_i a_{i+1}, the last applies a_n to x
-    on the left (the classical bar-type boundary, written with the module
-    slot last).
-    """
-    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
-    lower = _hochschild_degree(algebra, n - 1, span)
-    upper = _hochschild_degree(algebra, n, span)
-
-    def faces():
-        for tup, blk in upper.items():
-            yield blk, lower[tup[1:]], module.right[tup[0]], 1
-            for i in range(n - 1):
-                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
-                    merged = tup[:i] + (k,) + tup[i + 2:]
-                    yield blk, lower[merged], None, (-1) ** (i + 1) * c
-            yield blk, lower[tup[:-1]], module.left[tup[-1]], (-1) ** n
-
-    return assemble(algebra.field, len(lower) * module.dim,
-                    len(upper) * module.dim, faces())
+def _hochschild_chain_boundary(bar, n):
+    """b_n from degree n to n - 1 of a chain RelativeBar, column-sparse."""
+    lower = bar.degrees[n - 1]
+    return assemble(bar.algebra.field, bar.dims[n - 1], bar.dims[n], (
+        (blk, lower[face], op, c) for key, blk in bar.degrees[n].items()
+        for face, op, c in bar.faces(key)))
 
 
-def _hochschild_cochain_boundary(algebra, module, n):
-    """delta^n : Hom(A^{(x)n}, M) -> Hom(A^{(x)(n+1)}, M), column-sparse.
-
-    (delta f)(a_1,...,a_{n+1}) = a_1 f(a_2,...) + sum (-1)^i f(..a_i a_{i+1}..)
-    + (-1)^{n+1} f(a_1,...,a_n) a_{n+1}.
-    """
-    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
-    lower = _hochschild_degree(algebra, n, span)
-    upper = _hochschild_degree(algebra, n + 1, span)
-
-    def faces():
-        for tup, blk in upper.items():
-            yield lower[tup[1:]], blk, module.left[tup[0]], 1
-            for i in range(n):
-                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
-                    merged = tup[:i] + (k,) + tup[i + 2:]
-                    yield lower[merged], blk, None, (-1) ** (i + 1) * c
-            yield lower[tup[:-1]], blk, module.right[tup[-1]], (-1) ** (n + 1)
-
-    return assemble(algebra.field, len(upper) * module.dim,
-                    len(lower) * module.dim, faces())
+def _hochschild_cochain_boundary(bar, n):
+    """delta^n from degree n to n + 1 of a cochain RelativeBar."""
+    lower = bar.degrees[n]
+    return assemble(bar.algebra.field, bar.dims[n + 1], bar.dims[n], (
+        (lower[face], blk, op, c) for key, blk in bar.degrees[n + 1].items()
+        for face, op, c in bar.faces(key)))
 
 
-def _hochschild_dims(algebra, module, top, cap):
-    """Dimensions of degrees 0..top, after the bimodule and cap checks."""
-    check_over(module, algebra, "the given algebra")
-    check_degree(top, algebra.dim, cap)
-    cols = algebra.dim ** top * module.dim
-    if cols > cap:
-        raise ValueError(f"size cap exceeded: Hochschild degree {top} needs "
-                         f"{cols} columns, more than {cap}")
-    return [algebra.dim ** n * module.dim for n in range(top + 1)]
+def hochschild_homology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP,
+                        idempotents=None):
+    """Betti numbers of HH_*(A, M), relative to idempotents ([1] if None)."""
+    bar = RelativeBar(algebra, module, idempotents, True, max_deg + 1, cap)
+    return ChainComplexData("chain", bar.dims, [None] + [
+        _hochschild_chain_boundary(bar, n)
+        for n in range(1, max_deg + 2)]).betti(max_deg)
 
 
-def hochschild_homology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of the Hochschild complex of A with values in M."""
-    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
-    boundaries = [None] + [_hochschild_chain_boundary(algebra, module, n)
-                           for n in range(1, len(dims))]
-    return ChainComplexData("chain", dims, boundaries).betti(max_deg)
-
-
-def hochschild_cohomology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of Hochschild cohomology of A with values in M."""
-    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
-    boundaries = [_hochschild_cochain_boundary(algebra, module, n)
-                  for n in range(len(dims) - 1)]
-    return ChainComplexData("cochain", dims, boundaries).betti(max_deg)
+def hochschild_cohomology(algebra, module, max_deg, cap=DEFAULT_COLUMN_CAP,
+                          idempotents=None):
+    """Betti numbers of HH^*(A, M), relative to the family as above."""
+    bar = RelativeBar(algebra, module, idempotents, False, max_deg + 1, cap)
+    return ChainComplexData("cochain", bar.dims, [
+        _hochschild_cochain_boundary(bar, n)
+        for n in range(max_deg + 1)]).betti(max_deg)
 
 
 def is_separable(algebra):

@@ -21,7 +21,7 @@ from .algebras import (Algebra, check_over, generator_images,
                        hochschild_cohomology, hochschild_homology,
                        is_separable, product_checks, table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
-                       trivial_module_ke)
+                       mobius_idempotent, trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
                      kernel_basis, quotient_space, sparse_sum)
 from .monoids import max_group_image
@@ -478,6 +478,16 @@ def record_sides(rep, symbol, lhs, rhs):
         rep.check(f"{symbol}{n} agree", a == b, f"{a} vs {b}")
 
 
+def mobius_family(crossed):
+    """The nonzero [e] = 1_e prod_c (1 - 1_c), e in E(S), in A x S, where 1_e
+    is gamma_e.  As e -> 1_e is a meet homomorphism (``validate_action``),
+    they are orthogonal idempotents that sum to 1."""
+    S, B = crossed.action.monoid, crossed.algebra
+    left = {e: B.left_mult_matrix(crossed.gamma[e]) for e in S.idempotents()}
+    family = (mobius_idempotent(S, e, left).apply(B.unit) for e in left)
+    return [x for x in family if x]
+
+
 def verify_separable_collapse_homology(crossed, bimodule, max_deg,
                                        cap=DEFAULT_COLUMN_CAP):
     """H_n(S, M/[A,M]) vs Hochschild H_n(A x S, M), degreewise."""
@@ -486,7 +496,8 @@ def verify_separable_collapse_homology(crossed, bimodule, max_deg,
     rep = Report("separable collapse (homology)")
     _, co = coinvariants(bimodule, crossed)
     record_sides(rep, "H_", homology(crossed.action.monoid, co, max_deg, cap),
-                 hochschild_homology(crossed.algebra, bimodule, max_deg, cap))
+                 hochschild_homology(crossed.algebra, bimodule, max_deg, cap,
+                                     mobius_family(crossed)))
     return rep
 
 
@@ -498,5 +509,6 @@ def verify_separable_collapse_cohomology(crossed, bimodule, max_deg,
     rep = Report("separable collapse (cohomology)")
     inv = invariants_sub(bimodule, crossed)
     record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg, cap),
-                 hochschild_cohomology(crossed.algebra, bimodule, max_deg, cap))
+                 hochschild_cohomology(crossed.algebra, bimodule, max_deg, cap,
+                                       mobius_family(crossed)))
     return rep

@@ -314,8 +314,9 @@ def verify_steinberg_homology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     transported = _transport_bimodule(module, data.crossed, data.psi)
     _, co = coinvariants(transported, data.crossed)
     rep.data["coinvariants_dim"] = co.dim
+    units = lx_embedding(data.groupoid, ak.field).columns
     record_sides(rep, "H_", homology(data.bisection_monoid, co, max_deg, cap),
-                 hochschild_homology(ak, module, max_deg, cap))
+                 hochschild_homology(ak, module, max_deg, cap, units))
     return rep
 
 
@@ -338,7 +339,8 @@ def verify_steinberg_cohomology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
         lx, module.dim,
         [module.left_action(col) for col in emb.columns],
         [module.right_action(col) for col in emb.columns])
-    lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg, cap)
+    lx_cohom = hochschild_cohomology(lx, lx_mod, max_deg, cap,
+                                     map(lx.basis_vec, range(lx.dim)))
     rep.data["lx_cohomology"] = lx_cohom
     for q in range(1, max_deg + 1):
         rep.check(f"H^{q}(L(X), M) = 0", lx_cohom[q] == 0, str(lx_cohom[q]))
@@ -346,5 +348,5 @@ def verify_steinberg_cohomology(data, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     inv = invariants_sub(transported, data.crossed)
     rep.data["invariants_dim"] = inv.dim
     record_sides(rep, "H^", cohomology(data.bisection_monoid, inv, max_deg, cap),
-                 hochschild_cohomology(ak, module, max_deg, cap))
+                 hochschild_cohomology(ak, module, max_deg, cap, emb.columns))
     return rep

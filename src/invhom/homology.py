@@ -283,9 +283,8 @@ def d_class_summands(monoid, module):
     the D-classes of H_n(G_e; [e]V), and the same for cohomology.  For g
     in G_e, [g] = [e] g and g [e] g^-1 = [e], so g acts on W_e as [g] does.
 
-    In K𝒢^(0) an idempotent f is the indicator of its down-set, so [e] is
-    that of e less the down-sets of its lower covers c:
-    [e] = e prod_c (1 - c), which is act(e) prod_c (I - act(c)) on V.
+    [e] = e prod_c (1 - c), c the lower covers of e, acts on V as
+    act(e) prod_c (I - act(c)) (``mobius_idempotent``).
     Each g is restricted to W_e through ``coords``, an exact check
     that g keeps W_e.
     """
@@ -297,25 +296,13 @@ def d_class_summands(monoid, module):
         ranges.setdefault(d, set()).add(r)
         if d == r:
             groups.setdefault(d, []).append(s)
-    idems = monoid.idempotents()
     seen = set()
-    for e in idems:
+    for e in monoid.idempotents():
         if e in seen:
             continue
         # The D-class of e is {r(s) : d(s) = e}.
         seen |= ranges[e]
-        # The maximal elements of the idempotents below e: each f either
-        # sits under a cover already kept, or replaces those under it.
-        covers = []
-        for f in idems:
-            if f == e or table[e][f] != f or any(
-                    table[c][f] == f for c in covers):
-                continue
-            covers = [c for c in covers if table[f][c] != c] + [f]
-        eps = act[e]
-        for c in covers:
-            eps = eps - act[c] @ eps
-        w = ColumnSpan(image_basis(eps))
+        w = ColumnSpan(image_basis(mobius_idempotent(monoid, e, act)))
         h = groups[e]
         index = {s: i for i, s in enumerate(h)}
         group = from_table([[index[table[a][b]] for b in h] for a in h],
@@ -326,6 +313,22 @@ def d_class_summands(monoid, module):
                               for col in (act[g] @ w.basis).columns])
                       for g in h]
         yield group, KSModule(group, module.field, w.dim, restricted)
+
+
+def mobius_idempotent(monoid, e, act):
+    """[e] = e prod_c (1 - c), the indicator of e's down-set in K𝒢^(0) less
+    those of its lower covers c, as act[e] prod_c (I - act[c]).  One pass
+    over E(S) finds the covers: each f below e either sits under a cover
+    already kept, or replaces those under it."""
+    table, covers = monoid.table, []
+    for f in monoid.idempotents():
+        if f == e or table[e][f] != f or any(table[c][f] == f for c in covers):
+            continue
+        covers = [c for c in covers if table[f][c] != c] + [f]
+    eps = act[e]
+    for c in covers:
+        eps = eps - act[c] @ eps
+    return eps
 
 
 def _betti_sum(bettis):

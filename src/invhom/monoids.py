@@ -128,15 +128,16 @@ class InverseMonoid:
 
 
 def from_table(table, unit=None, names=None):
-    """Validate a Cayley table and return the inverse monoid it defines."""
+    """Validate a Cayley table and return the inverse monoid it defines.
+    The monoid keeps ``table`` itself, so the caller must not change it."""
     n = len(table)
     check_size(n)
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not (0 <= v < n):
-                raise ValueError(f"table entry {v} out of range")
+        if min(row) < 0 or max(row) >= n:
+            bad = next(v for v in row if not 0 <= v < n)
+            raise ValueError(f"table entry {bad} out of range")
     gens = _generators(table)
     # Light's test: the k with (ij)k = i(jk) for all i, j are closed under
     # products, so testing the generators covers every k.  Row i is tested
@@ -173,7 +174,7 @@ def from_table(table, unit=None, names=None):
                 f"inverse not unique for element {s}: candidates {cands}"
             )
         inv[s] = cands[0]
-    m = InverseMonoid(n, [row[:] for row in table], inv, unit, gens, names)
+    m = InverseMonoid(n, table, inv, unit, gens, names)
     idems = m.idempotents()
     for e in idems:
         for f in idems:

@@ -9,6 +9,8 @@ elements with dense matrices,
 the crossed-product oracle multiplies dense vectors of L pair by pair,
 the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
+the absolute Hochschild complex uses one copy of the bimodule per n-tuple of
+algebra basis indices, with no idempotent family and no normalization,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  The monoid-table oracles compose every
 pair of partial bijections of I_n and run from_table's checks one entry at
@@ -26,7 +28,9 @@ rationals as ints.
 import itertools
 from fractions import Fraction
 
-from invhom.algebras import Algebra
+from invhom.algebras import Algebra, check_over
+from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
+                             assemble, check_degree)
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
                            mat_rank, quotient_space)
 from invhom.monoids import MONOID_SIZE_CAP, _generators
@@ -1023,4 +1027,93 @@ def dense_resolution(monoid, field, max_deg):
             s.data[index[n + 1][target]][col] = one
         homotopy.append(s)
     return bases, boundary, homotopy
+
+
+
+def _hochschild_degree(algebra, n, span):
+    """Degree n as blocks: one copy of M per n-tuple of basis indices.
+
+    The tuple with mixed-radix index k sits at offset k * dim M, and every
+    block shares the identity span of M.
+    """
+    tuples = itertools.product(range(algebra.dim), repeat=n)
+    return {tup: Block(span, k * span.dim)
+            for k, tup in enumerate(tuples)}
+
+
+def absolute_chain_boundary(algebra, module, n):
+    """b_n : A^{(x)n} (x) M -> A^{(x)(n-1)} (x) M, column-sparse.
+
+    Faces of a_1 (x) ... (x) a_n (x) x: the first wraps a_1 onto the right
+    of x, the middle ones multiply a_i a_{i+1}, the last applies a_n to x
+    on the left (the classical bar-type boundary, written with the module
+    slot last).
+    """
+    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
+    lower = _hochschild_degree(algebra, n - 1, span)
+    upper = _hochschild_degree(algebra, n, span)
+
+    def faces():
+        for tup, blk in upper.items():
+            yield blk, lower[tup[1:]], module.right[tup[0]], 1
+            for i in range(n - 1):
+                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
+                    merged = tup[:i] + (k,) + tup[i + 2:]
+                    yield blk, lower[merged], None, (-1) ** (i + 1) * c
+            yield blk, lower[tup[:-1]], module.left[tup[-1]], (-1) ** n
+
+    return assemble(algebra.field, len(lower) * module.dim,
+                    len(upper) * module.dim, faces())
+
+
+def absolute_cochain_boundary(algebra, module, n):
+    """delta^n : Hom(A^{(x)n}, M) -> Hom(A^{(x)(n+1)}, M), column-sparse.
+
+    (delta f)(a_1,...,a_{n+1}) = a_1 f(a_2,...) + sum (-1)^i f(..a_i a_{i+1}..)
+    + (-1)^{n+1} f(a_1,...,a_n) a_{n+1}.
+    """
+    span = ColumnSpan(Matrix.identity(algebra.field, module.dim))
+    lower = _hochschild_degree(algebra, n, span)
+    upper = _hochschild_degree(algebra, n + 1, span)
+
+    def faces():
+        for tup, blk in upper.items():
+            yield lower[tup[1:]], blk, module.left[tup[0]], 1
+            for i in range(n):
+                for k, c in algebra.sc[tup[i]][tup[i + 1]].items():
+                    merged = tup[:i] + (k,) + tup[i + 2:]
+                    yield lower[merged], blk, None, (-1) ** (i + 1) * c
+            yield lower[tup[:-1]], blk, module.right[tup[-1]], (-1) ** (n + 1)
+
+    return assemble(algebra.field, len(upper) * module.dim,
+                    len(lower) * module.dim, faces())
+
+
+def _hochschild_dims(algebra, module, top, cap):
+    """Dimensions of degrees 0..top, after the bimodule and cap checks."""
+    check_over(module, algebra, "the given algebra")
+    check_degree(top, algebra.dim, cap)
+    cols = algebra.dim ** top * module.dim
+    if cols > cap:
+        raise ValueError(f"size cap exceeded: Hochschild degree {top} needs "
+                         f"{cols} columns, more than {cap}")
+    return [algebra.dim ** n * module.dim for n in range(top + 1)]
+
+
+def absolute_hochschild_homology(algebra, module, max_deg,
+                                 cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of the absolute Hochschild complex of A with values in M."""
+    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
+    boundaries = [None] + [absolute_chain_boundary(algebra, module, n)
+                           for n in range(1, len(dims))]
+    return ChainComplexData("chain", dims, boundaries).betti(max_deg)
+
+
+def absolute_hochschild_cohomology(algebra, module, max_deg,
+                                   cap=DEFAULT_COLUMN_CAP):
+    """Betti numbers of the absolute Hochschild cochain complex."""
+    dims = _hochschild_dims(algebra, module, max_deg + 1, cap)
+    boundaries = [absolute_cochain_boundary(algebra, module, n)
+                  for n in range(len(dims) - 1)]
+    return ChainComplexData("cochain", dims, boundaries).betti(max_deg)
 

@@ -1,5 +1,8 @@
+import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +13,19 @@ from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              is_separable, matrix_algebra, product_checks,
                              regular_bimodule, semigroup_algebra,
                              table_algebra)
+from invhom.cli import _resolve_action
+from invhom.crossed import crossed_product, mobius_family
 from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
-                              pair_groupoid, steinberg_algebra)
+                              lx_embedding, pair_groupoid, steinberg_algebra)
+from invhom.homology import mobius_idempotent
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
-from invhom.serialize import resolve_monoid
-from oracles import (dense_algebra_check, dense_bimodule_check,
-                     dense_left_mult, dense_mul, dense_vec, from_cols,
-                     from_rows, sparse_vec)
+from invhom.serialize import algebra_from_dict, resolve_groupoid, resolve_monoid
+from oracles import (absolute_hochschild_cohomology,
+                     absolute_hochschild_homology, dense_algebra_check,
+                     dense_bimodule_check, dense_left_mult, dense_mul,
+                     dense_vec, from_cols, from_rows, sparse_vec)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
@@ -376,19 +383,201 @@ def test_hochschild_group_algebra_char_3():
     assert hochschild_cohomology(kz3, m, 3) == [3, 3, 3, 3]
 
 
+def _ks_family(field, monoid):
+    """KS with its Möbius idempotents [e] = e prod_c (1 - c), e in E(S)."""
+    A = semigroup_algebra(field, monoid)
+    left = {e: A.left_mult_matrix({e: field.one})
+            for e in monoid.idempotents()}
+    family = (mobius_idempotent(monoid, e, left).apply(A.unit) for e in left)
+    return A, [x for x in family if x]
+
+
+def _crossed_family(field, spec):
+    cp = crossed_product(_resolve_action(spec, field))
+    return cp.algebra, mobius_family(cp)
+
+
+def _steinberg_family(field, spec):
+    g = resolve_groupoid(spec)
+    return steinberg_algebra(g, field), lx_embedding(g, field).columns
+
+
+def _fixture_family(field, name):
+    doc = json.loads((Path(__file__).parent / "fixtures" / name).read_text())
+    A = algebra_from_dict(doc)
+    return A, [A.unit]
+
+
+# name -> (chars, top degree, algebra and natural family from a field)
+_DESK_ALGEBRAS = {
+    "dual numbers": ((0, 2, 3), 4, lambda F: (dual_numbers(F),
+                                              [dual_numbers(F).unit])),
+    "M_2": ((0, 2, 3), 3, lambda F: (matrix_algebra(F, 2),
+                                     [{0: F.one}, {3: F.one}])),
+    "K^2": ((0, 2, 3), 3, lambda F: (diagonal_algebra(F, 2),
+                                     [{0: F.one}, {1: F.one}])),
+    # Upper triangular 2 x 2 matrices, basis e_11, e_12, e_22: not
+    # symmetric, so e_i B e_j and e_j B e_i differ in dimension.
+    "T_2": ((0, 2, 3), 3, lambda F: (table_algebra(
+        F, [[0, 1, None], [None, None, 1], [None, None, 2]], [0, 2]),
+        [{0: F.one}, {2: F.one}])),
+    "KZ_3": ((0, 2, 3), 3, lambda F: _ks_family(F, cyclic_group(3))),
+    "KS(i:2)": ((0, 2, 3), 2,
+                lambda F: _ks_family(F, symmetric_inverse_monoid(2))),
+    "dual-numbers-f3.json": ((3,), 3, lambda F: _fixture_family(
+        F, "dual-numbers-f3.json")),
+    "ke:chain:2": ((0, 2, 3), 3, lambda F: _crossed_family(F, "ke:chain:2")),
+    "ke:i:2": ((0, 2, 3), 2, lambda F: _crossed_family(F, "ke:i:2")),
+    "trivial:prod:chain:2,z:2": ((0, 2, 3), 3, lambda F: _crossed_family(
+        F, "trivial:prod:chain:2,z:2")),
+    "A_K(pair:2)": ((0, 2, 3), 3, lambda F: _steinberg_family(F, "pair:2")),
+    "A_K(pair:3)": ((0, 2, 3), 2, lambda F: _steinberg_family(F, "pair:3")),
+    "A_K(group:z:3)": ((0, 2, 3), 3,
+                       lambda F: _steinberg_family(F, "group:z:3")),
+}
+
+
+def _transpose(m):
+    cols = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            cols[i][j] = x
+    return Matrix(m.field, m.cols, m.rows, cols)
+
+
+def _dual_bimodule(algebra):
+    """B* with (a f b)(x) = f(b x a): a acts by the transpose of x -> x a
+    and b by that of x -> b x."""
+    basis = [algebra.basis_vec(i) for i in range(algebra.dim)]
+    return Bimodule(algebra, algebra.dim,
+                    [_transpose(algebra.right_mult_matrix(b)) for b in basis],
+                    [_transpose(algebra.left_mult_matrix(b)) for b in basis])
+
+
+@functools.lru_cache(maxsize=None)
+def _desk_case(name, char, dual):
+    """The algebra, the regular bimodule or its dual, the natural family,
+    the top degree, and the absolute complex's Betti numbers in both
+    variances."""
+    _, top, build = _DESK_ALGEBRAS[name]
+    algebra, family = build(Field(char))
+    m = (_dual_bimodule if dual else regular_bimodule)(algebra)
+    return (algebra, m, family, top, absolute_hochschild_homology(algebra, m, top),
+            absolute_hochschild_cohomology(algebra, m, top))
+
+
+@st.composite
+def desk_cases(draw):
+    name = draw(st.sampled_from(sorted(_DESK_ALGEBRAS)))
+    char = draw(st.sampled_from(_DESK_ALGEBRAS[name][0]))
+    algebra, m, family, top, homology, cohomology = _desk_case(
+        name, char, draw(st.booleans()))
+    order = draw(st.permutations(range(len(family))))
+    return (algebra, m, top, homology, cohomology,
+            [None, family, [family[i] for i in order]])
+
+
+@settings(deadline=None, max_examples=100)
+@given(desk_cases())
+def test_relative_betti_numbers_equal_the_absolute_complexs(case):
+    # HH(B, M) = HH(B | E, M) for E spanned by any complete family of
+    # orthogonal idempotents: [1], the natural one, and it reordered.
+    algebra, m, top, homology, cohomology, families = case
+    for family in families:
+        assert hochschild_homology(algebra, m, top,
+                                   idempotents=family) == homology
+        assert hochschild_cohomology(algebra, m, top,
+                                     idempotents=family) == cohomology
+
+
+def test_natural_family_sizes():
+    # The property above compares families of these sizes.  A local algebra
+    # has only [1]; under the trivial action every 1_e is 1_A, so only the
+    # least idempotent's [e] is nonzero; group:z:3 has one unit arrow.
+    sizes = {name: len(build(Field(chars[0]))[1])
+             for name, (chars, _, build) in _DESK_ALGEBRAS.items()}
+    assert sizes == {"dual numbers": 1, "M_2": 2, "K^2": 2, "T_2": 2,
+                     "KZ_3": 1, "KS(i:2)": 4, "dual-numbers-f3.json": 1,
+                     "ke:chain:2": 2, "ke:i:2": 4,
+                     "trivial:prod:chain:2,z:2": 1, "A_K(pair:2)": 2,
+                     "A_K(pair:3)": 3, "A_K(group:z:3)": 1}
+
+
 def test_hochschild_boundary_squares_to_zero():
-    from invhom.algebras import (_hochschild_chain_boundary,
+    from invhom.algebras import (RelativeBar, _hochschild_chain_boundary,
                                  _hochschild_cochain_boundary)
-    for alg in (dual_numbers(Q), matrix_algebra(Q, 2), diagonal_algebra(F2, 2),
-                semigroup_algebra(Field(3), cyclic_group(3))):
-        m = regular_bimodule(alg)
-        for n in (2, 3):
-            b_low = _hochschild_chain_boundary(alg, m, n - 1)
-            b_high = _hochschild_chain_boundary(alg, m, n)
-            assert (b_low @ b_high).is_zero()
-            d_low = _hochschild_cochain_boundary(alg, m, n - 2)
-            d_high = _hochschild_cochain_boundary(alg, m, n - 1)
-            assert (d_high @ d_low).is_zero()
+    for name in ("dual numbers", "M_2", "K^2", "KZ_3", "ke:i:2",
+                 "A_K(pair:3)"):
+        for char in (0, 2, 3):
+            algebra, family = _DESK_ALGEBRAS[name][2](Field(char))
+            m = regular_bimodule(algebra)
+            for idempotents in (None, family):
+                chains = RelativeBar(algebra, m, idempotents, True, 3, 50_000)
+                cochains = RelativeBar(algebra, m, idempotents, False, 3,
+                                       50_000)
+                for n in (2, 3):
+                    b_low = _hochschild_chain_boundary(chains, n - 1)
+                    b_high = _hochschild_chain_boundary(chains, n)
+                    assert (b_low @ b_high).is_zero()
+                    d_low = _hochschild_cochain_boundary(cochains, n - 2)
+                    d_high = _hochschild_cochain_boundary(cochains, n - 1)
+                    assert (d_high @ d_low).is_zero()
+
+
+def test_relative_degrees_are_the_composable_strings():
+    # A_K(pair:4) = M_4 relative to its unit arrows: strings j_0..j_n with
+    # j_k != j_{k+1}, 4 * 3^n of them, each with a one-dimensional block.
+    from invhom.algebras import RelativeBar
+    algebra, family = _steinberg_family(Q, "pair:4")
+    bar = RelativeBar(algebra, regular_bimodule(algebra), family, True, 3,
+                      50_000)
+    assert bar.dims == [4, 12, 36, 108]
+    assert [len(bar.degrees[n]) for n in range(4)] == [4, 12, 36, 108]
+    # With [1] the normalized complex has (dim B - 1)^n tuples.
+    bar = RelativeBar(algebra, regular_bimodule(algebra), None, True, 2,
+                      50_000)
+    assert bar.dims == [16 * 15 ** n for n in range(3)]
+
+
+def _family_error(algebra, family):
+    with pytest.raises(ValueError) as exc:
+        hochschild_homology(algebra, regular_bimodule(algebra), 1,
+                            idempotents=family)
+    return str(exc.value)
+
+
+def test_family_that_is_not_complete_and_orthogonal_is_refused():
+    m2 = matrix_algebra(Q, 2)
+    one = Q.one
+    e11, e22 = {0: one}, {3: one}
+    assert _family_error(m2, [e11, {0: one, 3: one}]) == \
+        "idempotent family: member 0 is not orthogonal to 1"
+    assert _family_error(m2, [e11, {3: Q.of(2)}]) == \
+        "idempotent family: member 1 is not idempotent"
+    assert _family_error(m2, [e11, {}, e22]) == \
+        "idempotent family: member 1 is zero"
+    assert _family_error(m2, [e11]) == \
+        "idempotent family does not sum to the unit"
+    assert _family_error(m2, []) == \
+        "idempotent family does not sum to the unit"
+    # e_11 + e_12 and e_22 - e_12 are orthogonal idempotents that sum to 1:
+    # a family need not be made of basis vectors.
+    family = [{0: one, 1: one}, {3: one, 1: Q.neg(one)}]
+    assert hochschild_homology(m2, regular_bimodule(m2), 2,
+                               idempotents=family) == [1, 0, 0]
+
+
+def test_family_is_refused_before_any_block_is_listed(monkeypatch):
+    from invhom import algebras
+    listed = []
+    monkeypatch.setattr(algebras, "Block", lambda *args: listed.append(args))
+    m2 = matrix_algebra(Q, 2)
+    with pytest.raises(ValueError, match="idempotent family"):
+        hochschild_cohomology(m2, regular_bimodule(m2), 1,
+                              idempotents=[{0: Q.one}])
+    with pytest.raises(ValueError, match="size cap exceeded"):
+        hochschild_cohomology(m2, regular_bimodule(m2), 1, cap=11)
+    assert listed == []
 
 
 def test_hochschild_size_cap():

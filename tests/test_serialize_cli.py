@@ -774,10 +774,13 @@ def test_right_module_file_is_refused(tmp_path):
 def test_verify_honours_cap_columns():
     # --cap-columns reaches the monoid and Hochschild complexes of every
     # verifier, so a small cap refuses what the default admits.
-    jobs = (["verify", "steinberg-homology", "--groupoid", "pair:2",
-             "--max-degree", "1", "--cap-columns", "5"],
+    # The Steinberg homology job stops at its monoid side's S_3 summand
+    # (36 tuples at degree 2); the cohomology job at its L(X) side, whose
+    # degree 0 has one column per object.
+    jobs = (["verify", "steinberg-homology", "--groupoid", "pair:3",
+             "--max-degree", "1", "--cap-columns", "20"],
             ["verify", "steinberg-cohomology", "--groupoid", "pair:2",
-             "--max-degree", "1", "--cap-columns", "5"],
+             "--max-degree", "0", "--cap-columns", "1"],
             ["verify", "separable-homology", "--action", "ke:chain:2",
              "--max-degree", "1", "--cap-columns", "3"],
             ["verify", "separable-cohomology", "--action", "ke:chain:2",
@@ -809,13 +812,19 @@ def test_cap_columns_below_one_is_refused_before_any_work():
 
 
 def test_hochschild_cap_names_degree_and_columns():
-    # Both jobs pass the degree cap and stop at the Hochschild column cap.
-    jobs = ((["verify", "steinberg-cohomology", "--groupoid", "pair:2",
-              "--max-degree", "1", "--cap-columns", "5"],
-             "Hochschild degree 2 needs 16 columns, more than 5"),
-            (["verify", "separable-homology", "--action", "ke:chain:2",
-              "--max-degree", "3", "--cap-columns", "20"],
-             "Hochschild degree 4 needs 32 columns, more than 20"))
+    # Each job passes the degree cap and its monoid side, and stops at the
+    # Hochschild column cap.  The complex is relative to the Möbius family
+    # of KE(I_3) (66 and 312 columns in degrees 1 and 2) or, on the L(X)
+    # side, to the points of X (one column per object in degree 0).
+    jobs = ((["verify", "separable-homology", "--action", "ke:i:3",
+              "--max-degree", "1", "--cap-columns", "300"],
+             "Hochschild degree 2 needs 312 columns, more than 300"),
+            (["verify", "separable-cohomology", "--action", "ke:i:3",
+              "--max-degree", "1", "--cap-columns", "300"],
+             "Hochschild degree 2 needs 312 columns, more than 300"),
+            (["verify", "steinberg-cohomology", "--groupoid", "pair:2",
+              "--max-degree", "0", "--cap-columns", "1"],
+             "Hochschild degree 0 needs 2 columns, more than 1"))
     for argv, message in jobs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()) as out, \
