@@ -216,13 +216,14 @@ class Bimodule:
                             f"at ({i},{j})")
         return None
 
-    def _sum(self, mats, coeffs):
-        """sum of c * mats[k] over pairs (k, c), column by column."""
+    def _sum(self, mats, coeffs, cols=None):
+        """sum of c * mats[k] over pairs (k, c), column by column; when cols
+        is given, only its columns are computed and the others left zero."""
         F = self.algebra.field
         terms = [(c, mats[k]) for k, c in coeffs if c]
         return Matrix(F, self.dim, self.dim, [
             sparse_sum(F, ((c, m.columns[j]) for c, m in terms))
-            for j in range(self.dim)])
+            if cols is None or j in cols else {} for j in range(self.dim)])
 
     def left_action(self, vec):
         return self._sum(self.left, vec.items())
@@ -319,8 +320,14 @@ class RelativeBar:
             self.blocks[i, j] = (span, len(self.letters) - d, d)
             self.letters += span.basis.columns[d:]
             self.ends += [(i, j)] * (span.dim - d)
-        right, left = ([act(a) for a in self.letters]
-                       for act in (module.right_action, module.left_action))
+        # A letter from i to j acts on the right of M e_i and on the left of
+        # e_j M only: just the columns their blocks' bases reach are formed.
+        reach = [set().union(*(c for s in spans for c in s.basis.columns))
+                 for spans in (*zip(*peirce), *peirce)]
+        right = [module._sum(module.right, a.items(), reach[i])
+                 for a, (i, _) in zip(self.letters, self.ends)]
+        left = [module._sum(module.left, a.items(), reach[len(fam) + j])
+                for a, (_, j) in zip(self.letters, self.ends)]
         # (first, last): a_1 acts on the right of chains, the left of cochains
         self.sides = (right, left) if chains else (left, right)
         check_degree(top, 1, cap)

@@ -1,23 +1,25 @@
-"""Modules over the monoid algebra KS and the explicit (co)chain complexes.
+"""Modules over the monoid algebra KS, and their (co)homology.
 
-The degree-n chain space is a direct sum over n-tuples of monoid elements
-of the image of the idempotent projector attached to the tuple (d(...) of
-the tuple product for chains, r(...) for cochains).  Each summand basis is
-the deterministic pivot-column basis of that projector, built once per
-idempotent and shared by every tuple with that idempotent, and every boundary
-term is coordinate-extracted through the target summand basis, which is an
-exact membership assertion for the containments the formulas rely on.
+H_n(S, V) and H^n(S, V) are sums over the D-classes of S of the
+(co)homology of a maximal subgroup G_e with coefficients in the K G_e-module
+W_e (``d_class_summands``).  Each group term is computed from a free
+resolution P of K over KG built from kernels (``group_resolution``): degree
+n of P (x)_KG W and of Hom_KG(P, W) is W^(r_n), with r_n the rank of P_n,
+so a complex grows with r_n and not with the |G|^n tuples of the bar
+complex.  Every map is exact, over Q or F_p.
 
-A finite free resolution of the span of idempotents, together with its
-contracting homotopy, is built by the same ``assemble`` as a self-check
-that the homology complexes compute what they should.
+``assemble`` turns a stream of face terms into a boundary matrix, taking
+every coordinate through the target summand's basis, an exact membership
+check.  The Hochschild complexes are written through it, and so is a free
+resolution of the span of idempotents over KS, with its contracting
+homotopy, kept as a self-check (``build_resolution``).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .linalg import ColumnSpan, Matrix, image_basis
+from .linalg import ColumnSpan, Matrix, _insert, image_basis, kernel_basis
 from .monoids import from_table
 
 DEFAULT_COLUMN_CAP = 50_000
@@ -126,25 +128,19 @@ class ChainComplexData:
     Boundaries are stored column-sparse.
     """
 
-    __slots__ = ("direction", "max_degree", "space_dims", "boundaries")
+    __slots__ = ("direction", "space_dims", "boundaries")
 
     def __init__(self, direction, space_dims, boundaries):
         self.direction = direction
-        self.max_degree = len(space_dims) - 1
         self.space_dims = space_dims
         self.boundaries = boundaries
 
     def check_composites(self):
         """Exact check that consecutive composites vanish."""
+        maps = [d for d in self.boundaries if d is not None]
         if self.direction == "chain":
-            for n in range(2, self.max_degree + 1):
-                if not (self.boundaries[n - 1] @ self.boundaries[n]).is_zero():
-                    return False
-        else:
-            for n in range(1, self.max_degree):
-                if not (self.boundaries[n] @ self.boundaries[n - 1]).is_zero():
-                    return False
-        return True
+            maps.reverse()
+        return all((b @ a).is_zero() for a, b in zip(maps, maps[1:]))
 
     def betti(self, max_deg):
         """Betti numbers b_0 .. b_max_deg, every rank by Matrix.rank.
@@ -183,87 +179,83 @@ def check_degree(n, letters, cap):
                          f"tuples, more than {cap}")
 
 
-def _degree_blocks(monoid, n, idempotent_of, module, cap):
-    """Blocks of degree n by tuple, in lexicographic order by element index.
+def group_resolution(group, field, top, width, cap=DEFAULT_COLUMN_CAP):
+    """d_0 .. d_top of a free resolution P of K over KG, built from kernels.
 
-    A tuple's summand is the image of the action of its idempotent, so the
-    blocks of one idempotent share one span, each at its own offset.
+    P_n is free on e_1 .. e_(r_n); as a K-matrix, d_n has the column
+    i |G| + g for g x_i, x_i = d_n(e_i).  P_0 = KG, d_0 the augmentation.
+    The x_i are the ``kernel_basis`` vectors of d_{n-1} outside the span of
+    the translates of those before them, so im d_n = ker d_{n-1}.  After
+    top squared, degree n is refused when r_n |G| or r_n width (the columns
+    of a complex over a module of that dimension) is above cap.
     """
-    check_degree(n, monoid.size, cap)
-    spans = {}
-    blocks = {}
-    offset = 0
-    for tup in itertools.product(range(monoid.size), repeat=n):
-        e = idempotent_of(tup)
-        span = spans.get(e)
-        if span is None:
-            span = spans[e] = ColumnSpan(image_basis(module.act[e]))
-        blocks[tup] = Block(span, offset)
-        offset += span.dim
-        if offset > cap:
-            raise ValueError(
-                f"size cap exceeded: degree-{n} space needs more than {cap} columns"
-            )
-    return blocks, offset
+    if not group.is_group():
+        raise ValueError("not a group: the resolution is over a group algebra")
+    check_degree(top, 1, cap)
+    size, table = group.size, group.table
+
+    def translates(x):
+        return [{k - k % size + table[g][k % size]: c for k, c in x.items()}
+                for g in range(size)]
+
+    d = Matrix(field, 1, size, [{0: field.one} for _ in range(size)])
+    maps = []
+    for n in range(top + 1):
+        if n:
+            kernel, pivots, gens = kernel_basis(d), {}, []
+            for x in kernel.columns:
+                if len(pivots) == kernel.cols:
+                    break
+                # _insert returns the pivot row, and row 0 is falsy.
+                if _insert(field, pivots, dict(x)) is not None:
+                    gens.append(x)
+                    for y in translates(x):
+                        _insert(field, pivots, y)
+            d = Matrix(field, d.cols, len(gens) * size,
+                       [y for x in gens for y in translates(x)])
+        maps.append(d)
+        cols = d.cols // size * max(size, width)
+        if cols > cap:
+            raise ValueError(f"size cap exceeded: degree {n} needs {cols} "
+                             f"columns, more than {cap}")
+    return maps
 
 
-def homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """The chain complex C'_n(S, V) with the alternating-sum boundary.
-
-    A degree-n tuple is stored in the written order (s_n, ..., s_1); its
-    summand is the image of act(d(s_n ... s_1)).
-    """
-    _check_module(monoid, module)
-
-    def idempotent(tup):
-        return monoid.dom(monoid.product(tup))
-
-    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
-               for n in range(max_deg + 1)]
-
-    def faces(n):
-        lower, _ = degrees[n - 1]
-        for u, blk in degrees[n][0].items():
-            # faces of (s_n, ..., s_1) stored as u = (u_1, ..., u_n):
-            #   drop u_n acting by it (+1), merge u_j u_{j+1} ((-1)^(n-j)),
-            #   drop u_1 ((-1)^n).
-            yield blk, lower[u[:-1]], module.act[u[-1]], 1
-            for j in range(n - 1):
-                merged = u[:j] + (monoid.table[u[j]][u[j + 1]],) + u[j + 2:]
-                yield blk, lower[merged], None, (-1) ** (n - 1 - j)
-            yield blk, lower[u[1:]], None, (-1) ** n
-
-    boundaries = [None] + [
-        assemble(module.field, degrees[n - 1][1], degrees[n][1], faces(n))
-        for n in range(1, max_deg + 1)]
-    return ChainComplexData("chain", [d for _, d in degrees], boundaries)
+def homology_complex(group, module, top, cap=DEFAULT_COLUMN_CAP):
+    """The chain complex P (x)_KG W of degrees 0..top, for P from
+    ``group_resolution`` (Brown, Cohomology of Groups, III.1).  Degree n is
+    W^(r_n), and g e_j (x) w = e_j (x) g^-1 w, so d(e_i) = sum c_ijg g e_j
+    gives the block (j, i) = sum c_ijg act(g^-1)."""
+    return _group_complex(group, module, top, cap, False)
 
 
-def cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """The cochain complex C^n(S, V); summands are images of act(r(...))."""
-    _check_module(monoid, module)
+def cohomology_complex(group, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """The cochain complex Hom_KG(P, W) of degrees 0..max_deg + 1: f is
+    (f(e_i))_i in W^(r_n), and (delta f)(e_i) = f(d e_i) gives the block
+    (i, j) = sum c_ijg act(g)."""
+    return _group_complex(group, module, max_deg + 1, cap, True)
 
-    def idempotent(tup):
-        return monoid.rng(monoid.product(tup))
 
-    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
-               for n in range(max_deg + 2)]
-
-    def faces(n):
-        lower, _ = degrees[n]
-        for w, blk in degrees[n + 1][0].items():
-            # (delta sigma)(s_1..s_{n+1}) = s_1 sigma(s_2..) + sum (-1)^i
-            # sigma(..s_i s_{i+1}..) + (-1)^(n+1) r(s_1..s_{n+1}) sigma(s_1..s_n)
-            yield lower[w[1:]], blk, module.act[w[0]], 1
-            for i in range(1, n + 1):
-                merged = w[:i - 1] + (monoid.table[w[i - 1]][w[i]],) + w[i + 1:]
-                yield lower[merged], blk, None, (-1) ** i
-            yield lower[w[:-1]], blk, module.act[idempotent(w)], (-1) ** (n + 1)
-
-    boundaries = [
-        assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))
-        for n in range(max_deg + 1)]
-    return ChainComplexData("cochain", [d for _, d in degrees], boundaries)
+def _group_complex(group, module, top, cap, dual):
+    _check_module(group, module)
+    F, size, dim = module.field, group.size, module.dim
+    maps = group_resolution(group, F, top, dim, cap)
+    act = module.act if dual else [module.act[g] for g in group.inv]
+    boundaries = []
+    for d in maps[1:]:
+        shape = (d.rows // size * dim, d.cols // size * dim)
+        out = Matrix(F, *(shape[::-1] if dual else shape))
+        for i in range(d.cols // size):
+            for k, c in d.columns[i * size + group.unit].items():
+                j, g = divmod(k, size)
+                r, s = (i, j) if dual else (j, i)
+                for b, col in enumerate(act[g].columns):
+                    for a, x in col.items():
+                        out.add_at(r * dim + a, s * dim + b, F.mul(c, x))
+        boundaries.append(out)
+    return ChainComplexData("cochain" if dual else "chain",
+                            [d.cols // size * dim for d in maps],
+                            boundaries if dual else [None] + boundaries)
 
 
 def d_class_summands(monoid, module):

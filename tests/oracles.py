@@ -11,6 +11,9 @@ the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
 the absolute Hochschild complex uses one copy of the bimodule per n-tuple of
 algebra basis indices, with no idempotent family and no normalization,
+the monoid bar complexes (``bar_homology_complex``,
+``bar_cohomology_complex``) have one summand per n-tuple of S, with no
+D-class split and no group resolution,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  The monoid-table oracles compose every
 pair of partial bijections of I_n and run from_table's checks one entry at
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 from invhom.algebras import Algebra, check_over
 from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
-                             assemble, check_degree)
+                             _check_module, assemble, check_degree)
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
                            mat_rank, quotient_space)
 from invhom.monoids import MONOID_SIZE_CAP, _generators
@@ -1117,3 +1120,87 @@ def absolute_hochschild_cohomology(algebra, module, max_deg,
                   for n in range(len(dims) - 1)]
     return ChainComplexData("cochain", dims, boundaries).betti(max_deg)
 
+
+def _degree_blocks(monoid, n, idempotent_of, module, cap):
+    """Blocks of degree n by tuple, in lexicographic order by element index.
+
+    A tuple's summand is the image of the action of its idempotent, so the
+    blocks of one idempotent share one span, each at its own offset.
+    """
+    check_degree(n, monoid.size, cap)
+    spans = {}
+    blocks = {}
+    offset = 0
+    for tup in itertools.product(range(monoid.size), repeat=n):
+        e = idempotent_of(tup)
+        span = spans.get(e)
+        if span is None:
+            span = spans[e] = ColumnSpan(image_basis(module.act[e]))
+        blocks[tup] = Block(span, offset)
+        offset += span.dim
+        if offset > cap:
+            raise ValueError(
+                f"size cap exceeded: degree-{n} space needs more than {cap} columns"
+            )
+    return blocks, offset
+
+
+def bar_homology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """The chain complex C'_n(S, V) with the alternating-sum boundary, over
+    every n-tuple of S.
+
+    A degree-n tuple is stored in the written order (s_n, ..., s_1); its
+    summand is the image of act(d(s_n ... s_1)).
+    """
+    _check_module(monoid, module)
+
+    def idempotent(tup):
+        return monoid.dom(monoid.product(tup))
+
+    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
+               for n in range(max_deg + 1)]
+
+    def faces(n):
+        lower, _ = degrees[n - 1]
+        for u, blk in degrees[n][0].items():
+            # faces of (s_n, ..., s_1) stored as u = (u_1, ..., u_n):
+            #   drop u_n acting by it (+1), merge u_j u_{j+1} ((-1)^(n-j)),
+            #   drop u_1 ((-1)^n).
+            yield blk, lower[u[:-1]], module.act[u[-1]], 1
+            for j in range(n - 1):
+                merged = u[:j] + (monoid.table[u[j]][u[j + 1]],) + u[j + 2:]
+                yield blk, lower[merged], None, (-1) ** (n - 1 - j)
+            yield blk, lower[u[1:]], None, (-1) ** n
+
+    boundaries = [None] + [
+        assemble(module.field, degrees[n - 1][1], degrees[n][1], faces(n))
+        for n in range(1, max_deg + 1)]
+    return ChainComplexData("chain", [d for _, d in degrees], boundaries)
+
+
+def bar_cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
+    """The cochain complex C^n(S, V) over every n-tuple of S; summands are
+    images of act(r(...))."""
+    _check_module(monoid, module)
+
+    def idempotent(tup):
+        return monoid.rng(monoid.product(tup))
+
+    degrees = [_degree_blocks(monoid, n, idempotent, module, cap)
+               for n in range(max_deg + 2)]
+
+    def faces(n):
+        lower, _ = degrees[n]
+        for w, blk in degrees[n + 1][0].items():
+            # (delta sigma)(s_1..s_{n+1}) = s_1 sigma(s_2..) + sum (-1)^i
+            # sigma(..s_i s_{i+1}..) + (-1)^(n+1) r(s_1..s_{n+1}) sigma(s_1..s_n)
+            yield lower[w[1:]], blk, module.act[w[0]], 1
+            for i in range(1, n + 1):
+                merged = w[:i - 1] + (monoid.table[w[i - 1]][w[i]],) + w[i + 1:]
+                yield lower[merged], blk, None, (-1) ** i
+            yield lower[w[:-1]], blk, module.act[idempotent(w)], (-1) ** (n + 1)
+
+    boundaries = [
+        assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))
+        for n in range(max_deg + 1)]
+    return ChainComplexData("cochain", [d for _, d in degrees], boundaries)

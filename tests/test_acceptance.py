@@ -21,13 +21,13 @@ from invhom.groupoids import (bisections_with_masks, discrete_groupoid,
                               steinberg_algebra, steinberg_data,
                               verify_steinberg_cohomology,
                               verify_steinberg_homology)
-from invhom.homology import (build_resolution, cohomology,
-                             cohomology_complex, homology, homology_complex,
+from invhom.homology import (build_resolution, cohomology, homology,
                              regular_ks_module, trivial_module_ke)
 from invhom.linalg import Field, Matrix, kernel_basis
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
-from oracles import (bar_group_cohomology, bar_group_homology, dense_col,
+from oracles import (bar_cohomology_complex, bar_group_cohomology,
+                     bar_group_homology, bar_homology_complex, dense_col,
                      from_rows, sparse_vec)
 
 Q = Field(0)
@@ -70,8 +70,8 @@ def test_criterion_1_complex_property_suite():
             modules.append(regular_ks_module(m, Q))
         modules = [v for v in modules if v.dim <= 6]
         for v in modules:
-            ok = ok and homology_complex(m, v, 3).check_composites()
-            ok = ok and cohomology_complex(m, v, 3).check_composites()
+            ok = ok and bar_homology_complex(m, v, 3).check_composites()
+            ok = ok and bar_cohomology_complex(m, v, 3).check_composites()
         res = build_resolution(m, Q, 3)
         ok = ok and res.verify_composites()
     _verdict(1, "complex property suite", ok, t0, 60)

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 from pathlib import Path
 
@@ -7,13 +6,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from invhom.homology import (Block, KSModule, assemble, build_resolution,
                              cohomology, cohomology_complex, d_class_summands,
-                             homology, homology_complex, regular_ks_module,
-                             trivial_module_ke)
+                             group_resolution, homology, homology_complex,
+                             regular_ks_module, trivial_module_ke)
 from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             from_table, symmetric_inverse_monoid,
                             trivial_monoid)
-from oracles import (bar_group_cohomology, bar_group_homology, dense,
+import oracles
+from oracles import (bar_cohomology_complex, bar_group_cohomology,
+                     bar_group_homology, bar_homology_complex, dense,
                      from_cols, from_rows, is_module)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
@@ -113,10 +114,11 @@ def test_module_monoid_mismatch():
 
 
 def test_homology_complex_trivial_monoid():
+    # K is free over K1, so the resolution stops at P_0 = K.
     t = trivial_monoid()
     v = trivial_module_ke(t, Q)
     cx = homology_complex(t, v, 3)
-    assert cx.space_dims == [1, 1, 1, 1]
+    assert cx.space_dims == [1, 0, 0, 0]
     assert cx.check_composites()
     assert homology(t, v, 2) == [1, 0, 0]
 
@@ -124,15 +126,16 @@ def test_homology_complex_trivial_monoid():
 def test_homology_complex_dims_group_f2():
     z2 = cyclic_group(2)
     v = trivial_module_ke(z2, F2)
+    # The resolution of Z_2 is periodic: KG <- KG <- ... by g - 1, g + 1.
     cx = homology_complex(z2, v, 3)
-    assert cx.space_dims == [1, 2, 4, 8]
+    assert cx.space_dims == [1, 1, 1, 1]
 
 
 def test_complex_property_chain2_ke():
     c2 = chain_semilattice(2)
     v = trivial_module_ke(c2, Q)
-    assert homology_complex(c2, v, 3).check_composites()
-    assert cohomology_complex(c2, v, 2).check_composites()
+    assert bar_homology_complex(c2, v, 3).check_composites()
+    assert bar_cohomology_complex(c2, v, 2).check_composites()
 
 
 def test_chain2_ke_homology():
@@ -158,24 +161,29 @@ def test_cochain_complex_trivial_monoid():
     v = trivial_module_ke(t, Q)
     cx = cohomology_complex(t, v, 2)
     assert cx.boundaries[0].is_zero()
-    assert all(d == 1 for d in cx.space_dims)
+    assert cx.space_dims == [1, 0, 0, 0]
 
 
 def test_cochain_ranks_z2():
     z2 = cyclic_group(2)
     cx_q = cohomology_complex(z2, trivial_module_ke(z2, Q), 2)
     assert cx_q.boundaries[0].is_zero()
-    # over Q the coboundary out of C^1 has rank 2 (cocycles are 1-dim);
-    # over F2 it degenerates to rank 1
-    assert cx_q.boundaries[1].rank() == 2
+    # d_2 = g + 1, so on the trivial module the coboundary out of C^1 is
+    # multiplication by 2: rank 1 over Q, and 0 over F2
+    assert cx_q.boundaries[1].rank() == 1
     cx_2 = cohomology_complex(z2, trivial_module_ke(z2, F2), 2)
-    assert cx_2.boundaries[1].rank() == 1
+    assert cx_2.boundaries[1].rank() == 0
+    # the bar complex has C^1 = K^2, and the rank is 2 over Q, 1 over F2
+    assert bar_cohomology_complex(
+        z2, trivial_module_ke(z2, Q), 2).boundaries[1].rank() == 2
+    assert bar_cohomology_complex(
+        z2, trivial_module_ke(z2, F2), 2).boundaries[1].rank() == 1
 
 
 def test_cochain_complex_property_i2():
     i2 = symmetric_inverse_monoid(2)
     v = trivial_module_ke(i2, Q)
-    assert cohomology_complex(i2, v, 2).check_composites()
+    assert bar_cohomology_complex(i2, v, 2).check_composites()
 
 
 def test_group_specialization_matches_bar_oracle():
@@ -208,8 +216,8 @@ def test_semilattice_vanishing():
 
 def test_complex_shape_field_independent():
     i2 = symmetric_inverse_monoid(2)
-    dims_q = homology_complex(i2, trivial_module_ke(i2, Q), 2).space_dims
-    dims_2 = homology_complex(i2, trivial_module_ke(i2, F2), 2).space_dims
+    dims_q = bar_homology_complex(i2, trivial_module_ke(i2, Q), 2).space_dims
+    dims_2 = bar_homology_complex(i2, trivial_module_ke(i2, F2), 2).space_dims
     assert dims_q == dims_2
 
 
@@ -223,10 +231,8 @@ def test_degree_blocks_share_one_span_per_idempotent(monkeypatch):
         sources.append({id(src): src for src, _, _, _ in terms})
         return assemble(field, rows, cols, terms)
 
-    # The package's `homology` function hides the module of the same name.
-    monkeypatch.setattr(importlib.import_module("invhom.homology"),
-                        "assemble", recording)
-    cx = homology_complex(i2, v, 2)
+    monkeypatch.setattr(oracles, "assemble", recording)
+    cx = bar_homology_complex(i2, v, 2)
     degree_2 = sources[1].values()
     assert len(degree_2) == i2.size ** 2
     assert sum(blk.span.dim for blk in degree_2) == cx.space_dims[2]
@@ -254,7 +260,41 @@ def test_size_cap():
     i2 = symmetric_inverse_monoid(2)
     v = trivial_module_ke(i2, Q)
     with pytest.raises(ValueError, match="size cap exceeded"):
-        homology_complex(i2, v, 3, cap=100)
+        bar_homology_complex(i2, v, 3, cap=100)
+
+
+def test_complexes_refuse_a_monoid_that_is_not_a_group():
+    c2 = chain_semilattice(2)
+    v = trivial_module_ke(c2, Q)
+    for build in (homology_complex, cohomology_complex):
+        with pytest.raises(ValueError, match="not a group"):
+            build(c2, v, 1)
+
+
+def _symmetric_group(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return from_table([[index[tuple(p[x] for x in q)] for q in perms]
+                       for p in perms], unit=0)
+
+
+def test_known_group_homology_and_cohomology():
+    # H_*(S_4; F_2) has Poincaré series (1 + t^2) / ((1 - t)(1 - t^3)), and
+    # H_*(S_3; F_3) = H_*(Z_3; F_3)^{Z_2} has period 4.  Over F_p, Z_m has
+    # one class in each degree when p | m; otherwise, and over Q, only H_0.
+    series = [n // 3 + 1 for n in range(7)]
+    s4_f2 = [series[n] + (series[n - 2] if n >= 2 else 0) for n in range(7)]
+    assert s4_f2 == [1, 1, 2, 3, 3, 4, 5]
+    cases = [(_symmetric_group(4), F2, s4_f2),
+             (_symmetric_group(3), F3, [1, 0, 0, 1, 1, 0, 0, 1, 1])]
+    for m in (2, 3, 4, 6):
+        for F in (Q, F2, F3):
+            divides = F.char != 0 and m % F.char == 0
+            cases.append((cyclic_group(m), F, [1] + [int(divides)] * 5))
+    for group, F, betti in cases:
+        v = trivial_module_ke(group, F)
+        assert homology(group, v, len(betti) - 1) == betti
+        assert cohomology(group, v, len(betti) - 1) == betti
 
 
 def test_betti_rejects_negative_degree():
@@ -453,9 +493,37 @@ def test_d_class_split_equals_undivided_complex(drawn, data):
     assume(m.size * module.dim <= budget)
     deg = max(d for d in (0, 1, 2) if m.size ** (d + 1) * module.dim <= budget)
     assert homology(m, module, deg) == \
-        homology_complex(m, module, deg + 1).betti(deg)
+        bar_homology_complex(m, module, deg + 1).betti(deg)
     assert cohomology(m, module, deg) == \
-        cohomology_complex(m, module, deg).betti(deg)
+        bar_cohomology_complex(m, module, deg).betti(deg)
+
+
+@settings(deadline=None, max_examples=40)
+@given(embedded_submonoids_of_i3_or_i4(), st.data())
+def test_group_complexes_equal_the_bar_oracle(drawn, data):
+    # The maximal subgroups of a drawn submonoid, with the summands of a
+    # drawn module: the complexes from the resolution against the bar
+    # complex of the group, and the resolution itself exact.
+    m, images, n = drawn
+    field = data.draw(st.sampled_from([Q, F2, F3]))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_MODULES)),
+                               min_size=1, max_size=2))
+    modules = [_MODULES[kind](m, images, n, field) for kind in kinds]
+    module = modules[0] if len(modules) == 1 else direct_sum(*modules)
+    for group, w in d_class_summands(m, module):
+        # The bar complex has |G|^(deg + 1) tuples in its top degree.
+        deg = max(d for d in (0, 1, 2)
+                  if d == 0 or group.size ** (d + 1) * w.dim <= 1000)
+        chains = homology_complex(group, w, deg + 1)
+        cochains = cohomology_complex(group, w, deg)
+        assert chains.check_composites() and cochains.check_composites()
+        assert chains.betti(deg) == \
+            bar_homology_complex(group, w, deg + 1).betti(deg)
+        assert cochains.betti(deg) == \
+            bar_cohomology_complex(group, w, deg).betti(deg)
+        maps = group_resolution(group, field, 3, w.dim)
+        for lower, upper in zip(maps, maps[1:]):
+            assert upper.rank() == lower.cols - lower.rank()
 
 
 def test_d_class_summands_of_i3():

@@ -717,8 +717,8 @@ def test_vector_of_wrong_length_in_a_file_exit_2(tmp_path):
 
 def test_max_degree_without_columns_is_refused_quickly(tmp_path):
     # A trivial monoid or a 0-dimensional module puts next to no columns in
-    # a degree, but its tuples still cost time: degree n is refused once it
-    # has more tuples than the cap, or once n * n is above it.
+    # a degree, but each degree still costs time: degree n is refused once
+    # n * n is above the cap, before anything of it is built.
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(
         {"monoid_ref": "z:2", "field": "q", "dim": 0, "act": [[], []]}))
@@ -727,7 +727,7 @@ def test_max_degree_without_columns_is_refused_quickly(tmp_path):
             ["verify", "separable-homology", "--action", "trivial:trivial",
              "--max-degree", "1000"],
             ["homology", "--monoid", "z:2", "--module", f"file:{empty}",
-             "--max-degree", "18"],
+             "--max-degree", "250"],
             # The Hochschild side runs first here; its degree is refused
             # before dim^degree is formed.
             ["verify", "steinberg-cohomology", "--groupoid", "pair:3",
@@ -775,10 +775,10 @@ def test_verify_honours_cap_columns():
     # --cap-columns reaches the monoid and Hochschild complexes of every
     # verifier, so a small cap refuses what the default admits.
     # The Steinberg homology job stops at its monoid side's S_3 summand
-    # (36 tuples at degree 2); the cohomology job at its L(X) side, whose
-    # degree 0 has one column per object.
+    # (degree 2 of its resolution has 3 * 6 = 18 columns); the cohomology
+    # job at its L(X) side, whose degree 0 has one column per object.
     jobs = (["verify", "steinberg-homology", "--groupoid", "pair:3",
-             "--max-degree", "1", "--cap-columns", "20"],
+             "--max-degree", "1", "--cap-columns", "12"],
             ["verify", "steinberg-cohomology", "--groupoid", "pair:2",
              "--max-degree", "0", "--cap-columns", "1"],
             ["verify", "separable-homology", "--action", "ke:chain:2",
@@ -797,6 +797,40 @@ def test_verify_honours_cap_columns():
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli_main(argv[:-2]) == 0, argv
+
+
+def test_resolution_cap_names_degree_and_columns():
+    # The S_4 summand of I_4 resolves with r_5 = 21 generators, so its
+    # degree 5 has 21 * 24 = 504 columns.
+    argv = ["homology", "--monoid", "i:4", "--max-degree", "6",
+            "--cap-columns", "500"]
+    start = time.monotonic()
+    assert _cli_error_lines(argv) == [
+        "error: size cap exceeded: degree 5 needs 504 columns, more than 500"]
+    assert time.monotonic() - start < 5.0
+
+
+def test_group_resolution_walls_finish_at_the_default_cap():
+    # Each job was refused at the default cap while every D-class summand
+    # used the bar complex of its group: S_4 has 24^n tuples in degree n.
+    jobs = ((["homology", "--monoid", "i:4", "--field", "fp:2",
+              "--max-degree", "6"], "betti", [5, 3, 4, 5, 5, 6, 7]),
+            (["verify", "steinberg-homology", "--groupoid", "pair:4",
+              "--max-degree", "3"], "monoid_side", [1, 0, 0, 0]),
+            (["verify", "steinberg-cohomology", "--groupoid", "pair:4",
+              "--max-degree", "3"], "monoid_side", [1, 0, 0, 0]))
+    for argv, key, expected in jobs:
+        start = time.monotonic()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main(argv + ["--format", "json"]) == 0, argv
+        assert time.monotonic() - start < 15.0, argv
+        doc = json.loads(out.getvalue())
+        if key == "betti":
+            assert doc["betti"] == expected
+        else:
+            assert doc["verdict"] == "PASS"
+            assert doc["report"]["data"][key] == expected
 
 
 def test_cap_columns_below_one_is_refused_before_any_work():

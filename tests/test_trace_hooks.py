@@ -75,8 +75,11 @@ def test_traced_run_keeps_stdout_and_measures_sizes():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # The monoid side of a pair groupoid is a trivial group acting on a
+    # line, whose resolution stops at P_0, so its complex has no nonzero
+    # boundary; that of group:z:3 is Z_3 acting on KZ_3.
     jobs = (["homology", "--monoid", "i:2", "--max-degree", "1"],
-            ["verify", "steinberg-homology", "--groupoid", "pair:2",
+            ["verify", "steinberg-homology", "--groupoid", "group:z:3",
              "--max-degree", "1"])
     for argv in jobs:
         proc = subprocess.run(
