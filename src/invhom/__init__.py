@@ -18,7 +18,7 @@ from .algebras import (Algebra, Bimodule, diagonal_algebra, dual_numbers,
 from .crossed import (CrossedProduct, PartialGroupAction, UnitalAction,
                       coinvariants, crossed_product,
                       induced_partial_action, invariants_sub, is_compatible,
-                      ks_as_crossed_product, module_as_ks, natural_ke_action,
+                      ks_as_crossed_product, natural_ke_action,
                       phi_map, trivial_action, validate_action,
                       verify_separable_collapse_cohomology,
                       verify_separable_collapse_homology)

@@ -25,8 +25,9 @@ from .homology import (build_resolution, cohomology, homology,
                        DEFAULT_COLUMN_CAP)
 from .linalg import sparse_sum
 from .serialize import (InputError, action_from_dict, algebra_from_dict,
-                        bimodule_from_dict, field_token, parse_field,
-                        resolve_groupoid, resolve_monoid, _load_json, _string)
+                        bimodule_from_dict, field_token, ks_module_from_dict,
+                        parse_field, resolve_groupoid, resolve_monoid,
+                        _load_json, _string)
 
 
 def _check_field(found, field, what):
@@ -42,7 +43,6 @@ def _resolve_ks_module(spec, monoid, field):
     if spec == "regular-ks":
         return regular_ks_module(monoid, field)
     if spec.startswith("file:"):
-        from .serialize import ks_module_from_dict
         doc = _load_json(spec[5:])
         ref = doc.get("monoid_ref")
         if ref and not _string(ref, "monoid_ref").startswith("file:inline"):
@@ -172,7 +172,7 @@ def _steinberg_cmd(args):
     monoid = data.bisection_monoid
     ak = data.steinberg_algebra
     rep = data.psi_report
-    ind = [_indicator(field, g.n_arrows, m) for m in data.masks]
+    ind = data.indicators
     # ind[unit] is the unit of the associative ak: generators suffice.
     indicator_ok = all(ak.mul(ind[s], ind[g]) == ind[monoid.table[s][g]]
                        for s in range(monoid.size) for g in monoid.generators)
@@ -189,10 +189,6 @@ def _steinberg_cmd(args):
     }
     _emit(doc, args.format)
     return 0 if (indicator_ok and rep.ok) else 1
-
-
-def _indicator(field, n, mask):
-    return {a: field.one for a in range(n) if mask >> a & 1}
 
 
 def _resolution_cmd(args):

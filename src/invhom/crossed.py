@@ -416,58 +416,45 @@ def ks_as_crossed_product(monoid, field):
     return rep
 
 
-def module_as_ks(bimodule, crossed):
-    """The left KS-module s.x = (1_s d_s) x (1_s^-1 d_s^-1) on a bimodule."""
-    check_over(bimodule, crossed.algebra, "this crossed product")
-    S = crossed.action.monoid
-    F = crossed.action.algebra.field
-    act = []
-    for s in range(S.size):
-        gs = bimodule.left_action(crossed.gamma[s])
-        gsi = bimodule.right_action(crossed.gamma[S.inv[s]])
-        act.append(gs @ gsi)
-    try:
-        return KSModule(S, F, bimodule.dim, act)
-    except ValueError as exc:
-        raise ValueError(f"bimodule axioms fail: {exc}") from exc
+def _conjugations(bimodule, monoid, gamma):
+    """The matrices of x -> gamma_s x gamma_s^-1 on M, one per s."""
+    return [bimodule.left_action(gamma[s])
+            @ bimodule.right_action(gamma[monoid.inv[s]])
+            for s in range(monoid.size)]
 
 
-def coinvariants(bimodule, crossed):
-    """(M/[A,M], induced KS-action); A acts through its embedding."""
-    ks = module_as_ks(bimodule, crossed)
-    S = crossed.action.monoid
-    F = crossed.action.algebra.field
+def coinvariants(bimodule, monoid, gamma, a_basis):
+    """(M/[A,M], induced KS-action), for the subalgebra A spanned by a_basis
+    and s acting by x -> gamma_s x gamma_s^-1, all in M's algebra."""
+    F = bimodule.algebra.field
     gens = []
-    for a in crossed.embed_A.columns:
+    for a in a_basis:
         diff = bimodule.left_action(a) - bimodule.right_action(a)
         gens.extend(col for col in diff.columns if col)
     q = quotient_space(F, bimodule.dim,
                        Matrix(F, bimodule.dim, len(gens), gens))
-    act = [induced_map(ks.act[s], q, q) for s in range(S.size)]
-    return q, KSModule(S, F, q.dim, act)
+    return q, KSModule(monoid, F, q.dim, [
+        induced_map(c, q, q) for c in _conjugations(bimodule, monoid, gamma)])
 
 
-def invariants_sub(bimodule, crossed):
-    """M^A = {x : a x = x a for all a}, with its restricted KS-action."""
-    ks = module_as_ks(bimodule, crossed)
-    S = crossed.action.monoid
-    A = crossed.action.algebra
-    F = A.field
+def invariants_sub(bimodule, monoid, gamma, a_basis):
+    """M^A = {x : a x = x a for a in a_basis}, with the restricted KS-action
+    s.x = gamma_s x gamma_s^-1."""
+    F = bimodule.algebra.field
     # The kernel of every a x - x a at once: the maps stacked, row block i
-    # for the i-th basis vector of A.
+    # for the i-th vector of a_basis.
     d = bimodule.dim
-    stacked = Matrix(F, A.dim * d, d)
-    for i, a in enumerate(crossed.embed_A.columns):
+    stacked = Matrix(F, len(a_basis) * d, d)
+    for i, a in enumerate(a_basis):
         diff = bimodule.left_action(a) - bimodule.right_action(a)
         for col, dcol in zip(stacked.columns, diff.columns):
             col.update((i * d + r, v) for r, v in dcol.items())
     basis = kernel_basis(stacked)
     span = ColumnSpan(basis)
-    act = [Matrix(F, basis.cols, basis.cols,
-                  [span.coords(col)
-                   for col in (ks.act[s] @ basis).columns])
-           for s in range(S.size)]
-    return KSModule(S, F, basis.cols, act)
+    return KSModule(monoid, F, basis.cols, [
+        Matrix(F, basis.cols, basis.cols,
+               [span.coords(col) for col in (c @ basis).columns])
+        for c in _conjugations(bimodule, monoid, gamma)])
 
 
 def record_sides(rep, symbol, lhs, rhs):
@@ -493,8 +480,10 @@ def verify_separable_collapse_homology(crossed, bimodule, max_deg,
     """H_n(S, M/[A,M]) vs Hochschild H_n(A x S, M), degreewise."""
     if not is_separable(crossed.action.algebra):
         raise ValueError("A not separable")
+    check_over(bimodule, crossed.algebra, "this crossed product")
     rep = Report("separable collapse (homology)")
-    _, co = coinvariants(bimodule, crossed)
+    _, co = coinvariants(bimodule, crossed.action.monoid, crossed.gamma,
+                         crossed.embed_A.columns)
     record_sides(rep, "H_", homology(crossed.action.monoid, co, max_deg, cap),
                  hochschild_homology(crossed.algebra, bimodule, max_deg, cap,
                                      mobius_family(crossed)))
@@ -506,8 +495,10 @@ def verify_separable_collapse_cohomology(crossed, bimodule, max_deg,
     """H^n(S, M^A) vs Hochschild H^n(A x S, M), degreewise."""
     if not is_separable(crossed.action.algebra):
         raise ValueError("A not separable")
+    check_over(bimodule, crossed.algebra, "this crossed product")
     rep = Report("separable collapse (cohomology)")
-    inv = invariants_sub(bimodule, crossed)
+    inv = invariants_sub(bimodule, crossed.action.monoid, crossed.gamma,
+                         crossed.embed_A.columns)
     record_sides(rep, "H^", cohomology(crossed.action.monoid, inv, max_deg, cap),
                  hochschild_cohomology(crossed.algebra, bimodule, max_deg, cap,
                                        mobius_family(crossed)))

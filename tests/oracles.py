@@ -25,17 +25,22 @@ vector helpers (``vec_sub``, ``vec_is_zero``, ``dense_mul``,
 arithmetic that the sparse {i: x} vectors replaced, kept as their
 reference; ``dense_coords`` solves by textbook Gauss-Jordan.  FractionField is the scalar arithmetic that keeps every rational a
 Fraction, kept as the reference for Field, which keeps integral
-rationals as ints.
+rationals as ints.  The Steinberg coefficients have their transported
+reference: ``transport_bimodule`` pulls an A_K(G)-bimodule back along psi
+to the crossed product, where ``crossed_coinvariants`` and
+``crossed_invariants`` take M/[A,M] and M^A with gamma_s acting by
+conjugation, after checking the KS-module law on all of M.
 """
 
 import itertools
 from fractions import Fraction
 
-from invhom.algebras import Algebra, check_over
+from invhom.algebras import Algebra, Bimodule, check_over
 from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
-                             _check_module, assemble, check_degree)
+                             KSModule, _check_module, assemble, check_degree)
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
-                           mat_rank, quotient_space)
+                           induced_map, kernel_basis, mat_rank,
+                           quotient_space)
 from invhom.monoids import MONOID_SIZE_CAP, _generators
 
 
@@ -1204,3 +1209,54 @@ def bar_cohomology_complex(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
         assemble(module.field, degrees[n + 1][1], degrees[n][1], faces(n))
         for n in range(max_deg + 1)]
     return ChainComplexData("cochain", [d for _, d in degrees], boundaries)
+
+
+def transport_bimodule(module, crossed, psi):
+    """Pull an A_K(G)-bimodule back along psi to the crossed product."""
+    return Bimodule(crossed.algebra, module.dim,
+                    [module.left_action(img) for img in psi.columns],
+                    [module.right_action(img) for img in psi.columns])
+
+
+def _crossed_ks_module(bimodule, crossed):
+    """The left KS-module s.x = gamma_s x gamma_s^-1 on all of M."""
+    S = crossed.action.monoid
+    act = [bimodule.left_action(crossed.gamma[s])
+           @ bimodule.right_action(crossed.gamma[S.inv[s]])
+           for s in range(S.size)]
+    return KSModule(S, bimodule.algebra.field, bimodule.dim, act)
+
+
+def _commutator_maps(bimodule, crossed):
+    return [bimodule.left_action(a) - bimodule.right_action(a)
+            for a in crossed.embed_A.columns]
+
+
+def crossed_coinvariants(bimodule, crossed):
+    """M/[A,M] over the crossed product, with the induced KS-action."""
+    ks = _crossed_ks_module(bimodule, crossed)
+    F = bimodule.algebra.field
+    gens = [col for diff in _commutator_maps(bimodule, crossed)
+            for col in diff.columns if col]
+    q = quotient_space(F, bimodule.dim,
+                       Matrix(F, bimodule.dim, len(gens), gens))
+    return KSModule(ks.monoid, F, q.dim,
+                    [induced_map(m, q, q) for m in ks.act])
+
+
+def crossed_invariants(bimodule, crossed):
+    """M^A over the crossed product, with the restricted KS-action."""
+    ks = _crossed_ks_module(bimodule, crossed)
+    F = bimodule.algebra.field
+    d = bimodule.dim
+    diffs = _commutator_maps(bimodule, crossed)
+    stacked = Matrix(F, len(diffs) * d, d)
+    for i, diff in enumerate(diffs):
+        for col, dcol in zip(stacked.columns, diff.columns):
+            col.update((i * d + r, v) for r, v in dcol.items())
+    basis = kernel_basis(stacked)
+    span = ColumnSpan(basis)
+    return KSModule(ks.monoid, F, basis.cols, [
+        Matrix(F, basis.cols, basis.cols,
+               [span.coords(col) for col in (m @ basis).columns])
+        for m in ks.act])

@@ -7,7 +7,7 @@ from invhom.algebras import (diagonal_algebra, field_algebra, matrix_algebra,
 from invhom.crossed import (CrossedProduct, UnitalAction, coinvariants,
                             crossed_product, induced_partial_action,
                             invariants_sub, is_compatible,
-                            ks_as_crossed_product, module_as_ks,
+                            ks_as_crossed_product,
                             natural_ke_action, phi_map, trivial_action,
                             validate_action,
                             verify_separable_collapse_cohomology,
@@ -227,29 +227,34 @@ def test_ks_as_crossed_product_examples():
         ks_as_crossed_product(symmetric_inverse_monoid(2), Q)
 
 
-def test_module_as_ks():
+def over(cp):
+    """The coefficient data of a crossed product: S, gamma and A's basis."""
+    return cp.action.monoid, cp.gamma, cp.embed_A.columns
+
+
+def test_coinvariants_idempotents_act_idempotently():
     act = i1_on_k2()
     cp = crossed_product(act)
     m = regular_bimodule(cp.algebra)
-    ks = module_as_ks(m, cp)
-    assert ks.dim == cp.algebra.dim
+    q, co = coinvariants(m, *over(cp))
+    assert co.dim == q.dim
     # idempotents act by idempotent matrices
     for e in act.monoid.idempotents():
-        assert ks.act[e] @ ks.act[e] == ks.act[e]
+        assert co.act[e] @ co.act[e] == co.act[e]
 
 
-def test_module_as_ks_trivial_monoid():
+def test_coinvariants_trivial_monoid():
     a = matrix_algebra(Q, 2)
     cp = crossed_product(trivial_action(trivial_monoid(), a))
-    ks = module_as_ks(regular_bimodule(cp.algebra), cp)
-    assert ks.act[0].is_identity()
+    _, co = coinvariants(regular_bimodule(cp.algebra), *over(cp))
+    assert co.act[0].is_identity()
 
 
 def test_coinvariants_commutative_is_everything():
     act = i1_on_k2()
     cp = crossed_product(act)
     m = regular_bimodule(cp.algebra)
-    q, co = coinvariants(m, cp)
+    q, co = coinvariants(m, *over(cp))
     assert co.dim == m.dim  # commutative quotient algebra
 
 
@@ -260,19 +265,46 @@ def test_coinvariants_matrix_algebra_over_diagonal():
     # [M2, M2] is the 3-dim space of trace-zero matrices.
     a = matrix_algebra(Q, 2)
     cp = crossed_product(trivial_action(trivial_monoid(), a))
-    q, co = coinvariants(regular_bimodule(cp.algebra), cp)
+    q, co = coinvariants(regular_bimodule(cp.algebra), *over(cp))
     assert co.dim == 1
 
 
 def test_invariants():
     a = matrix_algebra(Q, 2)
     cp = crossed_product(trivial_action(trivial_monoid(), a))
-    inv = invariants_sub(regular_bimodule(cp.algebra), cp)
+    inv = invariants_sub(regular_bimodule(cp.algebra), *over(cp))
     assert inv.dim == 1  # center of M2
     b = diagonal_algebra(Q, 3)
     cpb = crossed_product(trivial_action(trivial_monoid(), b))
-    invb = invariants_sub(regular_bimodule(cpb.algebra), cpb)
+    invb = invariants_sub(regular_bimodule(cpb.algebra), *over(cpb))
     assert invb.dim == 3  # commutative: everything
+
+
+def test_gamma_that_is_not_multiplicative_is_refused():
+    # K[Z_2]: the quotient and the invariants are all of M, and 2 gamma_g
+    # conjugates by 4 times an involution, so g.(g.x) = 16 x, not x.
+    z2 = cyclic_group(2)
+    cp = crossed_product(trivial_action(z2, field_algebra(Q)))
+    m = regular_bimodule(cp.algebra)
+    (g,) = (s for s in range(z2.size) if s != z2.unit)
+    bad = list(cp.gamma)
+    bad[g] = {i: Q.mul(2, x) for i, x in cp.gamma[g].items()}
+    a_basis = cp.embed_A.columns
+    assert coinvariants(m, z2, cp.gamma, a_basis)[1].dim == 2
+    with pytest.raises(ValueError, match="not a left module"):
+        coinvariants(m, z2, bad, a_basis)
+    with pytest.raises(ValueError, match="not a left module"):
+        invariants_sub(m, z2, bad, a_basis)
+
+
+def test_separable_verifiers_refuse_a_bimodule_over_another_algebra():
+    cp = crossed_product(i1_on_k2())
+    wrong = regular_bimodule(matrix_algebra(Q, 2))
+    for verify in (verify_separable_collapse_homology,
+                   verify_separable_collapse_cohomology):
+        with pytest.raises(ValueError,
+                           match="bimodule is not over this crossed product"):
+            verify(cp, wrong, 1)
 
 
 def test_separable_collapse_homology_examples():
@@ -332,9 +364,9 @@ def test_zero_bimodule_has_zero_coinvariants():
         cp.algebra, 0,
         [Matrix(Q, 0, 0) for _ in range(cp.algebra.dim)],
         [Matrix(Q, 0, 0) for _ in range(cp.algebra.dim)])
-    q, co = coinvariants(zero, cp)
+    q, co = coinvariants(zero, *over(cp))
     assert q.dim == 0 and co.dim == 0
-    assert invariants_sub(zero, cp).dim == 0
+    assert invariants_sub(zero, *over(cp)).dim == 0
 
 
 def test_hochschild_degree_zero_is_commutator_quotient_and_centralizer():

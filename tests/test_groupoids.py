@@ -1,21 +1,27 @@
 import contextlib
+import functools
 import io
 import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from invhom.algebras import regular_bimodule
-from invhom.crossed import validate_action
+from invhom.algebras import Bimodule, regular_bimodule
+from invhom.crossed import coinvariants, invariants_sub, validate_action
 from invhom.groupoids import (bisections, bisections_with_masks,
                               discrete_groupoid, disjoint_union,
                               group_as_groupoid, induced_action_hat,
-                              lx_embedding, pair_groupoid, steinberg_algebra,
-                              steinberg_data, verify_steinberg_cohomology,
+                              lx_embedding, pair_groupoid, psi_map,
+                              steinberg_algebra, steinberg_data,
+                              verify_steinberg_cohomology,
                               verify_steinberg_homology)
-from invhom.linalg import Field
+from invhom.homology import cohomology, homology
+from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
+from oracles import (crossed_coinvariants, crossed_invariants,
+                     transport_bimodule)
 
 Q = Field(0)
 
@@ -156,21 +162,21 @@ def test_indicator_convolution_identity_exhaustive():
 
 def test_psi_trivial_groupoid():
     data = steinberg_data(pair_groupoid(1), Q)
-    psi, rep = data.psi, data.psi_report
+    rep = data.psi_report
     assert rep.ok
-    assert psi.rows == psi.cols == 1
+    assert rep.data["dim_crossed"] == rep.data["dim_steinberg"] == 1
 
 
 def test_psi_pair_groupoid():
     data = steinberg_data(pair_groupoid(2), Q)
-    psi, rep = data.psi, data.psi_report
+    rep = data.psi_report
     assert rep.ok
     assert rep.data["dim_crossed"] == 4 and rep.data["dim_steinberg"] == 4
 
 
 def test_psi_discrete():
     data = steinberg_data(discrete_groupoid(2), Q)
-    psi, rep = data.psi, data.psi_report
+    rep = data.psi_report
     assert rep.ok and rep.data["dim_crossed"] == 2
 
 
@@ -340,3 +346,100 @@ def test_action_checks_make_generator_many_products(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert invhom.cli.main(["steinberg", "--groupoid", "pair:3"]) == 0
     assert counts["mul"] == S.size * len(S.generators)
+
+
+GROUPOIDS = {
+    **{f"pair:{n}": functools.partial(pair_groupoid, n) for n in (1, 2, 3)},
+    **{f"group:z:{n}": functools.partial(group_as_groupoid, cyclic_group(n))
+       for n in (2, 3, 4)},
+    **{f"discrete:{n}": functools.partial(discrete_groupoid, n)
+       for n in (1, 2, 3)},
+    "pair:2+group:z:2": lambda: disjoint_union(
+        pair_groupoid(2), group_as_groupoid(cyclic_group(2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle_and_psi(name, char):
+    g = GROUPOIDS[name]()
+    field = Field(char)
+    data = steinberg_data(g, field)
+    _, masks = bisections_with_masks(g)
+    psi, _ = psi_map(g, masks, data.crossed, data.steinberg_algebra)
+    return data, psi
+
+
+def _transpose(m):
+    t = Matrix(m.field, m.cols, m.rows)
+    for j, col in enumerate(m.columns):
+        for i, x in col.items():
+            t.add_at(j, i, x)
+    return t
+
+
+def _block_sum(m1, m2):
+    d1 = m1.rows
+    return Matrix(m1.field, d1 + m2.rows, d1 + m2.cols,
+                  [dict(c) for c in m1.columns]
+                  + [{d1 + i: x for i, x in c.items()} for c in m2.columns])
+
+
+def _bimodule(kind, algebra):
+    """The regular bimodule, its dual (a.f = f(- a), f.a = f(a -)) or their
+    direct sum."""
+    reg = regular_bimodule(algebra)
+    if kind == "regular":
+        return reg
+    dual = Bimodule(algebra, algebra.dim, list(map(_transpose, reg.right)),
+                    list(map(_transpose, reg.left)))
+    if kind == "dual":
+        return dual
+    return Bimodule(algebra, 2 * algebra.dim,
+                    list(map(_block_sum, reg.left, dual.left)),
+                    list(map(_block_sum, reg.right, dual.right)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(sorted(GROUPOIDS)), st.sampled_from((0, 2, 3)),
+       st.sampled_from(("regular", "dual", "sum")))
+def test_coefficients_in_steinberg_algebra_match_transported_route(
+        name, char, kind):
+    data, psi = _bundle_and_psi(name, char)
+    S, crossed = data.bisection_monoid, data.crossed
+    for u in range(S.size):
+        assert psi.apply(crossed.gamma[u]) == data.indicators[u]
+    module = _bimodule(kind, data.steinberg_algebra)
+    units = lx_embedding(data.groupoid, Field(char)).columns
+    co = coinvariants(module, S, data.indicators, units)[1]
+    inv = invariants_sub(module, S, data.indicators, units)
+    transported = transport_bimodule(module, crossed, psi)
+    co_ref = crossed_coinvariants(transported, crossed)
+    inv_ref = crossed_invariants(transported, crossed)
+    assert (co.dim, inv.dim) == (co_ref.dim, inv_ref.dim)
+    assert homology(S, co, 2) == homology(S, co_ref, 2)
+    assert cohomology(S, inv, 2) == cohomology(S, inv_ref, 2)
+
+
+def test_steinberg_verifier_builds_no_bimodule_over_crossed_product(
+        monkeypatch):
+    import invhom.cli
+    built, bundles = [], []
+    init = Bimodule.__init__
+
+    def recording(self, algebra, *args, **kwargs):
+        built.append(algebra)
+        init(self, algebra, *args, **kwargs)
+
+    def keep(g, field):
+        bundles.append(steinberg_data(g, field))
+        return bundles[-1]
+
+    monkeypatch.setattr(Bimodule, "__init__", recording)
+    monkeypatch.setattr(invhom.cli, "steinberg_data", keep)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert invhom.cli.main(["verify", "steinberg-homology",
+                                "--groupoid", "pair:3"]) == 0
+    (data,) = bundles
+    assert any(a is data.steinberg_algebra for a in built)
+    assert not any(a is data.crossed.algebra for a in built)
