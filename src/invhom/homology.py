@@ -18,6 +18,7 @@ homotopy, kept as a self-check (``build_resolution``).
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .linalg import ColumnSpan, Matrix, _insert, image_basis, kernel_basis
 from .monoids import from_table
@@ -40,10 +41,29 @@ class KSModule:
             raise ValueError("not a left module: unit does not act as identity")
         # Each t is a left-to-right product of generators, so by induction
         # on its length and associativity of S, the law for every (s, g)
-        # with g a generator gives it for every (s, t).
-        for s in range(monoid.size):
-            for g in monoid.generators:
-                if act[s] @ act[g] != act[monoid.table[s][g]]:
+        # with g a generator gives it for every (s, t); g = 1 holds, since
+        # act[1] = I.  Column j of act[s] @ act[g] is act[s] applied to
+        # column j of act[g], and is column k of act[s] when that column
+        # is a single 1 at k, as in every partial permutation.
+        table = monoid.table
+        laws = []
+        for g in monoid.generators:
+            if g == monoid.unit:
+                continue
+            ks, js, others = [], [], []
+            for j, col in enumerate(act[g].columns):
+                if len(col) == 1 and 1 in col.values():
+                    ks.extend(col)
+                    js.append(j)
+                else:
+                    others.append((j, col))
+            laws.append((g, _gather(ks), _gather(js), others))
+        for s, m in enumerate(act):
+            row, columns = table[s], m.columns
+            for g, at_k, at_j, others in laws:
+                target = act[row[g]].columns
+                if at_k(columns) != at_j(target) or any(
+                        m.apply(col) != target[j] for j, col in others):
                     raise ValueError(
                         "not a left module: action law fails at "
                         f"({monoid.name_of(s)},{monoid.name_of(g)})")
@@ -51,6 +71,12 @@ class KSModule:
         self.field = field
         self.dim = dim
         self.act = act
+
+
+def _gather(indices):
+    """seq -> seq's entries at indices, as one C call (a bare entry for a
+    single index, () for none)."""
+    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def trivial_module_ke(monoid, field):

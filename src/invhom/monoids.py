@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
 
-# Light's test costs 2|S|^2 |A| lookups for a generating set A, a row at a
-# time: from_table takes about 0.017 s for i:4 (|A| = 5) and 0.6-0.9 s for
-# a 256-element chain (A = S) on one Xeon core, and I_4's table builds in
-# 0.005 s.  I_5 (1,546 elements) would take 0.1-0.4 s to build and 0.8-1.0 s
-# to validate, so every constructor refuses a larger monoid before building
-# its table.
+# Light's test costs 2|S|^2 |A| lookups for a generating set A.  The cap is
+# also what makes every element one byte, so from_table reads a row through
+# a column, and symmetric_inverse_monoid a row through a row, with one
+# bytes.translate each: from_table takes about 0.004 s for i:4 (|A| = 5)
+# and 0.1 s for a 256-element chain (A = S) on one Xeon core, and I_4's
+# table builds in 0.004 s.  I_5 (1,546 elements) fits in no byte, and with
+# lists of ints it would take 0.1-0.4 s to build and 0.8-1.0 s to validate,
+# so every constructor refuses a larger monoid before building its table.
 MONOID_SIZE_CAP = 256
 
 
@@ -138,35 +139,50 @@ def from_table(table, unit=None, names=None):
         if min(row) < 0 or max(row) >= n:
             bad = next(v for v in row if not 0 <= v < n)
             raise ValueError(f"table entry {bad} out of range")
+    # Every entry fits in a byte (MONOID_SIZE_CAP is 256), so the table is
+    # one bytes object, row i is its bytes i*n .. i*n+n-1 and column k its
+    # every n-th byte from byte k, and reading one at the other is a
+    # translate through it, padded to the 256 bytes a translate takes.
+    flat = b"".join(map(bytes, table))
+    pad = bytes(256 - n)
     gens = _generators(table)
     # Light's test: the k with (ij)k = i(jk) for all i, j are closed under
     # products, so testing the generators covers every k.  Row i is tested
-    # whole: column k read at row i is (ij)k, row i read at column k is
-    # i(jk).  A failing row is scanned again for its first (j, k).
-    cols = [[row[k] for row in table] for k in gens]
-    col_getters = [itemgetter(*col) for col in cols]
+    # whole against each generator column k: column k read at row i is
+    # (ij)k over j, row i read at column k is i(jk).  A failing row is
+    # scanned again for its first (j, k).
+    gen_cols = [(flat[k::n], flat[k::n] + pad) for k in gens]
     for i, row in enumerate(table):
-        row_getter = itemgetter(*row)
-        if any(row_getter(col) != get(row)
-               for col, get in zip(cols, col_getters)):
+        row_bytes = flat[i * n:i * n + n]
+        row_pad = row_bytes + pad
+        if any(row_bytes.translate(col_pad) != col.translate(row_pad)
+               for col, col_pad in gen_cols):
             for j in range(n):
                 tij = table[row[j]]
                 tj = table[j]
                 for k in gens:
                     if tij[k] != row[tj[k]]:
                         raise ValueError(f"not associative at ({i},{j},{k})")
+    ident = bytes(range(n))
     units = [e for e in range(n)
-             if all(table[e][x] == x and table[x][e] == x for x in range(n))]
+             if flat[e * n:e * n + n] == ident and flat[e::n] == ident]
     if not units:
         raise ValueError("no identity")
     if unit is None:
         unit = units[0]
     elif unit not in units:
         raise ValueError(f"element {unit} is not a two-sided identity")
+    # The x with sxs = s are where column s read at row s holds s; of
+    # those, the inverses are the x with xsx = x.
     inv = [None] * n
-    for s, row in enumerate(table):
-        cands = [x for x, sx in enumerate(row)
-                 if table[sx][s] == s and table[table[x][s]][x] == x]
+    for s in range(n):
+        sxs = flat[s * n:s * n + n].translate(flat[s::n] + pad)
+        cands = []
+        x = sxs.find(s)
+        while x >= 0:
+            if table[table[x][s]][x] == x:
+                cands.append(x)
+            x = sxs.find(s, x + 1)
         if not cands:
             raise ValueError(f"inverse missing for element {s}")
         if len(cands) > 1:
@@ -265,22 +281,25 @@ def symmetric_inverse_monoid(n):
     # Mazorchuk 2009): here the adjacent transpositions and the identity on
     # {2..n}.  Only their rows are composed.  Row p.a is row p read at row
     # a, so a breadth-first walk of the right Cayley graph from the unit,
-    # whose edge p -> p.a is entry a of row p, fills each row in one call.
+    # whose edge p -> p.a is entry a of row p, fills each row with one
+    # translate of row a through row p, both read as bytes (every entry is
+    # below the size cap of 256).
     ident = tuple(range(1, n + 1))
     gens = [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
     gens += [(0,) + ident[1:]] if n else []
-    getters = [(index[a], itemgetter(*[after(a, g) for g in elems]))
-               for a in gens]
+    gen_rows = [(index[a], bytes(after(a, g) for g in elems)) for a in gens]
+    pad = bytes(256 - size)
     unit = index[ident]
     table = [None] * size
     table[unit] = list(range(size))
     walk = [unit]
     for p in walk:
         row = table[p]
-        for a, get in getters:
+        row_pad = bytes(row) + pad
+        for a, row_a in gen_rows:
             g = row[a]
             if table[g] is None:
-                table[g] = list(get(row))
+                table[g] = list(row_a.translate(row_pad))
                 walk.append(g)
     if len(walk) != size:
         raise ValueError(f"I_{n} walk reached {len(walk)} of {size} elements")

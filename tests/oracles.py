@@ -17,7 +17,9 @@ D-class split and no group resolution,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  The monoid-table oracles compose every
 pair of partial bijections of I_n and run from_table's checks one entry at
-a time.  DenseMatrix is the dense row-list matrix arithmetic that the
+a time.  ``ks_module_failure`` checks the KS-module law with whole matrix
+products on the generators.
+DenseMatrix is the dense row-list matrix arithmetic that the
 column-sparse Matrix replaced, kept as its reference; ``from_rows`` and
 ``from_cols`` write a column-sparse Matrix from nested lists.  The dense
 vector helpers (``vec_sub``, ``vec_is_zero``, ``dense_mul``,
@@ -786,6 +788,21 @@ def is_module(table, unit, char, act):
             if _matmul(char, act[s], act[t]) != act[table[s][t]]:
                 return False
     return True
+
+
+def ks_module_failure(monoid, act):
+    """The message KSModule refuses the action act with, or None, once the
+    shapes are right: act[unit] must be the identity, then the law
+    act[s] @ act[g] == act[sg] is checked as a whole matrix product for
+    every s and every generator g, the unit included, s outermost."""
+    if not act[monoid.unit].is_identity():
+        return "not a left module: unit does not act as identity"
+    for s in range(monoid.size):
+        for g in monoid.generators:
+            if act[s] @ act[g] != act[monoid.table[s][g]]:
+                return ("not a left module: action law fails at "
+                        f"({monoid.name_of(s)},{monoid.name_of(g)})")
+    return None
 
 
 def crossed_product_by_vectors(action):

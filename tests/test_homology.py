@@ -105,6 +105,84 @@ def test_module_check_agrees_with_exhaustive_oracle(data):
     assert accepted == _oracle_accepts(m, field, act)
 
 
+def _in_partial_sums(module):
+    """The same module written in the basis e_0 + .. + e_j, j = 0..dim-1,
+    so that its matrices have columns that are not a single 1."""
+    F, n = module.field, module.dim
+    to_sums = Matrix(F, n, n, [{i: F.one for i in range(j + 1)}
+                               for j in range(n)])
+    from_sums = Matrix(F, n, n, [{j: F.one, j - 1: F.neg(F.one)} if j
+                                 else {0: F.one} for j in range(n)])
+    return KSModule(module.monoid, F, n,
+                    [from_sums @ a @ to_sums for a in module.act])
+
+
+def _law_modules():
+    """(monoid, act) over F_3: trivial-ke and regular-ks of I_3, regular-ks
+    in the basis of partial sums, and the restricted action of its
+    D-class summand over S_3 (the group of units)."""
+    i3 = symmetric_inverse_monoid(3)
+    regular = regular_ks_module(i3, F3)
+    sums = _in_partial_sums(regular)
+    s3, w = max(d_class_summands(i3, sums), key=lambda gw: gw[0].size)
+    return [(i3, trivial_module_ke(i3, F3).act), (i3, regular.act),
+            (i3, sums.act), (s3, w.act)]
+
+
+_LAW_MODULES = _law_modules()
+
+
+@st.composite
+def corrupted_actions(draw):
+    """One matrix of a module of _LAW_MODULES with a 1 changed to 2, a
+    second entry added to a column that is a single 1, or a column
+    emptied."""
+    monoid, act = draw(st.sampled_from(_LAW_MODULES))
+    kind = draw(st.sampled_from(["one to two", "second entry", "emptied"]))
+    spots = [(s, j, col) for s, m in enumerate(act)
+             for j, col in enumerate(m.columns) if col]
+    if kind == "one to two":
+        spots = [(s, j, i) for s, j, col in spots
+                 for i, x in col.items() if x == 1]
+    elif kind == "second entry":
+        spots = [(s, j, col) for s, j, col in spots
+                 if len(col) == 1 and 1 in col.values()]
+    s, j, spot = draw(st.sampled_from(spots))
+    m = act[s]
+    columns = [dict(col) for col in m.columns]
+    if kind == "one to two":
+        columns[j][spot] = 2
+    elif kind == "second entry":
+        i = draw(st.integers(0, m.rows - 1).filter(lambda i: i not in spot))
+        columns[j][i] = draw(st.sampled_from([1, 2]))
+    else:
+        columns[j] = {}
+    bad = Matrix(F3, m.rows, m.cols, columns)
+    return monoid, act[:s] + [bad] + act[s + 1:]
+
+
+@settings(deadline=None, max_examples=200)
+@given(corrupted_actions())
+def test_module_law_check_refuses_as_the_product_oracle_does(case):
+    monoid, act = case
+    expected = oracles.ks_module_failure(monoid, act)
+    if expected is None:
+        KSModule(monoid, F3, act[0].rows, act)
+    else:
+        with pytest.raises(ValueError) as exc:
+            KSModule(monoid, F3, act[0].rows, act)
+        assert str(exc.value) == expected
+
+
+def test_law_modules_have_columns_that_are_not_a_single_one():
+    for monoid, act in _LAW_MODULES:
+        assert oracles.ks_module_failure(monoid, act) is None
+    general = [[col for m in act for col in m.columns
+                if not (len(col) == 1 and 1 in col.values())]
+               for _, act in _LAW_MODULES]
+    assert [bool(cols) for cols in general] == [False, False, True, True]
+
+
 def test_module_monoid_mismatch():
     z2 = cyclic_group(2)
     z3 = cyclic_group(3)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invhom.groupoids import bisections, pair_groupoid
-from invhom.homology import trivial_module_ke
+from invhom.homology import KSModule, trivial_module_ke
 from invhom.linalg import Field, Matrix
-from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
-                            direct_product, from_table, max_group_image,
-                            symmetric_inverse_monoid, trivial_monoid)
+from invhom.monoids import (MONOID_SIZE_CAP, InverseMonoid, chain_semilattice,
+                            cyclic_group, direct_product, from_table,
+                            max_group_image, symmetric_inverse_monoid,
+                            trivial_monoid)
 from invhom.serialize import resolve_groupoid, resolve_monoid
 from oracles import (from_table_failure, group_image_table_by_scan,
                      is_associative, is_e_unitary_by_scan, is_inverse_monoid,
@@ -257,6 +258,18 @@ def test_generators_generate():
     assert chain_semilattice(5).generators == [0, 1, 2, 3, 4]
 
 
+class _CountingRow(list):
+    """A table row that records every entry read from it."""
+
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, g):
+        self.reads.append(g)
+        return list.__getitem__(self, g)
+
+
 def test_module_check_makes_at_most_s_times_a_products(monkeypatch):
     i4 = symmetric_inverse_monoid(4)
     products = []
@@ -267,8 +280,17 @@ def test_module_check_makes_at_most_s_times_a_products(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
-    trivial_module_ke(i4, Field(2))
-    assert 0 < len(products) <= i4.size * len(i4.generators)
+    act = trivial_module_ke(i4, Field(2)).act
+    # At most |S||A| law checks, and not one matrix product: the check
+    # reads sg as entry g of row s once for each pair (s, g), and every
+    # column of the action on KE(I_4) is a single 1.
+    reads = []
+    rows = [_CountingRow(row, reads) for row in i4.table]
+    counted = InverseMonoid(i4.size, rows, i4.inv, i4.unit, i4.generators,
+                            i4.names)
+    KSModule(counted, Field(2), act[0].rows, act)
+    assert 0 < len(reads) <= i4.size * len(i4.generators)
+    assert not products
 
 
 def _verdicts(table):
@@ -432,17 +454,34 @@ def test_symmetric_inverse_monoid_matches_pairwise_composition():
         assert (m.table, m.unit) == symmetric_inverse_table_by_composition(n)
 
 
-# Desk tables of sizes 1, 2, 5, 7 and 34: from_table reads whole rows and
-# columns through itemgetter, which returns a bare entry, not a tuple, when
-# it is given one index.
+# Desk tables of sizes 1, 2, 5, 7, 34, 209 and 256: from_table reads rows
+# and columns as bytes through a translate table padded by 256 - n bytes,
+# none at the size cap.  bytes() refuses -1 and 256 with a message of its
+# own, so the range check must come first; 255 is in range only at the cap.
+# z:256 is drawn at the cap, since it has two generators; the oracle scans
+# every (i, j, k) of an associative chain:256 (all 256 elements generate),
+# about two seconds, so chain:256 has a few cases of its own below.
 _DESK_SPECS = ["z:1", "z:2", "z:5", "chain:1", "chain:2", "chain:5", "i:1",
-               "i:2", "i:3"]
+               "i:2", "i:3", "i:4", "z:256"]
 
 
 @functools.lru_cache(maxsize=None)
 def _desk_table(spec):
     m = resolve_monoid(spec)
     return m.table, m.unit
+
+
+def _changed(spec, unit, change):
+    """spec's table with entry (i, j) set to v, or rows i and j swapped
+    for v = None, as a case of the test below."""
+    table = [row[:] for row in _desk_table(spec)[0]]
+    if change is not None:
+        i, j, v = change
+        if v is None:
+            table[i], table[j] = table[j], table[i]
+        else:
+            table[i][j] = v
+    return table, unit
 
 
 @st.composite
@@ -454,7 +493,8 @@ def corrupted_desk_tables(draw):
     table = [row[:] for row in table]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if draw(st.booleans()):
-        table[i][j] = draw(st.integers(-1, n))
+        table[i][j] = draw(st.one_of(st.integers(-1, n),
+                                     st.sampled_from([255, 256])))
     else:
         table[i], table[j] = table[j], table[i]
     return table, draw(st.sampled_from([None, unit]))
@@ -470,7 +510,21 @@ def corrupted_desk_tables(draw):
 @example(([[1, 0], [0, 1]], None))
 @example(([[0, 0, 0], [1, 1, 1], [0, 1, 2]], 2))
 def test_from_table_refuses_with_the_scalar_checks_first_message(case):
-    table, unit = case
+    _assert_refused_as_the_oracle_refuses(*case)
+
+
+# chain:256 at the cap: left as it is, an entry set to 255 (in range),
+# 256 or -1, and two rows swapped.
+@pytest.mark.parametrize("unit, change", [
+    (0, None), (0, (0, 0, 255)), (None, (255, 255, 256)), (0, (3, 200, -1)),
+    (None, (40, 7, 255)), (0, (1, 2, None))])
+def test_from_table_refuses_chain_256_with_the_scalar_checks_first_message(
+        unit, change):
+    _assert_refused_as_the_oracle_refuses(
+        *_changed("chain:256", unit, change))
+
+
+def _assert_refused_as_the_oracle_refuses(table, unit):
     expected = from_table_failure(table, unit)
     if expected is None:
         assert from_table(table, unit=unit).table == table
