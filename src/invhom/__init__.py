@@ -3,10 +3,9 @@ unital inverse-monoid actions, and Steinberg algebras of finite groupoids."""
 
 from .linalg import (Field, Matrix, QuotientSpace, induced_map, kernel_basis,
                      mat_rank, quotient_space)
-from .monoids import (GroupImage, InverseMonoid, chain_semilattice,
-                      cyclic_group, direct_product, from_table,
-                      max_group_image, symmetric_inverse_monoid,
-                      trivial_monoid)
+from .monoids import (InverseMonoid, chain_semilattice, cyclic_group,
+                      direct_product, from_table, max_group_image,
+                      symmetric_inverse_monoid, trivial_monoid)
 from .homology import (ChainComplexData, KSModule, ResolutionComplex,
                        build_resolution, cohomology, cohomology_complex,
                        homology, homology_complex, regular_ks_module,

@@ -306,16 +306,22 @@ class RelativeBar:
         if sparse_sum(F, ((1, e) for e in fam)) != A.unit:
             raise ValueError("idempotent family does not sum to the unit")
         self.algebra, m = algebra, range(len(fam))
-        acts = [(module.left_action(e), module.right_action(e)) for e in fam]
-        peirce = [[ColumnSpan(image_basis(left @ right)) for _, right in acts]
-                  for left, _ in acts]
+        # e_i X e_j is the image of R_j on the basis of e_i X, the leftmost
+        # independent columns of L_i.  These are the vectors image_basis(L_i
+        # R_j) picks: L_i and R_j commute, and a column of L_i in the span of
+        # earlier columns stays in it under R_j, so no other column of R_j
+        # L_i is a pivot.  That holds with e_i put first, as on B for i = j.
+        on_m = [image_basis(module.left_action(e)) for e in fam]
+        right_m = [module.right_action(e) for e in fam]
+        peirce = [[ColumnSpan(image_basis(r @ x)) for r in right_m]
+                  for x in on_m]
         self.spans = [list(s) for s in zip(*peirce)] if chains else peirce
         self.blocks, self.letters, self.ends = {}, [], []
-        left, right = ([mult(e) for e in fam] for mult in (
-            A.left_mult_matrix, A.right_mult_matrix))
+        on_b = [image_basis(A.left_mult_matrix(e)) for e in fam]
+        right_b = [A.right_mult_matrix(e) for e in fam]
         for i, j in itertools.product(m, m):
             d = int(i == j)
-            cols = [fam[i]] * d + (left[i] @ right[j]).columns
+            cols = [fam[i]] * d + (right_b[j] @ on_b[i]).columns
             span = ColumnSpan(image_basis(Matrix(F, A.dim, len(cols), cols)))
             self.blocks[i, j] = (span, len(self.letters) - d, d)
             self.letters += span.basis.columns[d:]

@@ -34,9 +34,10 @@ class IncompatibleAction(ValueError):
 
 class UnitalAction:
     """Action data: one central idempotent 1_s (a sparse vector of A) and
-    one total matrix T_s per s."""
+    one total matrix T_s per s.  ideals[s] spans 1_s A, with the leftmost
+    independent columns of x -> 1_s x as its basis."""
 
-    __slots__ = ("monoid", "algebra", "one", "theta")
+    __slots__ = ("monoid", "algebra", "one", "theta", "ideals")
 
     def __init__(self, monoid, algebra, one, theta):
         if len(one) != monoid.size or len(theta) != monoid.size:
@@ -51,6 +52,8 @@ class UnitalAction:
         self.algebra = algebra
         self.one = one
         self.theta = theta
+        self.ideals = [ColumnSpan(image_basis(algebra.left_mult_matrix(e)))
+                       for e in one]
 
 
 def trivial_action(monoid, algebra):
@@ -94,8 +97,7 @@ def _check_each_element(action, rep):
                   A.is_central_idempotent(action.one[s]))
 
     left_of = [A.left_mult_matrix(action.one[s]) for s in range(S.size)]
-    ideal_dim = [m.rank() for m in left_of]
-
+    ideals = action.ideals
     for s in range(S.size):
         T = action.theta[s]
         si = S.inv[s]
@@ -105,11 +107,11 @@ def _check_each_element(action, rep):
         rank_T = T.rank()
         rep.check(f"image(T_{name}) = 1_{name}A",
                   all(A.mul(action.one[s], x) == x for x in T.columns)
-                  and rank_T == ideal_dim[s],
-                  f"rank {rank_T} vs ideal dim {ideal_dim[s]}")
+                  and rank_T == ideals[s].dim,
+                  f"rank {rank_T} vs ideal dim {ideals[s].dim}")
         rep.check(f"T_{name} bijective on its domain",
-                  rank_T == ideal_dim[si])
-        dom = image_basis(left_of[si]).columns
+                  rank_T == ideals[si].dim)
+        dom = ideals[si].basis.columns
         rep.check(f"T_{name} multiplicative on its domain",
                   all(T.apply(A.mul(u, v)) == A.mul(T.apply(u), T.apply(v))
                       for u in dom for v in dom))
@@ -180,11 +182,9 @@ class CrossedProduct:
         F = A.field
         self.action = action
         self.labels = []
-        self.ideal_spans = []
+        self.ideal_spans = action.ideals
         self.block_offset = []
-        for s, e in enumerate(action.one):
-            span = ColumnSpan(image_basis(A.left_mult_matrix(e)))
-            self.ideal_spans.append(span)
+        for s, span in enumerate(self.ideal_spans):
             self.block_offset.append(len(self.labels))
             self.labels.extend((s, j) for j in range(span.dim))
         l_dim = self.l_dim
@@ -318,7 +318,7 @@ def induced_partial_action(action):
     S = action.monoid
     A = action.algebra
     F = A.field
-    G = max_group_image(S).group
+    G = max_group_image(S)
     classes = S.sigma_classes()
 
     domains = []

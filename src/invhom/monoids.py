@@ -328,18 +328,9 @@ def direct_product(s, t):
     return from_table(table, unit=s.unit * t.size + t.unit, names=names)
 
 
-class GroupImage:
-    """The maximum group image G(S) = S/sigma with its projection."""
-
-    __slots__ = ("group", "proj")
-
-    def __init__(self, group, proj):
-        self.group = group
-        self.proj = proj
-
-
 def max_group_image(s):
-    """Group on the sigma-classes, with the class map as projection.
+    """The maximum group image G(S) = S/sigma, on the sigma-classes in the
+    order of sigma_classes(); s.sigma_class_index() is the projection.
 
     With z the least idempotent, s -> zs is a homomorphism: s z s^-1 is
     idempotent, so zs zt = z(s z s^-1)st = zst.  Its fibres are the
@@ -353,4 +344,4 @@ def max_group_image(s):
     group = from_table(table, unit=proj[s.unit], names=names)
     if not group.is_group():
         raise ValueError("induced table ill-defined: quotient is not a group")
-    return GroupImage(group, proj)
+    return group

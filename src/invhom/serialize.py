@@ -11,6 +11,7 @@ file:PATH.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .algebras import Algebra, Bimodule
@@ -296,11 +297,26 @@ def groupoid_from_dict(doc):
     return FiniteGroupoid(n_obj, src, rng, comp, inv, unit_of)
 
 
+class _Fields(dict):
+    """A JSON object read from path; reading a field it lacks is an input
+    error that names the field and the file."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise InputError(f"{self.path}: missing field {key!r}")
+
+
 def _load_json(path):
     """The JSON object in a file; any other document is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=functools.partial(
+                _Fields, path))
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

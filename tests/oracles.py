@@ -11,6 +11,8 @@ the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
 the absolute Hochschild complex uses one copy of the bimodule per n-tuple of
 algebra basis indices, with no idempotent family and no normalization,
+``peirce_split_by_products`` forms each Peirce block e_i X e_j of the
+relative complex from the product L_i R_j,
 the monoid bar complexes (``bar_homology_complex``,
 ``bar_cohomology_complex``) have one summand per n-tuple of S, with no
 D-class split and no group resolution,
@@ -1141,6 +1143,34 @@ def absolute_hochschild_cohomology(algebra, module, max_deg,
     boundaries = [absolute_cochain_boundary(algebra, module, n)
                   for n in range(len(dims) - 1)]
     return ChainComplexData("cochain", dims, boundaries).betti(max_deg)
+
+
+def peirce_split_by_products(algebra, module, idempotents, chains):
+    """RelativeBar's Peirce split with one product L_i R_j and one
+    image_basis per pair (i, j) of the family, on M and on B.
+
+    Returns (spans, blocks, letters) as RelativeBar holds them, each span
+    as its basis matrix: spans[a][b] spans e_a M e_b for cochains and
+    e_b M e_a for chains; blocks[i, j] = (basis of e_i B e_j with e_i
+    first when i = j, offset of its first letter, 1 if e_i leads it else
+    0); the letters are the block bases less e_i, in block order.
+    """
+    A, F = algebra, algebra.field
+    fam = [A.unit] if idempotents is None else list(idempotents)
+    acts = [(module.left_action(e), module.right_action(e)) for e in fam]
+    peirce = [[image_basis(left @ right) for _, right in acts]
+              for left, _ in acts]
+    spans = [list(s) for s in zip(*peirce)] if chains else peirce
+    blocks, letters = {}, []
+    left = [A.left_mult_matrix(e) for e in fam]
+    right = [A.right_mult_matrix(e) for e in fam]
+    for i, j in itertools.product(range(len(fam)), repeat=2):
+        d = int(i == j)
+        cols = [fam[i]] * d + (left[i] @ right[j]).columns
+        basis = image_basis(Matrix(F, A.dim, len(cols), cols))
+        blocks[i, j] = (basis, len(letters) - d, d)
+        letters += basis.columns[d:]
+    return spans, blocks, letters
 
 
 def _degree_blocks(monoid, n, idempotent_of, module, cap):

@@ -539,6 +539,48 @@ def test_relative_degrees_are_the_composable_strings():
     assert bar.dims == [16 * 15 ** n for n in range(3)]
 
 
+def _assert_split_matches_products(algebra, module, idempotents):
+    from invhom.algebras import RelativeBar
+    from oracles import peirce_split_by_products
+    for chains in (True, False):
+        bar = RelativeBar(algebra, module, idempotents, chains, 1, 50_000)
+        spans, blocks, letters = peirce_split_by_products(
+            algebra, module, idempotents, chains)
+        assert [[s.basis for s in row] for row in bar.spans] == spans
+        assert {key: (span.basis, base, d) for key, (span, base, d)
+                in bar.blocks.items()} == blocks
+        assert bar.letters == letters
+
+
+def test_peirce_split_is_the_product_split():
+    from invhom.algebras import RelativeBar
+    # One image per family member, then R_j on its basis, picks the same
+    # vectors as image_basis(L_i R_j): every desk algebra with [1] and with
+    # its natural family, with the regular bimodule and its dual.
+    cases = 0
+    for name, (chars, _, build) in _DESK_ALGEBRAS.items():
+        for char in chars:
+            algebra, family = build(Field(char))
+            for module in (regular_bimodule(algebra),
+                           _dual_bimodule(algebra)):
+                for idempotents in (None, family):
+                    _assert_split_matches_products(algebra, module,
+                                                   idempotents)
+                    cases += 1
+    assert cases == 4 * (3 * 12 + 1)
+    # K = e_1 K over K^2, with e_2 acting by 0: e_2 M = 0, so every block
+    # of e_2 has no columns.
+    for char in (0, 2, 3):
+        F = Field(char)
+        k2 = diagonal_algebra(F, 2)
+        act = [Matrix.identity(F, 1), Matrix(F, 1, 1)]
+        module = Bimodule(k2, 1, act, act)
+        family = [{0: F.one}, {1: F.one}]
+        _assert_split_matches_products(k2, module, family)
+        bar = RelativeBar(k2, module, family, True, 1, 50_000)
+        assert [[s.dim for s in row] for row in bar.spans] == [[1, 0], [0, 0]]
+
+
 def _family_error(algebra, family):
     with pytest.raises(ValueError) as exc:
         hochschild_homology(algebra, regular_bimodule(algebra), 1,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invhom.algebras import (diagonal_algebra, field_algebra, matrix_algebra,
                              regular_bimodule)
@@ -12,7 +13,7 @@ from invhom.crossed import (CrossedProduct, UnitalAction, coinvariants,
                             validate_action,
                             verify_separable_collapse_cohomology,
                             verify_separable_collapse_homology)
-from invhom.linalg import Field, Matrix
+from invhom.linalg import Field, Matrix, image_basis
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
 from oracles import dense_col, from_cols, from_rows, sparse_vec
@@ -492,6 +493,61 @@ def test_crossed_product_refuses_exactly_the_invalid_actions():
                 build(bad)
             assert str(exc.value) == message
     assert (seen, refused) == (96, 56)
+
+
+def _ideals_by_element(action):
+    """The basis of each 1_s A, formed from its own x -> 1_s x."""
+    return [image_basis(action.algebra.left_mult_matrix(e))
+            for e in action.one]
+
+
+@st.composite
+def cyclic_action_data(draw):
+    """Action data of z:2 or z:3 on K^n or M_2, valid or not: each 1_s the
+    unit, a basis vector or drawn entries, each T_s the shift of the basis
+    by s places or drawn 0/1 entries.  On K^n with every 1_s the unit and
+    every T_s a shift it is the action that rotates the coordinates."""
+    n = draw(st.sampled_from([2, 3]))
+    F = Field(draw(st.sampled_from([0, 2, 3])))
+    A = draw(st.sampled_from([diagonal_algebra(F, n), matrix_algebra(F, 2)]))
+    d = A.dim
+    entries = st.lists(st.sampled_from([0, 1, 2]), min_size=d, max_size=d)
+    one, theta = [], []
+    for s in range(n):
+        kind = draw(st.sampled_from(["unit", "basis", "drawn"]))
+        one.append(dict(A.unit) if kind == "unit"
+                   else {draw(st.integers(0, d - 1)): F.one}
+                   if kind == "basis" else sparse_vec(map(F.of, draw(entries))))
+        theta.append(from_cols(F, d, [[int(i == (j + s) % d)
+                                       for i in range(d)] for j in range(d)])
+                     if draw(st.booleans())
+                     else from_cols(F, d, [draw(entries) for _ in range(d)]))
+    return UnitalAction(cyclic_group(n), A, one, theta)
+
+
+@settings(deadline=None, max_examples=80)
+@given(cyclic_action_data())
+def test_action_ideals_are_the_per_element_images(action):
+    # One list of 1_s A per action: the per-element checks read its
+    # dimensions and bases, and the crossed product its labels.
+    assert [span.basis for span in action.ideals] == _ideals_by_element(action)
+    assert [span.dim for span in action.ideals] == [
+        action.algebra.left_mult_matrix(e).rank() for e in action.one]
+    if validate_action(action).ok:
+        assert crossed_product(action).ideal_spans is action.ideals
+
+
+def test_crossed_products_share_the_actions_ideal_spans():
+    from invhom.crossed import PartialGroupAction
+    actions = list(_desk_actions())
+    pa = induced_partial_action(natural_ke_action(
+        direct_product(chain_semilattice(2), cyclic_group(2)), Q))
+    assert isinstance(pa, PartialGroupAction)
+    for action in actions + [pa]:
+        cp = CrossedProduct(action)
+        assert cp.ideal_spans is action.ideals
+        assert [span.basis for span in cp.ideal_spans] == \
+            _ideals_by_element(action)
 
 
 def test_partial_action_axioms():

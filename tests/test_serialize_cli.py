@@ -883,3 +883,87 @@ def test_large_resolution_checks_finish_in_bounded_time():
         doc = json.loads(out.getvalue())
         assert code == 0 and doc["pass"] is True, args
         assert doc["dims"] == dims
+
+
+def test_a_missing_field_names_the_field_and_the_file(tmp_path):
+    # Each reader's document with one required field left out, an arrow's
+    # rng among them: exit 2 with one line that names the field and the
+    # file it is missing from.
+    algebra = tmp_path / "algebra.json"
+    algebra_doc = {"field": "q", "dim": 1, "sc": [1], "unit": [1]}
+    action_doc = {"monoid_ref": "chain:2", "algebra_ref": f"file:{algebra}",
+                  "one": [[1], [1]], "theta": [[1], [1]]}
+    z2_groupoid = {"objects": 1,
+                   "arrows": [{"src": 0, "rng": 0}, {"src": 0, "rng": 0}],
+                   "comp": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                   "inv": [0, 1]}
+    cases = {
+        "monoid": ({"size": 2, "table": [0, 1, 1, 0], "unit": 0}, "table",
+                   ["homology", "--monoid", "file:{}"]),
+        "module": ({"monoid_ref": "z:2", "field": "q", "dim": 1,
+                    "act": [[1], [1]]}, "act",
+                   ["homology", "--monoid", "z:2", "--module", "file:{}"]),
+        "algebra": (algebra_doc, "sc", ["crossed-product", "--action",
+                                        f"file:{tmp_path}/action.json"]),
+        "action": (action_doc, "theta",
+                   ["crossed-product", "--action", "file:{}"]),
+        "bimodule": ({"dim": 1, "left": [[1]], "right": [[1]]}, "right",
+                     ["verify", "separable-homology", "--action",
+                      "trivial:trivial", "--module", "file:{}"]),
+        "groupoid": (z2_groupoid, "inv",
+                     ["steinberg", "--groupoid", "file:{}"]),
+        "arrow": (z2_groupoid, ("arrows", 1, "rng"),
+                  ["steinberg", "--groupoid", "file:{}"]),
+    }
+    for name, (base, field, argv) in cases.items():
+        algebra.write_text(json.dumps(algebra_doc))
+        (tmp_path / "action.json").write_text(json.dumps(action_doc))
+        path = tmp_path / f"{name}.json"
+        doc = copy.deepcopy(base)
+        *outer, last = field if isinstance(field, tuple) else (field,)
+        target = doc
+        for key in outer:
+            target = target[key]
+        del target[last]
+        path.write_text(json.dumps(doc))
+        assert _cli_error_lines([a.format(path) for a in argv]) == [
+            f"error: {path}: missing field {last!r}"], name
+
+
+def _subcommands():
+    """Each subcommand of the CLI, each verify target as one."""
+    import argparse
+    from invhom.cli import build_parser
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    target = next(a for a in sub.choices["verify"]._actions
+                  if a.dest == "target")
+    return [(c,) for c in sub.choices if c != "verify"] + [
+        ("verify", t) for t in target.choices]
+
+
+def test_every_subcommand_accepts_a_seed_that_changes_nothing():
+    # The benchmark passes --seed N to every job; no command reads it.
+    args = {
+        ("homology",): ["--monoid", "i:2"],
+        ("cohomology",): ["--monoid", "i:2"],
+        ("crossed-product",): ["--action", "ke:prod:chain:2,z:2"],
+        ("steinberg",): ["--groupoid", "pair:2"],
+        ("resolution-check",): ["--monoid", "chain:2"],
+        ("verify", "separable-homology"): ["--action", "ke:chain:2"],
+        ("verify", "separable-cohomology"): ["--action", "ke:chain:2"],
+        ("verify", "steinberg-homology"): ["--groupoid", "pair:2"],
+        ("verify", "steinberg-cohomology"): ["--groupoid", "pair:2"],
+        ("verify", "ks-crossed-product"): ["--monoid", "prod:chain:2,z:2"],
+    }
+    assert sorted(args) == sorted(_subcommands())
+    for command, rest in args.items():
+        runs = set()
+        for seed in ("0", "7", "9", "123456789"):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main([*command, *rest, "--max-degree", "1",
+                                 "--seed", seed])
+            runs.add((code, out.getvalue()))
+        assert len(runs) == 1 and runs.pop()[0] == 0, command
