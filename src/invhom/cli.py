@@ -7,10 +7,10 @@ success/pass, 1 on verification failure, 2 on input error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .algebras import field_algebra, regular_bimodule
 from .crossed import (IncompatibleAction, crossed_product,
@@ -200,42 +200,45 @@ def _resolution_cmd(args):
     return 0 if doc["pass"] else 1
 
 
-def _required(args, option):
-    """The value of an option that the verify target cannot do without."""
-    value = getattr(args, option)
-    if value is None:
-        raise InputError(f"verify {args.target} needs --{option}")
-    return value
-
-
 def _separable(args, field, verifier):
-    cp = crossed_product(_resolve_action(_required(args, "action"), field))
+    cp = crossed_product(_resolve_action(args.action, field))
     module = _resolve_bimodule(args.module, cp.algebra)
     return verifier(cp, module, args.max_degree, args.cap_columns)
 
 
 def _steinberg(args, field, verifier):
-    data = steinberg_data(resolve_groupoid(_required(args, "groupoid")), field)
+    data = steinberg_data(resolve_groupoid(args.groupoid), field)
     module = _resolve_bimodule(args.module, data.steinberg_algebra)
     return verifier(data, module, args.max_degree, args.cap_columns)
 
 
 def _ks(args, field, verifier):
-    return verifier(resolve_monoid(_required(args, "monoid")), field)
+    return verifier(resolve_monoid(args.monoid), field)
 
 
-# verify target -> (what it reads from the arguments, the verifier it runs)
+# An options dict maps each option that a command or verify target reads
+# beside _COMMON to its default, or to None if the option is required.
+_COMMON = {"format": "text", "field": "q", "max-degree": 2, "seed": 0,
+           "cap-columns": DEFAULT_COLUMN_CAP}
+_BETTI = {"monoid": None, "module": "trivial-ke"}
+_SEPARABLE = {"action": None, "module": "regular"}
+_STEINBERG = {"groupoid": None, "module": "regular"}
+
+# verify target -> (what it reads, the options it takes, the verifier)
 _VERIFY_TARGETS = {
-    "separable-homology": (_separable, verify_separable_collapse_homology),
-    "separable-cohomology": (_separable, verify_separable_collapse_cohomology),
-    "steinberg-homology": (_steinberg, verify_steinberg_homology),
-    "steinberg-cohomology": (_steinberg, verify_steinberg_cohomology),
-    "ks-crossed-product": (_ks, ks_as_crossed_product),
+    "separable-homology":
+        (_separable, _SEPARABLE, verify_separable_collapse_homology),
+    "separable-cohomology":
+        (_separable, _SEPARABLE, verify_separable_collapse_cohomology),
+    "steinberg-homology": (_steinberg, _STEINBERG, verify_steinberg_homology),
+    "steinberg-cohomology":
+        (_steinberg, _STEINBERG, verify_steinberg_cohomology),
+    "ks-crossed-product": (_ks, {"monoid": None}, ks_as_crossed_product),
 }
 
 
 def _verify_cmd(args):
-    read, verifier = _VERIFY_TARGETS[args.target]
+    read, _, verifier = _VERIFY_TARGETS[args.target]
     rep = read(args, parse_field(args.field), verifier)
     doc = {"command": "verify", "target": args.target, "field": args.field,
            "report": rep.as_dict(),
@@ -244,61 +247,98 @@ def _verify_cmd(args):
     return 0 if rep.ok else 1
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--field", default="q", help="q or fp:<p>")
-    common.add_argument("--max-degree", type=int, default=2)
-    common.add_argument("--seed", type=int, default=0,
-                        help="accepted and ignored: no command reads it")
-    common.add_argument("--cap-columns", type=int, default=DEFAULT_COLUMN_CAP)
+# command -> (its handler, its help line, the options it takes)
+_COMMANDS = {
+    "homology": (_betti_cmd, "homology of an inverse monoid", _BETTI),
+    "cohomology": (_betti_cmd, "cohomology of an inverse monoid", _BETTI),
+    "crossed-product": (_crossed_product_cmd,
+                        "build and check a crossed product", {"action": None}),
+    "steinberg": (_steinberg_cmd, "bisections, convolution algebra, psi",
+                  {"groupoid": None}),
+    "resolution-check": (_resolution_cmd, "resolution exactness self-check",
+                         {"monoid": None}),
+    "verify": (_verify_cmd, "run a named verifier", {
+        o: d for row in _VERIFY_TARGETS.values() for o, d in row[1].items()}),
+}
 
-    p = argparse.ArgumentParser(
-        prog="invhom",
-        description="Exact (co)homology of finite inverse monoids, "
-                    "crossed products, and Steinberg algebras.")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, text):
-        sp = sub.add_parser(name, parents=[common], help=text)
-        sp.set_defaults(run=run)
-        return sp
+def _usage(command):
+    """The -h text of a command: its forms, then its help line."""
+    _, text, own = _COMMANDS[command]
+    forms = {command: own} if command != "verify" else {
+        f"verify {t}": reads for t, (_, reads, _) in _VERIFY_TARGETS.items()}
+    return "".join(f"usage: invhom {form} " + " ".join(
+        f"--{o} {o.upper()}" if d is None else f"[--{o} {d}]"
+        for o, d in {**reads, **_COMMON}.items()) + "\n"
+        for form, reads in forms.items()) + f"\n{text}"
 
-    for kind in ("homology", "cohomology"):
-        sp = command(kind, _betti_cmd, f"{kind} of an inverse monoid")
-        sp.add_argument("--monoid", required=True)
-        sp.add_argument("--module", default="trivial-ke",
-                        help="trivial-ke | regular-ks | file:PATH")
 
-    sp = command("crossed-product", _crossed_product_cmd,
-                 "build and check a crossed product")
-    sp.add_argument("--action", required=True,
-                    help="trivial:MONOID | ke:MONOID | file:PATH")
-
-    sp = command("steinberg", _steinberg_cmd,
-                 "bisections, convolution algebra, psi")
-    sp.add_argument("--groupoid", required=True,
-                    help="pair:N | group:z:N | discrete:N | file:PATH")
-
-    sp = command("resolution-check", _resolution_cmd,
-                 "resolution exactness self-check")
-    sp.add_argument("--monoid", required=True)
-
-    sp = command("verify", _verify_cmd, "run a named verifier")
-    sp.add_argument("target", choices=tuple(_VERIFY_TARGETS))
-    sp.add_argument("--action", help="for separable-* targets")
-    sp.add_argument("--groupoid", help="for steinberg-* targets")
-    sp.add_argument("--monoid", help="for ks-crossed-product")
-    sp.add_argument("--module", default="regular",
-                    help="regular | file:PATH")
-    return p
+def _parse(argv):
+    """The namespace that the handlers read, or the -h text.  An option may
+    be any unique prefix of its name; the last of a repeated option wins."""
+    if argv and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+        return "\n\n".join(map(_usage, _COMMANDS))
+    if not argv or argv[0] not in _COMMANDS:
+        raise InputError(f"expected a command: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    run, _, reads = _COMMANDS[command]
+    defaults = {**_COMMON, **reads}
+    flags = {"-h": None, "--help": None} | {"--" + o: o for o in defaults}
+    args = SimpleNamespace(command=command, run=run, **{
+        o.replace("-", "_"): d for o, d in defaults.items()})
+    given, positional, words = [], [], iter(rest)
+    for word in words:
+        if word == "--":
+            positional += words
+            break
+        if not word.startswith("-"):
+            positional.append(word)
+            continue
+        key, eq, value = word.partition("=")
+        hits = [key] if key in flags else [
+            f for f in flags if key[:2] == f[:2] == "--" and f.startswith(key)]
+        if len(hits) != 1:
+            raise InputError(f"{key}: {'ambiguous' if hits else 'unknown'}")
+        name = flags[hits[0]]
+        if name is None:
+            return _usage(command)
+        number = isinstance(defaults[name], int)
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-") and not number:
+                raise InputError(f"--{name} needs a value")
+        try:
+            value = int(value) if number else value
+        except ValueError:
+            raise InputError(f"--{name} needs an integer, got {value!r}")
+        if name == "format" and value not in ("text", "json"):
+            raise InputError(f"--format is text or json, got {value!r}")
+        setattr(args, name.replace("-", "_"), value)
+        given.append(name)
+    if command == "verify":
+        args.target = " ".join(positional)
+        if args.target not in _VERIFY_TARGETS:
+            raise InputError("verify needs one target of "
+                             + ", ".join(_VERIFY_TARGETS))
+        reads = _VERIFY_TARGETS[args.target][1]
+        command = f"verify {args.target}"
+    elif positional:
+        raise InputError(f"{command} takes no argument {positional[0]!r}")
+    for name in [*reads, *given]:
+        if reads.get(name, "") is None and name not in given:
+            raise InputError(f"{command} needs --{name}")
+        if name not in reads and name not in _COMMON:
+            raise InputError(f"{command} does not read --{name}")
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.monotonic()
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):
+            print(args)
+            return 0
+        t0 = time.monotonic()
         if args.cap_columns < 1:
             raise InputError("--cap-columns must be a positive integer, "
                              f"got {args.cap_columns}")

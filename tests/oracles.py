@@ -34,12 +34,17 @@ reference: ``transport_bimodule`` pulls an A_K(G)-bimodule back along psi
 to the crossed product, where ``crossed_coinvariants`` and
 ``crossed_invariants`` take M/[A,M] and M^A with gamma_s acting by
 conjugation, after checking the KS-module law on all of M.
+``build_parser`` is the argparse parser that the CLI's option table
+replaced, kept as the reference for ``cli._parse``.
 """
 
+import argparse
 import itertools
 from fractions import Fraction
 
 from invhom.algebras import Algebra, Bimodule, check_over
+from invhom.cli import (_VERIFY_TARGETS, _betti_cmd, _crossed_product_cmd,
+                        _resolution_cmd, _steinberg_cmd, _verify_cmd)
 from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
                              KSModule, _check_module, assemble, check_degree)
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
@@ -1307,3 +1312,53 @@ def crossed_invariants(bimodule, crossed):
         Matrix(F, basis.cols, basis.cols,
                [span.coords(col) for col in (m @ basis).columns])
         for m in ks.act])
+
+
+def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--field", default="q", help="q or fp:<p>")
+    common.add_argument("--max-degree", type=int, default=2)
+    common.add_argument("--seed", type=int, default=0,
+                        help="accepted and ignored: no command reads it")
+    common.add_argument("--cap-columns", type=int, default=DEFAULT_COLUMN_CAP)
+
+    p = argparse.ArgumentParser(
+        prog="invhom",
+        description="Exact (co)homology of finite inverse monoids, "
+                    "crossed products, and Steinberg algebras.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def command(name, run, text):
+        sp = sub.add_parser(name, parents=[common], help=text)
+        sp.set_defaults(run=run)
+        return sp
+
+    for kind in ("homology", "cohomology"):
+        sp = command(kind, _betti_cmd, f"{kind} of an inverse monoid")
+        sp.add_argument("--monoid", required=True)
+        sp.add_argument("--module", default="trivial-ke",
+                        help="trivial-ke | regular-ks | file:PATH")
+
+    sp = command("crossed-product", _crossed_product_cmd,
+                 "build and check a crossed product")
+    sp.add_argument("--action", required=True,
+                    help="trivial:MONOID | ke:MONOID | file:PATH")
+
+    sp = command("steinberg", _steinberg_cmd,
+                 "bisections, convolution algebra, psi")
+    sp.add_argument("--groupoid", required=True,
+                    help="pair:N | group:z:N | discrete:N | file:PATH")
+
+    sp = command("resolution-check", _resolution_cmd,
+                 "resolution exactness self-check")
+    sp.add_argument("--monoid", required=True)
+
+    sp = command("verify", _verify_cmd, "run a named verifier")
+    sp.add_argument("target", choices=tuple(_VERIFY_TARGETS))
+    sp.add_argument("--action", help="for separable-* targets")
+    sp.add_argument("--groupoid", help="for steinberg-* targets")
+    sp.add_argument("--monoid", help="for ks-crossed-product")
+    sp.add_argument("--module", default="regular",
+                    help="regular | file:PATH")
+    return p

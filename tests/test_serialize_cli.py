@@ -932,15 +932,9 @@ def test_a_missing_field_names_the_field_and_the_file(tmp_path):
 
 def _subcommands():
     """Each subcommand of the CLI, each verify target as one."""
-    import argparse
-    from invhom.cli import build_parser
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    target = next(a for a in sub.choices["verify"]._actions
-                  if a.dest == "target")
-    return [(c,) for c in sub.choices if c != "verify"] + [
-        ("verify", t) for t in target.choices]
+    from invhom.cli import _COMMANDS, _VERIFY_TARGETS
+    return [(c,) for c in _COMMANDS if c != "verify"] + [
+        ("verify", t) for t in _VERIFY_TARGETS]
 
 
 def test_every_subcommand_accepts_a_seed_that_changes_nothing():
