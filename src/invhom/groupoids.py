@@ -141,30 +141,21 @@ def check_arrow_cap(n_arrows, cap=BISECTION_ARROW_CAP):
 
 
 def _bisection_masks(g, cap=BISECTION_ARROW_CAP):
-    """Bitmasks of all bisections, in increasing mask order."""
+    """Bitmasks of all bisections, in increasing mask order.
+
+    A bisection takes at most one arrow out of each object, and no two of
+    its arrows share a range: each partial bisection, with the bitmask of
+    its ranges, is extended object by object by nothing or by one arrow
+    out of that object to a range it does not yet reach.
+    """
     check_arrow_cap(g.n_arrows, cap)
-    masks = []
-    for mask in range(1 << g.n_arrows):
-        arrows = [a for a in range(g.n_arrows) if mask >> a & 1]
-        srcs = {g.src[a] for a in arrows}
-        rngs = {g.rng[a] for a in arrows}
-        if len(srcs) == len(arrows) and len(rngs) == len(arrows):
-            masks.append(mask)
-    return masks
-
-
-def _mask_product(g, m1, m2):
-    out = 0
-    for a in range(g.n_arrows):
-        if not (m1 >> a & 1):
-            continue
-        for b in range(g.n_arrows):
-            if not (m2 >> b & 1):
-                continue
-            c = g.comp[a][b]
-            if c is not None:
-                out |= 1 << c
-    return out
+    partial = [(0, 0)]
+    for x in range(g.n_objects):
+        out = [(1 << a, 1 << g.rng[a]) for a in range(g.n_arrows)
+               if g.src[a] == x]
+        partial += [(mask | a, ranges | r) for mask, ranges in partial
+                    for a, r in out if not ranges & r]
+    return sorted(mask for mask, _ in partial)
 
 
 def bisections(g, cap=BISECTION_ARROW_CAP):
@@ -177,14 +168,20 @@ def bisections_with_masks(g, cap=BISECTION_ARROW_CAP):
     masks = _bisection_masks(g, cap)
     check_size(len(masks))
     index = {m: i for i, m in enumerate(masks)}
-    size = len(masks)
-    table = [[index[_mask_product(g, masks[i], masks[j])] for j in range(size)]
-             for i in range(size)]
+    arrows = [[a for a in range(g.n_arrows) if m >> a & 1] for m in masks]
+    ends = [[(g.rng[b], b) for b in v] for v in arrows]
+    # UV holds a after b for a in U and b in V with src(a) = rng(b).  U has
+    # at most one arrow out of each object, and the composites have the
+    # distinct sources of their b, so their bits add up to UV's mask.
+    table = []
+    for u in arrows:
+        after = {g.src[a]: g.comp[a] for a in u}
+        table.append([index[sum(1 << after[r][b] for r, b in v if r in after)]
+                      for v in ends])
     unit_mask = 0
     for x in range(g.n_objects):
         unit_mask |= 1 << g.unit_of[x]
-    names = ["{" + ",".join(str(a) for a in range(g.n_arrows)
-                            if m >> a & 1) + "}" for m in masks]
+    names = ["{" + ",".join(map(str, u)) + "}" for u in arrows]
     monoid = from_table(table, unit=index[unit_mask], names=names)
     return monoid, masks
 

@@ -12,13 +12,14 @@ import itertools
 import math
 
 # Light's test costs 2|S|^2 |A| lookups for a generating set A.  The cap is
-# also what makes every element one byte, so from_table reads a row through
-# a column, and symmetric_inverse_monoid a row through a row, with one
-# bytes.translate each: from_table takes about 0.004 s for i:4 (|A| = 5)
-# and 0.1 s for a 256-element chain (A = S) on one Xeon core, and I_4's
-# table builds in 0.004 s.  I_5 (1,546 elements) fits in no byte, and with
-# lists of ints it would take 0.1-0.4 s to build and 0.8-1.0 s to validate,
-# so every constructor refuses a larger monoid before building its table.
+# also what makes every element one byte, so from_table reads the whole
+# table through a generator's column, and symmetric_inverse_monoid a row
+# through a row, with one bytes.translate each: on a 2-vCPU Xeon under
+# Python 3.11, from_table takes 1.5-3 ms for i:4 (|A| = 5) and 35-60 ms for
+# a 256-element chain (A = S), and I_4 builds in 3-7 ms.  I_5 (1,546
+# elements) fits in no byte; with lists of ints it would take 0.1-0.4 s to
+# build and 0.8-1.0 s to validate, so every constructor refuses a larger
+# monoid before building its table.
 MONOID_SIZE_CAP = 256
 
 
@@ -133,39 +134,46 @@ def from_table(table, unit=None, names=None):
     The monoid keeps ``table`` itself, so the caller must not change it."""
     n = len(table)
     check_size(n)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            bad = next(v for v in row if not 0 <= v < n)
-            raise ValueError(f"table entry {bad} out of range")
     # Every entry fits in a byte (MONOID_SIZE_CAP is 256), so the table is
     # one bytes object, row i is its bytes i*n .. i*n+n-1 and column k its
     # every n-th byte from byte k, and reading one at the other is a
     # translate through it, padded to the 256 bytes a translate takes.
-    flat = b"".join(map(bytes, table))
+    # bytes() refuses -1 and 256, and ragged rows can join to n*n bytes, so
+    # on any doubt the rows are scanned for the first fault.
+    try:
+        flat = b"".join(map(bytes, table))
+    except ValueError:
+        flat = b""
+    if (len(flat) != n * n or flat.translate(None, bytes(range(n)))
+            or any(len(row) != n for row in table)):
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise ValueError(f"table row {i} has length {len(row)}, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                bad = next(v for v in row if not 0 <= v < n)
+                raise ValueError(f"table entry {bad} out of range")
     pad = bytes(256 - n)
-    gens = _generators(table)
+    rows = [flat[i * n:i * n + n] for i in range(n)]
+    cols = [flat[k::n] for k in range(n)]
+    gens = _generators(table, rows)
     # Light's test: the k with (ij)k = i(jk) for all i, j are closed under
-    # products, so testing the generators covers every k.  Row i is tested
-    # whole against each generator column k: column k read at row i is
-    # (ij)k over j, row i read at column k is i(jk).  A failing row is
-    # scanned again for its first (j, k).
-    gen_cols = [(flat[k::n], flat[k::n] + pad) for k in gens]
-    for i, row in enumerate(table):
-        row_bytes = flat[i * n:i * n + n]
-        row_pad = row_bytes + pad
-        if any(row_bytes.translate(col_pad) != col.translate(row_pad)
-               for col, col_pad in gen_cols):
-            for j in range(n):
-                tij = table[row[j]]
-                tj = table[j]
-                for k in gens:
-                    if tij[k] != row[tj[k]]:
+    # products, so testing the generators covers every k.  The transposed
+    # table read through column k holds (ij)k at byte j*n + i, and column
+    # jk read at row i is i(jk), so each k is one whole-table comparison.
+    # On a failure each row i is compared with each k the same way, row i
+    # read through column k against column k read through row i, and a
+    # failing row is scanned for its first (j, k).
+    flat_t = b"".join(cols)
+    if any(flat_t.translate(cols[k] + pad)
+           != b"".join(map(cols.__getitem__, cols[k])) for k in gens):
+        for i, row in enumerate(table):
+            if any(rows[i].translate(cols[k] + pad)
+                   != cols[k].translate(rows[i] + pad) for k in gens):
+                for j, k in itertools.product(range(n), gens):
+                    if table[row[j]][k] != row[table[j][k]]:
                         raise ValueError(f"not associative at ({i},{j},{k})")
     ident = bytes(range(n))
-    units = [e for e in range(n)
-             if flat[e * n:e * n + n] == ident and flat[e::n] == ident]
+    units = [e for e in range(n) if rows[e] == ident == cols[e]]
     if not units:
         raise ValueError("no identity")
     if unit is None:
@@ -176,7 +184,7 @@ def from_table(table, unit=None, names=None):
     # those, the inverses are the x with xsx = x.
     inv = [None] * n
     for s in range(n):
-        sxs = flat[s * n:s * n + n].translate(flat[s::n] + pad)
+        sxs = rows[s].translate(cols[s] + pad)
         cands = []
         x = sxs.find(s)
         while x >= 0:
@@ -199,14 +207,17 @@ def from_table(table, unit=None, names=None):
     return m
 
 
-def _generators(table):
+def _generators(table, rows):
     """A generating set: every element is a left-to-right product of it.
 
     Elements are taken greedily by decreasing right-ideal size, then by
     index; one not yet reached becomes a generator, and the reached set is
-    closed again under right multiplication by the generators.
+    closed again under right multiplication by the generators.  Deleting
+    row s's bytes from all 256 leaves 256 - |sS| of them.
     """
-    order = sorted(range(len(table)), key=lambda s: (-len(set(table[s])), s))
+    every = bytes(range(256))
+    order = sorted(range(len(table)),
+                   key=lambda s: (len(every.translate(None, rows[s])), s))
     gens = []
     reached = set()
     for g in order:
@@ -247,7 +258,7 @@ def chain_semilattice(n):
 def symmetric_inverse_monoid(n):
     """All partial bijections of {1..n} under composition.
 
-    A partial bijection is its image tuple m: m[x] is the image of x + 1,
+    A partial bijection is its image bytes m: m[x] is the image of x + 1,
     or 0 where it is undefined.  Elements are listed by domain bitmask,
     then by the images of the domain in lexicographic order.
     """
@@ -269,25 +280,25 @@ def symmetric_inverse_monoid(n):
             m = [0] * n
             for x, y in zip(dom, img):
                 m[x] = y
-            elems.append(tuple(m))
+            elems.append(bytes(m))
     index = {m: i for i, m in enumerate(elems)}
     size = len(elems)
 
-    def after(f, g):
-        """f after g, defined where g is and f is defined at g's image."""
-        return index[tuple(f[y - 1] if y else 0 for y in g)]
-
     # S_n and one rank-(n-1) idempotent generate I_n (Ganyushkin and
     # Mazorchuk 2009): here the adjacent transpositions and the identity on
-    # {2..n}.  Only their rows are composed.  Row p.a is row p read at row
-    # a, so a breadth-first walk of the right Cayley graph from the unit,
-    # whose edge p -> p.a is entry a of row p, fills each row with one
-    # translate of row a through row p, both read as bytes (every entry is
-    # below the size cap of 256).
-    ident = tuple(range(1, n + 1))
-    gens = [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
-    gens += [(0,) + ident[1:]] if n else []
-    gen_rows = [(index[a], bytes(after(a, g) for g in elems)) for a in gens]
+    # {2..n}.  Only their rows are composed.  Entry g of row a is a after g,
+    # defined where g is and a is defined at g's image: g read through 0
+    # followed by a.  Row p.a is row p read at row a, so a breadth-first
+    # walk of the right Cayley graph from the unit, whose edge p -> p.a is
+    # entry a of row p, fills each row with one translate of row a through
+    # row p, both read as bytes (every entry is below the size cap of 256).
+    ident = bytes(range(1, n + 1))
+    gens = [ident[:i] + bytes((i + 2, i + 1)) + ident[i + 2:]
+            for i in range(n - 1)]
+    gens += [b"\0" + ident[1:]] if n else []
+    gen_rows = [(index[a], bytes(map(index.__getitem__, map(
+        bytes.translate, elems, itertools.repeat(b"\0" + a + bytes(255 - n))))))
+        for a in gens]
     pad = bytes(256 - size)
     unit = index[ident]
     table = [None] * size

@@ -19,7 +19,11 @@ D-class split and no group resolution,
 and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  The monoid-table oracles compose every
 pair of partial bijections of I_n and run from_table's checks one entry at
-a time.  ``ks_module_failure`` checks the KS-module law with whole matrix
+a time, on the generating set ``greedy_generators`` picks with a Python set
+of each row's entries.  ``bisection_masks_by_filter`` tests every subset of
+a groupoid's arrows for a bisection, and ``bisection_monoid_by_pairs``
+multiplies each pair of bisections arrow by arrow.
+``ks_module_failure`` checks the KS-module law with whole matrix
 products on the generators.
 DenseMatrix is the dense row-list matrix arithmetic that the
 column-sparse Matrix replaced, kept as its reference; ``from_rows`` and
@@ -50,7 +54,7 @@ from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
                            induced_map, kernel_basis, mat_rank,
                            quotient_space)
-from invhom.monoids import MONOID_SIZE_CAP, _generators
+from invhom.monoids import MONOID_SIZE_CAP
 
 
 class FractionField:
@@ -656,6 +660,29 @@ def symmetric_inverse_table_by_composition(n):
     return table, index[tuple(range(1, n + 1))]
 
 
+def greedy_generators(table):
+    """The generating set from_table keeps, by sets of row entries.
+
+    Elements are taken greedily by decreasing right-ideal size |sS|, then
+    by index; one not yet reached becomes a generator, and the reached set
+    is closed again under right multiplication by the generators.
+    """
+    order = sorted(range(len(table)), key=lambda s: (-len(set(table[s])), s))
+    gens = []
+    reached = set()
+    for g in order:
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = [g] + [table[x][g] for x in reached]
+        while frontier:
+            y = frontier.pop()
+            if y not in reached:
+                reached.add(y)
+                frontier.extend(table[y][a] for a in gens)
+    return gens
+
+
 def from_table_failure(table, unit=None):
     """The message from_table refuses table with, or None: its checks one
     entry at a time, Light's test as a scan over (i, j, k) and the inverse
@@ -670,7 +697,7 @@ def from_table_failure(table, unit=None):
         for v in row:
             if not (0 <= v < n):
                 return f"table entry {v} out of range"
-    gens = _generators(table)
+    gens = greedy_generators(table)
     for i in range(n):
         for j in range(n):
             for k in gens:
@@ -695,6 +722,45 @@ def from_table_failure(table, unit=None):
             if table[e][f] != table[f][e]:
                 return f"idempotents {e} and {f} do not commute"
     return None
+
+
+def bisection_masks_by_filter(g):
+    """Bitmasks of all bisections of g: every one of the 2^arrows subsets
+    with distinct sources and distinct ranges, in increasing mask order."""
+    masks = []
+    for mask in range(1 << g.n_arrows):
+        arrows = [a for a in range(g.n_arrows) if mask >> a & 1]
+        srcs = {g.src[a] for a in arrows}
+        rngs = {g.rng[a] for a in arrows}
+        if len(srcs) == len(arrows) and len(rngs) == len(arrows):
+            masks.append(mask)
+    return masks
+
+
+def _mask_product(g, m1, m2):
+    out = 0
+    for a in range(g.n_arrows):
+        if not (m1 >> a & 1):
+            continue
+        for b in range(g.n_arrows):
+            if not (m2 >> b & 1):
+                continue
+            c = g.comp[a][b]
+            if c is not None:
+                out |= 1 << c
+    return out
+
+
+def bisection_monoid_by_pairs(g, masks):
+    """(table, unit, names) of the bisections with these masks: each pair
+    multiplied over every pair of arrows, the unit the mask of the unit
+    arrows, and each bisection named by its arrows."""
+    index = {m: i for i, m in enumerate(masks)}
+    table = [[index[_mask_product(g, m1, m2)] for m2 in masks] for m1 in masks]
+    unit = index[sum(1 << u for u in g.unit_of)]
+    names = ["{" + ",".join(str(a) for a in range(g.n_arrows)
+                            if m >> a & 1) + "}" for m in masks]
+    return table, unit, names
 
 
 def natural_order_by_search(monoid):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from invhom.algebras import Bimodule, regular_bimodule
 from invhom.crossed import coinvariants, invariants_sub, validate_action
-from invhom.groupoids import (bisections, bisections_with_masks,
-                              discrete_groupoid, disjoint_union,
+from invhom.groupoids import (_bisection_masks, bisections,
+                              bisections_with_masks, discrete_groupoid, disjoint_union,
                               group_as_groupoid, induced_action_hat,
                               lx_embedding, pair_groupoid, psi_map,
                               steinberg_algebra, steinberg_data,
@@ -18,9 +18,12 @@ from invhom.groupoids import (bisections, bisections_with_masks,
                               verify_steinberg_homology)
 from invhom.homology import cohomology, homology
 from invhom.linalg import Field, Matrix
-from invhom.monoids import (chain_semilattice, cyclic_group,
+from invhom.monoids import (MONOID_SIZE_CAP, chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
-from oracles import (crossed_coinvariants, crossed_invariants,
+from invhom.serialize import (groupoid_from_dict, groupoid_to_dict,
+                              resolve_groupoid)
+from oracles import (bisection_masks_by_filter, bisection_monoid_by_pairs,
+                     crossed_coinvariants, crossed_invariants,
                      transport_bimodule)
 
 Q = Field(0)
@@ -69,6 +72,64 @@ def test_bisections_cap():
     # monoid size cap, which is checked before any table is built
     with pytest.raises(ValueError, match="size cap exceeded"):
         bisections(discrete_groupoid(9))
+    for g in (discrete_groupoid(17),
+              disjoint_union(pair_groupoid(4), pair_groupoid(1))):
+        with pytest.raises(ValueError) as exc:
+            bisections(g)
+        assert str(exc.value) == "enumeration cap exceeded: 17 arrows > 16"
+
+
+def _assert_bisections_match_the_oracle(g):
+    """Masks, table, unit and names as the 2^arrows filter and the pairwise
+    product give them; past the size cap, the masks and the refusal."""
+    masks = bisection_masks_by_filter(g)
+    if len(masks) > MONOID_SIZE_CAP:
+        assert _bisection_masks(g) == masks
+        with pytest.raises(ValueError, match=f"would have {len(masks)} "):
+            bisections_with_masks(g)
+        return
+    monoid, got = bisections_with_masks(g)
+    assert got == masks
+    assert (monoid.table, monoid.unit, monoid.names) == \
+        bisection_monoid_by_pairs(g, masks)
+
+
+def test_bisections_match_the_oracle_on_builtin_groupoids():
+    for spec in ([f"pair:{n}" for n in range(1, 5)]
+                 + [f"group:z:{n}" for n in range(1, 17)]
+                 + [f"discrete:{n}" for n in range(1, 17)]):
+        _assert_bisections_match_the_oracle(resolve_groupoid(spec))
+
+
+@st.composite
+def groupoid_documents(draw):
+    """groupoid_to_dict of a disjoint union of pair groupoids and cyclic
+    groups of at most 16 arrows in all, its arrows and objects renamed by
+    drawn permutations and its units left for groupoid_from_dict to find."""
+    pieces = draw(st.lists(st.one_of(
+        st.integers(1, 3).map(pair_groupoid),
+        st.integers(1, 5).map(lambda n: group_as_groupoid(cyclic_group(n)))),
+        min_size=1, max_size=4))
+    g = pieces[0]
+    for piece in pieces[1:]:
+        if g.n_arrows + piece.n_arrows <= 16:
+            g = disjoint_union(g, piece)
+    arrow = draw(st.permutations(range(g.n_arrows)))
+    obj = draw(st.permutations(range(g.n_objects)))
+    arrows, inv = [None] * g.n_arrows, [None] * g.n_arrows
+    for a in range(g.n_arrows):
+        arrows[arrow[a]] = {"src": obj[g.src[a]], "rng": obj[g.rng[a]]}
+        inv[arrow[a]] = arrow[g.inv[a]]
+    comp = [[arrow[a], arrow[b], arrow[c]]
+            for a, b, c in groupoid_to_dict(g)["comp"]]
+    return {"objects": g.n_objects, "arrows": arrows, "comp": comp,
+            "inv": inv}
+
+
+@settings(deadline=None, max_examples=40)
+@given(groupoid_documents())
+def test_bisections_match_the_oracle_on_groupoid_documents(doc):
+    _assert_bisections_match_the_oracle(groupoid_from_dict(doc))
 
 
 def test_bisections_pair_isomorphic_to_symmetric_inverse_monoid():

@@ -15,8 +15,9 @@ from invhom.monoids import (MONOID_SIZE_CAP, InverseMonoid, chain_semilattice,
                             max_group_image, symmetric_inverse_monoid,
                             trivial_monoid)
 from invhom.serialize import resolve_groupoid, resolve_monoid
-from oracles import (from_table_failure, group_image_table_by_scan,
-                     is_associative, is_e_unitary_by_scan, is_inverse_monoid,
+from oracles import (from_table_failure, greedy_generators,
+                     group_image_table_by_scan, is_associative,
+                     is_e_unitary_by_scan, is_inverse_monoid,
                      natural_order_by_search, sigma_classes_by_union_find,
                      symmetric_inverse_table_by_composition)
 
@@ -485,21 +486,44 @@ def _changed(spec, unit, change):
 
 @st.composite
 def corrupted_desk_tables(draw):
-    """A desk table with one entry changed, possibly out of range, or two
-    rows swapped, and either its unit or no unit."""
+    """A desk table with one entry changed, possibly out of range; two rows
+    swapped; one entry moved to the row after or before its own, so that
+    the rows are ragged but hold n*n entries; a row cut short beside an
+    entry set to -1 or 256; or an entry changed in each of two generator
+    columns.  Its unit or no unit goes with it."""
     table, unit = _desk_table(draw(st.sampled_from(_DESK_SPECS)))
     n = len(table)
+    gens = greedy_generators(table)
     table = [row[:] for row in table]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["entry", "swap", "short", "columns"]
+                                + ["ragged"] * (n > 1)))
+    if kind == "entry":
         table[i][j] = draw(st.one_of(st.integers(-1, n),
                                      st.sampled_from([255, 256])))
-    else:
+    elif kind == "swap":
         table[i], table[j] = table[j], table[i]
+    elif kind == "ragged":
+        short, long = draw(st.permutations([min(i, n - 2), min(i, n - 2) + 1]))
+        table[long].append(table[short].pop())
+    elif kind == "short":
+        table[i][j] = draw(st.sampled_from([-1, 256]))
+        table[draw(st.integers(0, n - 1))].pop()
+    else:
+        for k in draw(st.permutations(gens))[:2]:
+            table[draw(st.integers(0, n - 1))][k] = draw(st.integers(0, n - 1))
     return table, draw(st.sampled_from([None, unit]))
 
 
-@settings(deadline=None, max_examples=400)
+# Each fails Light's test in two generator columns, and the generator that
+# fails first in the generating set's order is not the k of the first
+# failing (i, j, k) in scan order: z:3 with entry (1, 0) set to 0, and
+# chain:3 with entry (0, 2) set to 0.
+_TWO_FAILING_COLUMNS = [[[0, 1, 2], [0, 2, 0], [2, 0, 1]],
+                        [[0, 1, 0], [1, 1, 2], [2, 2, 2]]]
+
+
+@settings(deadline=None, max_examples=500)
 @given(corrupted_desk_tables())
 @example(([[0]], None))
 @example(([[1]], None))
@@ -508,8 +532,30 @@ def corrupted_desk_tables(draw):
 @example(([[0, 1], [1, 1]], 1))
 @example(([[1, 0], [0, 1]], None))
 @example(([[0, 0, 0], [1, 1, 1], [0, 1, 2]], 2))
+# ragged rows of n*n entries in all: z:2 and z:3
+@example(([[0], [1, 0, 1]], None))
+@example(([[0, 1, 2, 1], [2, 0], [2, 0, 1]], 0))
+# -1 or 256 beside a short row, before it and after it: z:3
+@example(([[0, -1, 2], [1, 2], [2, 0, 1]], None))
+@example(([[0, 1, 2], [1, 2], [2, 256, 1]], 0))
+@example(([[0, 256, 2], [1, 2, 0], [2, 0]], None))
+@example((_TWO_FAILING_COLUMNS[0], None))
+@example((_TWO_FAILING_COLUMNS[1], 0))
 def test_from_table_refuses_with_the_scalar_checks_first_message(case):
     _assert_refused_as_the_oracle_refuses(*case)
+
+
+def test_two_failing_generator_columns_are_named_in_scan_order():
+    for table in _TWO_FAILING_COLUMNS:
+        n = range(len(table))
+        gens = greedy_generators(table)
+        bad = [(i, j, k) for i in n for j in n for k in gens
+               if table[table[i][j]][k] != table[i][table[j][k]]]
+        failing = [k for k in gens if k in {k for _, _, k in bad}]
+        assert len(failing) == 2 and bad[0][2] == failing[1]
+        with pytest.raises(ValueError) as exc:
+            from_table(table)
+        assert str(exc.value) == "not associative at ({},{},{})".format(*bad[0])
 
 
 # chain:256 at the cap: left as it is, an entry set to 255 (in range),
@@ -531,3 +577,17 @@ def _assert_refused_as_the_oracle_refuses(table, unit):
         with pytest.raises(ValueError) as exc:
             from_table(table, unit=unit)
         assert str(exc.value) == expected
+
+
+def test_generators_are_the_oracles():
+    # KSModule, crossed_product and the CLI's indicator check loop over
+    # monoid.generators, so a refusal names an (s, g) of this set.
+    for spec in _DESK_SPECS + ["prod:chain:16,z:16", "chain:256"]:
+        m = resolve_monoid(spec)
+        assert m.generators == greedy_generators(m.table), spec
+
+
+@settings(deadline=None, max_examples=60)
+@given(inverse_submonoids_of_i3_or_i4())
+def test_generators_are_the_oracles_on_random_inverse_submonoids(m):
+    assert m.generators == greedy_generators(m.table)
