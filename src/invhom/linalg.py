@@ -115,7 +115,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.char == 0:
-            return _narrow(Fraction(1) / a)
+            return int(a) if a in (1, -1) else _narrow(Fraction(1) / a)
         return pow(a, -1, self.char)
 
     def to_token(self, a):
@@ -208,11 +208,7 @@ class Matrix:
             for k, v in ocol.items():
                 for i, a in self.columns[k].items():
                     acc[i] = acc.get(i, 0) + a * v
-            if p:
-                acc = {i: x % p for i, x in acc.items() if x % p}
-            else:
-                acc = {i: x for i, x in acc.items() if x}
-            out.append(acc)
+            out.append(_settled(p, acc))
         return Matrix(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
@@ -269,10 +265,14 @@ def sparse_sum(field, terms):
     for c, vec in terms:
         for i, x in vec.items():
             out[i] = out.get(i, 0) + c * x
-    p = field.char
+    return _settled(field.char, out)
+
+
+def _settled(p, sums):
+    """The nonzero entries of the dict of sums, reduced mod p when p."""
     if p:
-        return {i: x % p for i, x in out.items() if x % p}
-    return {i: x for i, x in out.items() if x}
+        return {i: x % p for i, x in sums.items() if x % p}
+    return {i: x for i, x in sums.items() if x}
 
 
 def _reduce(field, pivots, v):
@@ -309,13 +309,15 @@ def _reduce(field, pivots, v):
 def _insert(field, pivots, v):
     """Reduce v and make it the pivot of the row it stops at, if any.
 
-    Returns that row, or None when v lies in the span of the pivots.
+    Returns that row, or None when v lies in the span of the pivots.  At a
+    pivot entry 1 the pivot may be v itself, so callers pass a copy.
     """
     top = _reduce(field, pivots, v)
     if top is not None:
-        inv = field.inv(v[top])
-        pivots[top] = _leaving(
-            field, {i: field.mul(a, inv) for i, a in v.items()})
+        if v[top] != 1:
+            inv = field.inv(v[top])
+            v = {i: field.mul(a, inv) for i, a in v.items()}
+        pivots[top] = _leaving(field, v)
     return top
 
 

@@ -40,6 +40,11 @@ to the crossed product, where ``crossed_coinvariants`` and
 conjugation, after checking the KS-module law on all of M.
 ``build_parser`` is the argparse parser that the CLI's option table
 replaced, kept as the reference for ``cli._parse``.
+``sparse_sum_mul`` is ``Algebra.mul`` as one ``sparse_sum`` call over
+every pair of nonzeros, the form the in-place product replaced, and
+``rescaling_insert`` is ``_insert`` as it was before a pivot entry 1
+skipped the rescale: it always multiplies by ``field.inv`` of the pivot
+entry and stores a new dict.
 """
 
 import argparse
@@ -51,9 +56,9 @@ from invhom.cli import (_VERIFY_TARGETS, _betti_cmd, _crossed_product_cmd,
                         _resolution_cmd, _steinberg_cmd, _verify_cmd)
 from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
                              KSModule, _check_module, assemble, check_degree)
-from invhom.linalg import (ColumnSpan, Matrix, _is_prime, image_basis,
-                           induced_map, kernel_basis, mat_rank,
-                           quotient_space)
+from invhom.linalg import (ColumnSpan, Matrix, _is_prime, _leaving, _reduce,
+                           image_basis, induced_map, kernel_basis, mat_rank,
+                           quotient_space, sparse_sum)
 from invhom.monoids import MONOID_SIZE_CAP
 
 
@@ -587,6 +592,26 @@ def dense_algebra_check(field, dim, sc, unit):
         if mul(unit, basis[i]) != basis[i] or mul(basis[i], unit) != basis[i]:
             return f"unit is not a two-sided identity at basis {i}"
     return None
+
+
+def sparse_sum_mul(algebra, u, v):
+    """uv as one sparse_sum of (a b, sc[i][j]) over the nonzeros a of u and
+    b of v: each term (a b) c, in the order Algebra.mul sums them."""
+    sc = algebra.sc
+    return sparse_sum(algebra.field, ((a * b, sc[i][j])
+                                      for i, a in u.items()
+                                      for j, b in v.items()))
+
+
+def rescaling_insert(field, pivots, v):
+    """linalg._insert with every new pivot rescaled by the inverse of its
+    top entry into a new dict, a top entry 1 included."""
+    top = _reduce(field, pivots, v)
+    if top is not None:
+        inv = field.inv(v[top])
+        pivots[top] = _leaving(
+            field, {i: field.mul(a, inv) for i, a in v.items()})
+    return top
 
 
 def dense_bimodule_check(algebra, dim, left, right):

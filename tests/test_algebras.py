@@ -3,16 +3,17 @@ import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              dual_numbers, field_algebra, generator_images,
                              hochschild_cohomology, hochschild_homology,
-                             is_separable, matrix_algebra, product_checks,
-                             regular_bimodule, semigroup_algebra,
-                             table_algebra)
+                             is_separable, matrix_algebra, matrix_unit_table,
+                             product_checks, regular_bimodule,
+                             semigroup_algebra, table_algebra)
 from invhom.cli import _resolve_action
 from invhom.crossed import crossed_product, mobius_family
 from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
@@ -25,7 +26,8 @@ from invhom.serialize import algebra_from_dict, resolve_groupoid, resolve_monoid
 from oracles import (absolute_hochschild_cohomology,
                      absolute_hochschild_homology, dense_algebra_check,
                      dense_bimodule_check, dense_left_mult, dense_mul,
-                     dense_vec, from_cols, from_rows, sparse_vec)
+                     dense_vec, from_cols, from_rows, sparse_sum_mul,
+                     sparse_vec)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
@@ -148,6 +150,136 @@ def test_light_test_refuses_corruption_away_from_the_generators():
                 bad = [[list(vec) for vec in row] for row in dense]
                 bad[i][j][k] = F.add(bad[i][j][k], F.one)
                 assert not _accepts_as_oracle_does(F, alg.dim, bad, unit)
+
+
+@st.composite
+def monomial_desk_tables(draw):
+    """(table, units) of a desk monomial algebra, b_i b_j = b_table[i][j]
+    or 0 where it is None: a monoid's Cayley table, the matrix units of
+    M_1 or M_2, K^n, a groupoid's composition, or KE(S) for S a drawn
+    inverse submonoid of I_3."""
+    kind = draw(st.sampled_from(("semigroup", "matrix", "diagonal",
+                                 "groupoid", "ke")))
+    if kind == "semigroup":
+        m = resolve_monoid(draw(st.sampled_from((
+            "z:1", "z:3", "z:4", "chain:3", "chain:5", "i:1",
+            "prod:chain:2,z:2"))))
+        return m.table, [m.unit]
+    if kind == "matrix":
+        n = draw(st.integers(1, 2))
+        return matrix_unit_table(n), [i * n + i for i in range(n)]
+    if kind == "diagonal":
+        n = draw(st.integers(1, 5))
+        return [[i if i == j else None for j in range(n)]
+                for i in range(n)], list(range(n))
+    if kind == "groupoid":
+        g = resolve_groupoid(draw(st.sampled_from((
+            "pair:1", "pair:2", "group:z:3", "discrete:3"))))
+        return g.comp, list(g.unit_of)
+    m = draw(inverse_submonoids_of_i3_or_i4(sizes=(3,)))
+    idems = m.idempotents()
+    pos = {e: i for i, e in enumerate(idems)}
+    return [[pos[m.table[e][f]] for f in idems] for e in idems], [pos[m.unit]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_table_path_refuses_what_the_dense_oracle_refuses(data):
+    # A desk monomial table as drawn, with one entry changed, two rows
+    # swapped or one unit moved, all still monomial; or, over F_3 and Q,
+    # with a 1 made a 2, which is not.  Algebra must refuse exactly what
+    # the dense oracle refuses, with its message.
+    F = data.draw(st.sampled_from((Q, F2, Field(3))))
+    table, units = data.draw(monomial_desk_tables())
+    table, n = [list(row) for row in table], len(table)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(("none", "entry", "swap", "unit")
+                                     + ("two",) * (F.char != 2)))
+    if kind == "entry":
+        table[i][j] = data.draw(st.sampled_from((None, *range(n))))
+    elif kind == "swap":
+        table[i], table[j] = table[j], table[i]
+    elif kind == "unit":
+        units[data.draw(st.integers(0, len(units) - 1))] = i
+    sc = [[{} if k is None else {k: F.one} for k in row] for row in table]
+    if kind == "two":
+        sc[i][j] = {k: F.of(2) for k in sc[i][j]}
+    dense = [[[vec.get(k, F.zero) for k in range(n)] for vec in row]
+             for row in sc]
+    unit = dense_vec(dict.fromkeys(units, F.one), n)
+    event(f"{kind}: " + ("accepted" if _accepts_as_oracle_does(
+        F, n, dense, unit) else "refused"))
+
+
+def test_only_monomial_constants_take_the_table_path(monkeypatch):
+    # Monomial constants, dual_numbers' among them, are checked on their
+    # table, then the unit law alone runs through _failure(()).  K[x]/(x^2)
+    # in the basis (1, 1 + x), where (1 + x)^2 = -1 + 2(1 + x), has a 2 and
+    # keeps Light's test on the generators as sparse sums.
+    calls, failure = [], Algebra._failure
+    monkeypatch.setattr(Algebra, "_failure", lambda self, ks: calls.append(
+        list(ks)) or failure(self, ks))
+    F3 = Field(3)
+    for F in (Q, F2, F3):
+        for build in (dual_numbers, field_algebra,
+                      lambda F: matrix_algebra(F, 2),
+                      lambda F: semigroup_algebra(F, cyclic_group(3))):
+            calls.clear()
+            build(F)
+            assert calls == [[]], (build, F)
+    for F in (Q, F3):
+        calls.clear()
+        shifted = Algebra(F, 2, [[{0: 1}, {1: 1}],
+                                 [{1: 1}, {0: F.neg(1), 1: F.of(2)}]], {0: 1})
+        assert calls == [shifted.generators] and shifted.generators, F
+    # A refusal on the table path reruns every triple and nothing else;
+    # a unit that fails after the table passes comes after _failure(()).
+    for table, units, first in (
+            ([[0, 1, 2], [1, 2, None], [2, None, 1]], [0], "not associative"),
+            ([[0, 1], [1, 0]], [1], "unit is not a two-sided identity")):
+        calls.clear()
+        with pytest.raises(ValueError, match=f"^{first}"):
+            table_algebra(Q, table, units)
+        assert calls[-1] == list(range(len(table)))
+        assert calls[:-1] in ([], [[]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mul_equals_the_sparse_sum_form(data):
+    # Drawn constants, mostly not monomial and not associative, and drawn
+    # vectors: the in-place product gives the same entries, in the same
+    # order and of the same types, as one sparse_sum over the pairs.
+    F = data.draw(st.sampled_from((Q, F2, Field(3))))
+    dim = data.draw(st.integers(1, 4))
+    scalar = (st.integers(1, F.char - 1) if F.char else st.sampled_from(
+        (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))))
+    vec = st.dictionaries(st.integers(0, dim - 1), scalar, max_size=dim)
+    alg = SimpleNamespace(field=F, sc=[[data.draw(vec) for _ in range(dim)]
+                                       for _ in range(dim)])
+    u, v = data.draw(vec), data.draw(vec)
+    got, want = Algebra.mul(alg, u, v), sparse_sum_mul(alg, u, v)
+    assert [(k, x, type(x)) for k, x in got.items()] == \
+        [(k, x, type(x)) for k, x in want.items()]
+
+
+def test_mul_drops_terms_that_cancel():
+    # b_0 b_0 = b_0 + b_1 + b_2 and b_1 b_0 = -b_1 + b_2: in (b_0 + b_1) b_0
+    # the b_1 terms cancel in every field, and the b_2 terms sum to 2,
+    # which vanishes over F_2.  Over Q the halves sum to the Fraction 1, as
+    # sparse_sum gives it.
+    for F, u, want in ((Q, {0: 1, 1: 1}, {0: 1, 2: 2}),
+                       (Field(3), {0: 1, 1: 1}, {0: 1, 2: 2}),
+                       (F2, {0: 1, 1: 1}, {0: 1}),
+                       (Q, {0: Fraction(1, 2), 1: Fraction(1, 2)},
+                        {0: Fraction(1, 2), 2: Fraction(1)})):
+        sc = [[{0: 1, 1: 1, 2: 1}, {}, {}], [{1: F.neg(1), 2: 1}, {}, {}],
+              [{}, {}, {}]]
+        alg = SimpleNamespace(field=F, sc=sc)
+        got = Algebra.mul(alg, u, {0: 1})
+        assert got == sparse_sum_mul(alg, u, {0: 1}) == want, F
+        assert [type(x) for x in got.values()] == \
+            [type(x) for x in want.values()]
 
 
 @settings(deadline=None, max_examples=40)

@@ -2,18 +2,21 @@ import ast
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import invhom
-from invhom.linalg import (ColumnSpan, Field, Matrix, image_basis,
+from invhom import linalg
+from invhom.linalg import (ColumnSpan, Field, Matrix, _insert, image_basis,
                            induced_map, kernel_basis, mat_rank, quotient_space,
                            rref)
 from invhom.serialize import _matrix_in, _matrix_out
 from oracles import (DenseMatrix, FractionField, dense, dense_apply,
                      dense_col, dense_coords, from_cols, from_rows,
-                     gauss_jordan, rank_by_minors, sparse, sparse_vec)
+                     gauss_jordan, rank_by_minors, rescaling_insert, sparse,
+                     sparse_vec)
 
 Q = Field(0)
 F2 = Field(2)
@@ -591,3 +594,72 @@ def test_elimination_results_hold_no_integral_fraction(case):
                     [span.coords(col) for col in A.columns])
     assert _no_integral_fraction(coords)
     assert image @ coords == A
+
+
+def test_inverse_of_a_unit_of_z_is_an_int():
+    # Over Q, +-1 in either form inverts to an int with no Fraction built.
+    for a in (1, -1, Fraction(1), Fraction(-1)):
+        assert (Q.inv(a), type(Q.inv(a))) == (int(a), int)
+
+
+# Pivot entries of every kind _insert meets: 1; -1 as an int and as a
+# Fraction, and the Fraction 1; p - 1; and non-units of Z, which rescale
+# by 1/2 and -1/3 into Fraction values.
+_PIVOTS = {0: (0, 0, 1, -1, Fraction(-1), Fraction(1), 2, -3,
+               Fraction(1, 2), Fraction(-2, 3)),
+           2: (0, 1), 3: (0, 0, 1, 2)}
+
+
+@st.composite
+def elimination_cases(draw):
+    """A field and the columns of a matrix of up to 5 rows over it."""
+    field = draw(st.sampled_from((Q, F2, Field(3))))
+    rows = draw(st.integers(1, 5))
+    entry = st.sampled_from(_PIVOTS[field.char])
+    cols = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows),
+                         max_size=6))
+    return field, rows, [{i: x for i, x in enumerate(c) if x} for c in cols]
+
+
+def _typed(x):
+    """x with every scalar paired with its type, for an exact comparison."""
+    if isinstance(x, Matrix):
+        return x.rows, x.cols, _typed(x.columns)
+    if isinstance(x, dict):
+        return [(k, _typed(v), type(v)) for k, v in x.items()]
+    return [_typed(y) for y in x] if isinstance(x, list) else x
+
+
+def _eliminations(field, rows, cols):
+    m = Matrix(field, rows, len(cols), [dict(c) for c in cols])
+    r, pcols = rref(m)
+    image = image_basis(m)
+    span = ColumnSpan(image)
+    q = quotient_space(field, rows, m)
+    return _typed([m.rank(), r, pcols, kernel_basis(m), image,
+                   q.subspace_basis, q.projection, q.section,
+                   [span.coords(c) for c in cols]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(elimination_cases())
+@example((Q, 3, [{0: 2, 2: 1}, {0: 1, 2: -1}, {1: 3, 2: Fraction(-1)},
+                 {1: Fraction(1, 2), 2: Fraction(1)}, {0: 2, 1: -3}]))
+@example((Field(3), 3, [{0: 1, 2: 2}, {1: 1, 2: 1}, {2: 2}, {0: 2, 1: 1}]))
+@example((F2, 2, [{0: 1, 1: 1}, {1: 1}, {0: 1}]))
+def test_elimination_equals_the_rescaling_insert(case):
+    # A pivot entry 1 is stored unscaled: rank, rref, kernel, image,
+    # quotient and coordinates equal those of the insert that always
+    # rescales, entry for entry and type for type.  The pivots equal too,
+    # and integral rationals leave the elimination as ints.
+    field, rows, cols = case
+    new = _eliminations(field, rows, cols)
+    with mock.patch.object(linalg, "_insert", rescaling_insert):
+        assert _eliminations(field, rows, cols) == new
+    pivots, reference = {}, {}
+    for c in cols:
+        assert _insert(field, pivots, dict(c)) == \
+            rescaling_insert(field, reference, dict(c))
+    assert _typed(pivots) == _typed(reference)
+    assert all(type(a) is int or a.denominator != 1
+               for piv in pivots.values() for a in piv.values())

@@ -398,10 +398,10 @@ def test_closed_forms_match_search_on_builtin_monoids():
 
 
 @st.composite
-def inverse_submonoids_of_i3_or_i4(draw):
-    """The inverse submonoid of I_3 or I_4 generated by a few drawn
-    elements, relabelled by a drawn permutation through from_table."""
-    big = symmetric_inverse_monoid(draw(st.sampled_from([3, 4])))
+def inverse_submonoids_of_i3_or_i4(draw, sizes=(3, 4)):
+    """The inverse submonoid of I_n, n drawn from sizes, generated by a few
+    drawn elements, relabelled by a drawn permutation through from_table."""
+    big = symmetric_inverse_monoid(draw(st.sampled_from(sizes)))
     gens = draw(st.lists(st.integers(0, big.size - 1), min_size=1,
                          max_size=3))
     elems = {big.unit} | set(gens) | {big.inv[g] for g in gens}

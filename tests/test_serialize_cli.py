@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from invhom.algebras import dual_numbers, regular_bimodule
+from invhom.algebras import Algebra, dual_numbers, regular_bimodule
 from invhom.cli import main as cli_main
 from invhom.crossed import natural_ke_action
 from invhom.groupoids import bisections_with_masks, pair_groupoid
@@ -831,6 +831,27 @@ def test_group_resolution_walls_finish_at_the_default_cap():
         else:
             assert doc["verdict"] == "PASS"
             assert doc["report"]["data"][key] == expected
+
+
+def test_ks_crossed_product_wall_finishes(monkeypatch):
+    # The 256-dimensional skew algebra of prod:chain:16,z:16 is monomial,
+    # so Light's test reads its product table and _failure only checks the
+    # unit law: about 0.6 s in all, where the test as sparse sums on the
+    # generators took 3.8 s.
+    ks, failure = [], Algebra._failure
+    monkeypatch.setattr(Algebra, "_failure",
+                        lambda self, k: ks.append(list(k)) or failure(self, k))
+    argv = ["verify", "ks-crossed-product", "--monoid", "prod:chain:16,z:16",
+            "--field", "fp:2"]
+    start = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(argv + ["--format", "json"]) == 0
+    assert time.monotonic() - start < 15.0
+    doc = json.loads(out.getvalue())
+    assert doc["verdict"] == "PASS"
+    assert doc["report"]["data"]["dim_skew"] == 256
+    assert ks and not any(ks)
 
 
 def test_cap_columns_below_one_is_refused_before_any_work():
