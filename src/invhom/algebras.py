@@ -12,19 +12,42 @@ from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
 
+def monomial_rows(rows, dim):
+    """Each row of sparse vectors as symbols, k for {k: 1} and dim for {};
+    None for a row with any other vector, or with one that is not a dict."""
+    key = {((k, 1),): k for k in range(dim)}
+    key[()] = dim
+    get, items, out = key.get, dict.items, []
+    for row in rows:
+        try:
+            syms = [get(tuple(items(v)), -1) for v in row]
+        except TypeError:
+            syms = [-1]
+        out.append(None if -1 in syms else syms)
+    return out
+
+
 class Algebra:
     """Unital associative algebra: b_i b_j = sum of c b_k over the sparse
     sc[i][j] = {k: c}, which holds nonzero constants only.  Elements, the
     unit among them, are sparse vectors {i: x} on the basis.  The unit and
-    its left-to-right products with the basis vectors of generators span."""
+    its left-to-right products with the basis vectors of generators span.
 
-    __slots__ = ("field", "dim", "sc", "unit", "generators")
+    When every b_i b_j is a basis vector or 0, table is the product table
+    with symbol dim for 0: table[i][j] = k for sc[i][j] = {k: 1}, and row
+    and column dim all dim.  Otherwise table is None."""
+
+    __slots__ = ("field", "dim", "sc", "unit", "generators", "table")
 
     def __init__(self, field, dim, sc, unit):
-        if len(sc) != dim or not all(
-                len(row) == dim and all(isinstance(vec, dict) and all(
-                    k in range(dim) and c for k, c in vec.items())
-                    for vec in row) for row in sc):
+        # One pass over the constants builds the rows of the table; a row
+        # that is not monomial is checked for shape entry by entry.
+        if len(sc) != dim or any(len(row) != dim for row in sc):
+            raise ValueError("structure constants have wrong shape")
+        rows = monomial_rows(sc, dim)
+        if not all(isinstance(vec, dict) and all(
+                k in range(dim) and c for k, c in vec.items())
+                for row, syms in zip(sc, rows) if syms is None for vec in row):
             raise ValueError("structure constants have wrong shape")
         if not all(i in range(dim) and x for i, x in unit.items()):
             raise ValueError("unit vector has wrong shape")
@@ -32,6 +55,8 @@ class Algebra:
         self.dim = dim
         self.sc = sc
         self.unit = unit
+        self.table = None if None in rows else [
+            syms + [dim] for syms in rows] + [[dim] * (dim + 1)]
         self.generators = self._generators()
         self._validate()
 
@@ -41,8 +66,9 @@ class Algebra:
         Candidates come by decreasing support of b_i A, then by index."""
         F = self.field
         pivots, closure, gens, frontier = {}, [], [], [self.unit]
-        order = sorted(range(self.dim),
-                       key=lambda i: (-len(set().union(*self.sc[i])), i))
+        width = ([len(set(row)) - 1 for row in self.table] if self.table
+                 else [len(set().union(*row)) for row in self.sc])
+        order = sorted(range(self.dim), key=lambda i: (-width[i], i))
         for i in order:
             while frontier and len(closure) < self.dim:
                 v = frontier.pop()
@@ -62,10 +88,8 @@ class Algebra:
         both sides are then a symbol, (b_x b_y) b_g read through column g
         and b_x (b_y b_g) read through row x.  A failure reruns every
         triple as sparse sums."""
-        n, sc, ks = self.dim, self.sc, self.generators
-        if all(not v or list(v.values()) == [1] for row in sc for v in row):
-            rows = [[next(iter(v), n) for v in row] + [n] for row in sc]
-            rows.append([n] * (n + 1))
+        n, rows, ks = self.dim, self.table, self.generators
+        if rows is not None:
             if any(itemgetter(*rows[x])(col) != itemgetter(*col)(rows[x])
                    for col in ([row[g] for row in rows] for g in ks)
                    for x in range(n)):

@@ -19,11 +19,13 @@ import itertools
 
 from .algebras import (Algebra, check_over, generator_images,
                        hochschild_cohomology, hochschild_homology,
-                       is_separable, product_checks, table_algebra)
+                       is_separable, monomial_rows, product_checks,
+                       table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        mobius_idempotent, trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
-                     kernel_basis, quotient_space, sparse_sum)
+                     kernel_basis, label_quotient, quotient_space,
+                     sparse_sum)
 from .monoids import max_group_image
 from .reporting import Report
 
@@ -32,12 +34,44 @@ class IncompatibleAction(ValueError):
     """The action has no induced partial action of G(S)."""
 
 
+def _once_per_vector(vectors, f):
+    """[f(v) for v in vectors], with f called once per distinct vector."""
+    keys = [frozenset(v.items()) for v in vectors]
+    seen = {}
+    for k, v in zip(keys, vectors):
+        if k not in seen:
+            seen[k] = f(v)
+    return [seen[k] for k in keys]
+
+
+def _index_tables(algebra, theta, ideals):
+    """(images, positions) for a monomial action, else None.
+
+    The action is monomial when A has a product table, each T_s sends a
+    basis vector to a basis vector or 0, and each 1_s A has basis vectors
+    of A as its basis.  Then images[s][k] is the symbol of T_s(b_k) in A's
+    table (dim for 0, and images[s][dim] = dim) and positions[s][k] is the
+    place of b_k in the basis of 1_s A, one dict per distinct ideal.
+    """
+    if algebra.table is None:
+        return None
+    n, spans = algebra.dim, {id(span): span for span in ideals}
+    images = monomial_rows([m.columns for m in theta], n)
+    bases = monomial_rows([span.basis.columns for span in spans.values()], n)
+    if None in images or None in bases:
+        return None
+    places = {i: dict(zip(b, range(len(b)))) for i, b in zip(spans, bases)}
+    return [t + [n] for t in images], [places[id(span)] for span in ideals]
+
+
 class UnitalAction:
     """Action data: one central idempotent 1_s (a sparse vector of A) and
     one total matrix T_s per s.  ideals[s] spans 1_s A, with the leftmost
-    independent columns of x -> 1_s x as its basis."""
+    independent columns of x -> 1_s x as its basis, one span per distinct
+    vector 1_s.  index is _index_tables' lookups, None unless the action
+    is monomial."""
 
-    __slots__ = ("monoid", "algebra", "one", "theta", "ideals")
+    __slots__ = ("monoid", "algebra", "one", "theta", "ideals", "index")
 
     def __init__(self, monoid, algebra, one, theta):
         if len(one) != monoid.size or len(theta) != monoid.size:
@@ -52,8 +86,9 @@ class UnitalAction:
         self.algebra = algebra
         self.one = one
         self.theta = theta
-        self.ideals = [ColumnSpan(image_basis(algebra.left_mult_matrix(e)))
-                       for e in one]
+        self.ideals = _once_per_vector(one, lambda e: ColumnSpan(
+            image_basis(algebra.left_mult_matrix(e))))
+        self.index = _index_tables(algebra, theta, self.ideals)
 
 
 def trivial_action(monoid, algebra):
@@ -87,17 +122,30 @@ def _check_each_element(action, rep):
 
     1_s is idempotent, so image(T_s) lies in 1_s A iff L_{1_s} T_s = T_s,
     read column by column as 1_s T_s(b_j) = T_s(b_j); then it is all of
-    1_s A iff rank T_s is its dimension.
+    1_s A iff rank T_s is its dimension.  The central idempotent check
+    and x -> 1_s x are formed once per distinct vector 1_s.  For a
+    monomial action, T_s(uv) = T_s(u) T_s(v) on basis vectors u, v of the
+    domain is one symbol per side, read through A's table.
     """
     S = action.monoid
     A = action.algebra
 
+    central = _once_per_vector(action.one, A.is_central_idempotent)
     for s in range(S.size):
-        rep.check(f"1_{S.name_of(s)} central idempotent",
-                  A.is_central_idempotent(action.one[s]))
+        rep.check(f"1_{S.name_of(s)} central idempotent", central[s])
 
-    left_of = [A.left_mult_matrix(action.one[s]) for s in range(S.size)]
+    left_of = _once_per_vector(action.one, A.left_mult_matrix)
     ideals = action.ideals
+
+    def multiplicative(s, si):
+        if action.index is None:
+            T, dom = action.theta[s], ideals[si].basis.columns
+            return all(T.apply(A.mul(u, v)) == A.mul(T.apply(u), T.apply(v))
+                       for u in dom for v in dom)
+        t, dom, table = action.index[0][s], action.index[1][si], A.table
+        return all(t[table[u][v]] == table[t[u]][t[v]]
+                   for u in dom for v in dom)
+
     for s in range(S.size):
         T = action.theta[s]
         si = S.inv[s]
@@ -111,10 +159,8 @@ def _check_each_element(action, rep):
                   f"rank {rank_T} vs ideal dim {ideals[s].dim}")
         rep.check(f"T_{name} bijective on its domain",
                   rank_T == ideals[si].dim)
-        dom = ideals[si].basis.columns
         rep.check(f"T_{name} multiplicative on its domain",
-                  all(T.apply(A.mul(u, v)) == A.mul(T.apply(u), T.apply(v))
-                      for u in dom for v in dom))
+                  multiplicative(s, si))
 
 
 def validate_action(action):
@@ -190,24 +236,34 @@ class CrossedProduct:
         l_dim = self.l_dim
 
         # a d_s - a d_t for a the j-th basis vector of 1_s A: label j of
-        # block s minus a's coordinates in block t.
-        gens = []
-        for s in range(S.size):
-            for t in range(S.size):
-                if s != t and S.natural_leq(s, t):
-                    off_s, off_t = self.block_offset[s], self.block_offset[t]
-                    span_t = self.ideal_spans[t]
-                    for j, a in enumerate(self.ideal_spans[s].basis.columns):
-                        gen = {off_s + j: F.one}
-                        for i, c in span_t.coords(a).items():
-                            gen[off_t + i] = F.neg(c)
-                        gens.append(gen)
-        q = self.n_space = quotient_space(
-            F, l_dim, Matrix(F, l_dim, len(gens), gens))
+        # block s minus a's coordinates in block t.  For a monomial action a
+        # is b_k, at place positions[t][k] of block t, so N is spanned by
+        # differences of labels and its quotient identifies labels.
+        # s < t iff ss^-1 t = s != t (natural_leq), read off row r(s).
+        leq = [(s, t) for s in range(S.size)
+               for t, x in enumerate(S.table[S.rng(s)]) if x == s != t]
+        off = self.block_offset
+        if action.index is None:
+            gens = []
+            for s, t in leq:
+                span_t = self.ideal_spans[t]
+                for j, a in enumerate(self.ideal_spans[s].basis.columns):
+                    gen = {off[s] + j: F.one}
+                    for i, c in span_t.coords(a).items():
+                        gen[off[t] + i] = F.neg(c)
+                    gens.append(gen)
+            q = self.n_space = quotient_space(
+                F, l_dim, Matrix(F, l_dim, len(gens), gens))
+        else:
+            positions = action.index[1]
+            q = self.n_space = label_quotient(F, l_dim, [
+                (off[s] + j, off[t] + positions[t][k])
+                for s, t in leq for k, j in positions[s].items()])
         # The section is standard vectors, so the quotient's constants are
         # the classes of the label products there.
         sec = [i for col in q.section.columns for i in col]
-        sc = [[self.class_of(self.l_mult(a, b)) for b in sec] for a in sec]
+        sc = (self._products_by_index(sec) if action.index else
+              [[self.class_of(self.l_mult(a, b)) for b in sec] for a in sec])
         self.algebra = Algebra(F, q.dim, sc,
                                self.class_of(self.place(S.unit, A.unit)))
 
@@ -224,6 +280,25 @@ class CrossedProduct:
                 "induced multiplication ill-defined: embedding not multiplicative")
         self.gamma = [self.class_of(self.place(s, action.one[s]))
                       for s in range(S.size)]
+
+    def _products_by_index(self, sec):
+        """The constants on section labels by lookup, for a monomial action:
+        b_i d_s * b_k d_t = b_m d_st with m = table[i][images[s][k]], or 0
+        where m = dim, and b_m d_st is a label of block st."""
+        S, A = self.action.monoid, self.action.algebra
+        images, positions = self.action.index
+        one, zero = A.field.one, A.dim
+        cls = [next(iter(col)) for col in self.n_space.projection.columns]
+        class_at = [{m: cls[off + j] for m, j in place.items()}
+                    for off, place in zip(self.block_offset, positions)]
+        at = [(s, next(iter(self.ideal_spans[s].basis.columns[j])))
+              for s, j in (self.labels[k] for k in sec)]
+        sc = []
+        for s, i in at:
+            row, t_s, st = A.table[i], images[s], S.table[s]
+            sc.append([{} if (m := row[t_s[k]]) == zero
+                       else {class_at[st[t]][m]: one} for t, k in at])
+        return sc
 
     @property
     def l_dim(self):

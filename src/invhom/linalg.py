@@ -496,6 +496,37 @@ def quotient_space(field, ambient_dim, span):
     return q
 
 
+def label_quotient(field, ambient_dim, pairs):
+    """quotient_space of the span of the e_a - e_b, (a, b) in pairs with
+    a != b, by union-find.  e_a - e_b inserts iff a and b are not yet
+    joined, so the subspace basis is the pairs that join two classes, in
+    order.  A class less its least label is spanned by those pairs, so the
+    section is the least label of each class, and the projection sends a
+    label to its class."""
+    parent = list(range(ambient_dim))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    one, neg = field.one, field.neg(field.one)
+    basis = []
+    for a, b in pairs:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            basis.append({a: one, b: neg})
+    least = [a for a in range(ambient_dim) if parent[a] == a]
+    cls = dict(zip(least, range(len(least))))
+    return QuotientSpace(
+        ambient_dim, Matrix(field, ambient_dim, len(basis), basis),
+        Matrix(field, len(least), ambient_dim,
+               [{cls[root(a)]: one} for a in range(ambient_dim)]),
+        Matrix(field, ambient_dim, len(least), [{a: one} for a in least]))
+
+
 def induced_map(f, dom, cod):
     """The unique map g with g∘dom.projection = cod.projection∘f.
 

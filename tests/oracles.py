@@ -7,6 +7,9 @@ the algebra oracle checks associativity on dense structure constants,
 the bimodule oracle checks the bimodule laws on every pair of basis
 elements with dense matrices,
 the crossed-product oracle multiplies dense vectors of L pair by pair,
+and ``crossed_product_by_elimination`` is the sparse construction that
+monomial actions' index tables replaced: quotient_space for N and one
+label product per pair of section labels,
 the unital-action oracle checks the action axioms pair by pair, the
 resolution oracle fills dense boundary and homotopy matrices entry by entry,
 the absolute Hochschild complex uses one copy of the bimodule per n-tuple of
@@ -999,6 +1002,60 @@ def crossed_product_by_vectors(action):
     return {"dim_N": q.subspace_basis.cols, "subspace_basis": q.subspace_basis,
             "sc": sc, "unit": sparse_vec(unit), "embed_A": embed,
             "gamma": [sparse_vec(g) for g in gamma]}
+
+
+def crossed_product_by_elimination(action):
+    """A x_theta S as CrossedProduct formed it for every action before a
+    monomial action was read off index tables, for a valid action.
+
+    Each 1_s A is spanned by the leftmost independent columns of its own
+    x -> 1_s x.  N is quotient_space of the a d_s - a d_t over s < t, with
+    a's coordinates in block t solved by ColumnSpan.coords, and every
+    product of two section labels is l_mult, a T_s(b) placed in block st,
+    then projected.  Returns labels, n_space, sc, unit, embed_A and gamma.
+    """
+    S, A = action.monoid, action.algebra
+    F = A.field
+    spans = [ColumnSpan(image_basis(A.left_mult_matrix(e)))
+             for e in action.one]
+    labels, offset = [], []
+    for s, span in enumerate(spans):
+        offset.append(len(labels))
+        labels.extend((s, j) for j in range(span.dim))
+    l_dim = len(labels)
+
+    def place(s, a_vec):
+        return {offset[s] + i: c for i, c in spans[s].coords(a_vec).items()}
+
+    gens = []
+    for s in range(S.size):
+        for t in range(S.size):
+            if s != t and S.natural_leq(s, t):
+                for j, a in enumerate(spans[s].basis.columns):
+                    gen = {offset[s] + j: F.one}
+                    for i, c in spans[t].coords(a).items():
+                        gen[offset[t] + i] = F.neg(c)
+                    gens.append(gen)
+    q = quotient_space(F, l_dim, Matrix(F, l_dim, len(gens), gens))
+
+    def class_of(l_vec):
+        return q.projection.apply(l_vec)
+
+    def l_mult(k1, k2):
+        (s, j1), (t, j2) = labels[k1], labels[k2]
+        w = A.mul(spans[s].basis.columns[j1],
+                  action.theta[s].apply(spans[t].basis.columns[j2]))
+        return place(S.table[s][t], w) if w else {}
+
+    sec = [i for col in q.section.columns for i in col]
+    return {"labels": labels, "n_space": q,
+            "sc": [[class_of(l_mult(a, b)) for b in sec] for a in sec],
+            "unit": class_of(place(S.unit, A.unit)),
+            "embed_A": Matrix(F, q.dim, A.dim, [
+                class_of(place(S.unit, A.basis_vec(i)))
+                for i in range(A.dim)]),
+            "gamma": [class_of(place(s, action.one[s]))
+                      for s in range(S.size)]}
 
 
 def is_unital_action(action):

@@ -17,6 +17,7 @@ from invhom.linalg import Field, Matrix, image_basis
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             symmetric_inverse_monoid, trivial_monoid)
 from oracles import dense_col, from_cols, from_rows, sparse_vec
+from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
 
@@ -436,19 +437,82 @@ def _l_mult_calls(monkeypatch):
     return calls
 
 
+def _shifted_dual_numbers(field):
+    """K[x]/(x^2) in the basis (1, 1 + x): (1 + x)^2 = -1 + 2(1 + x), so
+    its constants are not all basis vectors or 0."""
+    from invhom.algebras import Algebra
+    return Algebra(field, 2, [[{0: 1}, {1: 1}],
+                              [{1: 1}, {0: field.neg(1), 1: field.of(2)}]],
+                   {0: 1})
+
+
 def test_crossed_product_forms_section_label_products_only(monkeypatch):
-    # q.dim^2 label products in place of l_dim^2: 9^2 of 63^2 for the
-    # bisection action of pair:3, 7^2 of 17^2 for the natural action of i:2.
+    # A monomial action reads every label product off its index tables, so
+    # l_mult is not called for the bisection action of pair:3 (63 labels,
+    # q.dim 9) or the natural action of i:2 (17 labels, q.dim 7).  Any
+    # other action forms q.dim^2 label products in place of l_dim^2: chain:2
+    # acting trivially on the shifted dual numbers has 4 labels, q.dim 2.
     from invhom.groupoids import bisections_with_masks, induced_action_hat
     from invhom.serialize import resolve_groupoid, resolve_monoid
     calls = _l_mult_calls(monkeypatch)
     g = resolve_groupoid("pair:3")
     for action, expected in (
-            (induced_action_hat(g, Q, *bisections_with_masks(g)), (81, 63)),
-            (natural_ke_action(resolve_monoid("i:2"), Q), (49, 17))):
+            (induced_action_hat(g, Q, *bisections_with_masks(g)), (0, 63, 9)),
+            (natural_ke_action(resolve_monoid("i:2"), Q), (0, 17, 7)),
+            (trivial_action(chain_semilattice(2), _shifted_dual_numbers(Q)),
+             (4, 4, 2))):
         calls.clear()
         cp = crossed_product(action)
-        assert (len(calls), cp.l_dim) == expected
+        assert (len(calls), cp.l_dim, cp.algebra.dim) == expected
+        assert (action.index is None) == bool(calls)
+
+
+def _assert_matches_elimination(action):
+    """The crossed product agrees, matrix for matrix, with the construction
+    by quotient_space and l_mult in tests/oracles.py."""
+    from oracles import crossed_product_by_elimination
+    cp = CrossedProduct(action)
+    expected = crossed_product_by_elimination(action)
+    assert cp.labels == expected["labels"]
+    for part in ("subspace_basis", "section", "projection"):
+        assert getattr(cp.n_space, part) == getattr(expected["n_space"], part)
+    assert cp.algebra.sc == expected["sc"]
+    assert cp.algebra.unit == expected["unit"]
+    assert cp.embed_A == expected["embed_A"]
+    assert cp.gamma == expected["gamma"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(inverse_submonoids_of_i3_or_i4(sizes=(3,)),
+       st.sampled_from([Q, Field(2), Field(3)]))
+def test_natural_actions_match_the_elimination_oracle(m, F):
+    # The natural action on KE(S) is monomial, and so is the induced
+    # partial action wherever every ideal it spans has basis vectors of
+    # KE(S) as its basis.
+    action = natural_ke_action(m, F)
+    assert action.index is not None
+    _assert_matches_elimination(action)
+    if is_compatible(action):
+        _assert_matches_elimination(induced_partial_action(action))
+
+
+def test_bisection_actions_match_the_elimination_oracle():
+    from invhom.groupoids import bisections_with_masks, induced_action_hat
+    from invhom.serialize import resolve_groupoid
+    compatible = []
+    for spec in ("pair:2", "pair:3", "group:z:3", "discrete:4"):
+        g = resolve_groupoid(spec)
+        for F in (Q, Field(2), Field(3)):
+            action = induced_action_hat(g, F, *bisections_with_masks(g))
+            assert action.index is not None
+            _assert_matches_elimination(action)
+            if is_compatible(action):
+                partial = induced_partial_action(action)
+                assert partial.index is not None
+                _assert_matches_elimination(partial)
+                compatible.append(spec)
+    # The pair groupoids' bisection actions are not compatible.
+    assert compatible == ["group:z:3"] * 3 + ["discrete:4"] * 3
 
 
 def _corrupted_actions(action):
@@ -493,6 +557,65 @@ def test_crossed_product_refuses_exactly_the_invalid_actions():
                 build(bad)
             assert str(exc.value) == message
     assert (seen, refused) == (96, 56)
+
+
+def _without_index(action):
+    """The same action data with its index tables dropped, so that every
+    check and the construction take the path of a non-monomial action."""
+    bare = UnitalAction(action.monoid, action.algebra, action.one,
+                        action.theta)
+    bare.index = None
+    return bare
+
+
+def _outcome(action):
+    """The report of validate_action, and the refusal text or the matrices
+    of crossed_product."""
+    try:
+        cp = crossed_product(action)
+    except ValueError as exc:
+        built = str(exc)
+    else:
+        q = cp.n_space
+        built = (cp.labels, q.subspace_basis, q.section, q.projection,
+                 cp.algebra.sc, cp.algebra.unit, cp.embed_A, cp.gamma)
+    return validate_action(action).checks, built
+
+
+def test_both_paths_refuse_the_corrupted_actions_alike():
+    # Every corrupted action is refused with the same text, or built into
+    # the same matrices, with its index tables as without them.
+    from invhom.groupoids import bisections_with_masks, induced_action_hat
+    from invhom.serialize import resolve_groupoid
+    g = resolve_groupoid("pair:2")
+    bases = [i1_on_k2(), natural_ke_action(chain_semilattice(2), Q),
+             natural_ke_action(direct_product(chain_semilattice(2),
+                                              cyclic_group(2)), Q),
+             natural_ke_action(symmetric_inverse_monoid(2), Field(3)),
+             induced_action_hat(g, Field(2), *bisections_with_masks(g))]
+    seen = by_index = 0
+    for bad in (bad for base in bases for bad in _corrupted_actions(base)):
+        assert _outcome(bad) == _outcome(_without_index(bad))
+        seen += 1
+        by_index += bad.index is not None
+    assert (seen, by_index) == (376, 361)
+
+
+def test_non_monomial_actions_take_the_elimination_path():
+    # A constant that is not a basis vector, or a T_s that sends a basis
+    # vector elsewhere, leaves the index tables off.
+    shifted = trivial_action(cyclic_group(2), _shifted_dual_numbers(Q))
+    A = matrix_algebra(Q, 2)
+    # Conjugation on M_2 by p = e_00 + e_01 - e_11, with e_ij at 2i + j:
+    # p^2 = 1, and p e_00 p = e_00 + e_01 is not a basis vector.
+    p = {0: 1, 1: 1, 3: -1}
+    conj = Matrix(Q, 4, 4, [A.mul(A.mul(p, A.basis_vec(j)), p)
+                            for j in range(4)])
+    z2_twist = UnitalAction(cyclic_group(2), A, [dict(A.unit)] * 2,
+                            [Matrix.identity(Q, 4), conj])
+    for action in (shifted, z2_twist):
+        assert action.index is None
+        _assert_matches_elimination(action)
 
 
 def _ideals_by_element(action):

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import invhom
 from invhom import linalg
 from invhom.linalg import (ColumnSpan, Field, Matrix, _insert, image_basis,
-                           induced_map, kernel_basis, mat_rank, quotient_space,
-                           rref)
+                           induced_map, kernel_basis, label_quotient, mat_rank,
+                           quotient_space, rref)
 from invhom.serialize import _matrix_in, _matrix_out
 from oracles import (DenseMatrix, FractionField, dense, dense_apply,
                      dense_col, dense_coords, from_cols, from_rows,
@@ -305,6 +305,39 @@ def test_quotient_invariants_random():
         if q.dim:
             assert (q.projection @ q.section).is_identity()
         assert (q.projection @ q.subspace_basis).is_zero()
+
+
+@st.composite
+def label_pairs(draw):
+    """(field, n, pairs): distinct labels a != b below n, drawn with
+    repeats, so a pair may come twice, in both orientations, or close a
+    cycle, and a label may be in no pair."""
+    n = draw(st.integers(0, 8))
+    field = draw(st.sampled_from([Q, F2, Field(3)]))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)),
+                     st.integers(0, max(n - 1, 0))).filter(
+                         lambda p: p[0] != p[1])
+    return field, n, draw(st.lists(pair, max_size=12) if n > 1 else st.just([]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(label_pairs())
+@example((Q, 4, []))
+@example((F2, 3, [(0, 1), (0, 1), (1, 0)]))
+@example((Field(3), 5, [(2, 1), (1, 0), (0, 2), (4, 2)]))
+@example((Q, 6, [(5, 3), (3, 5), (1, 4), (4, 1), (1, 3)]))
+def test_label_quotient_is_the_quotient_space_of_its_pairs(case):
+    # The span of the e_a - e_b by union-find gives the same three matrices
+    # as sparse elimination over the same columns.
+    field, n, pairs = case
+    one, neg = field.one, field.neg(field.one)
+    expected = quotient_space(field, n, Matrix(
+        field, n, len(pairs), [{a: one, b: neg} for a, b in pairs]))
+    q = label_quotient(field, n, pairs)
+    assert q.ambient_dim == n
+    assert q.subspace_basis == expected.subspace_basis
+    assert q.section == expected.section
+    assert q.projection == expected.projection
 
 
 def test_induced_map_identity_and_zero():
