@@ -6,8 +6,8 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .linalg import (ColumnSpan, Matrix, _insert, _reduce, _settled,
-                     image_basis, sparse_sum)
+from .linalg import (Matrix, _insert, _reduce, _settled, column_sums,
+                     image_basis, image_span, sparse_sum)
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
 
@@ -132,15 +132,14 @@ class Algebra:
 
     def left_mult_matrix(self, v):
         """Matrix of x -> v*x: column j is v b_j, a sum of constants."""
-        return Matrix(self.field, self.dim, self.dim, [
-            sparse_sum(self.field, ((a, self.sc[i][j]) for i, a in v.items()))
-            for j in range(self.dim)])
+        return Matrix(self.field, self.dim, self.dim, column_sums(
+            self.field, self.dim, ((a, self.sc[i]) for i, a in v.items())))
 
     def right_mult_matrix(self, v):
         """Matrix of x -> x*v: column j is b_j v, a sum of constants."""
-        return Matrix(self.field, self.dim, self.dim, [
-            sparse_sum(self.field, ((a, self.sc[j][i]) for i, a in v.items()))
-            for j in range(self.dim)])
+        return Matrix(self.field, self.dim, self.dim, column_sums(
+            self.field, self.dim,
+            ((a, [row[i] for row in self.sc]) for i, a in v.items())))
 
     def is_commutative(self):
         for i in range(self.dim):
@@ -256,13 +255,11 @@ class Bimodule:
         return None
 
     def _sum(self, mats, coeffs, cols=None):
-        """sum of c * mats[k] over pairs (k, c), column by column; when cols
-        is given, only its columns are computed and the others left zero."""
+        """sum of c * mats[k] over pairs (k, c); when cols is given, only
+        its columns are computed and the others left zero."""
         F = self.algebra.field
-        terms = [(c, mats[k]) for k, c in coeffs if c]
-        return Matrix(F, self.dim, self.dim, [
-            sparse_sum(F, ((c, m.columns[j]) for c, m in terms))
-            if cols is None or j in cols else {} for j in range(self.dim)])
+        return Matrix(F, self.dim, self.dim, column_sums(
+            F, self.dim, ((c, mats[k].columns) for k, c in coeffs), cols))
 
     def left_action(self, vec):
         return self._sum(self.left, vec.items())
@@ -352,8 +349,7 @@ class RelativeBar:
         # L_i is a pivot.  That holds with e_i put first, as on B for i = j.
         on_m = [image_basis(module.left_action(e)) for e in fam]
         right_m = [module.right_action(e) for e in fam]
-        peirce = [[ColumnSpan(image_basis(r @ x)) for r in right_m]
-                  for x in on_m]
+        peirce = [[image_span(r @ x) for r in right_m] for x in on_m]
         self.spans = [list(s) for s in zip(*peirce)] if chains else peirce
         self.blocks, self.letters, self.ends = {}, [], []
         on_b = [image_basis(A.left_mult_matrix(e)) for e in fam]
@@ -361,7 +357,7 @@ class RelativeBar:
         for i, j in itertools.product(m, m):
             d = int(i == j)
             cols = [fam[i]] * d + (right_b[j] @ on_b[i]).columns
-            span = ColumnSpan(image_basis(Matrix(F, A.dim, len(cols), cols)))
+            span = image_span(Matrix(F, A.dim, len(cols), cols))
             self.blocks[i, j] = (span, len(self.letters) - d, d)
             self.letters += span.basis.columns[d:]
             self.ends += [(i, j)] * (span.dim - d)

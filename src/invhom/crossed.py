@@ -23,7 +23,7 @@ from .algebras import (Algebra, check_over, generator_images,
                        table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        mobius_idempotent, trivial_module_ke)
-from .linalg import (ColumnSpan, Matrix, image_basis, induced_map,
+from .linalg import (ColumnSpan, Matrix, image_span, induced_map,
                      kernel_basis, label_quotient, quotient_space,
                      sparse_sum)
 from .monoids import max_group_image
@@ -86,8 +86,8 @@ class UnitalAction:
         self.algebra = algebra
         self.one = one
         self.theta = theta
-        self.ideals = _once_per_vector(one, lambda e: ColumnSpan(
-            image_basis(algebra.left_mult_matrix(e))))
+        self.ideals = _once_per_vector(one, lambda e: image_span(
+            algebra.left_mult_matrix(e)))
         self.index = _index_tables(algebra, theta, self.ideals)
 
 

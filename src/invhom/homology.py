@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from .linalg import ColumnSpan, Matrix, _insert, image_basis, kernel_basis
+from .linalg import ColumnSpan, Matrix, _insert, image_span, kernel_basis
 from .monoids import from_table
 
 DEFAULT_COLUMN_CAP = 50_000
@@ -320,7 +320,7 @@ def d_class_summands(monoid, module):
             continue
         # The D-class of e is {r(s) : d(s) = e}.
         seen |= ranges[e]
-        w = ColumnSpan(image_basis(mobius_idempotent(monoid, e, act)))
+        w = image_span(mobius_idempotent(monoid, e, act))
         h = groups[e]
         index = {s: i for i, s in enumerate(h)}
         group = from_table([[index[table[a][b]] for b in h] for a in h],

@@ -13,7 +13,10 @@ kernels and quotients.  Every basis it yields is fixed by definition, not
 by the order of elimination: an image basis is the leftmost independent
 columns, a kernel vector has 1 at its free column and 0 at the other free
 columns, a quotient's section is the earliest standard vectors independent
-of the subspace, and coordinates are unique.
+of the subspace, and coordinates are unique.  ``image_span`` picks an
+image basis and builds its span in one elimination, and ``image_basis``
+is that span's basis.  ``column_sums`` forms a linear combination of
+matrices, as every action matrix is, summing each column in place.
 """
 
 from __future__ import annotations
@@ -268,6 +271,29 @@ def sparse_sum(field, terms):
     return _settled(field.char, out)
 
 
+def column_sums(field, n, terms, cols=None):
+    """The n columns of the sum of c * m over pairs (c, m) of a scalar and
+    a list m of n sparse columns, each summed in place as a product column
+    is; with cols, only those columns are summed and the others are {}.
+    A single term with c = 1 copies its columns."""
+    terms = [(c, m) for c, m in terms if c]
+    out = [{} for _ in range(n)]
+    js = range(n) if cols is None else cols
+    if len(terms) == 1 and terms[0][0] == 1:
+        m = terms[0][1]
+        for j in js:
+            out[j] = dict(m[j])
+        return out
+    p = field.char
+    for j in js:
+        acc = {}
+        for c, m in terms:
+            for i, x in m[j].items():
+                acc[i] = acc.get(i, 0) + c * x
+        out[j] = _settled(p, acc)
+    return out
+
+
 def _settled(p, sums):
     """The nonzero entries of the dict of sums, reduced mod p when p."""
     if p:
@@ -430,11 +456,26 @@ class ColumnSpan:
         return x
 
 
+def image_span(m):
+    """The ColumnSpan of the leftmost independent columns of m, from one
+    elimination.  Each column enters tagged with the place it would take in
+    the basis, and one that does not insert leaves the pivots as they were,
+    so they are the pivots ColumnSpan(basis) builds."""
+    F = m.field
+    pivots, cols = {}, []
+    for col in m.columns:
+        if _insert(F, pivots, _tagged(F, col, len(cols))) is not None:
+            cols.append(dict(col))
+    span = ColumnSpan.__new__(ColumnSpan)
+    span.basis = Matrix(F, m.rows, len(cols), cols)
+    span.is_identity = span.basis.is_identity()
+    span.pivots = {} if span.is_identity else pivots
+    return span
+
+
 def image_basis(m):
     """The leftmost independent columns of m, as a matrix."""
-    _, pivots = rref(m)
-    return Matrix(m.field, m.rows, len(pivots),
-                  [dict(m.columns[j]) for j in pivots])
+    return image_span(m).basis
 
 
 class QuotientSpace:
@@ -535,9 +576,9 @@ def induced_map(f, dom, cod):
     """
     if f.cols != dom.ambient_dim or f.rows != cod.ambient_dim:
         raise ValueError("dimension mismatch between map and quotient data")
-    moved = f @ dom.subspace_basis
-    if not (cod.projection @ moved).is_zero():
+    pf = cod.projection @ f
+    if not (pf @ dom.subspace_basis).is_zero():
         raise ValueError("subspace not preserved")
-    g = cod.projection @ f @ dom.section
-    assert g @ dom.projection == cod.projection @ f
+    g = pf @ dom.section
+    assert g @ dom.projection == pf
     return g

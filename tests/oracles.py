@@ -47,7 +47,12 @@ replaced, kept as the reference for ``cli._parse``.
 every pair of nonzeros, the form the in-place product replaced, and
 ``rescaling_insert`` is ``_insert`` as it was before a pivot entry 1
 skipped the rescale: it always multiplies by ``field.inv`` of the pivot
-entry and stores a new dict.
+entry and stores a new dict.  ``left_mult_by_sparse_sum``,
+``right_mult_by_sparse_sum`` and ``bimodule_sum_by_sparse_sum`` are the
+multiplication and action matrices as one ``sparse_sum`` per column, the
+form that the in-place column sums replaced, and ``image_basis_by_rref``
+reads an image basis off the pivot columns of ``rref``; the oracles here
+take their image bases from it.
 """
 
 import argparse
@@ -60,8 +65,8 @@ from invhom.cli import (_VERIFY_TARGETS, _betti_cmd, _crossed_product_cmd,
 from invhom.homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData,
                              KSModule, _check_module, assemble, check_degree)
 from invhom.linalg import (ColumnSpan, Matrix, _is_prime, _leaving, _reduce,
-                           image_basis, induced_map, kernel_basis, mat_rank,
-                           quotient_space, sparse_sum)
+                           induced_map, kernel_basis, mat_rank,
+                           quotient_space, rref, sparse_sum)
 from invhom.monoids import MONOID_SIZE_CAP
 
 
@@ -606,6 +611,43 @@ def sparse_sum_mul(algebra, u, v):
                                       for j, b in v.items()))
 
 
+def left_mult_by_sparse_sum(algebra, v):
+    """Algebra.left_mult_matrix as one sparse_sum per column: column j is
+    the sum of a sc[i][j] over the nonzeros a of v."""
+    F, sc, n = algebra.field, algebra.sc, algebra.dim
+    return Matrix(F, n, n, [
+        sparse_sum(F, ((a, sc[i][j]) for i, a in v.items()))
+        for j in range(n)])
+
+
+def right_mult_by_sparse_sum(algebra, v):
+    """Algebra.right_mult_matrix as one sparse_sum per column: column j is
+    the sum of a sc[j][i] over the nonzeros a of v."""
+    F, sc, n = algebra.field, algebra.sc, algebra.dim
+    return Matrix(F, n, n, [
+        sparse_sum(F, ((a, sc[j][i]) for i, a in v.items()))
+        for j in range(n)])
+
+
+def bimodule_sum_by_sparse_sum(module, mats, coeffs, cols=None):
+    """Bimodule._sum as one sparse_sum per column: the sum of c mats[k]
+    over pairs (k, c) with c nonzero, with only the columns in cols
+    computed when cols is given and the others left zero."""
+    F = module.algebra.field
+    terms = [(c, mats[k]) for k, c in coeffs if c]
+    return Matrix(F, module.dim, module.dim, [
+        sparse_sum(F, ((c, m.columns[j]) for c, m in terms))
+        if cols is None or j in cols else {} for j in range(module.dim)])
+
+
+def image_basis_by_rref(m):
+    """The leftmost independent columns of m, read off the pivot columns
+    of rref(m)."""
+    _, pivots = rref(m)
+    return Matrix(m.field, m.rows, len(pivots),
+                  [dict(m.columns[j]) for j in pivots])
+
+
 def rescaling_insert(field, pivots, v):
     """linalg._insert with every new pivot rescaled by the inverse of its
     top entry into a new dict, a top entry 1 included."""
@@ -923,7 +965,8 @@ def crossed_product_by_vectors(action):
     d = A.dim
     labels, spans, offset = [], [], []
     for s, e in enumerate(action.one):
-        span = ColumnSpan(image_basis(dense_left_mult(A, dense_vec(e, d))))
+        span = ColumnSpan(image_basis_by_rref(
+            dense_left_mult(A, dense_vec(e, d))))
         spans.append(span)
         offset.append(len(labels))
         labels.extend((s, j) for j in range(span.dim))
@@ -1016,7 +1059,7 @@ def crossed_product_by_elimination(action):
     """
     S, A = action.monoid, action.algebra
     F = A.field
-    spans = [ColumnSpan(image_basis(A.left_mult_matrix(e)))
+    spans = [ColumnSpan(image_basis_by_rref(A.left_mult_matrix(e)))
              for e in action.one]
     labels, offset = [], []
     for s, span in enumerate(spans):
@@ -1300,7 +1343,7 @@ def absolute_hochschild_cohomology(algebra, module, max_deg,
 
 def peirce_split_by_products(algebra, module, idempotents, chains):
     """RelativeBar's Peirce split with one product L_i R_j and one
-    image_basis per pair (i, j) of the family, on M and on B.
+    image_basis_by_rref per pair (i, j) of the family, on M and on B.
 
     Returns (spans, blocks, letters) as RelativeBar holds them, each span
     as its basis matrix: spans[a][b] spans e_a M e_b for cochains and
@@ -1311,7 +1354,7 @@ def peirce_split_by_products(algebra, module, idempotents, chains):
     A, F = algebra, algebra.field
     fam = [A.unit] if idempotents is None else list(idempotents)
     acts = [(module.left_action(e), module.right_action(e)) for e in fam]
-    peirce = [[image_basis(left @ right) for _, right in acts]
+    peirce = [[image_basis_by_rref(left @ right) for _, right in acts]
               for left, _ in acts]
     spans = [list(s) for s in zip(*peirce)] if chains else peirce
     blocks, letters = {}, []
@@ -1320,7 +1363,7 @@ def peirce_split_by_products(algebra, module, idempotents, chains):
     for i, j in itertools.product(range(len(fam)), repeat=2):
         d = int(i == j)
         cols = [fam[i]] * d + (left[i] @ right[j]).columns
-        basis = image_basis(Matrix(F, A.dim, len(cols), cols))
+        basis = image_basis_by_rref(Matrix(F, A.dim, len(cols), cols))
         blocks[i, j] = (basis, len(letters) - d, d)
         letters += basis.columns[d:]
     return spans, blocks, letters
@@ -1340,7 +1383,7 @@ def _degree_blocks(monoid, n, idempotent_of, module, cap):
         e = idempotent_of(tup)
         span = spans.get(e)
         if span is None:
-            span = spans[e] = ColumnSpan(image_basis(module.act[e]))
+            span = spans[e] = ColumnSpan(image_basis_by_rref(module.act[e]))
         blocks[tup] = Block(span, offset)
         offset += span.dim
         if offset > cap:

@@ -24,10 +24,11 @@ from invhom.monoids import (chain_semilattice, cyclic_group,
                             symmetric_inverse_monoid)
 from invhom.serialize import algebra_from_dict, resolve_groupoid, resolve_monoid
 from oracles import (absolute_hochschild_cohomology,
-                     absolute_hochschild_homology, dense_algebra_check,
+                     absolute_hochschild_homology,
+                     bimodule_sum_by_sparse_sum, dense_algebra_check,
                      dense_bimodule_check, dense_left_mult, dense_mul,
-                     dense_vec, from_cols, from_rows, sparse_sum_mul,
-                     sparse_vec)
+                     dense_vec, from_cols, from_rows, left_mult_by_sparse_sum,
+                     right_mult_by_sparse_sum, sparse_sum_mul, sparse_vec)
 from test_monoids import inverse_submonoids_of_i3_or_i4
 
 Q = Field(0)
@@ -229,8 +230,7 @@ def test_only_monomial_constants_take_the_table_path(monkeypatch):
             assert calls == [[]], (build, F)
     for F in (Q, F3):
         calls.clear()
-        shifted = Algebra(F, 2, [[{0: 1}, {1: 1}],
-                                 [{1: 1}, {0: F.neg(1), 1: F.of(2)}]], {0: 1})
+        shifted = _shifted_dual_numbers(F)
         assert calls == [shifted.generators] and shifted.generators, F
     # A refusal on the table path reruns every triple and nothing else;
     # a unit that fails after the table passes comes after _failure(()).
@@ -584,6 +584,88 @@ def _dual_bimodule(algebra):
     return Bimodule(algebra, algebra.dim,
                     [_transpose(algebra.right_mult_matrix(b)) for b in basis],
                     [_transpose(algebra.left_mult_matrix(b)) for b in basis])
+
+
+def _shifted_dual_numbers(field):
+    """K[x]/(x^2) in the basis (1, 1 + x), where (1 + x)^2 = -1 + 2(1 + x):
+    over F_3 and Q its constants hold a 2, and over F_2 it is K[Z_2]."""
+    square = {0: field.neg(1), 1: field.of(2)}
+    return Algebra(field, 2, [[{0: 1}, {1: 1}],
+                              [{1: 1}, {k: c for k, c in square.items() if c}]],
+                   {0: 1})
+
+
+@functools.lru_cache(maxsize=None)
+def _desk_algebra(name, char):
+    return _DESK_ALGEBRAS[name][2](Field(char))[0]
+
+
+def _typed_columns(m):
+    """m's shape and entries, each scalar with its type."""
+    return m.rows, m.cols, [[(i, x, type(x)) for i, x in col.items()]
+                            for col in m.columns]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_action_matrices_equal_the_sparse_sum_forms(data):
+    # The multiplication matrices and Bimodule._sum, summed in place, give
+    # the entries, order and types of one sparse_sum per column: on the
+    # desk algebras, drawn monomial tables and K[x]/(x^2) in the basis
+    # (1, 1 + x), with a drawn vector that may hold a pair c b_i - c b_k,
+    # whose terms cancel wherever b_i and b_k act alike.
+    F = data.draw(st.sampled_from((Q, F2, Field(3))))
+    kind = data.draw(st.sampled_from(("desk", "table", "shifted")))
+    if kind == "desk":
+        A = _desk_algebra(data.draw(st.sampled_from(sorted(
+            name for name, (chars, _, _) in _DESK_ALGEBRAS.items()
+            if F.char in chars))), F.char)
+    elif kind == "table":
+        A = table_algebra(F, *data.draw(monomial_desk_tables()))
+    else:
+        A = _shifted_dual_numbers(F)
+    index = st.integers(0, A.dim - 1)
+    scalar = (st.integers(1, F.char - 1) if F.char else st.sampled_from(
+        (1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))))
+    v = data.draw(st.dictionaries(index, scalar, max_size=4))
+    if data.draw(st.booleans()):
+        i, k, c = data.draw(index), data.draw(index), data.draw(scalar)
+        v.pop(k, None)
+        v.update({i: c, k: F.neg(c)} if i != k else {})
+    for got, want, sc in (
+            (A.left_mult_matrix(v), left_mult_by_sparse_sum(A, v), A.sc),
+            (A.right_mult_matrix(v), right_mult_by_sparse_sum(A, v),
+             [list(col) for col in zip(*A.sc)])):
+        assert _typed_columns(got) == _typed_columns(want)
+        rows = sum(len(set().union(*(sc[i][j] for i in v)))
+                   for j in range(A.dim))
+        event("a term cancels" if got.nnz() < rows else "no term cancels")
+    module = (_dual_bimodule if data.draw(st.booleans())
+              else regular_bimodule)(A)
+    cols = data.draw(st.none() | st.sets(index))
+    for mats in (module.left, module.right):
+        assert _typed_columns(module._sum(mats, v.items(), cols)) == \
+            _typed_columns(bimodule_sum_by_sparse_sum(module, mats,
+                                                      v.items(), cols))
+
+
+def test_action_matrices_drop_terms_that_cancel():
+    # b_0 b_0 = b_0 + b_1 + b_2 and b_1 b_0 = -b_1 + b_2, so column 0 of the
+    # left multiplication by b_0 + b_1 is b_0 + 2 b_2: the b_1 terms cancel
+    # in every field and 2 b_2 vanishes over F_2.  Column 0 of the action
+    # of b_0 + b_1 on the regular bimodule, alone in cols, is the same.
+    for F, want in ((Q, {0: 1, 2: 2}), (Field(3), {0: 1, 2: 2}),
+                    (F2, {0: 1})):
+        sc = [[{0: 1, 1: 1, 2: 1}, {}, {}], [{1: F.neg(1), 2: 1}, {}, {}],
+              [{}, {}, {}]]
+        alg = SimpleNamespace(field=F, sc=sc, dim=3)
+        got = Algebra.left_mult_matrix(alg, {0: 1, 1: 1})
+        assert got == left_mult_by_sparse_sum(alg, {0: 1, 1: 1})
+        assert got.columns == [want, {}, {}], F
+        module = SimpleNamespace(algebra=alg, dim=3, left=[
+            Algebra.left_mult_matrix(alg, {k: 1}) for k in range(3)])
+        assert Bimodule._sum(module, module.left, {0: 1, 1: 1}.items(),
+                             {0}).columns == [want, {}, {}]
 
 
 @functools.lru_cache(maxsize=None)

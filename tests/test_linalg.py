@@ -10,13 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 import invhom
 from invhom import linalg
 from invhom.linalg import (ColumnSpan, Field, Matrix, _insert, image_basis,
-                           induced_map, kernel_basis, label_quotient, mat_rank,
-                           quotient_space, rref)
+                           image_span, induced_map, kernel_basis,
+                           label_quotient, mat_rank, quotient_space, rref)
 from invhom.serialize import _matrix_in, _matrix_out
 from oracles import (DenseMatrix, FractionField, dense, dense_apply,
                      dense_col, dense_coords, from_cols, from_rows,
-                     gauss_jordan, rank_by_minors, rescaling_insert, sparse,
-                     sparse_vec)
+                     gauss_jordan, image_basis_by_rref, rank_by_minors,
+                     rescaling_insert, sparse, sparse_vec)
 
 Q = Field(0)
 F2 = Field(2)
@@ -696,3 +696,49 @@ def test_elimination_equals_the_rescaling_insert(case):
     assert _typed(pivots) == _typed(reference)
     assert all(type(a) is int or a.denominator != 1
                for piv in pivots.values() for a in piv.values())
+
+
+@st.composite
+def dependent_column_cases(draw):
+    """An elimination case with combinations of earlier columns (the empty
+    one, a zero column, among them) put in at drawn places."""
+    field, rows, cols = draw(elimination_cases())
+    entry = st.sampled_from(_PIVOTS[field.char])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(cols)))
+        coeffs = draw(st.lists(entry, min_size=at, max_size=at))
+        cols.insert(at, linalg.sparse_sum(field, zip(coeffs, cols[:at])))
+    return field, rows, cols
+
+
+@settings(deadline=None, max_examples=300)
+@given(dependent_column_cases(), st.data())
+@example((Q, 2, [{0: 1}, {0: 2}, {1: 1}]), None)
+@example((F2, 2, [{}, {0: 1, 1: 1}, {1: 1}, {0: 1}]), None)
+def test_image_span_is_the_span_of_the_rref_image(case, data):
+    # One elimination gives the basis, pivots and identity flag that
+    # ColumnSpan builds on the pivot columns of rref, the same coordinates
+    # on combinations of the columns, and the same refusal off the span.
+    field, rows, cols = case
+    m = Matrix(field, rows, len(cols), [dict(c) for c in cols])
+    got, want = image_span(m), ColumnSpan(image_basis_by_rref(m))
+    assert _typed([got.basis, got.pivots]) == \
+        _typed([want.basis, want.pivots])
+    assert got.is_identity == want.is_identity
+    assert image_basis(m) == want.basis
+    entry = st.sampled_from(_PIVOTS[field.char])
+    combos = [] if data is None else [
+        linalg.sparse_sum(field, zip(data.draw(st.lists(
+            entry, min_size=len(cols), max_size=len(cols))), cols))
+        for _ in range(3)]
+    for vec in cols + combos:
+        assert _typed(got.coords(vec)) == _typed(want.coords(vec))
+    for i in range(rows + 1):
+        off = {i: field.one}
+        try:
+            want.coords(off)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in column span"):
+                got.coords(off)
+        else:
+            assert _typed(got.coords(off)) == _typed(want.coords(off))
