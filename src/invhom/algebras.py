@@ -198,10 +198,7 @@ def matrix_algebra(field, n):
 
 def dual_numbers(field):
     """K[x]/(x^2), basis (1, x)."""
-    one = field.one
-    sc = [[{0: one}, {1: one}],
-          [{1: one}, {}]]
-    return Algebra(field, 2, sc, {0: one})
+    return table_algebra(field, [[0, 1], [1, None]], [0])
 
 
 def semigroup_algebra(field, monoid):

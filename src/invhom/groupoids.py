@@ -17,10 +17,8 @@ from .crossed import (UnitalAction, coinvariants, crossed_product,
                       invariants_sub, record_sides)
 from .homology import DEFAULT_COLUMN_CAP, cohomology, homology
 from .linalg import Matrix
-from .monoids import check_size, from_table
+from .monoids import MONOID_SIZE_CAP, from_table
 from .reporting import Report
-
-BISECTION_ARROW_CAP = 16
 
 
 class FiniteGroupoid:
@@ -50,15 +48,15 @@ class FiniteGroupoid:
                 if defined != (self.src[a] == self.rng[b]):
                     raise ValueError(
                         f"composition defined iff src=rng fails at ({a},{b})")
+        comp = self.comp
         for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ab = self.comp[a][b]
-                    bc = self.comp[b][c]
-                    if ab is not None and bc is not None:
-                        if self.comp[ab][c] != self.comp[a][bc]:
-                            raise ValueError(
-                                f"composition not associative at ({a},{b},{c})")
+            for b, ab in enumerate(comp[a]):
+                if ab is None:
+                    continue
+                for c, bc in enumerate(comp[b]):
+                    if bc is not None and comp[ab][c] != comp[a][bc]:
+                        raise ValueError(
+                            f"composition not associative at ({a},{b},{c})")
         for x in range(self.n_objects):
             u = self.unit_of[x]
             if self.src[u] != x or self.rng[u] != x:
@@ -133,40 +131,41 @@ def discrete_groupoid(n):
     return FiniteGroupoid(n, ids, list(ids), comp, list(ids), list(ids))
 
 
-def check_arrow_cap(n_arrows, cap=BISECTION_ARROW_CAP):
-    """Refuse a groupoid with more arrows than bisections can be listed for."""
-    if n_arrows > cap:
-        raise ValueError(
-            f"enumeration cap exceeded: {n_arrows} arrows > {cap}")
+def check_bisections(at_least):
+    """Refuse a groupoid with at least this many bisections, if that is
+    more than MONOID_SIZE_CAP, the cap on the monoid they form."""
+    if at_least > MONOID_SIZE_CAP:
+        raise ValueError(f"size cap exceeded: groupoid has more than "
+                         f"{MONOID_SIZE_CAP} bisections")
 
 
-def _bisection_masks(g, cap=BISECTION_ARROW_CAP):
+def _bisection_masks(g):
     """Bitmasks of all bisections, in increasing mask order.
 
     A bisection takes at most one arrow out of each object, and no two of
     its arrows share a range: each partial bisection, with the bitmask of
     its ranges, is extended object by object by nothing or by one arrow
-    out of that object to a range it does not yet reach.
+    out of that object to a range it does not yet reach.  Each partial
+    bisection is a bisection, so the listing stops once they pass the cap.
     """
-    check_arrow_cap(g.n_arrows, cap)
     partial = [(0, 0)]
     for x in range(g.n_objects):
         out = [(1 << a, 1 << g.rng[a]) for a in range(g.n_arrows)
                if g.src[a] == x]
         partial += [(mask | a, ranges | r) for mask, ranges in partial
                     for a, r in out if not ranges & r]
+        check_bisections(len(partial))
     return sorted(mask for mask, _ in partial)
 
 
-def bisections(g, cap=BISECTION_ARROW_CAP):
+def bisections(g):
     """The inverse monoid of all bisections under set-wise product."""
-    monoid, _ = bisections_with_masks(g, cap)
+    monoid, _ = bisections_with_masks(g)
     return monoid
 
 
-def bisections_with_masks(g, cap=BISECTION_ARROW_CAP):
-    masks = _bisection_masks(g, cap)
-    check_size(len(masks))
+def bisections_with_masks(g):
+    masks = _bisection_masks(g)
     index = {m: i for i, m in enumerate(masks)}
     arrows = [[a for a in range(g.n_arrows) if m >> a & 1] for m in masks]
     ends = [[(g.rng[b], b) for b in v] for v in arrows]
@@ -282,11 +281,11 @@ class SteinbergData:
         self.psi_report = psi_report
 
 
-def steinberg_data(g, field, cap=BISECTION_ARROW_CAP):
+def steinberg_data(g, field):
     """Build the bundle: bisections and their indicators, the validated
     action and its crossed product, A_K(G), and psi's report.  A failed psi
     check is left in psi_report."""
-    monoid, masks = bisections_with_masks(g, cap)
+    monoid, masks = bisections_with_masks(g)
     crossed = crossed_product(induced_action_hat(g, field, monoid, masks))
     ak = steinberg_algebra(g, field)
     _, rep = psi_map(g, masks, crossed, ak)

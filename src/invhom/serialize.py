@@ -16,8 +16,8 @@ import json
 
 from .algebras import Algebra, Bimodule
 from .crossed import UnitalAction
-from .groupoids import (BISECTION_ARROW_CAP, FiniteGroupoid, check_arrow_cap,
-                        discrete_groupoid, group_as_groupoid, pair_groupoid)
+from .groupoids import (FiniteGroupoid, check_bisections, discrete_groupoid,
+                        group_as_groupoid, pair_groupoid)
 from .homology import KSModule
 from .linalg import Field, Matrix
 from .monoids import (MONOID_SIZE_CAP, InverseMonoid, chain_semilattice,
@@ -269,7 +269,7 @@ def groupoid_from_dict(doc):
     if n_obj > n:
         raise InputError(
             f"{n_obj} objects but {n} arrows: each object needs a unit arrow")
-    check_arrow_cap(n)
+    check_bisections(n + 1)
     src = _indices([a["src"] for a in arrows], n_obj, "arrow src")
     rng = _indices([a["rng"] for a in arrows], n_obj, "arrow rng")
     comp = [[None] * n for _ in range(n)]
@@ -277,6 +277,8 @@ def groupoid_from_dict(doc):
         if len(_indices(triple, n, "comp")) != 3:
             raise InputError("each comp entry must be [a, b, a after b]")
         a, b, c = triple
+        if comp[a][b] is not None:
+            raise InputError(f"comp gives ({a},{b}) twice")
         comp[a][b] = c
     inv = _indices(doc["inv"], n, "inv")
     if len(inv) != n:
@@ -325,9 +327,9 @@ def _load_json(path):
     return doc
 
 
-# A shorthand number of more digits than the largest cap is past every cap
+# A shorthand number of more digits than the monoid cap is past the cap
 # of what it would build, so it is refused before int() reads it.
-_SPEC_DIGITS = len(str(max(MONOID_SIZE_CAP, BISECTION_ARROW_CAP)))
+_SPEC_DIGITS = len(str(MONOID_SIZE_CAP))
 
 
 def _spec_count(spec, prefix, kind):
@@ -367,21 +369,21 @@ def resolve_monoid(spec):
 def resolve_groupoid(spec):
     """Builtin shorthand or file:PATH -> FiniteGroupoid.
 
-    Every groupoid is read for its bisections, so one with more arrows
-    than BISECTION_ARROW_CAP is refused before it is built.
+    Every arrow is a bisection, and so is the empty set, so a groupoid
+    whose arrows + 1 pass MONOID_SIZE_CAP is refused before it is built.
     """
     if spec.startswith("file:"):
         return groupoid_from_dict(_load_json(spec[5:]))
     if spec.startswith("pair:"):
         n = _spec_count(spec, "pair:", "groupoid")
-        check_arrow_cap(n ** 2)
+        check_bisections(n ** 2 + 1)
         return pair_groupoid(n)
     if spec.startswith("group:"):
         group = resolve_monoid(spec[6:])
-        check_arrow_cap(group.size)
+        check_bisections(group.size + 1)
         return group_as_groupoid(group)
     if spec.startswith("discrete:"):
         n = _spec_count(spec, "discrete:", "groupoid")
-        check_arrow_cap(n)
+        check_bisections(n + 1)
         return discrete_groupoid(n)
     raise ValueError(f"unknown groupoid spec {spec!r}")

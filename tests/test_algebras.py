@@ -212,6 +212,17 @@ def test_table_path_refuses_what_the_dense_oracle_refuses(data):
         F, n, dense, unit) else "refused"))
 
 
+def test_dual_numbers_are_the_monomial_table_algebra():
+    # The constants written out, b_0 = 1 and b_1 = x with x^2 = 0, give
+    # the same algebra as the table.
+    for F in (Q, F2, Field(3)):
+        dn = dual_numbers(F)
+        by_hand = Algebra(F, 2, [[{0: F.one}, {1: F.one}], [{1: F.one}, {}]],
+                          {0: F.one})
+        assert (dn.sc, dn.unit, dn.table, dn.generators) == \
+            (by_hand.sc, by_hand.unit, by_hand.table, by_hand.generators)
+
+
 def test_only_monomial_constants_take_the_table_path(monkeypatch):
     # Monomial constants, dual_numbers' among them, are checked on their
     # table, then the unit law alone runs through _failure(()).  K[x]/(x^2)

@@ -2,7 +2,9 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,27 +68,63 @@ def test_bisection_counts():
 
 
 def test_bisections_cap():
-    with pytest.raises(ValueError, match="enumeration cap exceeded"):
-        bisections(pair_groupoid(2), cap=3)
-    # 9 arrows pass the arrow cap, but their 512 bisections exceed the
-    # monoid size cap, which is checked before any table is built
+    # The monoid size cap is the only cap: 17 arrows with 18 bisections
+    # are built.
+    assert bisections(group_as_groupoid(cyclic_group(17))).size == 18
+    # 9 arrows, but their 512 bisections exceed the monoid size cap, which
+    # is checked before any table is built
     with pytest.raises(ValueError, match="size cap exceeded"):
         bisections(discrete_groupoid(9))
     for g in (discrete_groupoid(17),
               disjoint_union(pair_groupoid(4), pair_groupoid(1))):
         with pytest.raises(ValueError) as exc:
             bisections(g)
-        assert str(exc.value) == "enumeration cap exceeded: 17 arrows > 16"
+        assert str(exc.value) == ("size cap exceeded: groupoid has more "
+                                  "than 256 bisections")
+
+
+def test_bisection_listing_stops_past_the_cap():
+    # discrete:n has 2^n bisections, and the partial ones double with each
+    # object, so the listing refuses after 512 of them; at n = 60 a listing
+    # that ran to the end would never finish.
+    for n in (16, 60):
+        with pytest.raises(ValueError, match="more than 256 bisections"):
+            _bisection_masks(discrete_groupoid(n))
+
+
+def _closed_form_bisections(spec):
+    """|I_n| = sum_k C(n,k)^2 k! for pair:n, 2^n for discrete:n and
+    |G| + 1 for group:z:n."""
+    kind, n = spec.rsplit(":", 1)
+    n = int(n)
+    if kind == "pair":
+        return sum(math.comb(n, k) ** 2 * math.factorial(k)
+                   for k in range(n + 1))
+    return 2 ** n if kind == "discrete" else n + 1
+
+
+def test_bisection_monoids_have_their_closed_form_size_or_are_refused():
+    for spec in ("pair:4", "pair:5", "pair:15", "pair:16", "discrete:8",
+                 "discrete:9", "discrete:16", "discrete:255", "discrete:256",
+                 "group:z:16", "group:z:17", "group:z:255", "group:z:256"):
+        size = _closed_form_bisections(spec)
+        start = time.monotonic()
+        if size > MONOID_SIZE_CAP:
+            with pytest.raises(ValueError, match="size cap exceeded"):
+                bisections(resolve_groupoid(spec))
+        else:
+            assert bisections(resolve_groupoid(spec)).size == size, spec
+        assert time.monotonic() - start < 2.0, spec
 
 
 def _assert_bisections_match_the_oracle(g):
     """Masks, table, unit and names as the 2^arrows filter and the pairwise
-    product give them; past the size cap, the masks and the refusal."""
+    product give them; past the size cap, the refusal."""
     masks = bisection_masks_by_filter(g)
     if len(masks) > MONOID_SIZE_CAP:
-        assert _bisection_masks(g) == masks
-        with pytest.raises(ValueError, match=f"would have {len(masks)} "):
-            bisections_with_masks(g)
+        for listing in (_bisection_masks, bisections_with_masks):
+            with pytest.raises(ValueError, match="more than 256 bisections"):
+                listing(g)
         return
     monoid, got = bisections_with_masks(g)
     assert got == masks
@@ -504,3 +542,26 @@ def test_steinberg_verifier_builds_no_bimodule_over_crossed_product(
     (data,) = bundles
     assert any(a is data.steinberg_algebra for a in built)
     assert not any(a is data.crossed.algebra for a in built)
+
+
+def test_steinberg_sides_add_over_a_union_of_21_arrows():
+    # group:z:17 + pair:2 has 21 arrows and 18 * 7 = 126 bisections.  Both
+    # sides of both verifiers are the sums of the parts' sides.
+    parts = [group_as_groupoid(cyclic_group(17)), pair_groupoid(2)]
+
+    def sides(g):
+        data = steinberg_data(g, Q)
+        module = regular_bimodule(data.steinberg_algebra)
+        out = []
+        for verify in (verify_steinberg_homology, verify_steinberg_cohomology):
+            rep = verify(data, module, 1)
+            assert rep.ok
+            out += [rep.data["monoid_side"], rep.data["hochschild_side"]]
+        return data.bisection_monoid.size, out
+
+    size, whole = sides(disjoint_union(*parts))
+    (size_z, side_z), (size_p, side_p) = map(sides, parts)
+    assert (size, size_z, size_p) == (126, 18, 7)
+    assert whole == [[x + y for x, y in zip(a, b)]
+                     for a, b in zip(side_z, side_p)]
+    assert whole[0] == [18, 0]

@@ -353,23 +353,47 @@ def test_cli_long_shorthand_number_is_refused_unread():
                              f"{width}-digit N is past every cap"]
 
 
-def test_arrow_cap_refuses_before_building(tmp_path):
-    # 17 objects with one unit arrow each: one arrow over the cap.
-    n = 17
-    wide = tmp_path / "discrete17.json"
-    wide.write_text(json.dumps(
+def _discrete_file(tmp_path, n):
+    """A groupoid file of n objects with one unit arrow each."""
+    path = tmp_path / f"discrete{n}.json"
+    path.write_text(json.dumps(
         {"objects": n, "arrows": [{"src": x, "rng": x} for x in range(n)],
          "comp": [[x, x, x] for x in range(n)], "inv": list(range(n))}))
-    specs = ("pair:20", "discrete:400", "group:z:17", f"file:{wide}")
+    return f"file:{path}"
+
+
+def test_arrow_cap_refuses_before_building(tmp_path):
+    # Every arrow is a bisection, and so is the empty set: 256 arrows make
+    # one bisection over the cap.  group:z:17 and a 17-arrow file pass.
+    specs = ("pair:20", "pair:16", "discrete:400", "group:z:256",
+             _discrete_file(tmp_path, 256))
     for spec in specs:
         start = time.monotonic()
-        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+        with pytest.raises(ValueError) as exc:
             resolve_groupoid(spec)
+        assert str(exc.value) == ("size cap exceeded: groupoid has more "
+                                  "than 256 bisections"), spec
         assert time.monotonic() - start < 0.5, spec
-    for spec in specs:
+    assert resolve_groupoid("group:z:17").n_arrows == 17
+    # The file's 2^17 bisections are refused as they are listed.
+    wide = _discrete_file(tmp_path, 17)
+    assert resolve_groupoid(wide).n_arrows == 17
+    for spec in (*specs, wide):
         p = _run_cli("steinberg", "--groupoid", spec, timeout=10)
         _assert_one_error_line(p)
-        assert "enumeration cap exceeded" in p.stderr
+        assert "size cap exceeded" in p.stderr
+
+
+def test_groupoid_file_giving_one_composite_twice_is_refused(tmp_path):
+    # pair:2 with (2,1) -> 3 given again as 2, before or after the true
+    # entry: either order is refused, naming the pair.
+    doc = groupoid_to_dict(pair_groupoid(2))
+    assert [2, 1, 3] in doc["comp"]
+    for extra in ([[2, 1, 2]] + doc["comp"], doc["comp"] + [[2, 1, 2]]):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({**doc, "comp": extra}))
+        lines = _cli_error_lines(["steinberg", "--groupoid", f"file:{path}"])
+        assert lines == ["error: comp gives (2,1) twice"]
 
 
 def test_cli_bad_table_error(tmp_path):
