@@ -103,10 +103,6 @@ class Field:
         c = a + b
         return c if self.char == 0 else c % self.char
 
-    def sub(self, a, b):
-        c = a - b
-        return c if self.char == 0 else c % self.char
-
     def mul(self, a, b):
         c = a * b
         return c if self.char == 0 else c % self.char

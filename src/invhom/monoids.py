@@ -129,17 +129,20 @@ class InverseMonoid:
         return f"InverseMonoid(size={self.size})"
 
 
-def from_table(table, unit=None, names=None):
-    """Validate a Cayley table and return the inverse monoid it defines.
-    The monoid keeps ``table`` itself, so the caller must not change it."""
+def light_test(table):
+    """Check an n x n table with entries 0..n-1, n <= 256, for
+    associativity; return its rows and columns as bytes and a generating set.
+
+    The table is one bytes object, so reading a row at a column is a
+    translate, padded to 256 bytes.  Ragged rows, or entries out of range
+    (bytes() refuses -1 and 256), are scanned for the first fault.
+    Light's test: the k with (ij)k = i(jk) for all i, j are closed under
+    products, so only the generators k are tested, each by comparing the
+    transposed table read through column k (byte j*n + i is (ij)k) with
+    the columns jk (byte i of column jk is i(jk)); on a failure each row
+    is compared per k, and a failing row is scanned for its first (j, k).
+    """
     n = len(table)
-    check_size(n)
-    # Every entry fits in a byte (MONOID_SIZE_CAP is 256), so the table is
-    # one bytes object, row i is its bytes i*n .. i*n+n-1 and column k its
-    # every n-th byte from byte k, and reading one at the other is a
-    # translate through it, padded to the 256 bytes a translate takes.
-    # bytes() refuses -1 and 256, and ragged rows can join to n*n bytes, so
-    # on any doubt the rows are scanned for the first fault.
     try:
         flat = b"".join(map(bytes, table))
     except ValueError:
@@ -156,13 +159,6 @@ def from_table(table, unit=None, names=None):
     rows = [flat[i * n:i * n + n] for i in range(n)]
     cols = [flat[k::n] for k in range(n)]
     gens = _generators(table, rows)
-    # Light's test: the k with (ij)k = i(jk) for all i, j are closed under
-    # products, so testing the generators covers every k.  The transposed
-    # table read through column k holds (ij)k at byte j*n + i, and column
-    # jk read at row i is i(jk), so each k is one whole-table comparison.
-    # On a failure each row i is compared with each k the same way, row i
-    # read through column k against column k read through row i, and a
-    # failing row is scanned for its first (j, k).
     flat_t = b"".join(cols)
     if any(flat_t.translate(cols[k] + pad)
            != b"".join(map(cols.__getitem__, cols[k])) for k in gens):
@@ -172,6 +168,16 @@ def from_table(table, unit=None, names=None):
                 for j, k in itertools.product(range(n), gens):
                     if table[row[j]][k] != row[table[j][k]]:
                         raise ValueError(f"not associative at ({i},{j},{k})")
+    return rows, cols, gens
+
+
+def from_table(table, unit=None, names=None):
+    """Validate a Cayley table and return the inverse monoid it defines.
+    The monoid keeps ``table`` itself, so the caller must not change it."""
+    n = len(table)
+    check_size(n)
+    rows, cols, gens = light_test(table)
+    pad = bytes(256 - n)
     ident = bytes(range(n))
     units = [e for e in range(n) if rows[e] == ident == cols[e]]
     if not units:

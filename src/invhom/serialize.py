@@ -287,15 +287,11 @@ def groupoid_from_dict(doc):
     if unit_of is not None and len(_indices(unit_of, n, "unit_of")) != n_obj:
         raise InputError("unit_of must have one entry per object")
     if unit_of is None:
-        unit_of = [None] * n_obj
-        for a in range(n):
-            if src[a] == rng[a] and comp[a][a] == a:
-                x = src[a]
-                ok = all(comp[a][b] == b for b in range(n) if src[a] == rng[b])
-                if ok and unit_of[x] is None:
-                    unit_of[x] = a
-        if any(u is None for u in unit_of):
+        # In a groupoid a after a = a forces a = a after a^-1, a unit arrow.
+        units = {src[a]: a for a in range(n) if comp[a][a] == a}
+        if len(units) != n_obj:
             raise ValueError("could not identify a unit arrow for every object")
+        unit_of = [units[x] for x in range(n_obj)]
     return FiniteGroupoid(n_obj, src, rng, comp, inv, unit_of)
 
 

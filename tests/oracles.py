@@ -23,9 +23,12 @@ and the inverse-monoid oracles find the natural order, sigma, E-unitarity
 and the table of G(S) by search.  The monoid-table oracles compose every
 pair of partial bijections of I_n and run from_table's checks one entry at
 a time, on the generating set ``greedy_generators`` picks with a Python set
-of each row's entries.  ``bisection_masks_by_filter`` tests every subset of
-a groupoid's arrows for a bisection, and ``bisection_monoid_by_pairs``
-multiplies each pair of bisections arrow by arrow.
+of each row's entries.  ``groupoid_failure`` is FiniteGroupoid's
+validation with the scan over every composable triple that Light's test on
+the table with a zero adjoined replaced.  ``bisection_masks_by_filter``
+tests every subset of a groupoid's arrows for a bisection, and
+``bisection_monoid_by_pairs`` multiplies each pair of bisections arrow by
+arrow.
 ``ks_module_failure`` checks the KS-module law with whole matrix
 products on the generators.
 DenseMatrix is the dense row-list matrix arithmetic that the
@@ -108,10 +111,6 @@ class FractionField:
 
     def add(self, a, b):
         c = a + b
-        return c if self.char == 0 else c % self.char
-
-    def sub(self, a, b):
-        c = a - b
         return c if self.char == 0 else c % self.char
 
     def mul(self, a, b):
@@ -269,7 +268,7 @@ class DenseMatrix:
         F = self.field
         return DenseMatrix(
             F, self.rows, self.cols,
-            [[F.sub(a, b) for a, b in zip(r1, r2)]
+            [[F.add(a, F.neg(b)) for a, b in zip(r1, r2)]
              for r1, r2 in zip(self.data, other.data)],
         )
 
@@ -323,7 +322,7 @@ def sparse(d):
 
 
 def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
+    return [field.add(a, field.neg(b)) for a, b in zip(u, v)]
 
 
 def vec_is_zero(u):
@@ -460,7 +459,8 @@ def gauss_jordan(m):
         for k in range(m.rows):
             c = a[k][j]
             if k != r and c:
-                a[k] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[k], a[r])]
+                a[k] = [F.add(x, F.neg(F.mul(c, y)))
+                        for x, y in zip(a[k], a[r])]
         pivots.append(j)
     return DenseMatrix(F, m.rows, m.cols, a), pivots
 
@@ -791,6 +791,42 @@ def from_table_failure(table, unit=None):
         for f in idems:
             if table[e][f] != table[f][e]:
                 return f"idempotents {e} and {f} do not commute"
+    return None
+
+
+def groupoid_failure(n_objects, src, rng, comp, inv, unit_of):
+    """FiniteGroupoid's checks as they were before Light's test: the
+    composable-triple associativity scan, then the units and inverses.
+
+    Returns None for a groupoid and otherwise the message of the first
+    failure.
+    """
+    n = len(src)
+    for a in range(n):
+        for b in range(n):
+            if (comp[a][b] is not None) != (src[a] == rng[b]):
+                return f"composition defined iff src=rng fails at ({a},{b})"
+    for a in range(n):
+        for b, ab in enumerate(comp[a]):
+            if ab is None:
+                continue
+            for c, bc in enumerate(comp[b]):
+                if bc is not None and comp[ab][c] != comp[a][bc]:
+                    return f"composition not associative at ({a},{b},{c})"
+    for x in range(n_objects):
+        u = unit_of[x]
+        if src[u] != x or rng[u] != x:
+            return f"unit arrow of object {x} has wrong ends"
+    for a in range(n):
+        u_r = unit_of[rng[a]]
+        u_s = unit_of[src[a]]
+        if comp[u_r][a] != a or comp[a][u_s] != a:
+            return f"units not neutral at arrow {a}"
+        ai = inv[a]
+        if src[ai] != rng[a] or rng[ai] != src[a]:
+            return f"inverse of arrow {a} has wrong ends"
+        if comp[a][ai] != u_r or comp[ai][a] != u_s:
+            return f"inverse of arrow {a} is not two-sided"
     return None
 
 

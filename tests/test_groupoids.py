@@ -7,11 +7,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from invhom.algebras import Bimodule, regular_bimodule
 from invhom.crossed import coinvariants, invariants_sub, validate_action
-from invhom.groupoids import (_bisection_masks, bisections,
+from invhom.groupoids import (FiniteGroupoid, _bisection_masks, bisections,
                               bisections_with_masks, discrete_groupoid, disjoint_union,
                               group_as_groupoid, induced_action_hat,
                               lx_embedding, pair_groupoid, psi_map,
@@ -26,7 +26,7 @@ from invhom.serialize import (groupoid_from_dict, groupoid_to_dict,
                               resolve_groupoid)
 from oracles import (bisection_masks_by_filter, bisection_monoid_by_pairs,
                      crossed_coinvariants, crossed_invariants,
-                     transport_bimodule)
+                     groupoid_failure, transport_bimodule)
 
 Q = Field(0)
 
@@ -92,6 +92,11 @@ def test_bisection_listing_stops_past_the_cap():
             _bisection_masks(discrete_groupoid(n))
 
 
+_SIZE_SWEEP = ("pair:4", "pair:5", "pair:15", "pair:16", "discrete:8",
+               "discrete:9", "discrete:16", "discrete:255", "discrete:256",
+               "group:z:16", "group:z:17", "group:z:255", "group:z:256")
+
+
 def _closed_form_bisections(spec):
     """|I_n| = sum_k C(n,k)^2 k! for pair:n, 2^n for discrete:n and
     |G| + 1 for group:z:n."""
@@ -104,9 +109,7 @@ def _closed_form_bisections(spec):
 
 
 def test_bisection_monoids_have_their_closed_form_size_or_are_refused():
-    for spec in ("pair:4", "pair:5", "pair:15", "pair:16", "discrete:8",
-                 "discrete:9", "discrete:16", "discrete:255", "discrete:256",
-                 "group:z:16", "group:z:17", "group:z:255", "group:z:256"):
+    for spec in _SIZE_SWEEP:
         size = _closed_form_bisections(spec)
         start = time.monotonic()
         if size > MONOID_SIZE_CAP:
@@ -115,6 +118,91 @@ def test_bisection_monoids_have_their_closed_form_size_or_are_refused():
         else:
             assert bisections(resolve_groupoid(spec)).size == size, spec
         assert time.monotonic() - start < 2.0, spec
+
+
+@functools.lru_cache(maxsize=None)
+def _small_groupoid(spec):
+    return resolve_groupoid(spec)
+
+
+@st.composite
+def groupoid_tables(draw):
+    """A groupoid's fields, or a union of two, with one defined composite
+    perhaps rewritten to another arrow of the same ends."""
+    specs = ([f"pair:{n}" for n in range(2, 5)]
+             + [f"group:z:{n}" for n in range(2, 7)]
+             + ["group:prod:z:2,z:2"]
+             + [f"discrete:{n}" for n in range(1, 5)])
+    g = _small_groupoid(draw(st.sampled_from(specs)))
+    if draw(st.booleans()):
+        g = disjoint_union(g, _small_groupoid(draw(st.sampled_from(specs))))
+    comp = [row[:] for row in g.comp]
+    defined = [(a, b) for a in range(g.n_arrows) for b in range(g.n_arrows)
+               if comp[a][b] is not None]
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(defined))
+        c = comp[a][b]
+        others = [x for x in range(g.n_arrows) if x != c
+                  and (g.src[x], g.rng[x]) == (g.src[c], g.rng[c])]
+        if others:
+            comp[a][b] = draw(st.sampled_from(others))
+    return g.n_objects, g.src, g.rng, comp, g.inv, g.unit_of
+
+
+@settings(deadline=None, max_examples=300)
+@given(groupoid_tables())
+def test_groupoid_validation_refuses_as_the_triple_scan_does(fields):
+    # Light's test on the table with a zero adjoined refuses exactly the
+    # tables that the scan over every composable triple refuses, with the
+    # same message but for the triple that an associativity refusal names.
+    want = groupoid_failure(*fields)
+    try:
+        FiniteGroupoid(*fields)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = None
+    event(want.split(" at ")[0].split(" of ")[0] if want else "accepted")
+    if want is not None and want.startswith("composition not associative"):
+        assert got is not None and got.startswith("not associative at (")
+    else:
+        assert got == want
+
+
+def test_groupoid_of_255_arrows_validates_quickly():
+    group = cyclic_group(255)
+    start = time.perf_counter()
+    g = group_as_groupoid(group)
+    assert time.perf_counter() - start < 0.1
+    assert g.n_arrows == 255
+
+
+def test_groupoids_of_256_arrows_are_refused_when_built():
+    # The table with a zero adjoined needs 257 symbols, one past a byte;
+    # every arrow is a bisection, and so is the empty set.
+    for build in (lambda: pair_groupoid(16), lambda: discrete_groupoid(256),
+                  lambda: disjoint_union(group_as_groupoid(cyclic_group(255)),
+                                         pair_groupoid(1))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == ("size cap exceeded: groupoid has more "
+                                  "than 256 bisections")
+
+
+def test_missing_units_are_read_off_the_idempotent_arrows():
+    # groupoid_to_dict writes no unit_of, so the loader infers it.
+    built = 0
+    for spec in _SIZE_SWEEP:
+        try:
+            g = resolve_groupoid(spec)
+        except ValueError as exc:
+            assert "more than 256 bisections" in str(exc), spec
+            continue
+        doc = groupoid_to_dict(g)
+        assert "unit_of" not in doc
+        assert groupoid_from_dict(doc).unit_of == g.unit_of, spec
+        built += 1
+    assert built == 10
 
 
 def _assert_bisections_match_the_oracle(g):

@@ -375,6 +375,38 @@ def test_known_group_homology_and_cohomology():
         assert cohomology(group, v, len(betti) - 1) == betti
 
 
+def _dual_module(module):
+    """V* with s acting by act(s^-1)^T, a left module since
+    (st)^-1 = t^-1 s^-1."""
+    monoid, F, n = module.monoid, module.field, module.dim
+    act = []
+    for s in range(monoid.size):
+        cols = [{} for _ in range(n)]
+        for j, col in enumerate(module.act[monoid.inv[s]].columns):
+            for i, x in col.items():
+                cols[i][j] = x
+        act.append(Matrix(F, n, n, cols))
+    return KSModule(monoid, F, n, act)
+
+
+def test_monoid_homology_and_cohomology_are_dual():
+    # dim H^n(S, V) = dim H_n(S, V*) and dim H_n(S, V) = dim H^n(S, V*),
+    # Tor and Ext being dual over a field: I_2 to degree 3 and I_3 to
+    # degree 1, with KE(S) and KS, over Q, F_2 and F_3.
+    seen = set()
+    for n, top in ((2, 3), (3, 1)):
+        monoid = symmetric_inverse_monoid(n)
+        for F in (Q, F2, F3):
+            for build in (trivial_module_ke, regular_ks_module):
+                v = build(monoid, F)
+                dual = _dual_module(v)
+                assert cohomology(monoid, v, top) == homology(monoid, dual, top)
+                assert homology(monoid, v, top) == cohomology(monoid, dual, top)
+                seen.add(tuple(homology(monoid, v, top)))
+    # Some of these are not concentrated in degree 0.
+    assert (3, 1, 1, 1) in seen and (4, 2) in seen
+
+
 def test_betti_rejects_negative_degree():
     from invhom.algebras import (field_algebra, hochschild_cohomology,
                                  hochschild_homology, regular_bimodule)

@@ -396,6 +396,22 @@ def test_groupoid_file_giving_one_composite_twice_is_refused(tmp_path):
         assert lines == ["error: comp gives (2,1) twice"]
 
 
+def test_groupoid_file_of_255_arrows_with_two_composites_swapped(tmp_path):
+    # Z/255 with 1 + 1 given as 3 and 1 + 2 as 2: refused by Light's test
+    # on the table with a zero adjoined, naming the first failing triple.
+    doc = groupoid_to_dict(resolve_groupoid("group:z:255"))
+    comp = {(a, b): c for a, b, c in doc["comp"]}
+    comp[1, 1], comp[1, 2] = comp[1, 2], comp[1, 1]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(
+        {**doc, "comp": [[a, b, c] for (a, b), c in comp.items()]}))
+    start = time.monotonic()
+    p = _run_cli("steinberg", "--groupoid", f"file:{path}", timeout=10)
+    assert time.monotonic() - start < 2.0
+    _assert_one_error_line(p)
+    assert p.stderr == "error: not associative at (1,1,2)\n"
+
+
 def test_cli_bad_table_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
