@@ -27,11 +27,19 @@ DEFAULT_COLUMN_CAP = 50_000
 
 
 class KSModule:
-    """Finite-dimensional module over KS: one action matrix per element."""
+    """Finite-dimensional module over KS: one action matrix per element,
+    or, where s sends basis vector j to basis vector index[s][j], one bytes
+    row per element, checked as a table; then ``act`` forms the matrix of
+    s the first time it is read."""
 
     __slots__ = ("monoid", "field", "dim", "act")
 
-    def __init__(self, monoid, field, dim, act):
+    def __init__(self, monoid, field, dim, act=None, index=None):
+        self.monoid, self.field, self.dim = monoid, field, dim
+        if index is not None:
+            _check_index(monoid, dim, index)
+            self.act = _FormedOnRead(field, index)
+            return
         if len(act) != monoid.size:
             raise ValueError("module/monoid mismatch: need one matrix per element")
         for s, m in enumerate(act):
@@ -67,10 +75,53 @@ class KSModule:
                     raise ValueError(
                         "not a left module: action law fails at "
                         f"({monoid.name_of(s)},{monoid.name_of(g)})")
-        self.monoid = monoid
-        self.field = field
-        self.dim = dim
         self.act = act
+
+
+def _check_index(monoid, dim, index):
+    """KSModule's checks on an index table.  Column j of act[s] @ act[g]
+    is a 1 at index[g][j] read through index[s], so the law at g is one
+    comparison for all s at once, with the rows of the sg that column g of
+    S lists; on a failure the (s, g) are scanned in KSModule's order."""
+    if len(index) != monoid.size:
+        raise ValueError("module/monoid mismatch: need one matrix per element")
+    ident = bytes(range(dim))
+    for s, row in enumerate(index):
+        if len(row) != dim or row.translate(None, ident):
+            raise ValueError(f"action matrix for element {s} has wrong shape")
+    if index[monoid.unit] != ident:
+        raise ValueError("not a left module: unit does not act as identity")
+    padded = [row + bytes(256 - dim) for row in index]
+    laws = [g for g in monoid.generators if g != monoid.unit]
+    if any(b"".join(map(index[g].translate, padded))
+           != b"".join(map(index.__getitem__, monoid.cols[g])) for g in laws):
+        for s, g in itertools.product(range(monoid.size), laws):
+            if index[g].translate(padded[s]) != index[monoid.table[s][g]]:
+                raise ValueError(
+                    "not a left module: action law fails at "
+                    f"({monoid.name_of(s)},{monoid.name_of(g)})")
+
+
+class _FormedOnRead:
+    """A read-only sequence of the matrices of an index table, each formed
+    the first time it is read; slices are lists."""
+
+    __slots__ = ("field", "index", "formed")
+
+    def __init__(self, field, index):
+        self.field, self.index, self.formed = field, index, [None] * len(index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice):
+            return list(map(self.__getitem__, range(*s.indices(len(self)))))
+        if self.formed[s] is None:
+            one, row = self.field.one, self.index[s]
+            self.formed[s] = Matrix(self.field, len(row), len(row),
+                                    [{i: one} for i in row])
+        return self.formed[s]
 
 
 def _gather(indices):
@@ -80,24 +131,21 @@ def _gather(indices):
 
 
 def trivial_module_ke(monoid, field):
-    """KE(S) with s.e = s e s^-1."""
-    idems = monoid.idempotents()
-    pos = {e: i for i, e in enumerate(idems)}
-    t = monoid.table
-    one = field.one
-    act = [Matrix(field, len(idems), len(idems),
-                  [{pos[t[t[s][e]][monoid.inv[s]]]: one} for e in idems])
-           for s in range(monoid.size)]
-    return KSModule(monoid, field, len(idems), act)
+    """KE(S) with s.e = s e s^-1: row s of its index table is E(S) read
+    through row s, column s^-1 and the positions in E(S)."""
+    idems = bytes(monoid.idempotents())
+    pad = bytes(256 - monoid.size)
+    pos = bytes.maketrans(idems, bytes(range(len(idems))))
+    rows, cols, inv = monoid.rows, monoid.cols, monoid.inv
+    index = [idems.translate(rows[s] + pad).translate(cols[inv[s]] + pad)
+             .translate(pos) for s in range(monoid.size)]
+    return KSModule(monoid, field, len(idems), index=index)
 
 
 def regular_ks_module(monoid, field):
-    """KS as a left module over itself: s acts by left multiplication."""
-    n = monoid.size
-    one = field.one
-    act = [Matrix(field, n, n, [{monoid.table[s][t]: one} for t in range(n)])
-           for s in range(n)]
-    return KSModule(monoid, field, n, act)
+    """KS as a left module over itself: s acts by left multiplication, so
+    the index table is the rows of S."""
+    return KSModule(monoid, field, monoid.size, index=monoid.rows)
 
 
 class Block:

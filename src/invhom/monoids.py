@@ -15,11 +15,12 @@ import math
 # also what makes every element one byte, so from_table reads the whole
 # table through a generator's column, and symmetric_inverse_monoid a row
 # through a row, with one bytes.translate each: on a 2-vCPU Xeon under
-# Python 3.11, from_table takes 1.5-3 ms for i:4 (|A| = 5) and 35-60 ms for
-# a 256-element chain (A = S), and I_4 builds in 3-7 ms.  I_5 (1,546
-# elements) fits in no byte; with lists of ints it would take 0.1-0.4 s to
-# build and 0.8-1.0 s to validate, so every constructor refuses a larger
-# monoid before building its table.
+# Python 3.11, from_table takes 1.2-2.3 ms for i:4 (|A| = 5) and 24-30 ms
+# for a 256-element chain (A = S), and I_4 builds in 1.7-3.3 ms.  The
+# monoid keeps those bytes for index tables, and lists for Python loops
+# (bytes[i] costs twice list[i]).  I_5 (1,546 elements) fits in no byte;
+# with lists of ints it would take 0.1-0.4 s to build and 0.8-1.0 s to
+# validate, so every constructor refuses a larger monoid first.
 MONOID_SIZE_CAP = 256
 
 
@@ -46,12 +47,14 @@ class InverseMonoid:
     is E-unitary iff the sigma-class of 1 is E(S).
     """
 
-    __slots__ = ("size", "table", "inv", "unit", "names", "generators",
-                 "_idempotents", "_sigma")
+    __slots__ = ("size", "table", "rows", "cols", "inv", "unit", "names",
+                 "generators", "_idempotents", "_sigma")
 
-    def __init__(self, size, table, inv, unit, generators, names=None):
+    def __init__(self, size, table, inv, unit, generators, names=None,
+                 rows=None, cols=None):
         self.size = size
         self.table = table
+        self.rows, self.cols = rows, cols  # light_test's bytes of the table
         self.inv = inv
         self.unit = unit
         self.names = names
@@ -158,7 +161,7 @@ def light_test(table):
     pad = bytes(256 - n)
     rows = [flat[i * n:i * n + n] for i in range(n)]
     cols = [flat[k::n] for k in range(n)]
-    gens = _generators(table, rows)
+    gens = _generators(rows, cols)
     flat_t = b"".join(cols)
     if any(flat_t.translate(cols[k] + pad)
            != b"".join(map(cols.__getitem__, cols[k])) for k in gens):
@@ -172,11 +175,14 @@ def light_test(table):
 
 
 def from_table(table, unit=None, names=None):
-    """Validate a Cayley table and return the inverse monoid it defines.
-    The monoid keeps ``table`` itself, so the caller must not change it."""
+    """Validate a Cayley table, with rows of ints or bytes, and return the
+    inverse monoid it defines.  The monoid keeps a table of lists itself
+    (bytes rows are copied), so the caller must not change it."""
     n = len(table)
     check_size(n)
     rows, cols, gens = light_test(table)
+    if n and isinstance(table[0], bytes):
+        table = list(map(list, rows))
     pad = bytes(256 - n)
     ident = bytes(range(n))
     units = [e for e in range(n) if rows[e] == ident == cols[e]]
@@ -204,7 +210,7 @@ def from_table(table, unit=None, names=None):
                 f"inverse not unique for element {s}: candidates {cands}"
             )
         inv[s] = cands[0]
-    m = InverseMonoid(n, table, inv, unit, gens, names)
+    m = InverseMonoid(n, table, inv, unit, gens, names, rows, cols)
     idems = m.idempotents()
     for e in idems:
         for f in idems:
@@ -213,30 +219,29 @@ def from_table(table, unit=None, names=None):
     return m
 
 
-def _generators(table, rows):
+def _generators(rows, cols):
     """A generating set: every element is a left-to-right product of it.
 
     Elements are taken greedily by decreasing right-ideal size, then by
-    index; one not yet reached becomes a generator, and the reached set is
-    closed again under right multiplication by the generators.  Deleting
-    row s's bytes from all 256 leaves 256 - |sS| of them.
+    index; one not yet reached becomes a generator.  Deleting row s's bytes
+    from all 256 leaves 256 - |sS| of them.  The reached products are bytes:
+    a new g adds every x g (column g read at them), then each new y adds
+    its products with the generators (read through row y), and so on.
     """
-    every = bytes(range(256))
-    order = sorted(range(len(table)),
+    n = len(rows)
+    every, pad = bytes(range(256)), bytes(256 - n)
+    order = sorted(range(n),
                    key=lambda s: (len(every.translate(None, rows[s])), s))
-    gens = []
-    reached = set()
+    gens, reached = bytearray(), bytearray()
     for g in order:
         if g in reached:
             continue
         gens.append(g)
-        frontier = [g] + [table[x][g] for x in reached]
-        while frontier:
-            y = frontier.pop()
-            if y not in reached:
-                reached.add(y)
-                frontier.extend(table[y][a] for a in gens)
-    return gens
+        found = reached.translate(cols[g] + pad) + bytes((g,))
+        while found := bytes(dict.fromkeys(found.translate(None, reached))):
+            reached += found
+            found = b"".join([gens.translate(rows[y] + pad) for y in found])
+    return list(gens)
 
 
 def trivial_monoid():
@@ -279,14 +284,20 @@ def symmetric_inverse_monoid(n):
         if size > MONOID_SIZE_CAP:
             raise ValueError(f"size cap exceeded: I_{n} has more than "
                              f"{MONOID_SIZE_CAP} elements")
-    elems = []
+    # Names: domain digits, then image bytes less 0s as digits; 0 is [].
+    digits = bytes.maketrans(bytes(range(10)), b"0123456789")
+    elems, names = [], []
     for mask in range(1 << n):
         dom = [x for x in range(n) if mask >> x & 1]
+        head = "[%s->" % "".join(str(x + 1) for x in dom)
         for img in itertools.permutations(range(1, n + 1), len(dom)):
             m = [0] * n
             for x, y in zip(dom, img):
                 m[x] = y
             elems.append(bytes(m))
+            names.append(head + elems[-1].translate(digits, b"\0").decode()
+                         + "]")
+    names[0] = "[]"
     index = {m: i for i, m in enumerate(elems)}
     size = len(elems)
 
@@ -297,7 +308,8 @@ def symmetric_inverse_monoid(n):
     # followed by a.  Row p.a is row p read at row a, so a breadth-first
     # walk of the right Cayley graph from the unit, whose edge p -> p.a is
     # entry a of row p, fills each row with one translate of row a through
-    # row p, both read as bytes (every entry is below the size cap of 256).
+    # row p (every entry is below the size cap of 256), and the rows stay
+    # bytes until from_table has checked them.
     ident = bytes(range(1, n + 1))
     gens = [ident[:i] + bytes((i + 2, i + 1)) + ident[i + 2:]
             for i in range(n - 1)]
@@ -307,23 +319,20 @@ def symmetric_inverse_monoid(n):
         for a in gens]
     pad = bytes(256 - size)
     unit = index[ident]
-    table = [None] * size
-    table[unit] = list(range(size))
+    rows = [None] * size
+    rows[unit] = bytes(range(size))
     walk = [unit]
     for p in walk:
-        row = table[p]
-        row_pad = bytes(row) + pad
+        row = rows[p]
+        row_pad = row + pad
         for a, row_a in gen_rows:
             g = row[a]
-            if table[g] is None:
-                table[g] = list(row_a.translate(row_pad))
+            if rows[g] is None:
+                rows[g] = row_a.translate(row_pad)
                 walk.append(g)
     if len(walk) != size:
         raise ValueError(f"I_{n} walk reached {len(walk)} of {size} elements")
-    names = ["[%s->%s]" % ("".join(str(x + 1) for x in range(n) if m[x]),
-                           "".join(str(y) for y in m if y)) if any(m) else "[]"
-             for m in elems]
-    return from_table(table, unit=unit, names=names)
+    return from_table(rows, unit=unit, names=names)
 
 
 def direct_product(s, t):

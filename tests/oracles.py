@@ -30,7 +30,10 @@ tests every subset of a groupoid's arrows for a bisection, and
 ``bisection_monoid_by_pairs`` multiplies each pair of bisections arrow by
 arrow.
 ``ks_module_failure`` checks the KS-module law with whole matrix
-products on the generators.
+products on the generators.  ``trivial_module_ke_by_columns`` and
+``regular_ks_module_by_columns`` are the builders of KE(S) and KS that
+index tables replaced: one dict column per basis vector of each action
+matrix, law-checked by KSModule on the matrices.
 DenseMatrix is the dense row-list matrix arithmetic that the
 column-sparse Matrix replaced, kept as its reference; ``from_rows`` and
 ``from_cols`` write a column-sparse Matrix from nested lists.  The dense
@@ -982,6 +985,27 @@ def ks_module_failure(monoid, act):
                 return ("not a left module: action law fails at "
                         f"({monoid.name_of(s)},{monoid.name_of(g)})")
     return None
+
+
+def trivial_module_ke_by_columns(monoid, field):
+    """KE(S) with s.e = s e s^-1, each matrix written column by column."""
+    idems = monoid.idempotents()
+    pos = {e: i for i, e in enumerate(idems)}
+    t = monoid.table
+    one = field.one
+    act = [Matrix(field, len(idems), len(idems),
+                  [{pos[t[t[s][e]][monoid.inv[s]]]: one} for e in idems])
+           for s in range(monoid.size)]
+    return KSModule(monoid, field, len(idems), act)
+
+
+def regular_ks_module_by_columns(monoid, field):
+    """KS with s.t = st, each matrix written column by column."""
+    n = monoid.size
+    one = field.one
+    act = [Matrix(field, n, n, [{monoid.table[s][t]: one} for t in range(n)])
+           for s in range(n)]
+    return KSModule(monoid, field, n, act)
 
 
 def crossed_product_by_vectors(action):

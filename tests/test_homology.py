@@ -12,6 +12,7 @@ from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             from_table, symmetric_inverse_monoid,
                             trivial_monoid)
+from invhom.serialize import resolve_monoid
 import oracles
 from oracles import (bar_cohomology_complex, bar_group_cohomology,
                      bar_group_homology, bar_homology_complex, dense,
@@ -181,6 +182,105 @@ def test_law_modules_have_columns_that_are_not_a_single_one():
                 if not (len(col) == 1 and 1 in col.values())]
                for _, act in _LAW_MODULES]
     assert [bool(cols) for cols in general] == [False, False, True, True]
+
+
+@st.composite
+def monomial_module_monoids(draw, chain_sizes=st.integers(1, 48)):
+    """An inverse submonoid of I_3 or I_4, a chain:n, or a prod: of two
+    small monoids."""
+    kind = draw(st.sampled_from(["submonoid", "chain", "prod"]))
+    if kind == "submonoid":
+        return draw(inverse_submonoids_of_i3_or_i4())
+    if kind == "chain":
+        return chain_semilattice(draw(chain_sizes))
+    factors = st.sampled_from(["i:1", "i:2", "z:1", "z:3", "chain:2",
+                               "chain:3", "trivial"])
+    return resolve_monoid(f"prod:{draw(factors)},{draw(factors)}")
+
+
+_INDEX_BUILDERS = [(trivial_module_ke, oracles.trivial_module_ke_by_columns),
+                   (regular_ks_module, oracles.regular_ks_module_by_columns)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(monomial_module_monoids(), st.sampled_from([Q, F2, F3]))
+def test_index_built_modules_have_the_column_builders_matrices(m, field):
+    for build, by_columns in _INDEX_BUILDERS:
+        v, w = build(m, field), by_columns(m, field)
+        assert (v.monoid, v.field, v.dim) == (m, field, w.dim)
+        assert len(v.act) == len(w.act) == m.size
+        assert v.act[m.unit] == w.act[m.unit]
+        assert v.act[1:] == w.act[1:] and v.act[::-1] == w.act[::-1]
+        assert list(v.act) == w.act
+
+
+def _index_of(act):
+    """The index table of matrices whose every column is a single 1."""
+    return [bytes(min(col) for col in m.columns) for m in act]
+
+
+def _refusal(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(monomial_module_monoids(), st.data())
+def test_corrupted_index_table_is_refused_as_its_matrices_are(m, data):
+    by_columns = data.draw(st.sampled_from(_INDEX_BUILDERS))[1]
+    index = _index_of(by_columns(m, F3).act)
+    dim = len(index[0])
+    s = data.draw(st.integers(0, m.size - 1))
+    j = data.draw(st.integers(0, dim - 1))
+    row = bytearray(index[s])
+    row[j] = data.draw(st.integers(0, dim - 1))
+    index[s] = bytes(row)
+    matrices = [Matrix(F3, dim, dim, [{i: F3.one} for i in r]) for r in index]
+    expected = _refusal(lambda: KSModule(m, F3, dim, matrices))
+    assert _refusal(lambda: KSModule(m, F3, dim, index=index)) == expected
+    assert expected is None or expected.startswith("not a left module")
+
+
+def test_index_table_of_wrong_shape_is_refused():
+    z3 = cyclic_group(3)
+    rows = z3.rows
+    for bad in ([rows[0], rows[1]], [rows[0], rows[1], rows[2][:2]],
+                [rows[0], rows[1], b"\0\1\3"]):
+        with pytest.raises(ValueError, match="mismatch|wrong shape"):
+            KSModule(z3, Q, 3, index=bad)
+
+
+def test_regular_ks_on_256_elements():
+    # KS is free over itself, so H_n(S, KS) = Tor_n(KE(S), KS) is KE(S) in
+    # degree 0 and 0 above.
+    for spec in ("chain:256", "prod:chain:16,z:16"):
+        m = resolve_monoid(spec)
+        v = regular_ks_module(m, F2)
+        assert (m.size, v.dim) == (256, 256)
+        assert v.act[255] == oracles.regular_ks_module_by_columns(
+            m, F2).act[255]
+        assert homology(m, v, 0) == [len(m.idempotents())]
+    bad = list(m.rows)
+    bad[255] = bad[254]
+    with pytest.raises(ValueError, match="not a left module"):
+        KSModule(m, F2, 256, index=bad)
+
+
+def test_d_class_split_forms_only_the_matrices_it_reads():
+    # The split reads act at idempotents (the [e]) and at the members of
+    # one maximal subgroup per D-class: 40 of the 209 elements of I_4.
+    i4 = symmetric_inverse_monoid(4)
+    for build in (trivial_module_ke, regular_ks_module):
+        v = build(i4, F2)
+        groups = list(d_class_summands(i4, v))
+        read = set(i4.idempotents()).union(*(
+            [s for s in range(i4.size) if i4.name_of(s) in g.names]
+            for g, _ in groups))
+        formed = {s for s, m in enumerate(v.act.formed) if m is not None}
+        assert formed <= read and len(formed) == 40
 
 
 def test_module_monoid_mismatch():
