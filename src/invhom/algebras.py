@@ -7,24 +7,9 @@ import itertools
 from operator import itemgetter
 
 from .linalg import (Matrix, _insert, _reduce, _settled, column_sums,
-                     image_basis, image_span, sparse_sum)
+                     image_basis, image_span, monomial_rows, sparse_sum)
 from .homology import (DEFAULT_COLUMN_CAP, Block, ChainComplexData, assemble,
                        check_degree)
-
-
-def monomial_rows(rows, dim):
-    """Each row of sparse vectors as symbols, k for {k: 1} and dim for {};
-    None for a row with any other vector, or with one that is not a dict."""
-    key = {((k, 1),): k for k in range(dim)}
-    key[()] = dim
-    get, items, out = key.get, dict.items, []
-    for row in rows:
-        try:
-            syms = [get(tuple(items(v)), -1) for v in row]
-        except TypeError:
-            syms = [-1]
-        out.append(None if -1 in syms else syms)
-    return out
 
 
 class Algebra:

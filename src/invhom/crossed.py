@@ -19,13 +19,12 @@ import itertools
 
 from .algebras import (Algebra, check_over, generator_images,
                        hochschild_cohomology, hochschild_homology,
-                       is_separable, monomial_rows, product_checks,
-                       table_algebra)
+                       is_separable, product_checks, table_algebra)
 from .homology import (DEFAULT_COLUMN_CAP, KSModule, cohomology, homology,
                        mobius_idempotent, trivial_module_ke)
 from .linalg import (ColumnSpan, Matrix, image_span, induced_map,
-                     kernel_basis, label_quotient, quotient_space,
-                     sparse_sum)
+                     kernel_basis, label_quotient, monomial_rows,
+                     quotient_space, sparse_sum)
 from .monoids import max_group_image
 from .reporting import Report
 

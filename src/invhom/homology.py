@@ -18,9 +18,9 @@ homotopy, kept as a self-check (``build_resolution``).
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
-from .linalg import ColumnSpan, Matrix, _insert, image_span, kernel_basis
+from .linalg import (ColumnSpan, Matrix, _insert, image_span, kernel_basis,
+                     monomial_rows)
 from .monoids import from_table
 
 DEFAULT_COLUMN_CAP = 50_000
@@ -30,7 +30,10 @@ class KSModule:
     """Finite-dimensional module over KS: one action matrix per element,
     or, where s sends basis vector j to basis vector index[s][j], one bytes
     row per element, checked as a table; then ``act`` forms the matrix of
-    s the first time it is read."""
+    s the first time it is read.  In an index table of dim < 256, symbol
+    dim is a zero column.  Matrices that send each basis vector to a basis
+    vector, or below 256 dimensions to 0, are checked as that table too,
+    and kept as given; any other matrices are checked by whole products."""
 
     __slots__ = ("monoid", "field", "dim", "act")
 
@@ -45,53 +48,45 @@ class KSModule:
         for s, m in enumerate(act):
             if m.rows != dim or m.cols != dim or m.field != field:
                 raise ValueError(f"action matrix for element {s} has wrong shape")
+        self.act = act
+        rows = monomial_rows([m.columns for m in act], dim)
+        # Each symbol must fit a byte; below 256 dimensions all do, the
+        # zero column's symbol dim included.
+        if None not in rows and (
+                dim < 256 or max(itertools.chain(*rows)) < 256):
+            _check_index(monoid, dim, list(map(bytes, rows)))
+            return
         if not act[monoid.unit].is_identity():
             raise ValueError("not a left module: unit does not act as identity")
         # Each t is a left-to-right product of generators, so by induction
         # on its length and associativity of S, the law for every (s, g)
         # with g a generator gives it for every (s, t); g = 1 holds, since
-        # act[1] = I.  Column j of act[s] @ act[g] is act[s] applied to
-        # column j of act[g], and is column k of act[s] when that column
-        # is a single 1 at k, as in every partial permutation.
+        # act[1] = I.
         table = monoid.table
-        laws = []
-        for g in monoid.generators:
-            if g == monoid.unit:
-                continue
-            ks, js, others = [], [], []
-            for j, col in enumerate(act[g].columns):
-                if len(col) == 1 and 1 in col.values():
-                    ks.extend(col)
-                    js.append(j)
-                else:
-                    others.append((j, col))
-            laws.append((g, _gather(ks), _gather(js), others))
-        for s, m in enumerate(act):
-            row, columns = table[s], m.columns
-            for g, at_k, at_j, others in laws:
-                target = act[row[g]].columns
-                if at_k(columns) != at_j(target) or any(
-                        m.apply(col) != target[j] for j, col in others):
-                    raise ValueError(
-                        "not a left module: action law fails at "
-                        f"({monoid.name_of(s)},{monoid.name_of(g)})")
-        self.act = act
+        laws = [g for g in monoid.generators if g != monoid.unit]
+        for s, g in itertools.product(range(monoid.size), laws):
+            if act[s] @ act[g] != act[table[s][g]]:
+                raise ValueError(
+                    "not a left module: action law fails at "
+                    f"({monoid.name_of(s)},{monoid.name_of(g)})")
 
 
 def _check_index(monoid, dim, index):
     """KSModule's checks on an index table.  Column j of act[s] @ act[g]
-    is a 1 at index[g][j] read through index[s], so the law at g is one
-    comparison for all s at once, with the rows of the sg that column g of
-    S lists; on a failure the (s, g) are scanned in KSModule's order."""
+    is index[g][j] read through index[s], with the zero symbol read as
+    itself, so the law at g is one comparison for all s at once, with the
+    rows of the sg that column g of S lists; on a failure the (s, g) are
+    scanned in KSModule's order."""
     if len(index) != monoid.size:
         raise ValueError("module/monoid mismatch: need one matrix per element")
-    ident = bytes(range(dim))
+    symbols = bytes(range(min(dim + 1, 256)))
     for s, row in enumerate(index):
-        if len(row) != dim or row.translate(None, ident):
+        if len(row) != dim or row.translate(None, symbols):
             raise ValueError(f"action matrix for element {s} has wrong shape")
-    if index[monoid.unit] != ident:
+    if index[monoid.unit] != symbols[:dim]:
         raise ValueError("not a left module: unit does not act as identity")
-    padded = [row + bytes(256 - dim) for row in index]
+    pad = symbols[dim:] * (256 - dim)  # the zero symbol; none at dim 256
+    padded = [row + pad for row in index]
     laws = [g for g in monoid.generators if g != monoid.unit]
     if any(b"".join(map(index[g].translate, padded))
            != b"".join(map(index.__getitem__, monoid.cols[g])) for g in laws):
@@ -104,7 +99,8 @@ def _check_index(monoid, dim, index):
 
 class _FormedOnRead:
     """A read-only sequence of the matrices of an index table, each formed
-    the first time it is read; slices are lists."""
+    the first time it is read, with {} for the zero symbol; slices are
+    lists."""
 
     __slots__ = ("field", "index", "formed")
 
@@ -119,15 +115,10 @@ class _FormedOnRead:
             return list(map(self.__getitem__, range(*s.indices(len(self)))))
         if self.formed[s] is None:
             one, row = self.field.one, self.index[s]
-            self.formed[s] = Matrix(self.field, len(row), len(row),
-                                    [{i: one} for i in row])
+            n = len(row)
+            self.formed[s] = Matrix(self.field, n, n,
+                                    [{i: one} if i < n else {} for i in row])
         return self.formed[s]
-
-
-def _gather(indices):
-    """seq -> seq's entries at indices, as one C call (a bare entry for a
-    single index, () for none)."""
-    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def trivial_module_ke(monoid, field):

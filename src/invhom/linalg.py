@@ -290,6 +290,21 @@ def column_sums(field, n, terms, cols=None):
     return out
 
 
+def monomial_rows(rows, dim):
+    """Each row of sparse vectors as symbols, k for {k: 1} and dim for {};
+    None for a row with any other vector, or with one that is not a dict."""
+    key = {((k, 1),): k for k in range(dim)}
+    key[()] = dim
+    get, items, out = key.get, dict.items, []
+    for row in rows:
+        try:
+            syms = [get(tuple(items(v)), -1) for v in row]
+        except TypeError:
+            syms = [-1]
+        out.append(None if -1 in syms else syms)
+    return out
+
+
 def _settled(p, sums):
     """The nonzero entries of the dict of sums, reduced mod p when p."""
     if p:

@@ -50,11 +50,10 @@ class InverseMonoid:
     __slots__ = ("size", "table", "rows", "cols", "inv", "unit", "names",
                  "generators", "_idempotents", "_sigma")
 
-    def __init__(self, size, table, inv, unit, generators, names=None,
-                 rows=None, cols=None):
+    def __init__(self, size, table, inv, unit, generators, names, rows, cols):
         self.size = size
         self.table = table
-        self.rows, self.cols = rows, cols  # light_test's bytes of the table
+        self.rows, self.cols = rows, cols
         self.inv = inv
         self.unit = unit
         self.names = names

@@ -1,9 +1,11 @@
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from invhom.groupoids import bisections_with_masks, induced_action_hat
 from invhom.homology import (Block, KSModule, assemble, build_resolution,
                              cohomology, cohomology_complex, d_class_summands,
                              group_resolution, homology, homology_complex,
@@ -12,7 +14,7 @@ from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             from_table, symmetric_inverse_monoid,
                             trivial_monoid)
-from invhom.serialize import resolve_monoid
+from invhom.serialize import resolve_groupoid, resolve_monoid
 import oracles
 from oracles import (bar_cohomology_complex, bar_group_cohomology,
                      bar_group_homology, bar_homology_complex, dense,
@@ -236,11 +238,14 @@ def test_corrupted_index_table_is_refused_as_its_matrices_are(m, data):
     s = data.draw(st.integers(0, m.size - 1))
     j = data.draw(st.integers(0, dim - 1))
     row = bytearray(index[s])
-    row[j] = data.draw(st.integers(0, dim - 1))
+    # dim is the zero symbol, a column of 0s
+    row[j] = data.draw(st.integers(0, dim))
     index[s] = bytes(row)
-    matrices = [Matrix(F3, dim, dim, [{i: F3.one} for i in r]) for r in index]
-    expected = _refusal(lambda: KSModule(m, F3, dim, matrices))
+    matrices = [Matrix(F3, dim, dim, [{i: F3.one} if i < dim else {}
+                                      for i in r]) for r in index]
+    expected = oracles.ks_module_failure(m, matrices)
     assert _refusal(lambda: KSModule(m, F3, dim, index=index)) == expected
+    assert _refusal(lambda: KSModule(m, F3, dim, matrices)) == expected
     assert expected is None or expected.startswith("not a left module")
 
 
@@ -248,9 +253,114 @@ def test_index_table_of_wrong_shape_is_refused():
     z3 = cyclic_group(3)
     rows = z3.rows
     for bad in ([rows[0], rows[1]], [rows[0], rows[1], rows[2][:2]],
-                [rows[0], rows[1], b"\0\1\3"]):
+                [rows[0], rows[1], b"\0\1\4"]):
         with pytest.raises(ValueError, match="mismatch|wrong shape"):
             KSModule(z3, Q, 3, index=bad)
+    # Symbol 3 is a zero column at dim 3: a shape, so the law refuses it.
+    index = [rows[0], rows[1], b"\0\1\3"]
+    matrices = [Matrix(Q, 3, 3, [{i: Q.one} if i < 3 else {} for i in r])
+                for r in index]
+    expected = oracles.ks_module_failure(z3, matrices)
+    assert expected.startswith("not a left module: action law fails at")
+    assert _refusal(lambda: KSModule(z3, Q, 3, index=index)) == expected
+    # chain:2 = {e < 1}, with e killing the second basis vector
+    c2 = chain_semilattice(2)
+    e = 1 - c2.unit
+    index = [b"\0\1", b"\0\1"]
+    index[e] = b"\0\2"
+    v = KSModule(c2, F2, 2, index=index)
+    assert v.act[e].columns == [{0: 1}, {}]
+
+
+def _bisection_actions(field):
+    """(monoid, T) of the action of the bisections on L(X), a module whose
+    matrices are partial permutations."""
+    out = []
+    for spec in ("pair:2", "pair:3", "group:z:3", "discrete:4"):
+        g = resolve_groupoid(spec)
+        monoid, masks = bisections_with_masks(g)
+        out.append((monoid,
+                    induced_action_hat(g, field, monoid, masks).theta))
+    return out
+
+
+_BISECTION_ACTIONS = {F.char: _bisection_actions(F) for F in (Q, F2, F3)}
+
+
+@st.composite
+def module_matrices(draw):
+    """(monoid, field, act): a total monomial module from the index
+    builders' matrices, a bisection action on L(X) or the matrices of KE(S),
+    perhaps with one column redirected to a basis vector or zeroed, or made
+    not monomial by one entry 2 or a second entry."""
+    field = draw(st.sampled_from([Q, F2, F3]))
+    base = draw(st.sampled_from(["index builder", "bisection", "ke"]))
+    if base == "bisection":
+        monoid, act = draw(st.sampled_from(_BISECTION_ACTIONS[field.char]))
+    else:
+        monoid = draw(monomial_module_monoids(chain_sizes=st.integers(1, 12)))
+        builders = (_INDEX_BUILDERS if base == "index builder"
+                    else _INDEX_BUILDERS[:1])
+        act = draw(st.sampled_from(builders))[1](monoid, field).act
+    kinds = ["none", "redirect", "zero", "second entry"]
+    if field.char != 2:
+        kinds.append("entry 2")
+    kind = draw(st.sampled_from(kinds))
+    dim = act[0].rows
+    if kind == "none" or dim == 0:
+        return monoid, field, act
+    s = draw(st.integers(0, monoid.size - 1))
+    j = draw(st.integers(0, dim - 1))
+    columns = [dict(col) for col in act[s].columns]
+    col = columns[j]
+    if kind == "redirect":
+        columns[j] = {draw(st.integers(0, dim - 1)): field.one}
+    elif kind == "zero":
+        columns[j] = {}
+    elif kind == "second entry" and len(col) < dim:
+        col[draw(st.integers(0, dim - 1).filter(lambda i: i not in col))] = 1
+    elif kind == "entry 2" and col:
+        col[draw(st.sampled_from(sorted(col)))] = 2
+    bad = Matrix(field, dim, dim, columns)
+    return monoid, field, act[:s] + [bad] + act[s + 1:]
+
+
+@settings(deadline=None, max_examples=200)
+@given(module_matrices())
+def test_module_check_on_matrices_refuses_as_the_product_oracle_does(case):
+    monoid, field, act = case
+    assert (_refusal(lambda: KSModule(monoid, field, act[0].rows, act))
+            == oracles.ks_module_failure(monoid, act))
+
+
+def test_modules_whose_symbols_fit_no_byte_take_the_product_path(
+        monkeypatch):
+    # Symbol 256 fits no byte, so such matrices are checked by products;
+    # KS itself, with no zero column, is checked as a table.
+    tables = []
+    # invhom.homology is the function the package exports; this is the module.
+    module = sys.modules["invhom.homology"]
+    check_index = module._check_index
+    monkeypatch.setattr(module, "_check_index",
+                        lambda *args: tables.append(1) or check_index(*args))
+    m = resolve_monoid("prod:chain:16,z:16")
+    act = [Matrix(F2, 256, 256, [{t: 1} for t in row]) for row in m.table]
+    KSModule(m, F2, 256, act)
+    assert tables == [1]
+    s = m.generators[-1]
+    columns = [dict(col) for col in act[s].columns]
+    columns[0] = {}
+    act = act[:s] + [Matrix(F2, 256, 256, columns)] + act[s + 1:]
+    expected = oracles.ks_module_failure(m, act)
+    assert expected.startswith("not a left module: action law fails at")
+    assert _refusal(lambda: KSModule(m, F2, 256, act)) == expected
+    # Past 256 dimensions the unit's symbols fit no byte either.
+    one = trivial_monoid()
+    KSModule(one, F2, 300, [Matrix.identity(F2, 300)])
+    shift = Matrix(F2, 300, 300, [{(j + 1) % 300: 1} for j in range(300)])
+    assert (_refusal(lambda: KSModule(one, F2, 300, [shift]))
+            == oracles.ks_module_failure(one, [shift]))
+    assert tables == [1]
 
 
 def test_regular_ks_on_256_elements():

@@ -281,14 +281,20 @@ def test_module_check_makes_at_most_s_times_a_products(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     act = trivial_module_ke(i4, Field(2)).act
-    # At most |S||A| law checks, and not one matrix product: the check
-    # reads sg as entry g of row s once for each pair (s, g), and every
-    # column of the action on KE(I_4) is a single 1.
+    # At most |S||A| law checks, and not one matrix product: every column
+    # of the action on KE(I_4) is a single 1, so the law is checked on the
+    # index table, which reads no entry of the table when it holds and sg
+    # as entry g of row s once for each pair (s, g) it scans when it fails.
     reads = []
     rows = [_CountingRow(row, reads) for row in i4.table]
     counted = InverseMonoid(i4.size, rows, i4.inv, i4.unit, i4.generators,
-                            i4.names)
+                            i4.names, i4.rows, i4.cols)
     KSModule(counted, Field(2), act[0].rows, act)
+    assert len(reads) <= i4.size * len(i4.generators)
+    zero = i4.names.index("[]")
+    bad = act[:zero] + [Matrix.identity(Field(2), act[0].rows)] + act[zero + 1:]
+    with pytest.raises(ValueError, match="not a left module: action law"):
+        KSModule(counted, Field(2), act[0].rows, bad)
     assert 0 < len(reads) <= i4.size * len(i4.generators)
     assert not products
 
