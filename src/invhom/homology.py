@@ -32,13 +32,15 @@ class KSModule:
     row per element, checked as a table; then ``act`` forms the matrix of
     s the first time it is read.  In an index table of dim < 256, symbol
     dim is a zero column.  Matrices that send each basis vector to a basis
-    vector, or below 256 dimensions to 0, are checked as that table too,
-    and kept as given; any other matrices are checked by whole products."""
+    vector, or below 256 dimensions to 0, are checked as that table too
+    and kept as given.  A module checked as a table keeps it as ``index``;
+    any other is checked by whole products, and its ``index`` is None."""
 
-    __slots__ = ("monoid", "field", "dim", "act")
+    __slots__ = ("monoid", "field", "dim", "act", "index")
 
     def __init__(self, monoid, field, dim, act=None, index=None):
         self.monoid, self.field, self.dim = monoid, field, dim
+        self.index = index
         if index is not None:
             _check_index(monoid, dim, index)
             self.act = _FormedOnRead(field, index)
@@ -54,7 +56,8 @@ class KSModule:
         # zero column's symbol dim included.
         if None not in rows and (
                 dim < 256 or max(itertools.chain(*rows)) < 256):
-            _check_index(monoid, dim, list(map(bytes, rows)))
+            self.index = list(map(bytes, rows))
+            _check_index(monoid, dim, self.index)
             return
         if not act[monoid.unit].is_identity():
             raise ValueError("not a left module: unit does not act as identity")
@@ -340,13 +343,34 @@ def d_class_summands(monoid, module):
     the D-classes of H_n(G_e; [e]V), and the same for cohomology.  For g
     in G_e, [g] = [e] g and g [e] g^-1 = [e], so g acts on W_e as [g] does.
 
-    [e] = e prod_c (1 - c), c the lower covers of e, acts on V as
-    act(e) prod_c (I - act(c)) (``mobius_idempotent``).
+    On an index table (``module.index``) W_e is K[X_e].  The idempotents
+    fixing a point x are a filter closed under products; e_x is the least.
+    f < e_x sends x to 0 or to a y with e_y <= f, so the b_x = [e_x] x are
+    unitriangular over the points, a basis of V.  s b_x = [s e_x] x is b_sx
+    when e_x <= d(s), as f fixes sx iff s^-1 f s fixes x, so e_sx is
+    s e_x s^-1; it is 0 otherwise.  So [e]V has basis the b_x with x in
+    X_e = {x : e_x = e}, which G_e permutes as it permutes X_e; a g x
+    outside X_e is refused.
+
+    On any other module [e] = e prod_c (1 - c), c the lower covers of e,
+    acts on V as act(e) prod_c (I - act(c)) (``mobius_idempotent``).
     Each g is restricted to W_e through ``coords``, an exact check
     that g keeps W_e.
     """
+    return _d_class_split(monoid, module, module.index is not None)
+
+
+def _d_class_split(monoid, module, by_table):
+    """``d_class_summands``, with W_e from the index table or from [e]."""
     _check_module(monoid, module)
-    table, act = monoid.table, module.act
+    table, act, index = monoid.table, module.act, module.index
+    if by_table:
+        # f < f' gives fS < f'S, so the first f in this order to fix x is
+        # e_x; f fixes the points of its row, zero symbol aside.
+        points, fixed = {}, {module.dim}
+        for f in sorted(monoid.idempotents(), key=lambda f: len(set(table[f]))):
+            points[f] = bytes(sorted(set(index[f]) - fixed))
+            fixed.update(points[f])
     ranges, groups = {}, {}
     for s in range(monoid.size):
         d, r = monoid.dom(s), monoid.rng(s)
@@ -359,12 +383,20 @@ def d_class_summands(monoid, module):
             continue
         # The D-class of e is {r(s) : d(s) = e}.
         seen |= ranges[e]
-        w = image_span(mobius_idempotent(monoid, e, act))
         h = groups[e]
-        index = {s: i for i, s in enumerate(h)}
-        group = from_table([[index[table[a][b]] for b in h] for a in h],
-                           unit=index[e],
-                           names=[monoid.name_of(s) for s in h])
+        at = {s: i for i, s in enumerate(h)}
+        group = from_table([[at[table[a][b]] for b in h] for a in h],
+                           unit=at[e], names=[monoid.name_of(s) for s in h])
+        if by_table:
+            xs = points[e]
+            rows = [bytes(map(index[g].__getitem__, xs)) for g in h]
+            if any(row.translate(None, xs) for row in rows):
+                raise ValueError("vector not in column span")
+            pos = bytes.maketrans(xs, bytes(range(len(xs))))
+            yield group, KSModule(group, module.field, len(xs),
+                                  index=[row.translate(pos) for row in rows])
+            continue
+        w = image_span(mobius_idempotent(monoid, e, act))
         restricted = [Matrix(module.field, w.dim, w.dim,
                              [w.coords(col)
                               for col in (act[g] @ w.basis).columns])

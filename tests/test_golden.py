@@ -90,6 +90,13 @@ JOBS = [
      ["crossed-product", "--action",
       "file:tests/fixtures/action-z2-trivial-dual-f3.json",
       "--field", "fp:3"]),
+    # KS over I_4 and I_3: D-class summands W_e of more than one point.
+    ("homology-i4-regular-ks-f2-deg2",
+     ["homology", "--monoid", "i:4", "--module", "regular-ks",
+      "--field", "fp:2", "--max-degree", "2"]),
+    ("cohomology-i3-regular-ks-f3-deg3",
+     ["cohomology", "--monoid", "i:3", "--module", "regular-ks",
+      "--field", "fp:3", "--max-degree", "3"]),
 ]
 
 # Jobs that the undivided |S|^n complex refused at the default cap and the

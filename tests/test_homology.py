@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from invhom.groupoids import bisections_with_masks, induced_action_hat
-from invhom.homology import (Block, KSModule, assemble, build_resolution,
-                             cohomology, cohomology_complex, d_class_summands,
-                             group_resolution, homology, homology_complex,
-                             regular_ks_module, trivial_module_ke)
+from invhom.homology import (Block, KSModule, _d_class_split, assemble,
+                             build_resolution, cohomology, cohomology_complex,
+                             d_class_summands, group_resolution, homology,
+                             homology_complex, regular_ks_module,
+                             trivial_module_ke)
 from invhom.linalg import ColumnSpan, Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group, direct_product,
                             from_table, symmetric_inverse_monoid,
@@ -380,17 +381,26 @@ def test_regular_ks_on_256_elements():
 
 
 def test_d_class_split_forms_only_the_matrices_it_reads():
-    # The split reads act at idempotents (the [e]) and at the members of
-    # one maximal subgroup per D-class: 40 of the 209 elements of I_4.
+    # The split of an index table reads the table alone: none of the 209
+    # matrices of I_4 is formed, and every summand is an index table.
     i4 = symmetric_inverse_monoid(4)
     for build in (trivial_module_ke, regular_ks_module):
         v = build(i4, F2)
         groups = list(d_class_summands(i4, v))
-        read = set(i4.idempotents()).union(*(
-            [s for s in range(i4.size) if i4.name_of(s) in g.names]
-            for g, _ in groups))
-        formed = {s for s, m in enumerate(v.act.formed) if m is not None}
-        assert formed <= read and len(formed) == 40
+        assert all(m is None for m in v.act.formed)
+        assert all(w.index is not None for _, w in groups)
+
+
+def test_table_split_refuses_a_group_element_that_leaves_its_points():
+    # KS over I_2 with the swap's row replaced, after the law check, by
+    # that of the idempotent [1->1]: the swap then sends the unit, a point
+    # of X_1, to [1->1], whose least fixing idempotent is [1->1].
+    i2 = symmetric_inverse_monoid(2)
+    v = regular_ks_module(i2, F2)
+    v.index = list(v.index)
+    v.index[i2.names.index("[12->21]")] = v.index[i2.names.index("[1->1]")]
+    with pytest.raises(ValueError, match="vector not in column span"):
+        list(d_class_summands(i2, v))
 
 
 def test_module_monoid_mismatch():
@@ -844,6 +854,36 @@ def test_group_complexes_equal_the_bar_oracle(drawn, data):
         maps = group_resolution(group, field, 3, w.dim)
         for lower, upper in zip(maps, maps[1:]):
             assert upper.rank() == lower.cols - lower.rank()
+
+
+@settings(deadline=None, max_examples=60)
+@given(embedded_submonoids_of_i3_or_i4(), st.data())
+def test_table_split_equals_the_mobius_split(drawn, data):
+    # An index-table module split by its table (W_e the permutation module
+    # on the points whose least fixing idempotent is e) and by the image of
+    # [e] with each g restricted through coords: the same G_e, dim W_e and
+    # Betti numbers per summand.  The natural module has zero symbols; a
+    # sum past 255 dimensions has symbols that fit no byte, and no table.
+    m, images, n = drawn
+    field = data.draw(st.sampled_from([Q, F2, F3]))
+    kinds = data.draw(st.lists(
+        st.sampled_from(["trivial-ke", "regular-ks", "natural"]),
+        min_size=1, max_size=2))
+    modules = [_MODULES[kind](m, images, n, field) for kind in kinds]
+    module = modules[0] if len(modules) == 1 else direct_sum(*modules)
+    assume(module.index is not None)
+    deg = _split_degree(m)
+    tables = list(_d_class_split(m, module, True))
+    spans = list(_d_class_split(m, module, False))
+    assert len(tables) == len(spans)
+    for (group, w), (other, v) in zip(tables, spans):
+        assert w.index is not None
+        assert (group.names, group.table) == (other.names, other.table)
+        assert w.dim == v.dim
+        assert homology_complex(group, w, deg + 1).betti(deg) == \
+            homology_complex(other, v, deg + 1).betti(deg)
+        assert cohomology_complex(group, w, deg).betti(deg) == \
+            cohomology_complex(other, v, deg).betti(deg)
 
 
 def test_d_class_summands_of_i3():

@@ -55,6 +55,22 @@ def test_inverse_not_unique_rejected():
         from_table(table, unit=2)
 
 
+def test_rectangular_band_with_a_unit_names_every_inverse_candidate():
+    # The 2 x 2 rectangular band (i, j)(k, l) = (i, l), with a unit 0
+    # adjoined: every band element s has sxs = s and xsx = x for all four
+    # band elements x, and its idempotents do not commute.  The first
+    # candidate's xsx is an inverse, so the refusal comes from the scan.
+    band = [(i, j) for i in range(2) for j in range(2)]
+    table = [list(range(5))] + [
+        [1 + s] + [1 + band.index((i, l)) for _, l in band]
+        for s, (i, _) in enumerate(band)]
+    message = "inverse not unique for element 1: candidates [1, 2, 3, 4]"
+    assert from_table_failure(table) == message
+    with pytest.raises(ValueError) as exc:
+        from_table(table)
+    assert str(exc.value) == message
+
+
 def test_symmetric_inverse_monoid_sizes():
     # |I(n)| = sum C(n,k)^2 k!
     import math
