@@ -8,15 +8,17 @@ One matrix class, ``Matrix``, holds every linear map column-sparse:
 ``columns[j]`` maps a row to a nonzero scalar.  A vector has the same
 form as a column, a dict ``{i: x}`` of its nonzero entries, so the zero
 vector is ``{}`` and ``not v`` tests for it.
-One sparse elimination loop, ``_reduce``, serves rank, rref, spans,
-kernels and quotients.  Every basis it yields is fixed by definition, not
-by the order of elimination: an image basis is the leftmost independent
-columns, a kernel vector has 1 at its free column and 0 at the other free
-columns, a quotient's section is the earliest standard vectors independent
-of the subspace, and coordinates are unique.  ``image_span`` picks an
-image basis and builds its span in one elimination, and ``image_basis``
-is that span's basis.  ``column_sums`` forms a linear combination of
-matrices, as every action matrix is, summing each column in place.
+One sparse elimination loop, ``_reduce``, serves rank and coordinates,
+and one tagged pass over it, ``_eliminate``, gives a matrix's pivots,
+leftmost independent columns and the combination of each other column.
+``rref``, ``kernel_basis``, ``ColumnSpan``, ``image_span`` (whose basis
+``image_basis`` is) and ``quotient_space`` each read one pass.  Every
+basis is fixed by definition, not by the order of elimination: an image
+basis is the leftmost independent columns, a kernel vector has 1 at its
+free column and 0 at the other free columns, a quotient's section is the
+earliest standard vectors independent of the subspace, and coordinates
+are unique.  ``column_sums`` forms a linear combination of matrices, as
+every action matrix is, summing each column in place.
 """
 
 from __future__ import annotations
@@ -87,6 +89,9 @@ class Field:
     def of(self, v):
         """Coerce an int / Fraction / 'p/q' string into the field."""
         if isinstance(v, str):
+            # Fraction writes "1e1000000" out in a million digits: refuse it.
+            if "e" in v or "E" in v:
+                raise ValueError(f"scalar {v!r:.40} is in exponent notation")
             try:
                 v = Fraction(v)
             except ZeroDivisionError:
@@ -367,43 +372,40 @@ def _leaving(field, vec):
     return {i: _narrow(a) for i, a in vec.items()}
 
 
-def _tagged(field, col, k):
-    """A copy of the sparse column col, entering as input column k."""
-    v = dict(col)
-    v[-1 - k] = field.one
-    return v
+def _eliminate(field, columns):
+    """The one tagged elimination pass: insert the sparse columns left to
+    right, each tagged with the place it would take among the columns that
+    insert, so one that does not insert leaves the pivots as they were.
 
-
-def _coords(field, pivots, v):
-    """Coordinates {input column: nonzero coefficient} of the sparse column
-    v on the tagged input columns that built pivots, or None when v is
-    outside their span."""
-    if _reduce(field, pivots, v) is not None:
-        return None
-    # v now holds only combination keys, and the input equals minus them.
-    return _leaving(field, {-1 - k: field.neg(a) for k, a in v.items()})
+    Returns the pivots, the indices of the columns that insert (the
+    leftmost independent ones), and {j: {p: c}} for every other column j,
+    with m_j + sum of c * m_(p-th inserted column) = 0.
+    """
+    pivots, kept, deps = {}, [], {}
+    for j, col in enumerate(columns):
+        tag = -1 - len(kept)
+        v = dict(col)
+        v[tag] = field.one
+        if _insert(field, pivots, v) is not None:
+            kept.append(j)
+            continue
+        # v is now m_j's own tag, 1, plus the tags of the inserted columns.
+        del v[tag]
+        deps[j] = _leaving(field, {-1 - k: a for k, a in v.items()})
+    return pivots, kept, deps
 
 
 def rref(m):
-    """Reduced row echelon form (a new matrix) and its pivot columns.
-
-    Columns are inserted left to right, so the pivot columns are the
-    leftmost independent ones; any other column reduces to zero, and its
-    combination writes it in the pivot columns before it.
-    """
+    """Reduced row echelon form (a new matrix) and its pivot columns: the
+    leftmost independent columns, each a standard vector, and every other
+    column its combination of the pivot columns."""
     F = m.field
-    pivots = {}
-    pcols = []
+    _, pcols, deps = _eliminate(F, m.columns)
     r = Matrix(F, m.rows, m.cols)
-    for j, col in enumerate(m.columns):
-        v = _tagged(F, col, j)
-        if _insert(F, pivots, v) is not None:
-            r.columns[j] = {len(pcols): F.one}
-            pcols.append(j)
-            continue
-        r.columns[j] = _leaving(F, {i: F.neg(v[-1 - p])
-                                    for i, p in enumerate(pcols)
-                                    if -1 - p in v})
+    for i, j in enumerate(pcols):
+        r.columns[j] = {i: F.one}
+    for j, dep in deps.items():
+        r.columns[j] = {p: F.neg(c) for p, c in dep.items()}
     return r, pcols
 
 
@@ -414,21 +416,15 @@ def mat_rank(m):
 
 
 def kernel_basis(m):
-    """Basis of the right kernel, as matrix columns.
-
-    Columns are produced in increasing order of their free variable, with
-    the free variable's coordinate normalized to 1.
-    """
+    """Basis of the right kernel, as matrix columns: one per dependent
+    column j, in increasing j, with 1 at j and 0 at every other dependent
+    column."""
     F = m.field
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
+    _, kept, deps = _eliminate(F, m.columns)
     cols = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        col = {f: F.one}
-        for i, a in r.columns[f].items():
-            col[pivots[i]] = F.neg(a)
+    for j, dep in deps.items():
+        col = {j: F.one}
+        col.update((kept[p], c) for p, c in dep.items())
         cols.append(col)
     return Matrix(F, m.cols, len(cols), cols)
 
@@ -446,11 +442,9 @@ class ColumnSpan:
         self.basis = basis
         self.is_identity = basis.is_identity()
         self.pivots = {}
-        if self.is_identity:
-            return
-        F = basis.field
-        for j, col in enumerate(basis.columns):
-            if _insert(F, self.pivots, _tagged(F, col, j)) is None:
+        if not self.is_identity:
+            self.pivots, _, deps = _eliminate(basis.field, basis.columns)
+            if deps:
                 raise ValueError("basis columns are linearly dependent")
 
     @property
@@ -461,24 +455,23 @@ class ColumnSpan:
         """x with B x = vec, both sparse: {basis column: coefficient}."""
         if self.is_identity and (not vec or max(vec) < self.dim):
             return dict(vec)
-        x = _coords(self.basis.field, self.pivots, dict(vec))
-        if x is None:
+        F, v = self.basis.field, dict(vec)
+        if _reduce(F, self.pivots, v) is not None:
             raise ValueError("vector not in column span")
-        return x
+        # v now holds only the basis tags, and vec is minus their combination.
+        return _leaving(F, {-1 - k: F.neg(a) for k, a in v.items()})
 
 
 def image_span(m):
     """The ColumnSpan of the leftmost independent columns of m, from one
-    elimination.  Each column enters tagged with the place it would take in
-    the basis, and one that does not insert leaves the pivots as they were,
-    so they are the pivots ColumnSpan(basis) builds."""
+    pass, whose pivots are those ColumnSpan(basis) builds: a column that
+    does not insert leaves them as they were, and one that does is tagged
+    with its place in the basis."""
     F = m.field
-    pivots, cols = {}, []
-    for col in m.columns:
-        if _insert(F, pivots, _tagged(F, col, len(cols))) is not None:
-            cols.append(dict(col))
+    pivots, kept, _ = _eliminate(F, m.columns)
     span = ColumnSpan.__new__(ColumnSpan)
-    span.basis = Matrix(F, m.rows, len(cols), cols)
+    span.basis = Matrix(F, m.rows, len(kept),
+                        [dict(m.columns[j]) for j in kept])
     span.is_identity = span.basis.is_identity()
     span.pivots = {} if span.is_identity else pivots
     return span
@@ -521,26 +514,22 @@ def quotient_space(field, ambient_dim, span):
         )
     if span.field != field:
         raise ValueError("field mismatch between span and quotient")
-    pivots = {}
-    basis = []
-
-    def extend(cols):
-        # A column that does not insert is dropped, so the next one may
-        # take its tag.
-        for col in cols:
-            if _insert(field, pivots, _tagged(field, col, len(basis))) \
-                    is not None:
-                basis.append(dict(col))
-
-    extend(span.columns)
-    r = len(basis)
-    extend({i: field.one} for i in range(ambient_dim))
-    sub = Matrix(field, ambient_dim, r, basis[:r])
-    section = Matrix(field, ambient_dim, ambient_dim - r, basis[r:])
+    # Column c + i of the pass is e_i.  One that does not insert is minus
+    # its combination of the inserted columns; its projection is the
+    # negated section part.
+    c, one, neg = span.cols, field.one, field.neg
+    _, kept, deps = _eliminate(
+        field, span.columns + [{i: one} for i in range(ambient_dim)])
+    r = sum(j < c for j in kept)
+    sub = Matrix(field, ambient_dim, r,
+                 [dict(span.columns[j]) for j in kept[:r]])
+    section = Matrix(field, ambient_dim, ambient_dim - r,
+                     [{j - c: one} for j in kept[r:]])
+    place = {j: p for p, j in enumerate(kept)}
     projection = Matrix(field, ambient_dim - r, ambient_dim, [
-        {k - r: a for k, a in _coords(field, pivots, {i: field.one}).items()
-         if k >= r}
-        for i in range(ambient_dim)])
+        {place[j] - r: one} if j in place else
+        {p - r: neg(a) for p, a in deps[j].items() if p >= r}
+        for j in range(c, c + ambient_dim)])
     q = QuotientSpace(ambient_dim, sub, projection, section)
     # The defining identities are cheap; verify them outright.
     assert (projection @ section).is_identity() or projection.rows == 0

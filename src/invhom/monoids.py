@@ -259,7 +259,7 @@ def chain_semilattice(n):
     if n < 1:
         raise ValueError("chain_semilattice needs n >= 1")
     check_size(n)
-    table = [[max(i, j) for j in range(n)] for i in range(n)]
+    table = [[i] * (i + 1) + list(range(i + 1, n)) for i in range(n)]
     return from_table(table, unit=0, names=[f"e{i}" for i in range(n)])
 
 

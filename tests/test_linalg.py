@@ -140,6 +140,12 @@ WIDE = (3, 8, [[1, 2, 0, 0, 3, 0, 1, 0], [0, 1, 1, 0, 0, 2, 0, 3],
 ZERO = (5, 5, [[0] * 5 for _ in range(5)])
 REPEATED_COLUMN = (4, 4, [[1, 1, 0, 2], [2, 2, 1, 0], [0, 0, 3, 1],
                           [3, 3, 0, 0]])
+# Standard vectors as span columns: the kept e_2 and e_0 reappear as later
+# identity columns of the quotient's pass, so its subspace rank must be
+# counted from input positions, not from what the basis columns hold.
+STANDARD_COLUMNS = (4, 3, [[0, 1, 0], [0, 0, 0], [1, 0, 1], [0, 0, 0]])
+# Column 1 is minus column 0, so its dependency is +1 on column 0.
+NEGATED_COLUMN = (3, 3, [[1, -1, 0], [2, -2, 1], [0, 0, 1]])
 
 
 @settings(deadline=None)
@@ -204,6 +210,8 @@ def _oracle_quotient(field, n, sub):
 @example((3, 7, [row[:7] for row in WIDE[2]]))
 @example(ZERO)
 @example(REPEATED_COLUMN)
+@example(STANDARD_COLUMNS)
+@example(NEGATED_COLUMN)
 def test_elimination_matches_gauss_jordan_oracle(case):
     rows, cols, data = case
     for field in FIELDS:

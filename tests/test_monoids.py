@@ -88,6 +88,9 @@ def test_chain_semilattice():
     assert m.size == 3 and m.unit == 0
     assert m.table[1][2] == 2  # e1 * e2 = e2 (minimum in the order)
     assert all(m.is_idempotent(e) for e in range(3))
+    for n in (1, 2, 3, 17, 256):
+        assert chain_semilattice(n).table == [
+            [max(i, j) for j in range(n)] for i in range(n)]
 
 
 def test_direct_product_basics():

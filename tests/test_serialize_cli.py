@@ -353,6 +353,50 @@ def test_cli_long_shorthand_number_is_refused_unread():
                              f"{width}-digit N is past every cap"]
 
 
+def test_cli_exponent_scalars_are_refused_unread(tmp_path):
+    # Fraction writes "1e3000000" out as an integer of three million digits,
+    # which takes seconds; a scalar in exponent notation is refused before
+    # it is read, in module, algebra, action and bimodule files alike.
+    good_algebra = tmp_path / "unit-algebra.json"
+    good_algebra.write_text(json.dumps(
+        {"field": "q", "dim": 1, "sc": [1], "unit": [1]}))
+    for token in ("1e3000000", "1E5", "-1e-5"):
+        algebra = tmp_path / "bad-algebra.json"
+        algebra.write_text(json.dumps(
+            {"field": "q", "dim": 1, "sc": [token], "unit": [1]}))
+        action = {"monoid_ref": "trivial", "one": [[1]], "theta": [[1]]}
+        files = {
+            "module": ({"field": "q", "dim": 1, "act": [[token], ["1"]]},
+                       ["homology", "--monoid", "z:2", "--module"]),
+            "algebra": ({**action, "algebra_ref": f"file:{algebra}"},
+                        ["crossed-product", "--action"]),
+            "action": ({**action, "algebra_ref": f"file:{good_algebra}",
+                        "one": [[token]]}, ["crossed-product", "--action"]),
+            "bimodule": ({"dim": 1, "left": [[token]], "right": [[1]]},
+                         ["verify", "separable-homology", "--action",
+                          "trivial:trivial", "--module"]),
+        }
+        for kind, (doc, job) in files.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            start = time.monotonic()
+            lines = _cli_error_lines([*job, f"file:{path}"])
+            assert time.monotonic() - start < 1.0, (kind, token)
+            assert len(lines) == 1 and "exponent notation" in lines[0], \
+                (kind, token, lines)
+    # Fractions and decimals still load: z:2 acting by a swap scaled by
+    # x on one side and 1/x on the other.
+    for x, inverse in (("3/4", "4/3"), ("1.5", "2/3")):
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps({"field": "q", "dim": 2, "act": [
+            ["1", "0", "0", "1"], ["0", x, inverse, "0"]]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["homology", "--monoid", "z:2", "--module",
+                             f"file:{module}", "--max-degree", "1"]) == 0
+        assert out.getvalue()
+
+
 def _discrete_file(tmp_path, n):
     """A groupoid file of n objects with one unit arrow each."""
     path = tmp_path / f"discrete{n}.json"
