@@ -8,6 +8,11 @@ n of P (x)_KG W and of Hom_KG(P, W) is W^(r_n), with r_n the rank of P_n,
 so a complex grows with r_n and not with the |G|^n tuples of the bar
 complex.  Every map is exact, over Q or F_p.
 
+W_e is projective if it is 0, if |G_e| is invertible in K (Maschke), or if
+it is an index table K[X] that G_e permutes freely, a sum of copies of
+K G_e.  It is then flat, and injective as K G_e is self-injective, so Tor_n
+and Ext^n vanish for n >= 1 (Brown, III.2 and VI.2): its complex stops at P_1.
+
 ``assemble`` turns a stream of face terms into a boundary matrix, taking
 every coordinate through the target summand's basis, an exact membership
 check.  The Hochschild complexes are written through it, and so is a free
@@ -420,22 +425,40 @@ def mobius_idempotent(monoid, e, act):
     return eps
 
 
-def _betti_sum(bettis):
+def _projective(group, module):
+    """The module docstring's rule; a group's rows are permutations."""
+    p = module.field.char
+    return (not module.dim or not p or group.size % p != 0
+            or module.index is not None and all(
+                all(map(int.__ne__, row, range(module.dim)))
+                for g, row in enumerate(module.index) if g != group.unit))
+
+
+def _summed_bettis(monoid, module, max_deg, cap, dual):
+    """The summands' Betti numbers summed, a projective one's read at P_1."""
+    if max_deg < 0:
+        raise ValueError(f"max degree must be non-negative, got {max_deg}")
+    check_degree(max_deg + 1, 1, cap)  # as the first resolution would
+    bettis = []
+    for g, w in d_class_summands(monoid, module):
+        top = 0 if _projective(g, w) else max_deg
+        data = (cohomology_complex(g, w, top, cap) if dual
+                else homology_complex(g, w, top + 1, cap))
+        bettis.append(data.betti(top) + [0] * (max_deg - top))
     return [sum(b) for b in zip(*bettis)]
 
 
 def homology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
     """Betti numbers of H_0 .. H_max_deg of S with coefficients in module,
     summed over the D-classes (see ``d_class_summands``); ``cap`` bounds
-    each summand's complex."""
-    return _betti_sum(homology_complex(g, w, max_deg + 1, cap).betti(max_deg)
-                      for g, w in d_class_summands(monoid, module))
+    each summand's complex, and a projective summand's stops at P_1."""
+    return _summed_bettis(monoid, module, max_deg, cap, False)
 
 
 def cohomology(monoid, module, max_deg, cap=DEFAULT_COLUMN_CAP):
-    """Betti numbers of H^0 .. H^max_deg, summed over the D-classes."""
-    return _betti_sum(cohomology_complex(g, w, max_deg, cap).betti(max_deg)
-                      for g, w in d_class_summands(monoid, module))
+    """Betti numbers of H^0 .. H^max_deg, summed over the D-classes; as in
+    ``homology``, a projective summand's complex stops at P_1."""
+    return _summed_bettis(monoid, module, max_deg, cap, True)
 
 
 class ResolutionComplex:

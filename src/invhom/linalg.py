@@ -69,6 +69,7 @@ class Field:
     """
 
     __slots__ = ("char",)
+    DIGITS = 4300  # int() of a longer string fails on Python's own limit
 
     def __init__(self, char=0):
         if char >= 1 << 64:
@@ -92,6 +93,9 @@ class Field:
             # Fraction writes "1e1000000" out in a million digits: refuse it.
             if "e" in v or "E" in v:
                 raise ValueError(f"scalar {v!r:.40} is in exponent notation")
+            if sum(map(str.isdigit, v)) > self.DIGITS:
+                raise ValueError(f"scalar {v!r:.40} has more than "
+                                 f"{self.DIGITS} digits")
             try:
                 v = Fraction(v)
             except ZeroDivisionError:

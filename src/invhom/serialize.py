@@ -313,8 +313,10 @@ def _load_json(path):
     """The JSON object in a file; any other document is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
+            # A bare integer past int()'s limit meets Field.of's instead.
             doc = json.load(fh, object_pairs_hook=functools.partial(
-                _Fields, path))
+                _Fields, path), parse_int=lambda digits: int(digits)
+                if len(digits) <= Field.DIGITS else Field().of(digits))
         except RecursionError:
             raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):

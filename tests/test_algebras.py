@@ -16,8 +16,9 @@ from invhom.algebras import (Algebra, Bimodule, diagonal_algebra,
                              semigroup_algebra, table_algebra)
 from invhom.cli import _resolve_action
 from invhom.crossed import crossed_product, mobius_family
-from invhom.groupoids import (discrete_groupoid, group_as_groupoid,
-                              lx_embedding, pair_groupoid, steinberg_algebra)
+from invhom.groupoids import (discrete_groupoid, disjoint_union,
+                              group_as_groupoid, lx_embedding, pair_groupoid,
+                              steinberg_algebra)
 from invhom.homology import mobius_idempotent
 from invhom.linalg import Field, Matrix
 from invhom.monoids import (chain_semilattice, cyclic_group,
@@ -879,6 +880,53 @@ def test_family_that_is_not_complete_and_orthogonal_is_refused():
     family = [{0: one, 1: one}, {3: one, 1: Q.neg(one)}]
     assert hochschild_homology(m2, regular_bimodule(m2), 2,
                                idempotents=family) == [1, 0, 0]
+
+
+def _steinberg_hh(g, field, max_deg, fn, relative):
+    """fn of A_K(g) with its regular bimodule, relative to the unit arrows
+    or to [1]."""
+    ak = steinberg_algebra(g, field)
+    family = lx_embedding(g, field).columns if relative else None
+    return fn(ak, regular_bimodule(ak), max_deg, idempotents=family)
+
+
+def test_hochschild_of_a_pair_groupoid_is_that_of_the_field():
+    # A_K(pair:3) is M_3(K), Morita equivalent to K, so HH_n and HH^n are
+    # K in degree 0 and 0 above it, in every characteristic.
+    g = resolve_groupoid("pair:3")
+    for F in (Q, F2, Field(3)):
+        for fn in (hochschild_homology, hochschild_cohomology):
+            for relative in (True, False):
+                assert _steinberg_hh(g, F, 3, fn, relative) == [1, 0, 0, 0], \
+                    (F, fn.__name__, relative)
+
+
+def test_hochschild_of_a_product_group_is_the_convolution():
+    # K[G x H] = KG (x) KH, so by Künneth HH_n(K[G x H]) is the sum over
+    # p + q = n of HH_p(KG) (x) HH_q(KH).
+    def hh(spec, relative):
+        return _steinberg_hh(resolve_groupoid(spec), F2, 2,
+                             hochschild_homology, relative)
+
+    for relative in (True, False):
+        a, b = hh("group:z:2", relative), hh("group:z:4", relative)
+        convolution = [sum(a[p] * b[n - p] for p in range(n + 1))
+                       for n in range(3)]
+        assert hh("group:prod:z:2,z:4", relative) == convolution == \
+            [8, 16, 24]
+
+
+def test_hochschild_is_additive_over_a_disjoint_union():
+    # A_K of a disjoint union is the product of the two algebras, and
+    # HH_n(A x B) = HH_n(A) + HH_n(B), with the same for HH^n.
+    parts = (resolve_groupoid("pair:2"), resolve_groupoid("group:z:3"))
+    union = disjoint_union(*parts)
+    for F in (Q, F2, Field(3)):
+        for fn in (hochschild_homology, hochschild_cohomology):
+            for relative in (True, False):
+                sides = [_steinberg_hh(g, F, 3, fn, relative) for g in parts]
+                assert _steinberg_hh(union, F, 3, fn, relative) == \
+                    [a + b for a, b in zip(*sides)], (F, fn.__name__)
 
 
 def test_family_is_refused_before_any_block_is_listed(monkeypatch):

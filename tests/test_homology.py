@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from invhom.groupoids import bisections_with_masks, induced_action_hat
 from invhom.homology import (Block, KSModule, _d_class_split, assemble,
@@ -854,6 +854,44 @@ def test_group_complexes_equal_the_bar_oracle(drawn, data):
         maps = group_resolution(group, field, 3, w.dim)
         for lower, upper in zip(maps, maps[1:]):
             assert upper.rank() == lower.cols - lower.rank()
+
+
+def _i3_with_images():
+    i3 = symmetric_inverse_monoid(3)
+    return i3, [_image_tuple(name, 3) for name in i3.names], 3
+
+
+@settings(deadline=None, max_examples=60)
+@given(embedded_submonoids_of_i3_or_i4(), st.sampled_from([Q, F2, F3]),
+       st.lists(st.sampled_from(sorted(_MODULES)), min_size=1, max_size=2),
+       st.integers(0, 3), st.booleans())
+# Z_2 acts freely on KZ_2, a free summand in characteristic 2.
+@example((cyclic_group(2), None, 2), F2, ["regular-ks"], 3, False)
+@example((cyclic_group(2), None, 2), F2, ["regular-ks"], 3, True)
+# K^3 over I_3 has W_e = 0 for e of rank 0, 2 and 3, S_3 and S_2 included.
+@example(_i3_with_images(), F2, ["natural"], 3, False)
+@example(_i3_with_images(), F3, ["natural"], 3, True)
+# KZ_2 + KE(Z_2): the generator moves two points and fixes the third.
+@example((cyclic_group(2), None, 2), F2, ["regular-ks", "trivial-ke"], 1,
+         False)
+# Z_2 on the line KE(Z_2) over F_2 has H_n = F_2 in every degree.
+@example((cyclic_group(2), None, 2), F2, ["trivial-ke"], 3, False)
+def test_projective_summands_clip_to_the_unclipped_betti_numbers(
+        drawn, field, kinds, max_deg, dual):
+    # homology and cohomology resolve a projective summand to P_1 only and
+    # pad its Betti numbers with zeros: they must equal the sum over the
+    # summands of the complexes resolved to max_deg + 1.
+    m, images, n = drawn
+    modules = [_MODULES[kind](m, images, n, field) for kind in kinds]
+    module = modules[0] if len(modules) == 1 else direct_sum(*modules)
+    total = [0] * (max_deg + 1)
+    for group, w in d_class_summands(m, module):
+        data = (cohomology_complex(group, w, max_deg) if dual
+                else homology_complex(group, w, max_deg + 1))
+        total = [a + b for a, b in zip(total, data.betti(max_deg))]
+    assert (cohomology if dual else homology)(m, module, max_deg) == total
+    if m.is_group() and (m.size, kinds, field) == (2, ["trivial-ke"], F2):
+        assert total == [1] * (max_deg + 1)
 
 
 @settings(deadline=None, max_examples=60)

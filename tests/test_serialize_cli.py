@@ -397,6 +397,57 @@ def test_cli_exponent_scalars_are_refused_unread(tmp_path):
         assert out.getvalue()
 
 
+def test_cli_long_digit_scalars_are_refused_with_the_digit_limit(tmp_path):
+    # int() refuses a string of more than 4300 digits with Python's own
+    # message; a scalar string or a bare JSON integer that long is refused
+    # by invhom, naming the limit, in module, algebra, action and bimodule
+    # files alike.  A bare number is spliced in as text, as json.dumps
+    # cannot write it.
+    good_algebra = tmp_path / "unit-algebra.json"
+    good_algebra.write_text(json.dumps(
+        {"field": "q", "dim": 1, "sc": [1], "unit": [1]}))
+    bare = "1" * 5000
+    for token in ('"' + "1" * 5000 + '"', '"0.' + "1" * 5000 + '"', bare,
+                  "-" + bare):
+        algebra = tmp_path / "bad-algebra.json"
+        algebra.write_text(json.dumps(
+            {"field": "q", "dim": 1, "sc": ["TOKEN"], "unit": [1]}
+        ).replace('"TOKEN"', token))
+        action = {"monoid_ref": "trivial", "one": [[1]], "theta": [[1]]}
+        files = {
+            "module": ({"field": "q", "dim": 1, "act": [["TOKEN"], ["1"]]},
+                       ["homology", "--monoid", "z:2", "--module"]),
+            "algebra": ({**action, "algebra_ref": f"file:{algebra}"},
+                        ["crossed-product", "--action"]),
+            "action": ({**action, "algebra_ref": f"file:{good_algebra}",
+                        "one": [["TOKEN"]]}, ["crossed-product", "--action"]),
+            "bimodule": ({"dim": 1, "left": [["TOKEN"]], "right": [[1]]},
+                         ["verify", "separable-homology", "--action",
+                          "trivial:trivial", "--module"]),
+        }
+        for kind, (doc, job) in files.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+            start = time.monotonic()
+            lines = _cli_error_lines([*job, f"file:{path}"])
+            assert time.monotonic() - start < 1.0, (kind, token[:8])
+            assert len(lines) == 1 and "more than 4300 digits" in lines[0], \
+                (kind, token[:8], lines)
+    # 4000-digit scalars still load, as strings and as bare numbers: z:2
+    # acting by a swap scaled by x on one side and 1/x on the other.
+    x = "1" * 4000
+    for token in ('"' + x + '"', x):
+        module = tmp_path / "module.json"
+        module.write_text(json.dumps({"field": "q", "dim": 2, "act": [
+            ["1", "0", "0", "1"], ["0", "TOKEN", "1/" + x, "0"]]}
+        ).replace('"TOKEN"', token))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["homology", "--monoid", "z:2", "--module",
+                             f"file:{module}", "--max-degree", "1"]) == 0
+        assert out.getvalue()
+
+
 def _discrete_file(tmp_path, n):
     """A groupoid file of n objects with one unit arrow each."""
     path = tmp_path / f"discrete{n}.json"
@@ -858,11 +909,13 @@ def test_right_module_file_is_refused(tmp_path):
 def test_verify_honours_cap_columns():
     # --cap-columns reaches the monoid and Hochschild complexes of every
     # verifier, so a small cap refuses what the default admits.
-    # The Steinberg homology job stops at its monoid side's S_3 summand
-    # (degree 2 of its resolution has 3 * 6 = 18 columns); the cohomology
-    # job at its L(X) side, whose degree 0 has one column per object.
-    jobs = (["verify", "steinberg-homology", "--groupoid", "pair:3",
-             "--max-degree", "1", "--cap-columns", "12"],
+    # The Steinberg homology job stops at its monoid side's Z_8 summand,
+    # whose W_e is Z_8 acting by conjugation on 8 points, trivially, so
+    # over F_2 it is resolved in full (degree 0 of its complex has 8
+    # columns); the cohomology job at its L(X) side, whose degree 0 has
+    # one column per object.
+    jobs = (["verify", "steinberg-homology", "--groupoid", "group:z:8",
+             "--field", "fp:2", "--max-degree", "1", "--cap-columns", "7"],
             ["verify", "steinberg-cohomology", "--groupoid", "pair:2",
              "--max-degree", "0", "--cap-columns", "1"],
             ["verify", "separable-homology", "--action", "ke:chain:2",
@@ -885,9 +938,10 @@ def test_verify_honours_cap_columns():
 
 def test_resolution_cap_names_degree_and_columns():
     # The S_4 summand of I_4 resolves with r_5 = 21 generators, so its
-    # degree 5 has 21 * 24 = 504 columns.
-    argv = ["homology", "--monoid", "i:4", "--max-degree", "6",
-            "--cap-columns", "500"]
+    # degree 5 has 21 * 24 = 504 columns.  Over Q the summand is projective
+    # and resolved to P_1 only, so the job runs over F_2.
+    argv = ["homology", "--monoid", "i:4", "--field", "fp:2",
+            "--max-degree", "6", "--cap-columns", "500"]
     start = time.monotonic()
     assert _cli_error_lines(argv) == [
         "error: size cap exceeded: degree 5 needs 504 columns, more than 500"]

@@ -75,13 +75,15 @@ def test_traced_run_keeps_stdout_and_measures_sizes():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    # The monoid side of a pair groupoid is a trivial group acting on a
-    # line, whose resolution stops at P_0, so its complex has no nonzero
-    # boundary; that of group:z:3 is Z_3 acting on KZ_3.  KE(I_2) is an
-    # index table, whose D-class split makes no matrix product.
-    jobs = (["homology", "--monoid", "i:2", "--max-degree", "1"],
-            ["verify", "steinberg-homology", "--groupoid", "group:z:3",
-             "--max-degree", "1"])
+    # Over Q every D-class summand is projective and is resolved to P_1
+    # only, where its boundary is zero, so both jobs run over F_2: the S_2
+    # and S_3 summands of KE(I_3) are trivial modules, which are resolved
+    # in full.  KE(I_3) is an index table, whose D-class split makes no
+    # matrix product; the separable verifier's crossed product makes some.
+    jobs = (["homology", "--monoid", "i:3", "--field", "fp:2",
+             "--max-degree", "1"],
+            ["verify", "separable-homology", "--action", "ke:i:3",
+             "--field", "fp:2", "--max-degree", "1"])
     for argv in jobs:
         proc = subprocess.run(
             [sys.executable, "-c", TRACED_RUN, str(TRACING.parent),
